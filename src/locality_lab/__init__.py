@@ -10,7 +10,10 @@ designs held by fixed-weight codeword supports.
 
 __version__ = "0.1.0"
 
-from . import cli, code_core, constructions, designs, errors, gf, locality
+# cli is left out: importing it here would make ``python -m
+# locality_lab.cli`` find the module already loaded and warn; ``from
+# locality_lab import cli`` still works
+from . import code_core, constructions, designs, errors, gf, locality
 
 __all__ = ["cli", "code_core", "constructions", "designs", "errors", "gf",
            "locality", "__version__"]

@@ -4,10 +4,19 @@ derived codes, weight distributions, and low-weight codeword search.
 A LinearCode stores its generator matrix in reduced row echelon form, so
 set-equality of codes is entrywise equality of matrices.  Weight
 distributions come from an enumeration kernel that walks all q^k message
-vectors (numpy, blockwise); anything larger flows through the MacWilliams
-transform of the dual side.  Low-weight words are found per exact weight by
-scanning coordinate subsets and extracting the dependency space supported
-exactly there, which is the workhorse behind locality computation.
+vectors (numpy, blockwise); minimum_distance may instead transform the
+dual's distribution (MacWilliams) or scan coordinate subsets.
+
+Low-weight words are found per exact weight, which is the workhorse behind
+locality computation.  Small codes are enumerated projective class by
+class.  Otherwise the search scans the w-subsets S of coordinates in
+lexicographic order: a block of subsets at a time, the submatrices H[:, S]
+of a parity check (or the generator columns off S) are stacked and
+eliminated together by one table-driven numpy kernel, and only the
+rank-deficient subsets, the ones that can carry a word, go on to extract
+the dependency space supported exactly on S.  Fields too large to
+tabulate (q > 512) take the scalar reference path, one elimination per
+subset.
 
 Resource caps are explicit: work beyond the enumeration or search cap is an
 error, never a silent truncation.
@@ -18,7 +27,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import numpy as np
 
@@ -60,13 +69,30 @@ class Caps:
             name = name.strip()
             if name not in ("enum", "search") or not expr:
                 raise InconsistentInput(f"bad {CAPS_ENV_VAR} entry: {part!r}")
-            if "^" in expr:
-                b, _, e = expr.partition("^")
-                values[name] = int(b) ** int(e)
-            else:
-                values[name] = int(expr)
+            values[name] = _parse_cap(part, expr)
         return Caps(enumeration=values.get("enum", Caps.enumeration),
                     search=values.get("search", Caps.search))
+
+
+_MAX_CAP_EXPONENT = 64
+
+
+def _parse_cap(part: str, expr: str) -> int:
+    """A cap written as N or B^E: positive integers, E at most 64."""
+    base, hat, exponent = expr.partition("^")
+    try:
+        base, exponent = int(base), (int(exponent) if hat else 1)
+    except ValueError:
+        raise InconsistentInput(
+            f"bad {CAPS_ENV_VAR} entry {part!r}: not an integer") from None
+    if not 0 <= exponent <= _MAX_CAP_EXPONENT:
+        raise InconsistentInput(
+            f"bad {CAPS_ENV_VAR} entry {part!r}: exponent outside "
+            f"[0, {_MAX_CAP_EXPONENT}]")
+    if base <= 0:
+        raise InconsistentInput(
+            f"bad {CAPS_ENV_VAR} entry {part!r}: caps must be positive")
+    return base ** exponent
 
 
 def _caps(caps: Caps | None) -> Caps:
@@ -82,11 +108,16 @@ _RREF_NUMPY_MIN = 1 << 20
 
 _NP_TABLE_CACHE: dict[FieldSpec, tuple] = {}
 
+# stacks handed to the numpy kernels hold at most this many entries (1 MB)
+_BLOCK_CELLS = 1 << 18
+# subsets (support scan) or vectors (enumeration) per numpy block
+_SCAN_BLOCK = 4096
+
 
 def _numpy_field_tables(field: FieldSpec):
-    """(mul, add, neg) lookup tables as numpy arrays, or None when the
+    """(mul, add, neg, inv) lookup tables as numpy arrays, or None when the
     field is too large to tabulate.  add is None in characteristic 2,
-    where vector addition is xor of the encodings."""
+    where vector addition is xor of the encodings; inv[0] is 0."""
     if field.q > 512:
         return None
     if field not in _NP_TABLE_CACHE:
@@ -96,15 +127,55 @@ def _numpy_field_tables(field: FieldSpec):
         add = (None if field.p == 2
                else np.array(field.add_table(), dtype=np.int32))
         neg = np.array([field.neg(x) for x in range(q)], dtype=np.int32)
-        _NP_TABLE_CACHE[field] = (mul, add, neg)
+        inv = np.array([0] + [field.inv(x) for x in range(1, q)],
+                       dtype=np.int32)
+        _NP_TABLE_CACHE[field] = (mul, add, neg, inv)
     return _NP_TABLE_CACHE[field]
+
+
+def _vadd(add, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entrywise field sum; add is the addition table, None for xor."""
+    return a ^ b if add is None else add[a, b]
+
+
+def _batch_rank(tables, A: np.ndarray) -> np.ndarray:
+    """Rank of every matrix in the stack A of shape (B, rows, cols), by one
+    Gaussian elimination over the whole stack (A may be overwritten)."""
+    mul, add, neg, inv = tables
+    nb, nrows, ncols = A.shape
+    rank = np.zeros(nb, dtype=np.intp)
+    if nb == 0 or nrows == 0:
+        return rank
+    flat = A.reshape(nb * nrows, ncols)  # row b * nrows + i is row i of A[b]
+    free = np.ones(nb * nrows, dtype=bool)  # rows not yet used as a pivot
+    pivot_row = np.zeros(nb, dtype=np.intp)
+    for c in range(ncols):
+        live = (flat[:, c] != 0) & free
+        by_matrix = live.reshape(nb, nrows)
+        hit = np.nonzero(by_matrix.any(axis=1))[0]
+        if hit.size == 0:
+            continue
+        src = hit * nrows + by_matrix[hit].argmax(axis=1)
+        pivot_row[hit] = src
+        free[src] = False
+        live[src] = False
+        rank[hit] += 1
+        # clear column c from the other free rows; columns up to c are done
+        rows = np.nonzero(live)[0]
+        if rows.size:
+            piv = pivot_row[rows // nrows]
+            f = flat[rows, c] if add is None else neg[flat[rows, c]]
+            f = mul[f, inv[flat[piv, c]]]
+            flat[rows, c + 1:] = _vadd(add, flat[rows, c + 1:],
+                                       mul[f[:, None], flat[piv, c + 1:]])
+    return rank
 
 
 def _rref_numpy(field: FieldSpec, rows: list[list[int]]):
     tables = _numpy_field_tables(field)
     if tables is None:
         return None
-    mul, add, neg = tables
+    mul, add, neg, _ = tables
     M = np.array(rows, dtype=np.int32)
     nrows, ncols = M.shape
     pivots = []
@@ -376,6 +447,35 @@ def augment(C: LinearCode) -> LinearCode:
     return out
 
 
+def in_dual(C: LinearCode, vectors) -> bool:
+    """True iff every vector (of length n) is orthogonal to every row of
+    the generator of C, i.e. lies in dual(C).  One table-driven product per
+    block of vectors; the scalar reference for q > 512."""
+    F, n = C.field, C.n
+    tables = _numpy_field_tables(F)
+    if tables is None:
+        for vec in vectors:
+            for row in C.gen:
+                acc = 0
+                for x, g in zip(vec, row):
+                    acc = F.add(acc, F.mul(x, g))
+                if acc:
+                    return False
+        return True
+    mul, add, _, _ = tables
+    G = np.array(C.gen, dtype=np.int32).reshape(C.k, n)
+    vectors = iter(vectors)
+    while chunk := list(islice(vectors, max(1, _BLOCK_CELLS // max(1, n)))):
+        V = np.array(chunk, dtype=np.int32).reshape(len(chunk), n)
+        syndromes = np.zeros((len(V), C.k), dtype=np.int32)
+        for j in range(n):
+            syndromes = _vadd(add, syndromes,
+                              mul[V[:, j, None], G[None, :, j]])
+        if syndromes.any():
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # weight distributions
 
@@ -412,38 +512,41 @@ def _scaled_rows(C: LinearCode) -> list[list[list[int]]]:
     return [[[F.mul(s, x) for x in row] for s in range(F.q)] for row in C.gen]
 
 
+def _span_blocks(sc: np.ndarray, base: np.ndarray, first: int, add,
+                 block: int):
+    """Every vector base + sum_{i >= first} c_i * row_i, in blocks of at most
+    block rows, where sc[i, c] holds c * row_i.  The leading coefficients
+    are looped in python; the rest are expanded in numpy."""
+    k, q, n = sc.shape
+    split = first
+    while q ** (k - split) > block:
+        split += 1
+    for prefix in product(range(q), repeat=split - first):
+        vec = base
+        for i, s in enumerate(prefix, first):
+            vec = _vadd(add, vec, sc[i, s])
+        W = vec[None, :]
+        for i in range(split, k):
+            W = _vadd(add, W[:, None, :], sc[i][None, :, :]).reshape(-1, n)
+        yield W
+
+
 def _enumerate_counts_numpy(C: LinearCode) -> np.ndarray | None:
-    F, n, k = C.field, C.n, C.k
-    q = F.q
+    F, n = C.field, C.n
     if F.p == 2:
         add = None
-    elif q <= 512:
+    elif F.q <= 512:
         add = np.array(F.add_table(), dtype=np.int32)
     else:
         return None
     sc = np.array(_scaled_rows(C), dtype=np.int32)  # (k, q, n)
     counts = np.zeros(n + 1, dtype=np.int64)
-    # leading digits looped in python so a block of rows stays within both the
-    # row budget and a ~64MB memory budget
+    # a block of rows stays within both the row budget and a ~64MB budget
     block = min(_ENUM_BLOCK, max(1024, (64 << 20) // (4 * n)))
-    jsplit = 0
-    while q ** (k - jsplit) > block:
-        jsplit += 1
-    for prefix in product(range(q), repeat=jsplit):
-        base = np.zeros(n, dtype=np.int32)
-        for i, s in enumerate(prefix):
-            if add is None:
-                base ^= sc[i, s]
-            else:
-                base = add[base, sc[i, s]]
-        W = base[None, :]
-        for i in range(jsplit, k):
-            if add is None:
-                W = (W[:, None, :] ^ sc[i][None, :, :]).reshape(-1, n)
-            else:
-                W = add[W[:, None, :], sc[i][None, :, :]].reshape(-1, n)
+    for W in _span_blocks(sc, np.zeros(n, dtype=np.int32), 0, add, block):
         weights = np.count_nonzero(W, axis=1)
         counts += np.bincount(weights, minlength=n + 1)
+        del W  # free the block before the next one is built
     return counts
 
 
@@ -550,7 +653,6 @@ def _projective_reps(field: FieldSpec, basis: list[list[int]]):
     normalized so the first nonzero coefficient is 1."""
     q = field.q
     nu = len(basis)
-    width = len(basis[0]) if basis else 0
     for lead in range(nu):
         # coefficient vectors (0,...,0,1,c_{lead+1},...)
         for tail in product(range(q), repeat=nu - lead - 1):
@@ -560,8 +662,6 @@ def _projective_reps(field: FieldSpec, basis: list[list[int]]):
                     vec = [field.add(v, field.mul(c, b))
                            for v, b in zip(vec, brow)]
             yield vec
-    if width == 0:
-        return
 
 
 def _search_cost(n: int, w: int, r: int) -> int:
@@ -581,18 +681,72 @@ def _cheapest_route_cost(C: LinearCode, w: int) -> int:
 
 
 def _words_by_enumeration(C: LinearCode, w: int) -> list[LowWeightWord]:
+    """Weight-w words of C by walking the projective classes of the code;
+    table-driven numpy blocks, or the scalar reference for q > 512."""
     F, n = C.field, C.n
+    tables = _numpy_field_tables(F)
     out = []
-    for vec in _projective_reps(F, list(C.gen)):
-        if sum(1 for x in vec if x) != w:
-            continue
-        first = next(x for x in vec if x)
-        if first != 1:
-            inv = F.inv(first)
-            vec = [F.mul(inv, x) for x in vec]
-        out.append(LowWeightWord(tuple(j for j, x in enumerate(vec) if x),
-                                 tuple(vec)))
+    if tables is None:
+        for vec in _projective_reps(F, list(C.gen)):
+            if sum(1 for x in vec if x) != w:
+                continue
+            first = next(x for x in vec if x)
+            if first != 1:
+                inv = F.inv(first)
+                vec = [F.mul(inv, x) for x in vec]
+            out.append(LowWeightWord(
+                tuple(j for j, x in enumerate(vec) if x), tuple(vec)))
+        return out
+    mul, add, _, inv = tables
+    sc = np.array(_scaled_rows(C), dtype=np.int32)  # (k, q, n)
+    block = max(1, min(_SCAN_BLOCK, _BLOCK_CELLS // n))
+    for lead in range(C.k):
+        # coefficient vectors (0,...,0,1,c_{lead+1},...)
+        for W in _span_blocks(sc, sc[lead, 1], lead + 1, add, block):
+            W = W[np.count_nonzero(W, axis=1) == w]
+            if not len(W):
+                continue
+            first = W[np.arange(len(W)), (W != 0).argmax(axis=1)]
+            W = mul[inv[first][:, None], W]
+            supports = np.nonzero(W)[1].reshape(len(W), w).tolist()
+            out.extend(LowWeightWord(tuple(S), tuple(vec))
+                       for S, vec in zip(supports, W.tolist()))
     return out
+
+
+def _deficient_subsets(C: LinearCode, w: int, use_gen_route: bool):
+    """The w-subsets S of coordinates, in lexicographic order, that hold the
+    support of some nonzero codeword: the columns of a parity check on S
+    are dependent, or (generator route) the generator columns off S have
+    rank below k.  Blocks of subsets are eliminated together by the numpy
+    kernel; fields without tables take one scalar elimination each."""
+    F, n, k = C.field, C.n, C.k
+    M = C.gen if use_gen_route else dual(C).gen
+    full_rank = k if use_gen_route else w
+    subsets = combinations(range(n), w)
+    tables = _numpy_field_tables(F)
+    if tables is None:
+        for S in subsets:
+            cols = [j for j in range(n) if j not in S] if use_gen_route else S
+            _, pivots = rref(F, [[row[j] for row in M] for j in cols])
+            if len(pivots) < full_rank:
+                yield S
+        return
+    Mnp = np.array(M, dtype=np.int32).reshape(len(M), n)
+    ncols = n - w if use_gen_route else w
+    block = max(1, min(_SCAN_BLOCK, _BLOCK_CELLS // max(1, len(M) * ncols)))
+    while chunk := list(islice(subsets, block)):
+        cols = np.array(chunk, dtype=np.intp).reshape(len(chunk), w)
+        if use_gen_route:
+            off = np.ones((len(chunk), n), dtype=bool)
+            off[np.arange(len(chunk))[:, None], cols] = False
+            cols = np.nonzero(off)[1].reshape(len(chunk), ncols)
+        A = Mnp[:, cols].transpose(1, 0, 2)  # (subsets, rows of M, ncols)
+        if A.shape[2] > A.shape[1]:
+            A = A.transpose(0, 2, 1)  # fewer columns, fewer kernel steps
+        rank = _batch_rank(tables, A)
+        for i in np.nonzero(rank < full_rank)[0].tolist():
+            yield chunk[i]
 
 
 def exact_weight_words(C: LinearCode, w: int,
@@ -618,16 +772,13 @@ def exact_weight_words(C: LinearCode, w: int,
     budget = caps.search
     spent = 0
     out = []
-    for S in combinations(range(n), w):
+    for S in _deficient_subsets(C, w, use_gen_route):
         if use_gen_route:
             sbar = [j for j in range(n) if j not in set(S)]
             rows = [[G[r_][j] for r_ in range(k)] for j in sbar]
-            basis_u = nullspace(F, rows, k)
-            if not basis_u:
-                continue
             # words u.G restricted to S
             basis = []
-            for u in basis_u:
+            for u in nullspace(F, rows, k):
                 word = [0] * w
                 for coeff, grow in zip(u, G):
                     if coeff:
@@ -638,8 +789,6 @@ def exact_weight_words(C: LinearCode, w: int,
         else:
             rows = [[hrow[j] for j in S] for hrow in H]
             basis = nullspace(F, rows, w)
-        if not basis:
-            continue
         nu = len(basis)
         reps = (F.q ** nu - 1) // (F.q - 1)
         spent += reps * w
@@ -679,29 +828,13 @@ def low_weight_codewords(C: LinearCode, w_max: int,
 
 def _has_words_of_weight_at_most(C: LinearCode, w: int, caps: Caps) -> bool:
     """Existence test: some w columns of a parity check are dependent."""
-    F, n, k = C.field, C.n, C.k
+    n, k = C.n, C.k
     r = min(k, n - k)
     if _search_cost(n, w, r) > caps.search:
         raise SearchTooLarge(
             f"weight-{w} existence scan cost {_search_cost(n, w, r)} "
             f"exceeds cap {caps.search}")
-    use_gen_route = k <= n - k
-    H = None if use_gen_route else dual(C).gen
-    G = C.gen
-    for S in combinations(range(n), w):
-        if use_gen_route:
-            sset = set(S)
-            sbar = [j for j in range(n) if j not in sset]
-            rows = [[G[r_][j] for r_ in range(k)] for j in sbar]
-            red, pivots = rref(F, rows)
-            if len(pivots) < k:
-                return True
-        else:
-            rows = [[hrow[j] for j in S] for hrow in H]
-            red, pivots = rref(F, rows)
-            if len(pivots) < w:
-                return True
-    return False
+    return next(_deficient_subsets(C, w, k <= n - k), None) is not None
 
 
 def _auto_enum_limit(caps: Caps) -> int:
@@ -742,30 +875,6 @@ def minimum_distance(C: LinearCode, caps: Caps | None = None) -> int:
         raise AssertionError("nonzero code with no nonzero weight")
     C._mind = d
     return d
-
-
-def distance_feasible(C: LinearCode, w_target: int | None = None,
-                      caps: Caps | None = None) -> bool:
-    """Cheap arithmetic test of whether minimum_distance(C) fits the caps.
-
-    When both enumeration strategies are out of reach, the support scan
-    must run up to weight w_target (use the expected distance if known;
-    defaults to n)."""
-    if C.k == 0:
-        return True
-    caps = _caps(caps)
-    q = C.field.q
-    limit = _auto_enum_limit(caps)
-    if q ** C.k <= limit:
-        return True
-    if q ** (C.n - C.k) <= limit and _macwilliams_affordable(C.n, caps):
-        return True
-    total = 0
-    for w in range(1, (w_target or C.n) + 1):
-        total += _search_cost(C.n, w, min(C.k, C.n - C.k))
-        if total > caps.search:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,13 @@ class NotARepairSet(LocalityLabError):
     pass
 
 
+class LocalityInvariantBroken(LocalityLabError):
+    """Bug signal: a locality computation broke a guaranteed invariant (a
+    searched word outside the dual, a nontrivial dual that leaves a
+    coordinate uncovered, a cyclic code with locality other than
+    d(dual) - 1)."""
+
+
 # command line
 
 class UnknownFamily(LocalityLabError):

@@ -20,6 +20,7 @@ from .code_core import (
     LowWeightWord,
     dual,
     exact_weight_words,
+    in_dual,
     minimum_distance,
     nullspace,
 )
@@ -28,6 +29,7 @@ from .errors import (
     BadParameters,
     DichotomyViolated,
     HypothesisViolated,
+    LocalityInvariantBroken,
     NotARepairSet,
     PairingFailed,
     TrivialCode,
@@ -110,7 +112,9 @@ def minimum_linear_locality(C: LinearCode,
     w = d_dual
     while True:
         words = exact_weight_words(D, w, caps)
-        _spot_check_orthogonality(C, words)
+        if not in_dual(C, (lw.word for lw in words)):
+            raise LocalityInvariantBroken(
+                f"weight-{w} search produced a word outside the dual")
         fresh = sorted({j for lw in words for j in lw.support} - covered)
         for j in fresh:
             first_weight[j] = w
@@ -123,12 +127,15 @@ def minimum_linear_locality(C: LinearCode,
                     options[j].append(support)
         if len(covered) == n:
             break
-        assert w < n, "nontrivial dual must cover every coordinate"
+        if w >= n:
+            raise LocalityInvariantBroken(
+                "nontrivial dual left coordinates uncovered")
         w += 1
     r_min = w - 1
-    if C.is_cyclic:
-        # transitive coordinate action forces coverage already at d(dual)
-        assert r_min == d_dual - 1, "cyclic code missed its locality"
+    # transitive coordinate action forces coverage already at d(dual)
+    if C.is_cyclic and r_min != d_dual - 1:
+        raise LocalityInvariantBroken(
+            f"cyclic code has locality {r_min}, not d(dual) - 1 = {d_dual - 1}")
     return LocalityReport(
         r_min=r_min,
         w_star=w,
@@ -147,17 +154,6 @@ def _distinct_supports(words: list[LowWeightWord]) -> list[tuple[int, ...]]:
             seen.add(lw.support)
             out.append(lw.support)
     return out
-
-
-def _spot_check_orthogonality(C: LinearCode, words: list[LowWeightWord],
-                              limit: int = 16) -> None:
-    F = C.field
-    for lw in words[:limit]:
-        for row in C.gen:
-            acc = 0
-            for j in lw.support:
-                acc = F.add(acc, F.mul(lw.word[j], row[j]))
-            assert acc == 0, "search produced a non-dual word"
 
 
 def repair_coefficients(C: LinearCode, i: int,

@@ -5,6 +5,9 @@ captured output plus the exit code, matching how the console script runs.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -142,6 +145,34 @@ def test_error_paths_exit_1(capsys, argv):
     rc, _, err = run(capsys, *argv)
     assert rc == 1
     assert err.strip()
+
+
+@pytest.mark.parametrize("caps, reason", [
+    ("enum:abc", "not an integer"),
+    ("search:2^x", "not an integer"),
+    ("enum:-5", "must be positive"),
+    ("search:0", "must be positive"),
+    ("enum:2^65", "exponent outside"),
+])
+def test_malformed_caps_exit_1(capsys, monkeypatch, caps, reason):
+    monkeypatch.setenv(CAPS_ENV_VAR, caps)
+    rc, out, err = run(capsys, "analyze", "hamming", "q=2", "m=3", "--json")
+    assert rc == 1
+    assert out == ""
+    assert CAPS_ENV_VAR in err and reason in err
+
+
+def test_module_entry_point_runs_without_warning():
+    # the package must not import cli before runpy executes it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    env.pop(CAPS_ENV_VAR, None)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         "locality_lab.cli", "analyze", "hamming", "q=2", "m=3", "--json"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["n"] == 7
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,233 @@
+"""Differential tests: every table-driven numpy kernel of code_core against
+the scalar reference path it replaces."""
+
+import math
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from locality_lab import code_core
+from locality_lab.code_core import (
+    LinearCode,
+    _batch_rank,
+    _numpy_field_tables,
+    _route_costs,
+    _rref_numpy,
+    dual,
+    exact_weight_words,
+    from_generator,
+    from_parity_check,
+    in_dual,
+    rref,
+    weight_distribution,
+)
+from locality_lab.gf import field_new
+
+FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 9: (3, 2), 16: (2, 4)}
+
+
+def field(q):
+    return field_new(*FIELDS[q])
+
+
+def matmul(F, L, R, inner):
+    out = []
+    for lrow in L:
+        row = []
+        for j in range(len(R[0]) if R else 0):
+            acc = 0
+            for t in range(inner):
+                acc = F.add(acc, F.mul(lrow[t], R[t][j]))
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def scalar_rank(F, matrix):
+    return len(rref(F, matrix)[1])
+
+
+# ---------------------------------------------------------------------------
+# batched rank against scalar rref
+
+@st.composite
+def stacks(draw):
+    """(q, stack, shape) for stacks of any shape, zero sizes included; half
+    of them are products L.R of random factors, so of bounded rank."""
+    q = draw(st.sampled_from(sorted(FIELDS)))
+    F = field(q)
+    nb = draw(st.integers(0, 5))
+    nrows = draw(st.integers(0, 6))
+    ncols = draw(st.integers(0, 6))
+    low_rank = draw(st.booleans())
+    entries = st.integers(0, q - 1)
+    stack = []
+    for _ in range(nb):
+        if low_rank:
+            t = draw(st.integers(0, 3))
+            L = [[draw(entries) for _ in range(t)] for _ in range(nrows)]
+            R = [[draw(entries) for _ in range(ncols)] for _ in range(t)]
+            stack.append(matmul(F, L, R, t) if t else
+                         [[0] * ncols for _ in range(nrows)])
+        else:
+            stack.append([[draw(entries) for _ in range(ncols)]
+                          for _ in range(nrows)])
+    return q, stack, (nb, nrows, ncols)
+
+
+def check_batch_rank(q, stack, shape):
+    F = field(q)
+    A = np.array(stack, dtype=np.int32).reshape(shape)
+    got = _batch_rank(_numpy_field_tables(F), A)
+    assert got.tolist() == [scalar_rank(F, m) for m in stack]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(stacks())
+def test_batch_rank_matches_scalar_rref(case):
+    check_batch_rank(*case)
+
+
+@pytest.mark.parametrize("q", sorted(FIELDS))
+@pytest.mark.parametrize("shape", [(3, 0, 4), (3, 4, 0), (0, 3, 3),
+                                   (4, 3, 5)])
+def test_batch_rank_degenerate_stacks(q, shape):
+    nb, nrows, ncols = shape
+    zeros = [[[0] * ncols for _ in range(nrows)] for _ in range(nb)]
+    check_batch_rank(q, zeros, shape)  # all-zero stacks have rank 0
+
+
+# ---------------------------------------------------------------------------
+# the word search against the weight distribution and the scalar path
+
+def random_code(rng, q, n, k):
+    F = field(q)
+    while True:
+        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+        C = from_generator(F, rows)
+        if C.k == k:
+            return C
+
+
+def route(C, w):
+    gen_cost, par_cost, enum_cost = _route_costs(C, w)
+    if enum_cost < min(gen_cost, par_cost):
+        return "enumeration"
+    return "generator" if gen_cost <= par_cost else "parity-check"
+
+
+def code_roster():
+    rng = random.Random(2024)
+    codes = []
+    for _ in range(4):  # small k: generator-route scans
+        codes.append(random_code(rng, rng.choice([9, 16]),
+                                 rng.randint(8, 10), 3))
+    for _ in range(4):  # large k: parity-check-route scans
+        n = rng.randint(7, 9)
+        codes.append(random_code(rng, rng.choice([2, 3, 4]), n,
+                                 n - rng.randint(2, 3)))
+    for _ in range(4):  # tiny q^k: enumeration
+        codes.append(random_code(rng, rng.choice([2, 3, 4]),
+                                 rng.randint(5, 9), rng.randint(1, 2)))
+    codes.append(random_code(rng, 3, 5, 5))  # k = n
+    codes.append(random_code(rng, 9, 6, 1))  # k = 1
+    # a generator outside echelon form: enumerated words need normalising
+    F5 = field(5)
+    codes.append(LinearCode(F5, 6, ((0, 2, 3, 1, 4, 4), (3, 1, 0, 2, 2, 1)),
+                            (1, 0)))
+    return codes
+
+
+def test_word_counts_match_weight_distribution():
+    routes = set()
+    for C in code_roster():
+        q = C.field.q
+        wd = weight_distribution(C)
+        for w in range(1, C.n + 1):
+            words = exact_weight_words(C, w)
+            routes.add(route(C, w))
+            assert len(words) * (q - 1) == wd[w], (C, w)
+            assert in_dual(dual(C), (lw.word for lw in words))
+    assert routes == {"enumeration", "generator", "parity-check"}
+
+
+def corrupted(words):
+    """The words plus the last one with its first nonzero entry zeroed."""
+    if not words:
+        return words
+    bad = list(words[-1])
+    bad[next(j for j, x in enumerate(bad) if x)] = 0
+    return words + [tuple(bad)]
+
+
+def test_numpy_paths_match_scalar_reference(monkeypatch):
+    roster = code_roster()
+    fast, verdicts = {}, []
+    for i, C in enumerate(roster):
+        for w in range(1, C.n + 1):
+            fast[i, w] = exact_weight_words(C, w)
+        words = [lw.word for w in range(1, C.n + 1) for lw in fast[i, w]]
+        verdicts.append(in_dual(dual(C), corrupted(words)))
+    assert False in verdicts  # some corrupted word left the dual
+    monkeypatch.setattr(code_core, "_numpy_field_tables", lambda F: None)
+    caps = code_core.Caps()
+    for i, C in enumerate(roster):
+        for w in range(1, C.n + 1):
+            assert exact_weight_words(C, w) == fast[i, w], (C, w)
+            assert code_core._has_words_of_weight_at_most(C, w, caps) == any(
+                fast[i, v] for v in range(1, w + 1))
+        words = [lw.word for w in range(1, C.n + 1) for lw in fast[i, w]]
+        assert in_dual(dual(C), corrupted(words)) == verdicts[i]
+
+
+def mds_count(n, k, q, w):
+    """A_w of an [n, k] MDS code over GF(q)."""
+    d = n - k + 1
+    return math.comb(n, w) * sum(
+        (-1) ** j * math.comb(w, j) * (q ** (w - d + 1 - j) - 1)
+        for j in range(w - d + 1))
+
+
+def test_untabulated_field_uses_scalar_path():
+    F = field_new(2, 10)
+    assert _numpy_field_tables(F) is None
+    C = from_parity_check(F, [[1, 1, 1, 1]])  # [4, 3, 2] MDS code
+    assert (C.n, C.k) == (4, 3)
+    for w in (2, 3):
+        words = exact_weight_words(C, w)
+        assert route(C, w) == "parity-check"
+        assert len(words) * (F.q - 1) == mds_count(4, 3, F.q, w)
+        assert in_dual(dual(C), (lw.word for lw in words))
+    D = dual(C)  # the [4, 1] repetition code, through the generator route
+    assert route(D, 4) == "generator"
+    assert [lw.word for lw in exact_weight_words(D, 4)] == [(1, 1, 1, 1)]
+    assert all(not exact_weight_words(D, w) for w in (1, 2, 3))
+    assert code_core._has_words_of_weight_at_most(C, 2, code_core.Caps())
+    assert not code_core._has_words_of_weight_at_most(
+        C, 1, code_core.Caps())
+
+
+# ---------------------------------------------------------------------------
+# the single-matrix numpy elimination against scalar rref
+
+@pytest.mark.parametrize("q, nrows, ncols, rank_cap", [
+    (2, 104, 110, None),
+    (3, 110, 104, 60),
+    (4, 103, 103, None),
+])
+def test_rref_numpy_matches_scalar(monkeypatch, q, nrows, ncols, rank_cap):
+    assert nrows * ncols * min(nrows, ncols) >= code_core._RREF_NUMPY_MIN
+    F = field(q)
+    rng = random.Random(q)
+    if rank_cap is None:
+        M = [[rng.randrange(q) for _ in range(ncols)] for _ in range(nrows)]
+    else:
+        L = [[rng.randrange(q) for _ in range(rank_cap)] for _ in range(nrows)]
+        R = [[rng.randrange(q) for _ in range(ncols)] for _ in range(rank_cap)]
+        M = matmul(F, L, R, rank_cap)
+    fast = _rref_numpy(F, M)
+    assert rref(F, M) == fast
+    monkeypatch.setattr(code_core, "_RREF_NUMPY_MIN", math.inf)
+    assert rref(F, M) == fast

@@ -1,12 +1,18 @@
 """Tests for locality computation, repair sets, and the two optimality
 bounds."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import locality_lab.locality as locality_module
+
 from locality_lab.code_core import (
     LinearCode,
+    LowWeightWord,
     dual,
     extend,
     from_generator,
@@ -32,6 +38,7 @@ from locality_lab.errors import (
     BadLocality,
     BadParameters,
     HypothesisViolated,
+    LocalityInvariantBroken,
     NotARepairSet,
     TrivialCode,
 )
@@ -136,6 +143,54 @@ def test_locality_cyclic_fast_path():
               bch(2, 7, 3, 1)):
         rep = minimum_linear_locality(C)
         assert rep.r_min == rep.d_dual - 1  # verified, not assumed
+
+
+# dual words of weight 2 miss coordinate 2, so r = 2 = d(dual): not cyclic
+NOT_CYCLIC = [[1, 1, 1, 0, 0], [0, 0, 1, 1, 1]]
+
+
+def test_wrong_cyclic_flag_is_caught():
+    assert minimum_linear_locality(from_generator(F2, NOT_CYCLIC)).r_min == 2
+    with pytest.raises(LocalityInvariantBroken, match="cyclic"):
+        minimum_linear_locality(from_generator(F2, NOT_CYCLIC, is_cyclic=True))
+
+
+def test_every_searched_word_is_checked(monkeypatch):
+    search = locality_module.exact_weight_words
+
+    def corrupt_last(D, w, caps=None):
+        words = search(D, w, caps)
+        if not words:
+            return words
+        bad = list(words[-1].word)
+        bad[words[-1].support[-1]] = 0
+        return words[:-1] + [LowWeightWord(words[-1].support, tuple(bad))]
+
+    monkeypatch.setattr(locality_module, "exact_weight_words", corrupt_last)
+    with pytest.raises(LocalityInvariantBroken, match="outside the dual"):
+        minimum_linear_locality(hamming(2, 5))  # 31 dual words of weight 16
+
+    monkeypatch.setattr(locality_module, "exact_weight_words",
+                        lambda D, w, caps=None: [])
+    with pytest.raises(LocalityInvariantBroken, match="uncovered"):
+        minimum_linear_locality(hamming(2, 3))
+
+
+def test_invariant_checks_survive_optimize():
+    script = ("from locality_lab.code_core import from_generator\n"
+              "from locality_lab.errors import LocalityInvariantBroken\n"
+              "from locality_lab.gf import field_new\n"
+              "from locality_lab.locality import minimum_linear_locality\n"
+              f"C = from_generator(field_new(2, 1), {NOT_CYCLIC!r}, "
+              "is_cyclic=True)\n"
+              "try:\n"
+              "    minimum_linear_locality(C)\n"
+              "except LocalityInvariantBroken:\n"
+              "    print('raised')\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.strip() == "raised", proc.stderr
 
 
 # ---------------------------------------------------------------------------
