@@ -90,15 +90,19 @@ def _parse_params(tokens: list[str]) -> dict[str, str]:
     return params
 
 
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise BadParams(f"{what} must be an integer, got {text!r}") from None
+
+
 def _take_int(params: dict, key: str, default: int | None = None) -> int:
     if key not in params:
         if default is None:
             raise BadParams(f"missing required parameter {key!r}")
         return default
-    try:
-        return int(params.pop(key))
-    except ValueError:
-        raise BadParams(f"parameter {key!r} must be an integer") from None
+    return _int(params.pop(key), f"parameter {key!r}")
 
 
 def _oval_from_text(q: int, text: str):
@@ -107,7 +111,8 @@ def _oval_from_text(q: int, text: str):
         raise BadParams(
             f"unknown oval polynomial family {family!r}; "
             f"choose from {', '.join(OVAL_FAMILIES)}")
-    return oval_poly(family, q, int(param) if param else None)
+    value = _int(param, "oval polynomial parameter") if param else None
+    return oval_poly(family, q, value)
 
 
 def _build_code(family: str, params: dict[str, str]) -> LinearCode:
@@ -121,7 +126,7 @@ def _build_code(family: str, params: dict[str, str]) -> LinearCode:
         raw = params.pop("g", None)
         if raw is None:
             raise BadParams("cyclic needs g=c0,c1,... (ascending coefficients)")
-        coeffs = [int(c) for c in raw.split(",")]
+        coeffs = [_int(c, "each coefficient of g") for c in raw.split(",")]
         C = cyclic_code(q, n, poly(field_for_q(q), coeffs))
     elif family == "bch":
         C = bch(_take_int(params, "q"), _take_int(params, "n"),
@@ -182,7 +187,7 @@ def _design_args(requests: list[str]) -> list[tuple[int, int]]:
         t, sep, w = item.partition(":")
         if not sep:
             raise BadParams(f"--designs wants t:w, got {item!r}")
-        out.append((int(t), int(w)))
+        out.append((_int(t, "design strength t"), _int(w, "design weight w")))
     return out
 
 
@@ -233,13 +238,12 @@ def _analysis_bundle(C: LinearCode, identity: dict, caps: Caps | None,
 
 
 def _bundle_exit(bundle) -> int:
-    def saw_skip(node):
-        if isinstance(node, dict):
-            return any(saw_skip(v) for v in node.values())
-        if isinstance(node, list):
-            return any(saw_skip(v) for v in node)
-        return node == SKIPPED
-    return 2 if saw_skip(bundle) else 0
+    """2 if a computation of the bundle was skipped, else 0: the marker sits
+    only where _analysis_bundle writes it."""
+    marks = [bundle.get(key) for key in
+             ("d", "weight_distribution", "locality", "llrc", "bounds")]
+    marks += [entry.get("status") for entry in bundle.get("designs", ())]
+    return 2 if any(mark == SKIPPED for mark in marks) else 0
 
 
 def _print_bundle(bundle, out) -> None:
@@ -358,7 +362,7 @@ def cmd_validate_oval(args) -> int:
     family, _, param = text.partition(":")
     field = field_for_q(q)
     if family == "monomial":
-        e = int(param)
+        e = _int(param, "monomial exponent")
         coeffs = [0] * e + [1]
         candidate = poly(field, coeffs)
         valid = is_oval_polynomial(field, candidate)

@@ -5,18 +5,23 @@ A LinearCode stores its generator matrix in reduced row echelon form, so
 set-equality of codes is entrywise equality of matrices.  Weight
 distributions come from an enumeration kernel that walks all q^k message
 vectors (numpy, blockwise); minimum_distance may instead transform the
-dual's distribution (MacWilliams) or scan coordinate subsets.
+dual's distribution (MacWilliams, one Krawtchouk recurrence per nonzero
+weight) or scan coordinate subsets.
 
 Low-weight words are found per exact weight, which is the workhorse behind
 locality computation.  Small codes are enumerated projective class by
 class.  Otherwise the search scans the w-subsets S of coordinates in
-lexicographic order: a block of subsets at a time, the submatrices H[:, S]
-of a parity check (or the generator columns off S) are stacked and
-eliminated together by one table-driven numpy kernel, and only the
-rank-deficient subsets, the ones that can carry a word, go on to extract
-the dependency space supported exactly on S.  Fields too large to
-tabulate (q > 512) take the scalar reference path, one elimination per
-subset.
+lexicographic order, a block of subsets at a time, with one table-driven
+numpy elimination kernel.  The submatrices H[:, S] of a parity check (or
+the generator columns off S) of a block are stacked and ranked together;
+only the rank-deficient subsets can carry a word.  A Gauss-Jordan pass of
+the same kernel over just those subsets reads a basis of each dependency
+space off the reduced forms (on the generator route, the messages u whose
+word u.G vanishes off S).  Grouped by dimension, the projective
+combinations of these bases with no zero entry on S are built in numpy
+and scaled to lead with 1: they are the words.  Fields too large to
+tabulate (q > 512) take the scalar reference path, one elimination and
+one nullspace per subset.
 
 Resource caps are explicit: work beyond the enumeration or search cap is an
 error, never a silent truncation.
@@ -138,37 +143,88 @@ def _vadd(add, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a ^ b if add is None else add[a, b]
 
 
-def _batch_rank(tables, A: np.ndarray) -> np.ndarray:
-    """Rank of every matrix in the stack A of shape (B, rows, cols), by one
-    Gaussian elimination over the whole stack (A may be overwritten)."""
+def _eliminate(tables, A: np.ndarray, jordan: bool):
+    """Gaussian elimination of every matrix in the stack A of shape
+    (B, rows, cols) at once (A may be overwritten).  Returns the eliminated
+    rows, flattened so that row b * rows + i is row i of A[b], and the
+    (B, cols) array holding the flat index of the pivot row of each column,
+    -1 where a column has no pivot.
+
+    Without jordan only the rank is meaningful: a pivot clears its column
+    from the rows below it.  With jordan each pivot row is scaled to lead
+    with 1 and clears its column from every other row, so a pivot row read
+    at the non-pivot columns is the row of the reduced echelon form there
+    (entries at the pivot columns are left stale)."""
     mul, add, neg, inv = tables
     nb, nrows, ncols = A.shape
-    rank = np.zeros(nb, dtype=np.intp)
-    if nb == 0 or nrows == 0:
-        return rank
-    flat = A.reshape(nb * nrows, ncols)  # row b * nrows + i is row i of A[b]
+    pivot = np.full((nb, ncols), -1, dtype=np.intp)
+    flat = A.reshape(nb * nrows, ncols)
+    if flat.size == 0:
+        return flat, pivot
     free = np.ones(nb * nrows, dtype=bool)  # rows not yet used as a pivot
-    pivot_row = np.zeros(nb, dtype=np.intp)
     for c in range(ncols):
-        live = (flat[:, c] != 0) & free
+        nonzero = flat[:, c] != 0
+        live = nonzero & free
         by_matrix = live.reshape(nb, nrows)
         hit = np.nonzero(by_matrix.any(axis=1))[0]
         if hit.size == 0:
             continue
         src = hit * nrows + by_matrix[hit].argmax(axis=1)
-        pivot_row[hit] = src
+        pivot[hit, c] = src
         free[src] = False
-        live[src] = False
-        rank[hit] += 1
-        # clear column c from the other free rows; columns up to c are done
-        rows = np.nonzero(live)[0]
+        if jordan:
+            flat[src, c:] = mul[inv[flat[src, c]][:, None], flat[src, c:]]
+            nonzero[src] = False
+            rows = np.nonzero(nonzero)[0]
+            rows = rows[pivot[rows // nrows, c] >= 0]  # matrices with a pivot
+        else:
+            live[src] = False
+            rows = np.nonzero(live)[0]
         if rows.size:
-            piv = pivot_row[rows // nrows]
+            # columns up to c are done; only later columns are updated
+            piv = pivot[rows // nrows, c]
             f = flat[rows, c] if add is None else neg[flat[rows, c]]
-            f = mul[f, inv[flat[piv, c]]]
+            if not jordan:
+                f = mul[f, inv[flat[piv, c]]]
             flat[rows, c + 1:] = _vadd(add, flat[rows, c + 1:],
                                        mul[f[:, None], flat[piv, c + 1:]])
-    return rank
+    return flat, pivot
+
+
+def _batch_rank(tables, A: np.ndarray) -> np.ndarray:
+    """Rank of every matrix in the stack A of shape (B, rows, cols), by one
+    Gaussian elimination over the whole stack (A may be overwritten)."""
+    _, pivot = _eliminate(tables, A, jordan=False)
+    return np.count_nonzero(pivot >= 0, axis=1)
+
+
+def _batch_kernel(tables, A: np.ndarray):
+    """Kernel bases {v : M v = 0} of every matrix M in the stack A of shape
+    (B, rows, cols), read off one Gauss-Jordan pass over the stack (A may be
+    overwritten).  Yields (nu, idx, basis) per nullity nu > 0: the matrices
+    A[idx] have nullity nu and basis[i] is the (nu, cols) basis of the
+    kernel of A[idx[i]], the same basis as nullspace returns."""
+    neg = tables[2]
+    nb, _, ncols = A.shape
+    flat, pivot = _eliminate(tables, A, jordan=True)
+    is_pivot = pivot >= 0
+    nullity = ncols - np.count_nonzero(is_pivot, axis=1)
+    for nu in np.unique(nullity).tolist():
+        if nu == 0:
+            continue
+        idx = np.nonzero(nullity == nu)[0]
+        m = len(idx)
+        at = np.arange(m)[:, None, None]
+        free = np.nonzero(~is_pivot[idx])[1].reshape(m, 1, nu)
+        basis = np.zeros((m, nu, ncols), dtype=np.int32)
+        basis[at, np.arange(nu)[None, :, None], free.transpose(0, 2, 1)] = 1
+        if nu < ncols:
+            # basis vector t: 1 at its free column f_t, -red[i][f_t] at the
+            # column of pivot i
+            cols = np.nonzero(is_pivot[idx])[1].reshape(m, ncols - nu, 1)
+            red = flat[pivot[idx[:, None, None], cols], free]  # (m, rank, nu)
+            basis[at, np.arange(nu)[None, None, :], cols] = neg[red]
+        yield nu, idx, basis
 
 
 def _rref_numpy(field: FieldSpec, rows: list[list[int]]):
@@ -596,26 +652,31 @@ def weight_distribution(C: LinearCode, caps: Caps | None = None) -> WeightDistri
     return wd
 
 
-def _krawtchouk(n: int, q: int, j: int, i: int) -> int:
-    return sum((-1) ** s * math.comb(i, s) * math.comb(n - i, j - s)
-               * (q - 1) ** (j - s)
-               for s in range(0, min(i, j) + 1))
-
-
 def macwilliams(wd, n: int, k: int, q: int) -> WeightDistribution:
-    """Weight distribution of the dual of a code with the given distribution."""
+    """Weight distribution of the dual of a code with the given distribution:
+    B_j = q^-k * sum_i A_i K_j(i).  For each weight i with A_i != 0 the
+    Krawtchouk values K_j(i), j = 0..n, come from the exact recurrence
+    (j+1) K_{j+1}(i) = ((n-j)(q-1) + j - q i) K_j(i) - (q-1)(n-j+1) K_{j-1}(i)."""
     counts = list(wd.counts) if isinstance(wd, WeightDistribution) else list(wd)
     if len(counts) != n + 1:
         raise InconsistentInput(f"expected {n + 1} counts, got {len(counts)}")
     if sum(counts) != q ** k:
         raise InconsistentInput(f"counts sum to {sum(counts)}, expected q^k = {q ** k}")
     qk = q ** k
+    acc = [0] * (n + 1)
+    for i, a in enumerate(counts):
+        if not a:
+            continue
+        prev, cur = 0, 1  # K_{-1}(i), K_0(i)
+        for j in range(n + 1):
+            acc[j] += a * cur
+            prev, cur = cur, (((n - j) * (q - 1) + j - q * i) * cur
+                              - (q - 1) * (n - j + 1) * prev) // (j + 1)
     out = []
-    for j in range(n + 1):
-        acc = sum(counts[i] * _krawtchouk(n, q, j, i) for i in range(n + 1))
-        if acc % qk != 0 or acc < 0:
-            raise NonIntegerOutput(f"transform produced {acc}/{qk} at weight {j}")
-        out.append(acc // qk)
+    for j, total in enumerate(acc):
+        if total % qk != 0 or total < 0:
+            raise NonIntegerOutput(f"transform produced {total}/{qk} at weight {j}")
+        out.append(total // qk)
     return WeightDistribution(tuple(out))
 
 
@@ -718,58 +779,119 @@ def _deficient_subsets(C: LinearCode, w: int, use_gen_route: bool):
     """The w-subsets S of coordinates, in lexicographic order, that hold the
     support of some nonzero codeword: the columns of a parity check on S
     are dependent, or (generator route) the generator columns off S have
-    rank below k.  Blocks of subsets are eliminated together by the numpy
-    kernel; fields without tables take one scalar elimination each."""
+    rank below k.  One scalar elimination per subset: the reference path
+    for fields without tables, which _deficient_blocks replaces."""
     F, n, k = C.field, C.n, C.k
     M = C.gen if use_gen_route else dual(C).gen
     full_rank = k if use_gen_route else w
-    subsets = combinations(range(n), w)
-    tables = _numpy_field_tables(F)
-    if tables is None:
-        for S in subsets:
-            cols = [j for j in range(n) if j not in S] if use_gen_route else S
-            _, pivots = rref(F, [[row[j] for row in M] for j in cols])
-            if len(pivots) < full_rank:
-                yield S
-        return
+    for S in combinations(range(n), w):
+        cols = [j for j in range(n) if j not in S] if use_gen_route else S
+        _, pivots = rref(F, [[row[j] for row in M] for j in cols])
+        if len(pivots) < full_rank:
+            yield S
+
+
+def _deficient_blocks(C: LinearCode, w: int, use_gen_route: bool, tables):
+    """_deficient_subsets by blocks: the w-subsets of a block are ranked
+    together by _batch_rank, and each block with a rank-deficient subset
+    yields (S, K, nullity) for those subsets only, in order.  S[i] is the
+    subset; K[i] is H[:, S] on the parity-check route, whose kernel is the
+    dependency space on S, and the transposed generator columns off S on
+    the generator route, whose kernel is the messages u with u.G zero off
+    S; nullity[i] is the dimension of that kernel."""
+    n, k = C.n, C.k
+    M = C.gen if use_gen_route else dual(C).gen
     Mnp = np.array(M, dtype=np.int32).reshape(len(M), n)
     ncols = n - w if use_gen_route else w
-    block = max(1, min(_SCAN_BLOCK, _BLOCK_CELLS // max(1, len(M) * ncols)))
+    full_rank = k if use_gen_route else w
+    # the stacks, the words on S and (generator route) G[:, S] of a block
+    # all stay within _BLOCK_CELLS
+    per_subset = max(1, len(M) * ncols, w * full_rank)
+    block = max(1, min(_SCAN_BLOCK, _BLOCK_CELLS // per_subset))
+    subsets = combinations(range(n), w)
     while chunk := list(islice(subsets, block)):
-        cols = np.array(chunk, dtype=np.intp).reshape(len(chunk), w)
+        S = np.array(chunk, dtype=np.intp).reshape(len(chunk), w)
+        cols = S
         if use_gen_route:
             off = np.ones((len(chunk), n), dtype=bool)
-            off[np.arange(len(chunk))[:, None], cols] = False
+            off[np.arange(len(chunk))[:, None], S] = False
             cols = np.nonzero(off)[1].reshape(len(chunk), ncols)
         A = Mnp[:, cols].transpose(1, 0, 2)  # (subsets, rows of M, ncols)
         if A.shape[2] > A.shape[1]:
             A = A.transpose(0, 2, 1)  # fewer columns, fewer kernel steps
-        rank = _batch_rank(tables, A)
-        for i in np.nonzero(rank < full_rank)[0].tolist():
-            yield chunk[i]
+        nullity = full_rank - _batch_rank(tables, A)
+        hit = np.nonzero(nullity)[0]
+        if hit.size:
+            K = Mnp[:, cols[hit]]
+            K = K.transpose(1, 2, 0) if use_gen_route else K.transpose(1, 0, 2)
+            yield S[hit], K, nullity[hit]
 
 
-def exact_weight_words(C: LinearCode, w: int,
-                       caps: Caps | None = None) -> list[LowWeightWord]:
-    """All weight-w codewords of C, one representative per projective class,
-    in deterministic order."""
-    caps = _caps(caps)
+def _full_support_words(tables, B: np.ndarray):
+    """The words with no zero entry in the span of each basis B[i] (B has
+    shape (m, nu, w)), one per projective class, scaled so the first entry
+    is 1.  Yields (i, words): words[j] lies in the span of B[i[j]].  The
+    coefficient vectors (0,...,0,1,c_{lead+1},...) of _projective_reps are
+    expanded in numpy blocks of at most max(m * w, _BLOCK_CELLS) entries."""
+    mul, add, _, inv = tables
+    q = len(inv)
+    m, nu, w = B.shape
+    for lead in range(nu):
+        tails = q ** (nu - lead - 1)
+        size = max(1, min(tails, _BLOCK_CELLS // max(1, m * w)))
+        for t0 in range(0, tails, size):
+            t = np.arange(t0, min(tails, t0 + size))
+            V = np.broadcast_to(B[:, None, lead], (m, len(t), w))
+            for j in range(lead + 1, nu):
+                c = t // q ** (nu - 1 - j) % q  # base-q digits of t
+                V = _vadd(add, V, mul[c[None, :, None], B[:, None, j]])
+            i, s = np.nonzero((V != 0).all(axis=2))
+            if i.size:
+                V = V[i, s]
+                yield i, mul[inv[V[:, 0]][:, None], V]
+
+
+def _words_by_kernels(C: LinearCode, w: int, use_gen_route: bool,
+                      budget: int, tables) -> list[LowWeightWord]:
+    """The support scan with table-driven numpy: the kernel bases of all
+    rank-deficient subsets of a block come from one _batch_kernel pass, and
+    their full-support combinations from _full_support_words."""
+    mul, add, _, _ = tables
+    q, n = C.field.q, C.n
+    G = np.array(C.gen, dtype=np.int32)
+    spent = 0
+    out = []
+    for S, K, nullity in _deficient_blocks(C, w, use_gen_route, tables):
+        values, counts = np.unique(nullity, return_counts=True)
+        spent += w * sum(c * ((q ** nu - 1) // (q - 1)) for nu, c in
+                         zip(values.tolist(), counts.tolist()))
+        if spent > budget:
+            raise SearchTooLarge("dependency-space enumeration exceeded search cap")
+        for nu, idx, basis in _batch_kernel(tables, K):
+            S_nu = S[idx]
+            if use_gen_route:  # the words u.G, restricted to S
+                GS = G[:, S_nu].transpose(1, 0, 2)  # (subsets, k, w)
+                words = np.zeros((len(idx), nu, w), dtype=np.int32)
+                for r in range(C.k):
+                    words = _vadd(add, words,
+                                  mul[basis[:, :, r, None], GS[:, None, r]])
+                basis = words
+            for i, vecs in _full_support_words(tables, basis):
+                supports = S_nu[i]
+                full = np.zeros((len(i), n), dtype=np.int32)
+                full[np.arange(len(i))[:, None], supports] = vecs
+                out.extend(LowWeightWord(tuple(s), tuple(v)) for s, v in
+                           zip(supports.tolist(), full.tolist()))
+    return out
+
+
+def _words_by_scan(C: LinearCode, w: int, use_gen_route: bool,
+                   budget: int) -> list[LowWeightWord]:
+    """The support scan in scalar Python, one nullspace per rank-deficient
+    subset: the reference for fields without tables."""
     F, n, k = C.field, C.n, C.k
-    if k == 0 or w == 0 or w > n:
-        return []
-    gen_cost, par_cost, enum_cost = _route_costs(C, w)
-    if min(gen_cost, par_cost, enum_cost) > caps.search:
-        raise SearchTooLarge(
-            f"weight-{w} search cost {min(gen_cost, par_cost, enum_cost)} "
-            f"exceeds cap {caps.search}")
-    if enum_cost < min(gen_cost, par_cost):
-        out = _words_by_enumeration(C, w)
-        out.sort(key=lambda lw: (lw.support, lw.word))
-        return out
-    use_gen_route = gen_cost <= par_cost
     H = None if use_gen_route else dual(C).gen
     G = C.gen
-    budget = caps.search
     spent = 0
     out = []
     for S in _deficient_subsets(C, w, use_gen_route):
@@ -804,6 +926,31 @@ def exact_weight_words(C: LinearCode, w: int,
             for j, x in zip(S, vec):
                 full[j] = x
             out.append(LowWeightWord(tuple(S), tuple(full)))
+    return out
+
+
+def exact_weight_words(C: LinearCode, w: int,
+                       caps: Caps | None = None) -> list[LowWeightWord]:
+    """All weight-w codewords of C, one representative per projective class,
+    in deterministic order."""
+    caps = _caps(caps)
+    n, k = C.n, C.k
+    if k == 0 or w == 0 or w > n:
+        return []
+    gen_cost, par_cost, enum_cost = _route_costs(C, w)
+    if min(gen_cost, par_cost, enum_cost) > caps.search:
+        raise SearchTooLarge(
+            f"weight-{w} search cost {min(gen_cost, par_cost, enum_cost)} "
+            f"exceeds cap {caps.search}")
+    if enum_cost < min(gen_cost, par_cost):
+        out = _words_by_enumeration(C, w)
+    else:
+        use_gen_route = gen_cost <= par_cost
+        tables = _numpy_field_tables(C.field)
+        if tables is None:
+            out = _words_by_scan(C, w, use_gen_route, caps.search)
+        else:
+            out = _words_by_kernels(C, w, use_gen_route, caps.search, tables)
     out.sort(key=lambda lw: (lw.support, lw.word))
     return out
 
@@ -834,7 +981,13 @@ def _has_words_of_weight_at_most(C: LinearCode, w: int, caps: Caps) -> bool:
         raise SearchTooLarge(
             f"weight-{w} existence scan cost {_search_cost(n, w, r)} "
             f"exceeds cap {caps.search}")
-    return next(_deficient_subsets(C, w, k <= n - k), None) is not None
+    use_gen_route = k <= n - k
+    tables = _numpy_field_tables(C.field)
+    if tables is None:
+        scan = _deficient_subsets(C, w, use_gen_route)
+    else:
+        scan = _deficient_blocks(C, w, use_gen_route, tables)
+    return next(scan, None) is not None
 
 
 def _auto_enum_limit(caps: Caps) -> int:
@@ -842,7 +995,9 @@ def _auto_enum_limit(caps: Caps) -> int:
 
 
 def _macwilliams_affordable(n: int, caps: Caps) -> bool:
-    # the transform costs about n^3/6 big-integer operations
+    # priced as the direct transform, about n^3/6 big-integer operations;
+    # the recurrence in macwilliams does about n per nonzero weight, but
+    # the routes still follow this price
     return n ** 3 <= 6 * caps.search
 
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 
 from .code_core import Caps, LinearCode, dual, exact_weight_words, minimum_distance
-from .errors import BadParameters
+from .errors import (BadParameters, DesignInvariantBroken,
+                     LocalityInvariantBroken)
 from .locality import minimum_linear_locality
 
 __all__ = ["DesignReport", "support_blocks", "verify_t_design",
@@ -81,21 +82,25 @@ def verify_t_design(report: DesignReport, t: int) -> int | None:
     if len(values) != 1:
         return None
     lam = values.pop()
-    _assert_downward_consistency(report, t, lam)
+    _check_downward_consistency(report, t, lam)
     return lam
 
 
-def _assert_downward_consistency(report: DesignReport, t: int, lam: int) -> None:
+def _check_downward_consistency(report: DesignReport, t: int, lam: int) -> None:
     # a t-design is a t'-design for t' < t with binomially scaled λ
     n, w = report.n, report.block_size
     for tp in range(1, t):
-        expected = lam * math.comb(n - tp, t - tp) // math.comb(w - tp, t - tp)
-        assert lam * math.comb(n - tp, t - tp) % math.comb(w - tp, t - tp) == 0
+        expected, rest = divmod(lam * math.comb(n - tp, t - tp),
+                                math.comb(w - tp, t - tp))
         counts = _coverage_counts(report, tp)
-        assert set(counts.values()) == {expected}, \
-            f"{t}-design is not a {tp}-design with λ = {expected}"
-        assert len(counts) == math.comb(n, tp)
-    assert len(report.blocks) * math.comb(w, t) == lam * math.comb(n, t)
+        if rest or set(counts.values()) != {expected} \
+                or len(counts) != math.comb(n, tp):
+            raise DesignInvariantBroken(
+                f"{t}-design with λ = {lam} is not a {tp}-design")
+    if len(report.blocks) * math.comb(w, t) != lam * math.comb(n, t):
+        raise DesignInvariantBroken(
+            f"{len(report.blocks)} blocks break b C(w,t) = λ C(n,t) for the "
+            f"{t}-design with λ = {lam}")
 
 
 def analyze_design(C: LinearCode, w: int, t_max: int | None = None,
@@ -118,7 +123,7 @@ def analyze_design(C: LinearCode, w: int, t_max: int | None = None,
 def one_design_locality_link(C: LinearCode,
                              caps: Caps | None = None) -> bool:
     """Whether the minimum-weight dual supports form a 1-design; when they
-    do, the locality must be d(dual) - 1, and that is asserted."""
+    do, the locality must be d(dual) - 1, and that is checked."""
     D = dual(C)
     d_dual = minimum_distance(D, caps)
     report = support_blocks(D, d_dual, caps)
@@ -126,6 +131,8 @@ def one_design_locality_link(C: LinearCode,
     if lam is None:
         return False
     locality = minimum_linear_locality(C, caps)
-    assert locality.r_min == d_dual - 1, \
-        "uniform dual coverage must pin the locality at d(dual) - 1"
+    if locality.r_min != d_dual - 1:
+        raise LocalityInvariantBroken(
+            f"uniform dual coverage must pin the locality at d(dual) - 1 = "
+            f"{d_dual - 1}, got {locality.r_min}")
     return True

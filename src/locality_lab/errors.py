@@ -140,11 +140,18 @@ class NotARepairSet(LocalityLabError):
     pass
 
 
+class DesignInvariantBroken(LocalityLabError):
+    """Bug signal: a verified t-design failed an identity that every
+    t-design satisfies (it is a t'-design for t' < t, and b C(w,t) =
+    lambda C(n,t))."""
+
+
 class LocalityInvariantBroken(LocalityLabError):
     """Bug signal: a locality computation broke a guaranteed invariant (a
     searched word outside the dual, a nontrivial dual that leaves a
     coordinate uncovered, a cyclic code with locality other than
-    d(dual) - 1)."""
+    d(dual) - 1, repair coefficients that fail on a basis vector, a
+    uniformly covered dual with locality other than d(dual) - 1)."""
 
 
 # command line

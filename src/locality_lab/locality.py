@@ -178,7 +178,10 @@ def repair_coefficients(C: LinearCode, i: int,
         acc = 0
         for j, u in coeffs.items():
             acc = F.add(acc, F.mul(u, row[j]))
-        assert acc == row[i], "repair coefficients failed on a basis vector"
+        if acc != row[i]:
+            raise LocalityInvariantBroken(
+                f"repair coefficients for coordinate {i} failed on a basis "
+                "vector")
     return coeffs
 
 
@@ -402,7 +405,10 @@ def nmds_support_pairing(C: LinearCode, caps: Caps | None = None
                 f"word with support {lw.support} has {len(matches)} partners")
         used.add(matches[0])
         partner = dual_words[matches[0]]
-        assert len(lw.support) + len(partner.support) == C.n
+        if len(lw.support) + len(partner.support) != C.n:
+            raise PairingFailed(
+                f"supports {lw.support} and {partner.support} do not "
+                f"partition the {C.n} coordinates")
         pairs.append((lw, partner))
     return pairs
 

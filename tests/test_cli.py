@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from locality_lab.cli import main
+from locality_lab.cli import SKIPPED, _bundle_exit, main
 from locality_lab.code_core import CAPS_ENV_VAR, load_matrix
 from locality_lab.constructions import ternary_golay
 
@@ -123,6 +123,39 @@ def test_analyze_cap_skip_sets_exit_code(capsys, monkeypatch):
     assert (bundle["n"], bundle["k"]) == (13, 10)
 
 
+def _bundle(**fields):
+    """An analyze bundle with every field computed, then overridden."""
+    bundle = {"family": "hamming", "params": {"q": "2", "m": "3"},
+              "dual": False, "q": 2, "n": 7, "k": 4, "d": 3,
+              "weight_distribution": {"0": 1, "3": 7, "4": 7, "7": 1},
+              "locality": {"r_min": 3, "repair_options": [[[0, 1, 2]]]},
+              "llrc": "(7, 4, 3, 2; 3)", "bounds": {"d_optimal": True},
+              "designs": [{"block_size": 3, "lambda": 1},
+                          {"block_size": 4, "lambda": 2}]}
+    bundle.update(fields)
+    return bundle
+
+
+@pytest.mark.parametrize("fields", [
+    {"d": SKIPPED},
+    {"weight_distribution": SKIPPED},
+    {"locality": SKIPPED},
+    {"llrc": SKIPPED},
+    {"bounds": SKIPPED},
+    {"designs": [{"block_size": 3, "lambda": 1},
+                 {"w": 4, "t_requested": 2, "status": SKIPPED}]},
+])
+def test_bundle_exit_finds_each_skip_marker(fields):
+    assert _bundle_exit(_bundle(**fields)) == 2
+
+
+def test_bundle_exit_without_marker():
+    assert _bundle_exit(_bundle()) == 0
+    without_optional = _bundle()
+    del without_optional["bounds"], without_optional["designs"]
+    assert _bundle_exit(without_optional) == 0
+
+
 def test_analyze_trivial_code_is_not_a_cap_skip(capsys):
     rc, out, _ = run(capsys, "analyze", "cyclic", "q=2", "n=3", "g=1")
     assert rc == 0
@@ -140,6 +173,10 @@ def test_analyze_trivial_code_is_not_a_cap_skip(capsys):
     ("analyze", "bch", "q=9", "n=10", "delta=3", "--designs", "3"),
     ("analyze", "grm", "q=3", "ell=9", "m=2"),    # degree out of range
     ("repair-sets", "cyclic", "q=2", "n=3", "g=1"),  # trivial code
+    ("analyze", "hamming", "q=2", "m=3", "--designs", "x:y"),
+    ("analyze", "cyclic", "q=2", "n=7", "g=1,a"),  # malformed coefficient
+    ("analyze", "oval-code-gf", "q=8", "f=translation:z"),
+    ("validate-oval", "q=8", "f=monomial:x"),
 ])
 def test_error_paths_exit_1(capsys, argv):
     rc, _, err = run(capsys, *argv)

@@ -5,6 +5,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from locality_lab.code_core import (
     Caps,
@@ -34,11 +35,13 @@ from locality_lab.errors import (
     BadCoordinate,
     EnumerationTooLarge,
     InconsistentInput,
+    NonIntegerOutput,
     NotPrime,
     RaggedRows,
     SearchTooLarge,
     ZeroCode,
 )
+from locality_lab.constructions import hamming, hamming_weight_distribution_formula
 from locality_lab.gf import field_new, quadratic_extension
 
 F2 = field_new(2, 1)
@@ -266,6 +269,66 @@ def test_macwilliams_simplex_to_hamming():
     hamming_wd = macwilliams(wd, 13, 3, 3)
     assert hamming_wd.total() == 3 ** 10
     assert hamming_wd.min_distance() == 3
+
+
+def krawtchouk(n, q, j, i):
+    """K_j(i) by its defining sum: the reference for the recurrence."""
+    return sum((-1) ** s * math.comb(i, s) * math.comb(n - i, j - s)
+               * (q - 1) ** (j - s) for s in range(min(i, j) + 1))
+
+
+def macwilliams_by_sums(counts, n, k, q):
+    """Dual counts q^-k * sum_i A_i K_j(i), one Krawtchouk sum per pair of
+    weights; None where macwilliams must raise NonIntegerOutput."""
+    out = []
+    for j in range(n + 1):
+        acc = sum(a * krawtchouk(n, q, j, i) for i, a in enumerate(counts))
+        if acc % q ** k or acc < 0:
+            return None
+        out.append(acc // q ** k)
+    return tuple(out)
+
+
+def test_macwilliams_matches_krawtchouk_sums_on_codes():
+    rng = random.Random(67)
+    for field in (F2, F3, F4, field_new(5, 1), field_new(3, 2)):
+        for _ in range(6):
+            C = random_code(rng, field, n_max=9, k_max=4)
+            wd = weight_distribution(C)
+            assert macwilliams(wd, C.n, C.k, field.q).counts == \
+                macwilliams_by_sums(wd.counts, C.n, C.k, field.q)
+
+
+@st.composite
+def distributions(draw):
+    """(counts, n, k, q): any counts summing to q^k with A_0 = 1, most of
+    them no code's distribution, so the transform often is not integral."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 9]))
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(0, min(n, 4)))
+    counts, left = [1], q ** k - 1
+    for _ in range(n - 1):
+        counts.append(draw(st.integers(0, left)))
+        left -= counts[-1]
+    return counts + [left], n, k, q
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(distributions())
+def test_macwilliams_matches_krawtchouk_sums(case):
+    counts, n, k, q = case
+    expected = macwilliams_by_sums(counts, n, k, q)
+    if expected is None:
+        with pytest.raises(NonIntegerOutput):
+            macwilliams(counts, n, k, q)
+    else:
+        assert macwilliams(counts, n, k, q).counts == expected
+
+
+def test_hamming_2_8_builds_through_macwilliams():
+    H = hamming(2, 8)  # its distance comes from the dual's distribution
+    assert (H.n, H.k) == (255, 247)
+    assert weight_distribution(H) == hamming_weight_distribution_formula(2, 8)
 
 
 def test_macwilliams_input_validation():

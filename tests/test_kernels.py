@@ -11,8 +11,11 @@ from hypothesis import given, settings, strategies as st
 from locality_lab import code_core
 from locality_lab.code_core import (
     LinearCode,
+    _batch_kernel,
     _batch_rank,
+    _full_support_words,
     _numpy_field_tables,
+    _projective_reps,
     _route_costs,
     _rref_numpy,
     dual,
@@ -20,9 +23,11 @@ from locality_lab.code_core import (
     from_generator,
     from_parity_check,
     in_dual,
+    nullspace,
     rref,
     weight_distribution,
 )
+from locality_lab.errors import SearchTooLarge
 from locality_lab.gf import field_new
 
 FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 9: (3, 2), 16: (2, 4)}
@@ -100,6 +105,78 @@ def test_batch_rank_degenerate_stacks(q, shape):
 
 
 # ---------------------------------------------------------------------------
+# batched kernel bases against scalar nullspace
+
+def check_batch_kernel(q, stack, shape):
+    F = field(q)
+    A = np.array(stack, dtype=np.int32).reshape(shape)
+    got = [[] for _ in stack]
+    for nu, idx, basis in _batch_kernel(_numpy_field_tables(F), A):
+        assert basis.shape == (len(idx), nu, shape[2])
+        for i, b in zip(idx.tolist(), basis.tolist()):
+            got[i] = b
+    # the reduced echelon form is unique, so the bases agree row for row
+    assert got == [nullspace(F, m, shape[2]) for m in stack]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(stacks())
+def test_batch_kernel_matches_scalar_nullspace(case):
+    check_batch_kernel(*case)
+
+
+def full_rank_matrix(rng, q, nrows, ncols):
+    """A random matrix of rank min(nrows, ncols): a unit diagonal, random
+    above it, zero below."""
+    return [[1 if i == j else rng.randrange(q) if j > i else 0
+             for j in range(ncols)] for i in range(nrows)]
+
+
+@pytest.mark.parametrize("q", sorted(FIELDS))
+@pytest.mark.parametrize("shape", [(3, 0, 4), (3, 4, 0), (0, 3, 3),
+                                   (4, 3, 5), (4, 5, 3)])
+def test_batch_kernel_degenerate_stacks(q, shape):
+    nb, nrows, ncols = shape
+    zeros = [[[0] * ncols for _ in range(nrows)] for _ in range(nb)]
+    check_batch_kernel(q, zeros, shape)  # zero rows or all zero: identity
+    rng = random.Random(q)
+    full = [full_rank_matrix(rng, q, nrows, ncols) for _ in range(nb)]
+    check_batch_kernel(q, full, shape)
+    # a full-rank matrix next to zero matrices in one stack
+    check_batch_kernel(q, full[:1] + zeros[1:], shape)
+
+
+@st.composite
+def bases(draw):
+    """(q, B): a stack of m bases of nu vectors of length w."""
+    q = draw(st.sampled_from(sorted(FIELDS)))
+    m = draw(st.integers(0, 4))
+    nu = draw(st.integers(1, 3))
+    w = draw(st.integers(1, 5))
+    entries = st.integers(0, q - 1)
+    return q, [[[draw(entries) for _ in range(w)] for _ in range(nu)]
+               for _ in range(m)], (m, nu, w)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(bases())
+def test_full_support_words_match_projective_reps(case):
+    q, B, shape = case
+    F = field(q)
+    want = []  # a dependent basis repeats classes, in both paths alike
+    for i, basis in enumerate(B):
+        for vec in _projective_reps(F, basis):
+            if all(vec):
+                inv = F.inv(vec[0])
+                want.append((i, tuple(F.mul(inv, x) for x in vec)))
+    got = []
+    for i, vecs in _full_support_words(
+            _numpy_field_tables(F), np.array(B, dtype=np.int32).reshape(shape)):
+        got.extend(zip(i.tolist(), map(tuple, vecs.tolist())))
+    assert sorted(got) == sorted(want)
+
+
+# ---------------------------------------------------------------------------
 # the word search against the weight distribution and the scalar path
 
 def random_code(rng, q, n, k):
@@ -162,8 +239,35 @@ def corrupted(words):
     return words + [tuple(bad)]
 
 
+def record_kernel_scans(monkeypatch):
+    """Patch the numpy support scan to record what it reached: (route, nu)
+    for every nullity of a kernel basis, (route, "words") when a scan
+    returned words."""
+    reached, nus = set(), []
+    kernel, scan = code_core._batch_kernel, code_core._words_by_kernels
+
+    def counting_kernel(tables, A):
+        for nu, idx, basis in kernel(tables, A):
+            nus.append(nu)
+            yield nu, idx, basis
+
+    def recording_scan(C, w, use_gen_route, budget, tables):
+        nus.clear()
+        words = scan(C, w, use_gen_route, budget, tables)
+        route = "generator" if use_gen_route else "parity-check"
+        reached.update((route, nu) for nu in nus)
+        if words:
+            reached.add((route, "words"))
+        return words
+
+    monkeypatch.setattr(code_core, "_batch_kernel", counting_kernel)
+    monkeypatch.setattr(code_core, "_words_by_kernels", recording_scan)
+    return reached
+
+
 def test_numpy_paths_match_scalar_reference(monkeypatch):
     roster = code_roster()
+    reached = record_kernel_scans(monkeypatch)
     fast, verdicts = {}, []
     for i, C in enumerate(roster):
         for w in range(1, C.n + 1):
@@ -171,6 +275,10 @@ def test_numpy_paths_match_scalar_reference(monkeypatch):
         words = [lw.word for w in range(1, C.n + 1) for lw in fast[i, w]]
         verdicts.append(in_dual(dual(C), corrupted(words)))
     assert False in verdicts  # some corrupted word left the dual
+    # nullity >= 2 on both routes (the k = n code on the parity-check
+    # route), and words found through the generator route
+    assert {("parity-check", 2), ("parity-check", 3), ("generator", 2),
+            ("parity-check", "words"), ("generator", "words")} <= reached
     monkeypatch.setattr(code_core, "_numpy_field_tables", lambda F: None)
     caps = code_core.Caps()
     for i, C in enumerate(roster):
@@ -180,6 +288,22 @@ def test_numpy_paths_match_scalar_reference(monkeypatch):
                 fast[i, v] for v in range(1, w + 1))
         words = [lw.word for w in range(1, C.n + 1) for lw in fast[i, w]]
         assert in_dual(dual(C), corrupted(words)) == verdicts[i]
+
+
+@pytest.mark.parametrize("tabulated", [True, False])
+def test_dependency_budget_is_exact(monkeypatch, tabulated):
+    """The scan charges (q^nu - 1)/(q - 1) * w per rank-deficient subset
+    and raises once the total exceeds the search cap, on either path."""
+    if not tabulated:
+        monkeypatch.setattr(code_core, "_numpy_field_tables", lambda F: None)
+    C = random_code(random.Random(5), 3, 5, 5)  # k = n: every subset
+    for w in (4, 5):
+        assert route(C, w) == "parity-check"
+    # w = 5: one subset of nullity 5, 121 classes; w = 4: five of nullity 4
+    for w, spent in ((5, 121 * 5), (4, 5 * 40 * 4)):
+        assert exact_weight_words(C, w, code_core.Caps(search=spent))
+        with pytest.raises(SearchTooLarge, match="dependency-space"):
+            exact_weight_words(C, w, code_core.Caps(search=spent - 1))
 
 
 def mds_count(n, k, q, w):

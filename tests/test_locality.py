@@ -193,6 +193,63 @@ def test_invariant_checks_survive_optimize():
     assert proc.stdout.strip() == "raised", proc.stderr
 
 
+# each former assert of locality and designs, broken on purpose; the script
+# prints the name of every check that raised its bug-signal error
+BROKEN_INVARIANTS = """
+from types import SimpleNamespace
+import locality_lab.designs as designs
+import locality_lab.locality as locality
+from locality_lab.code_core import LowWeightWord, from_generator
+from locality_lab.constructions import hamming
+from locality_lab.errors import (DesignInvariantBroken,
+                                 LocalityInvariantBroken, PairingFailed)
+from locality_lab.gf import field_new
+
+
+def expect(name, error, call):
+    try:
+        call()
+    except error:
+        print(name)
+
+
+C = from_generator(field_new(2, 1), [[1, 0, 1], [0, 1, 1]])
+locality._kernel_vector_nonzero_at = lambda F, rows, ncols, pos: [1, 0, 1]
+expect("repair_coefficients", LocalityInvariantBroken,
+       lambda: locality.repair_coefficients(C, 2, [0, 1]))
+
+locality.is_nmds = lambda C, caps=None: True
+locality.minimum_distance = lambda C, caps=None: 1
+locality.exact_weight_words = lambda D, w, caps=None: [
+    LowWeightWord((0,), (1, 0, 0)) if D is C else
+    LowWeightWord((1,), (0, 1, 0))]
+expect("nmds_support_pairing", PairingFailed,
+       lambda: locality.nmds_support_pairing(C))
+
+pair = designs.DesignReport(4, 2, ((0, 1), (2, 3)), {}, False)
+expect("t-design is a t'-design", DesignInvariantBroken,
+       lambda: designs._check_downward_consistency(pair, 2, 1))
+single = designs.DesignReport(4, 2, ((0, 1),), {}, False)
+expect("block count", DesignInvariantBroken,
+       lambda: designs._check_downward_consistency(single, 1, 1))
+
+designs.minimum_linear_locality = lambda C, caps=None: SimpleNamespace(
+    r_min=99)
+expect("one_design_locality_link", LocalityInvariantBroken,
+       lambda: designs.one_design_locality_link(hamming(2, 3)))
+"""
+
+
+def test_former_asserts_raise_under_optimize():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", BROKEN_INVARIANTS],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.stdout.splitlines() == [
+        "repair_coefficients", "nmds_support_pairing",
+        "t-design is a t'-design", "block count",
+        "one_design_locality_link"], proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # repair coefficients
 
