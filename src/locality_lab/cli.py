@@ -24,6 +24,7 @@ import sys
 from .code_core import (
     Caps,
     LinearCode,
+    _macwilliams_affordable,
     dual,
     extend,
     field_for_q,
@@ -477,7 +478,7 @@ def _params_feasible(n: int, k: int, q: int, d: int, r: int,
 
     def dist_ok(kk: int, target: int) -> bool:
         if q ** min(kk, n - kk) <= limit and \
-                (q ** kk <= limit or n ** 3 <= 6 * caps.search):
+                (q ** kk <= limit or _macwilliams_affordable(n, caps)):
             return True
         total, rr = 0, min(kk, n - kk)
         for w in range(1, target + 1):

@@ -19,9 +19,14 @@ the same kernel over just those subsets reads a basis of each dependency
 space off the reduced forms (on the generator route, the messages u whose
 word u.G vanishes off S).  Grouped by dimension, the projective
 combinations of these bases with no zero entry on S are built in numpy
-and scaled to lead with 1: they are the words.  Fields too large to
-tabulate (q > 512) take the scalar reference path, one elimination and
-one nullspace per subset.
+and scaled to lead with 1: they are the words.
+
+Every numpy kernel does its field arithmetic through O(q) int32 arrays:
+products as exp[log a + log b], sums as xor in characteristic 2 and
+through Zech logarithms otherwise, with a sentinel log of 0 so that zero
+operands need no special case.  They are built for every field up to
+gf.DLOG_CAP elements; larger fields are refused with FieldTooLarge, a cap.
+The scalar references the kernels are tested against live with the tests.
 
 Resource caps are explicit: work beyond the enumeration or search cap is an
 error, never a silent truncation.
@@ -32,7 +37,9 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, islice, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,15 +47,17 @@ from .errors import (
     AllOneAlreadyPresent,
     BadCoordinate,
     EnumerationTooLarge,
-    FieldMismatch,
+    FieldTooLarge,
     InconsistentInput,
+    LocalityInvariantBroken,
     NonIntegerOutput,
     NotPrime,
     RaggedRows,
     SearchTooLarge,
     ZeroCode,
 )
-from .gf import FieldSpec, canonical_isomorphism, factorize, field_new
+from .gf import (DLOG_CAP, FieldSpec, canonical_isomorphism, factorize,
+                 field_new)
 
 CAPS_ENV_VAR = "LOCALITY_LAB_CAPS"
 _ENUM_BLOCK = 1 << 18  # rows per numpy block in the enumeration kernel
@@ -111,36 +120,68 @@ def _caps(caps: Caps | None) -> Caps:
 # beyond this the table-driven numpy kernel takes over
 _RREF_NUMPY_MIN = 1 << 20
 
-_NP_TABLE_CACHE: dict[FieldSpec, tuple] = {}
-
 # stacks handed to the numpy kernels hold at most this many entries (1 MB)
 _BLOCK_CELLS = 1 << 18
 # subsets (support scan) or vectors (enumeration) per numpy block
 _SCAN_BLOCK = 4096
 
 
-def _numpy_field_tables(field: FieldSpec):
-    """(mul, add, neg, inv) lookup tables as numpy arrays, or None when the
-    field is too large to tabulate.  add is None in characteristic 2,
-    where vector addition is xor of the encodings; inv[0] is 0."""
-    if field.q > 512:
-        return None
-    if field not in _NP_TABLE_CACHE:
-        q = field.q
-        mul = np.array([[field.mul(a, b) for b in range(q)]
-                        for a in range(q)], dtype=np.int32)
-        add = (None if field.p == 2
-               else np.array(field.add_table(), dtype=np.int32))
-        neg = np.array([field.neg(x) for x in range(q)], dtype=np.int32)
-        inv = np.array([0] + [field.inv(x) for x in range(1, q)],
-                       dtype=np.int32)
-        _NP_TABLE_CACHE[field] = (mul, add, neg, inv)
-    return _NP_TABLE_CACHE[field]
+class _FieldArrays(NamedTuple):
+    """O(q) int32 arrays for entrywise field arithmetic in numpy (_vmul,
+    _vadd).  exp[i] = g^(i mod (q-1)) for i < 2(q-1) and 0 beyond; log[0]
+    is the sentinel zero = 2(q-1), whose sums land in that zeroed tail.
+    zech, None in characteristic 2, holds log(1 + g^d) at d + zero.
+    inv[0] is 0."""
+
+    exp: np.ndarray
+    log: np.ndarray
+    zech: np.ndarray | None
+    neg: np.ndarray
+    inv: np.ndarray
+    zero: int
 
 
-def _vadd(add, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise field sum; add is the addition table, None for xor."""
-    return a ^ b if add is None else add[a, b]
+@lru_cache(maxsize=None)
+def _numpy_field_tables(field: FieldSpec) -> _FieldArrays:
+    """The _FieldArrays of a field, built once per field; fields above
+    DLOG_CAP are refused with FieldTooLarge."""
+    q = field.q
+    if q > DLOG_CAP:
+        raise FieldTooLarge(
+            f"numpy field arrays for q = {q} exceed the cap {DLOG_CAP}")
+    zero = 2 * (q - 1)
+    powers = [field.gen_pow(i) for i in range(q - 1)]
+    exp = np.zeros(2 * zero + 1, dtype=np.int32)
+    exp[:zero] = powers + powers
+    log = np.full(q, zero, dtype=np.int32)
+    log[powers] = np.arange(q - 1, dtype=np.int32)
+    zech = None
+    if field.p != 2:
+        # d = log[b] - log[a] has |d| < q - 1 when a, b are nonzero.  Only
+        # a = 0: d <= -q, and zech = d gives exp[log[b]].  Only b = 0:
+        # d >= q, and zech = 0 gives exp[log[a]].  Both 0, or b = -a: the
+        # index lands in the zero tail of exp.
+        d = np.arange(-zero, zero + 1, dtype=np.int32)
+        zech = np.where(d <= -q, d, 0).astype(np.int32)
+        inner = np.abs(d) < q - 1
+        one_plus = log[[field.add(1, g) for g in powers]]
+        zech[inner] = one_plus[d[inner] % (q - 1)]
+    neg = np.array([field.neg(x) for x in range(q)], dtype=np.int32)
+    inv = np.array([0] + [field.inv(x) for x in range(1, q)], dtype=np.int32)
+    return _FieldArrays(exp, log, zech, neg, inv, zero)
+
+
+def _vmul(t: _FieldArrays, a, b) -> np.ndarray:
+    """Entrywise field product of broadcastable encodings."""
+    return t.exp[t.log[a] + t.log[b]]
+
+
+def _vadd(t: _FieldArrays, a, b) -> np.ndarray:
+    """Entrywise field sum of broadcastable encodings."""
+    if t.zech is None:
+        return a ^ b
+    log_a = t.log[a]
+    return t.exp[log_a + t.zech[t.log[b] - log_a + t.zero]]
 
 
 def _eliminate(tables, A: np.ndarray, jordan: bool):
@@ -155,7 +196,6 @@ def _eliminate(tables, A: np.ndarray, jordan: bool):
     with 1 and clears its column from every other row, so a pivot row read
     at the non-pivot columns is the row of the reduced echelon form there
     (entries at the pivot columns are left stale)."""
-    mul, add, neg, inv = tables
     nb, nrows, ncols = A.shape
     pivot = np.full((nb, ncols), -1, dtype=np.intp)
     flat = A.reshape(nb * nrows, ncols)
@@ -173,7 +213,8 @@ def _eliminate(tables, A: np.ndarray, jordan: bool):
         pivot[hit, c] = src
         free[src] = False
         if jordan:
-            flat[src, c:] = mul[inv[flat[src, c]][:, None], flat[src, c:]]
+            flat[src, c:] = _vmul(tables, tables.inv[flat[src, c]][:, None],
+                                  flat[src, c:])
             nonzero[src] = False
             rows = np.nonzero(nonzero)[0]
             rows = rows[pivot[rows // nrows, c] >= 0]  # matrices with a pivot
@@ -183,11 +224,12 @@ def _eliminate(tables, A: np.ndarray, jordan: bool):
         if rows.size:
             # columns up to c are done; only later columns are updated
             piv = pivot[rows // nrows, c]
-            f = flat[rows, c] if add is None else neg[flat[rows, c]]
+            f = tables.neg[flat[rows, c]]
             if not jordan:
-                f = mul[f, inv[flat[piv, c]]]
-            flat[rows, c + 1:] = _vadd(add, flat[rows, c + 1:],
-                                       mul[f[:, None], flat[piv, c + 1:]])
+                f = _vmul(tables, f, tables.inv[flat[piv, c]])
+            flat[rows, c + 1:] = _vadd(
+                tables, flat[rows, c + 1:],
+                _vmul(tables, f[:, None], flat[piv, c + 1:]))
     return flat, pivot
 
 
@@ -204,7 +246,6 @@ def _batch_kernel(tables, A: np.ndarray):
     overwritten).  Yields (nu, idx, basis) per nullity nu > 0: the matrices
     A[idx] have nullity nu and basis[i] is the (nu, cols) basis of the
     kernel of A[idx[i]], the same basis as nullspace returns."""
-    neg = tables[2]
     nb, _, ncols = A.shape
     flat, pivot = _eliminate(tables, A, jordan=True)
     is_pivot = pivot >= 0
@@ -223,15 +264,12 @@ def _batch_kernel(tables, A: np.ndarray):
             # column of pivot i
             cols = np.nonzero(is_pivot[idx])[1].reshape(m, ncols - nu, 1)
             red = flat[pivot[idx[:, None, None], cols], free]  # (m, rank, nu)
-            basis[at, np.arange(nu)[None, None, :], cols] = neg[red]
+            basis[at, np.arange(nu)[None, None, :], cols] = tables.neg[red]
         yield nu, idx, basis
 
 
 def _rref_numpy(field: FieldSpec, rows: list[list[int]]):
     tables = _numpy_field_tables(field)
-    if tables is None:
-        return None
-    mul, add, neg, _ = tables
     M = np.array(rows, dtype=np.int32)
     nrows, ncols = M.shape
     pivots = []
@@ -245,17 +283,14 @@ def _rref_numpy(field: FieldSpec, rows: list[list[int]]):
             M[[r, i]] = M[[i, r]]
         pv = int(M[r, c])
         if pv != 1:
-            M[r] = mul[field.inv(pv), M[r]]
-        factors = neg[M[:, c]]
+            M[r] = _vmul(tables, tables.inv[pv], M[r])
+        factors = tables.neg[M[:, c]]
         factors[r] = 0
         rows_hit = np.nonzero(factors)[0]
         if rows_hit.size:
             # pivot row is zero left of c, so earlier columns are untouched
-            scaled = mul[factors[rows_hit, None], M[r, c:][None, :]]
-            if add is None:
-                M[rows_hit, c:] ^= scaled
-            else:
-                M[rows_hit, c:] = add[M[rows_hit, c:], scaled]
+            scaled = _vmul(tables, factors[rows_hit, None], M[r, c:][None, :])
+            M[rows_hit, c:] = _vadd(tables, M[rows_hit, c:], scaled)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -271,9 +306,7 @@ def rref(field: FieldSpec, rows: list[list[int]]) -> tuple[list[list[int]], list
         return [], []
     ncols = len(rows[0])
     if len(rows) * ncols * min(len(rows), ncols) >= _RREF_NUMPY_MIN:
-        reduced = _rref_numpy(field, rows)
-        if reduced is not None:
-            return reduced
+        return _rref_numpy(field, rows)
     pivots = []
     r = 0
     for c in range(ncols):
@@ -346,9 +379,6 @@ class LinearCode:
 
     def q(self) -> int:
         return self.field.q
-
-    def size(self) -> int:
-        return self.field.q ** self.k
 
     def encode(self, message: list[int]) -> tuple[int, ...]:
         F = self.field
@@ -499,34 +529,24 @@ def augment(C: LinearCode) -> LinearCode:
     rows = [list(r) for r in C.gen] + [ones]
     out = _build(C.field, C.n, rows, None)
     if out.k != C.k + 1:
-        raise AssertionError("augment failed to grow the dimension")
+        raise LocalityInvariantBroken("augment failed to grow the dimension")
     return out
 
 
 def in_dual(C: LinearCode, vectors) -> bool:
     """True iff every vector (of length n) is orthogonal to every row of
     the generator of C, i.e. lies in dual(C).  One table-driven product per
-    block of vectors; the scalar reference for q > 512."""
-    F, n = C.field, C.n
-    tables = _numpy_field_tables(F)
-    if tables is None:
-        for vec in vectors:
-            for row in C.gen:
-                acc = 0
-                for x, g in zip(vec, row):
-                    acc = F.add(acc, F.mul(x, g))
-                if acc:
-                    return False
-        return True
-    mul, add, _, _ = tables
+    block of vectors."""
+    n = C.n
+    tables = _numpy_field_tables(C.field)
     G = np.array(C.gen, dtype=np.int32).reshape(C.k, n)
     vectors = iter(vectors)
     while chunk := list(islice(vectors, max(1, _BLOCK_CELLS // max(1, n)))):
         V = np.array(chunk, dtype=np.int32).reshape(len(chunk), n)
         syndromes = np.zeros((len(V), C.k), dtype=np.int32)
         for j in range(n):
-            syndromes = _vadd(add, syndromes,
-                              mul[V[:, j, None], G[None, :, j]])
+            syndromes = _vadd(tables, syndromes,
+                              _vmul(tables, V[:, j, None], G[None, :, j]))
         if syndromes.any():
             return False
     return True
@@ -563,13 +583,15 @@ class WeightDistribution:
         return self.counts[i]
 
 
-def _scaled_rows(C: LinearCode) -> list[list[list[int]]]:
-    F = C.field
-    return [[[F.mul(s, x) for x in row] for s in range(F.q)] for row in C.gen]
+def _scaled_rows(C: LinearCode, tables: _FieldArrays) -> np.ndarray:
+    """The (k, q, n) array of every multiple c * row of the generator."""
+    G = np.array(C.gen, dtype=np.int32)
+    scalars = np.arange(C.field.q, dtype=np.int32)
+    return _vmul(tables, scalars[None, :, None], G[:, None, :])
 
 
-def _span_blocks(sc: np.ndarray, base: np.ndarray, first: int, add,
-                 block: int):
+def _span_blocks(sc: np.ndarray, base: np.ndarray, first: int,
+                 tables: _FieldArrays, block: int):
     """Every vector base + sum_{i >= first} c_i * row_i, in blocks of at most
     block rows, where sc[i, c] holds c * row_i.  The leading coefficients
     are looped in python; the rest are expanded in numpy."""
@@ -580,51 +602,23 @@ def _span_blocks(sc: np.ndarray, base: np.ndarray, first: int, add,
     for prefix in product(range(q), repeat=split - first):
         vec = base
         for i, s in enumerate(prefix, first):
-            vec = _vadd(add, vec, sc[i, s])
+            vec = _vadd(tables, vec, sc[i, s])
         W = vec[None, :]
         for i in range(split, k):
-            W = _vadd(add, W[:, None, :], sc[i][None, :, :]).reshape(-1, n)
+            W = _vadd(tables, W[:, None, :], sc[i][None, :, :]).reshape(-1, n)
         yield W
 
 
-def _enumerate_counts_numpy(C: LinearCode) -> np.ndarray | None:
-    F, n = C.field, C.n
-    if F.p == 2:
-        add = None
-    elif F.q <= 512:
-        add = np.array(F.add_table(), dtype=np.int32)
-    else:
-        return None
-    sc = np.array(_scaled_rows(C), dtype=np.int32)  # (k, q, n)
+def _enumerate_counts(C: LinearCode) -> np.ndarray:
+    n, tables = C.n, _numpy_field_tables(C.field)
+    sc = _scaled_rows(C, tables)
     counts = np.zeros(n + 1, dtype=np.int64)
     # a block of rows stays within both the row budget and a ~64MB budget
     block = min(_ENUM_BLOCK, max(1024, (64 << 20) // (4 * n)))
-    for W in _span_blocks(sc, np.zeros(n, dtype=np.int32), 0, add, block):
+    for W in _span_blocks(sc, np.zeros(n, dtype=np.int32), 0, tables, block):
         weights = np.count_nonzero(W, axis=1)
         counts += np.bincount(weights, minlength=n + 1)
         del W  # free the block before the next one is built
-    return counts
-
-
-def _enumerate_counts_python(C: LinearCode) -> list[int]:
-    F, n, k = C.field, C.n, C.k
-    q = F.q
-    sc = _scaled_rows(C)
-    counts = [0] * (n + 1)
-    add = F.add
-
-    def rec(i: int, vec: list[int]):
-        if i == k:
-            counts[sum(1 for x in vec if x)] += 1
-            return
-        for s in range(q):
-            if s == 0:
-                rec(i + 1, vec)
-            else:
-                srow = sc[i][s]
-                rec(i + 1, [add(v, x) for v, x in zip(vec, srow)])
-
-    rec(0, [0] * n)
     return counts
 
 
@@ -639,12 +633,9 @@ def weight_distribution(C: LinearCode, caps: Caps | None = None) -> WeightDistri
     if C.k == 0:
         wd = WeightDistribution((1,) + (0,) * C.n)
     else:
-        counts = _enumerate_counts_numpy(C)
-        if counts is None:
-            counts = _enumerate_counts_python(C)
-        counts = [int(x) for x in counts]
+        counts = [int(x) for x in _enumerate_counts(C)]
         if counts[0] != 1 or sum(counts) != size:
-            raise AssertionError("enumeration kernel miscounted")
+            raise LocalityInvariantBroken("enumeration kernel miscounted")
         wd = WeightDistribution(tuple(counts))
     C._wd = wd
     if C._mind is None:
@@ -693,38 +684,6 @@ class LowWeightWord:
         return len(self.support)
 
 
-@dataclass(frozen=True)
-class LowWeightSearch:
-    words: tuple[LowWeightWord, ...]   # one representative per projective class
-    counts: dict[int, int]             # exact full counts per weight
-
-    def supports(self, w: int | None = None) -> list[tuple[int, ...]]:
-        seen, out = set(), []
-        for lw in self.words:
-            if w is not None and lw.weight != w:
-                continue
-            if lw.support not in seen:
-                seen.add(lw.support)
-                out.append(lw.support)
-        return out
-
-
-def _projective_reps(field: FieldSpec, basis: list[list[int]]):
-    """One representative per projective class of the span of basis,
-    normalized so the first nonzero coefficient is 1."""
-    q = field.q
-    nu = len(basis)
-    for lead in range(nu):
-        # coefficient vectors (0,...,0,1,c_{lead+1},...)
-        for tail in product(range(q), repeat=nu - lead - 1):
-            vec = list(basis[lead])
-            for c, brow in zip(tail, basis[lead + 1:]):
-                if c:
-                    vec = [field.add(v, field.mul(c, b))
-                           for v, b in zip(vec, brow)]
-            yield vec
-
-
 def _search_cost(n: int, w: int, r: int) -> int:
     return math.comb(n, w) * max(1, r) * max(1, w)
 
@@ -737,64 +696,36 @@ def _route_costs(C: LinearCode, w: int) -> tuple[int, int, int]:
     return (_search_cost(n, w, k), _search_cost(n, w, n - k), reps * n)
 
 
-def _cheapest_route_cost(C: LinearCode, w: int) -> int:
-    return min(_route_costs(C, w))
-
-
-def _words_by_enumeration(C: LinearCode, w: int) -> list[LowWeightWord]:
-    """Weight-w words of C by walking the projective classes of the code;
-    table-driven numpy blocks, or the scalar reference for q > 512."""
-    F, n = C.field, C.n
-    tables = _numpy_field_tables(F)
-    out = []
-    if tables is None:
-        for vec in _projective_reps(F, list(C.gen)):
-            if sum(1 for x in vec if x) != w:
-                continue
-            first = next(x for x in vec if x)
-            if first != 1:
-                inv = F.inv(first)
-                vec = [F.mul(inv, x) for x in vec]
-            out.append(LowWeightWord(
-                tuple(j for j, x in enumerate(vec) if x), tuple(vec)))
-        return out
-    mul, add, _, inv = tables
-    sc = np.array(_scaled_rows(C), dtype=np.int32)  # (k, q, n)
+def _words_by_enumeration(C: LinearCode, w: int,
+                          tables: _FieldArrays) -> list[LowWeightWord]:
+    """Weight-w words of C by walking the projective classes of the code
+    in table-driven numpy blocks."""
+    n = C.n
+    sc = _scaled_rows(C, tables)
     block = max(1, min(_SCAN_BLOCK, _BLOCK_CELLS // n))
+    out = []
     for lead in range(C.k):
         # coefficient vectors (0,...,0,1,c_{lead+1},...)
-        for W in _span_blocks(sc, sc[lead, 1], lead + 1, add, block):
+        for W in _span_blocks(sc, sc[lead, 1], lead + 1, tables, block):
             W = W[np.count_nonzero(W, axis=1) == w]
             if not len(W):
                 continue
             first = W[np.arange(len(W)), (W != 0).argmax(axis=1)]
-            W = mul[inv[first][:, None], W]
+            W = _vmul(tables, tables.inv[first][:, None], W)
             supports = np.nonzero(W)[1].reshape(len(W), w).tolist()
             out.extend(LowWeightWord(tuple(S), tuple(vec))
                        for S, vec in zip(supports, W.tolist()))
     return out
 
 
-def _deficient_subsets(C: LinearCode, w: int, use_gen_route: bool):
+def _deficient_blocks(C: LinearCode, w: int, use_gen_route: bool,
+                      tables: _FieldArrays):
     """The w-subsets S of coordinates, in lexicographic order, that hold the
     support of some nonzero codeword: the columns of a parity check on S
     are dependent, or (generator route) the generator columns off S have
-    rank below k.  One scalar elimination per subset: the reference path
-    for fields without tables, which _deficient_blocks replaces."""
-    F, n, k = C.field, C.n, C.k
-    M = C.gen if use_gen_route else dual(C).gen
-    full_rank = k if use_gen_route else w
-    for S in combinations(range(n), w):
-        cols = [j for j in range(n) if j not in S] if use_gen_route else S
-        _, pivots = rref(F, [[row[j] for row in M] for j in cols])
-        if len(pivots) < full_rank:
-            yield S
-
-
-def _deficient_blocks(C: LinearCode, w: int, use_gen_route: bool, tables):
-    """_deficient_subsets by blocks: the w-subsets of a block are ranked
-    together by _batch_rank, and each block with a rank-deficient subset
-    yields (S, K, nullity) for those subsets only, in order.  S[i] is the
+    rank below k.  The w-subsets of a block are ranked together by
+    _batch_rank, and each block with a rank-deficient subset yields
+    (S, K, nullity) for those subsets only, in order.  S[i] is the
     subset; K[i] is H[:, S] on the parity-check route, whose kernel is the
     dependency space on S, and the transposed generator columns off S on
     the generator route, whose kernel is the messages u with u.G zero off
@@ -827,14 +758,13 @@ def _deficient_blocks(C: LinearCode, w: int, use_gen_route: bool, tables):
             yield S[hit], K, nullity[hit]
 
 
-def _full_support_words(tables, B: np.ndarray):
+def _full_support_words(tables: _FieldArrays, B: np.ndarray):
     """The words with no zero entry in the span of each basis B[i] (B has
     shape (m, nu, w)), one per projective class, scaled so the first entry
     is 1.  Yields (i, words): words[j] lies in the span of B[i[j]].  The
-    coefficient vectors (0,...,0,1,c_{lead+1},...) of _projective_reps are
-    expanded in numpy blocks of at most max(m * w, _BLOCK_CELLS) entries."""
-    mul, add, _, inv = tables
-    q = len(inv)
+    coefficient vectors (0,...,0,1,c_{lead+1},...) are expanded in numpy
+    blocks of at most max(m * w, _BLOCK_CELLS) entries."""
+    q = len(tables.inv)
     m, nu, w = B.shape
     for lead in range(nu):
         tails = q ** (nu - lead - 1)
@@ -844,19 +774,19 @@ def _full_support_words(tables, B: np.ndarray):
             V = np.broadcast_to(B[:, None, lead], (m, len(t), w))
             for j in range(lead + 1, nu):
                 c = t // q ** (nu - 1 - j) % q  # base-q digits of t
-                V = _vadd(add, V, mul[c[None, :, None], B[:, None, j]])
+                V = _vadd(tables, V, _vmul(tables, c[None, :, None],
+                                           B[:, None, j]))
             i, s = np.nonzero((V != 0).all(axis=2))
             if i.size:
                 V = V[i, s]
-                yield i, mul[inv[V[:, 0]][:, None], V]
+                yield i, _vmul(tables, tables.inv[V[:, 0]][:, None], V)
 
 
-def _words_by_kernels(C: LinearCode, w: int, use_gen_route: bool,
-                      budget: int, tables) -> list[LowWeightWord]:
+def _words_by_kernels(C: LinearCode, w: int, use_gen_route: bool, budget: int,
+                      tables: _FieldArrays) -> list[LowWeightWord]:
     """The support scan with table-driven numpy: the kernel bases of all
     rank-deficient subsets of a block come from one _batch_kernel pass, and
     their full-support combinations from _full_support_words."""
-    mul, add, _, _ = tables
     q, n = C.field.q, C.n
     G = np.array(C.gen, dtype=np.int32)
     spent = 0
@@ -873,8 +803,8 @@ def _words_by_kernels(C: LinearCode, w: int, use_gen_route: bool,
                 GS = G[:, S_nu].transpose(1, 0, 2)  # (subsets, k, w)
                 words = np.zeros((len(idx), nu, w), dtype=np.int32)
                 for r in range(C.k):
-                    words = _vadd(add, words,
-                                  mul[basis[:, :, r, None], GS[:, None, r]])
+                    words = _vadd(tables, words, _vmul(
+                        tables, basis[:, :, r, None], GS[:, None, r]))
                 basis = words
             for i, vecs in _full_support_words(tables, basis):
                 supports = S_nu[i]
@@ -882,50 +812,6 @@ def _words_by_kernels(C: LinearCode, w: int, use_gen_route: bool,
                 full[np.arange(len(i))[:, None], supports] = vecs
                 out.extend(LowWeightWord(tuple(s), tuple(v)) for s, v in
                            zip(supports.tolist(), full.tolist()))
-    return out
-
-
-def _words_by_scan(C: LinearCode, w: int, use_gen_route: bool,
-                   budget: int) -> list[LowWeightWord]:
-    """The support scan in scalar Python, one nullspace per rank-deficient
-    subset: the reference for fields without tables."""
-    F, n, k = C.field, C.n, C.k
-    H = None if use_gen_route else dual(C).gen
-    G = C.gen
-    spent = 0
-    out = []
-    for S in _deficient_subsets(C, w, use_gen_route):
-        if use_gen_route:
-            sbar = [j for j in range(n) if j not in set(S)]
-            rows = [[G[r_][j] for r_ in range(k)] for j in sbar]
-            # words u.G restricted to S
-            basis = []
-            for u in nullspace(F, rows, k):
-                word = [0] * w
-                for coeff, grow in zip(u, G):
-                    if coeff:
-                        word = [F.add(x, F.mul(coeff, grow[j]))
-                                for x, j in zip(word, S)]
-                basis.append(word)
-            basis, _ = rref(F, basis)
-        else:
-            rows = [[hrow[j] for j in S] for hrow in H]
-            basis = nullspace(F, rows, w)
-        nu = len(basis)
-        reps = (F.q ** nu - 1) // (F.q - 1)
-        spent += reps * w
-        if spent > budget:
-            raise SearchTooLarge("dependency-space enumeration exceeded search cap")
-        for vec in _projective_reps(F, basis):
-            if any(x == 0 for x in vec):
-                continue
-            inv = F.inv(vec[0])
-            if inv != 1:
-                vec = [F.mul(inv, x) for x in vec]
-            full = [0] * n
-            for j, x in zip(S, vec):
-                full[j] = x
-            out.append(LowWeightWord(tuple(S), tuple(full)))
     return out
 
 
@@ -942,35 +828,14 @@ def exact_weight_words(C: LinearCode, w: int,
         raise SearchTooLarge(
             f"weight-{w} search cost {min(gen_cost, par_cost, enum_cost)} "
             f"exceeds cap {caps.search}")
+    tables = _numpy_field_tables(C.field)
     if enum_cost < min(gen_cost, par_cost):
-        out = _words_by_enumeration(C, w)
+        out = _words_by_enumeration(C, w, tables)
     else:
-        use_gen_route = gen_cost <= par_cost
-        tables = _numpy_field_tables(C.field)
-        if tables is None:
-            out = _words_by_scan(C, w, use_gen_route, caps.search)
-        else:
-            out = _words_by_kernels(C, w, use_gen_route, caps.search, tables)
+        out = _words_by_kernels(C, w, gen_cost <= par_cost, caps.search,
+                                tables)
     out.sort(key=lambda lw: (lw.support, lw.word))
     return out
-
-
-def low_weight_codewords(C: LinearCode, w_max: int,
-                         caps: Caps | None = None) -> LowWeightSearch:
-    caps = _caps(caps)
-    if w_max > C.n:
-        raise BadCoordinate(f"w_max = {w_max} exceeds length {C.n}")
-    total = sum(_cheapest_route_cost(C, w) for w in range(1, w_max + 1))
-    if total > caps.search:
-        raise SearchTooLarge(f"search cost {total} exceeds cap {caps.search}")
-    words: list[LowWeightWord] = []
-    counts: dict[int, int] = {}
-    for w in range(1, w_max + 1):
-        found = exact_weight_words(C, w, caps)
-        if found:
-            words.extend(found)
-            counts[w] = len(found) * (C.field.q - 1)
-    return LowWeightSearch(tuple(words), counts)
 
 
 def _has_words_of_weight_at_most(C: LinearCode, w: int, caps: Caps) -> bool:
@@ -981,12 +846,7 @@ def _has_words_of_weight_at_most(C: LinearCode, w: int, caps: Caps) -> bool:
         raise SearchTooLarge(
             f"weight-{w} existence scan cost {_search_cost(n, w, r)} "
             f"exceeds cap {caps.search}")
-    use_gen_route = k <= n - k
-    tables = _numpy_field_tables(C.field)
-    if tables is None:
-        scan = _deficient_subsets(C, w, use_gen_route)
-    else:
-        scan = _deficient_blocks(C, w, use_gen_route, tables)
+    scan = _deficient_blocks(C, w, k <= n - k, _numpy_field_tables(C.field))
     return next(scan, None) is not None
 
 
@@ -995,10 +855,9 @@ def _auto_enum_limit(caps: Caps) -> int:
 
 
 def _macwilliams_affordable(n: int, caps: Caps) -> bool:
-    # priced as the direct transform, about n^3/6 big-integer operations;
-    # the recurrence in macwilliams does about n per nonzero weight, but
-    # the routes still follow this price
-    return n ** 3 <= 6 * caps.search
+    # priced as the recurrence in macwilliams: about n + 1 steps for each
+    # of at most n + 1 nonzero weights
+    return (n + 1) ** 2 <= caps.search
 
 
 def minimum_distance(C: LinearCode, caps: Caps | None = None) -> int:
@@ -1027,7 +886,7 @@ def minimum_distance(C: LinearCode, caps: Caps | None = None) -> int:
                 d = w
                 break
     if d is None:
-        raise AssertionError("nonzero code with no nonzero weight")
+        raise LocalityInvariantBroken("nonzero code with no nonzero weight")
     C._mind = d
     return d
 

@@ -30,6 +30,7 @@ from .code_core import (
 )
 from .errors import (
     BadParameters,
+    ConstructionInvariantBroken,
     FamilyUnavailableForParameters,
     FieldTooLarge,
     GcdNotOne,
@@ -106,8 +107,9 @@ def hamming(q: int, m: int) -> LinearCode:
     rows = [[pt[i] for pt in pts] for i in range(m)]
     C = from_parity_check(field, rows, label=f"hamming({q},{m})")
     if (C.n, C.k) != (n, n - m):
-        raise AssertionError("hamming constructor produced wrong parameters")
-    _assert_distance(C, 3, AssertionError)
+        raise ConstructionInvariantBroken(
+            "hamming constructor produced wrong parameters")
+    _assert_distance(C, 3, ConstructionInvariantBroken)
     return C
 
 
@@ -134,7 +136,7 @@ def hamming_weight_distribution_formula(q: int, m: int) -> WeightDistribution:
             acc += (math.comb(n1, i) * math.comb(big, j)
                     * ((q - 1) ** k + (-1) ** j * (q - 1) ** i * (qm - 1)))
         if acc % qm:
-            raise AssertionError("closed form is not integral")
+            raise ConstructionInvariantBroken("closed form is not integral")
         counts.append(acc // qm)
     return WeightDistribution(tuple(counts))
 
@@ -186,8 +188,9 @@ def bch(q: int, n: int, delta: int, h: int) -> LinearCode:
 def ternary_golay() -> LinearCode:
     C = bch(3, 11, 2, 1)
     if (C.n, C.k) != (11, 6):
-        raise AssertionError("ternary Golay constructor produced wrong parameters")
-    _assert_distance(C, 5, AssertionError)
+        raise ConstructionInvariantBroken(
+            "ternary Golay constructor produced wrong parameters")
+    _assert_distance(C, 5, ConstructionInvariantBroken)
     C.label = "ternary-golay"
     return C
 
@@ -253,8 +256,8 @@ def grm_punctured(q: int, ell: int, m: int) -> LinearCode:
         g = poly_mul(g, minimal_polynomial(ext, beta, j, n, field, emb))
     C = cyclic_code(q, n, g, label=f"grm-punctured({q},{ell},{m})")
     if C.k != grm_dimension(q, ell, m):
-        raise AssertionError("punctured code dimension disagrees with the "
-                             "closed form")
+        raise ConstructionInvariantBroken(
+            "punctured code dimension disagrees with the closed form")
     return C
 
 
@@ -262,8 +265,8 @@ def grm(q: int, ell: int, m: int) -> LinearCode:
     C = extend(grm_punctured(q, ell, m))
     C.label = f"grm({q},{ell},{m})"
     if C.k != grm_dimension(q, ell, m):
-        raise AssertionError("dimension disagrees with the closed form")
-    _assert_distance(C, grm_distance(q, ell, m), AssertionError)
+        raise ConstructionInvariantBroken("dimension disagrees with the closed form")
+    _assert_distance(C, grm_distance(q, ell, m), ConstructionInvariantBroken)
     return C
 
 
@@ -293,35 +296,17 @@ def _validate_projective(field: FieldSpec, points, width: int):
 
 
 @dataclass(frozen=True)
-class PointSet3:
-    """Points of PG(2, q) as 3-component column vectors, pairwise
+class PointSet:
+    """Points of PG(dim, q) as (dim + 1)-component column vectors, pairwise
     projectively distinct."""
 
     field: FieldSpec
-    points: tuple[tuple[int, int, int], ...]
+    dim: int
+    points: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "points",
-                           tuple(_validate_projective(self.field, self.points, 3)))
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def to_json(self) -> list[list[int]]:
-        return [list(p) for p in self.points]
-
-
-@dataclass(frozen=True)
-class PointSet4:
-    """Points of PG(3, q) as 4-component column vectors, pairwise
-    projectively distinct."""
-
-    field: FieldSpec
-    points: tuple[tuple[int, int, int, int], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "points",
-                           tuple(_validate_projective(self.field, self.points, 4)))
+        object.__setattr__(self, "points", tuple(
+            _validate_projective(self.field, self.points, self.dim + 1)))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -333,7 +318,7 @@ class PointSet4:
 # ---------------------------------------------------------------------------
 # ovoids
 
-def elliptic_quadric(q: int) -> PointSet4:
+def elliptic_quadric(q: int) -> PointSet:
     """The point at infinity plus the affine points (x, y, x^2+xy+ay^2, 1)
     for the smallest a making x^2+x+a rootless."""
     if q <= 2:
@@ -343,7 +328,7 @@ def elliptic_quadric(q: int) -> PointSet4:
               if all(field.add(field.add(field.mul(t, t), t), c) != 0
                      for t in range(q))), None)
     if a is None:
-        raise AssertionError("no irreducible x^2+x+a (impossible)")
+        raise ConstructionInvariantBroken("no irreducible x^2+x+a (impossible)")
     pts = [(0, 0, 1, 0)]
     for x in range(q):
         x2 = field.mul(x, x)
@@ -351,10 +336,10 @@ def elliptic_quadric(q: int) -> PointSet4:
             z = field.add(field.add(x2, field.mul(x, y)),
                           field.mul(a, field.mul(y, y)))
             pts.append((x, y, z, 1))
-    return PointSet4(field, tuple(pts))
+    return PointSet(field, 3, tuple(pts))
 
 
-def tits_ovoid(q: int) -> PointSet4:
+def tits_ovoid(q: int) -> PointSet:
     """The non-classical ovoid over GF(2^(2e+1)): affine points
     (x, y, x^sigma + xy + y^(sigma+2), 1) with sigma = 2^(e+1)."""
     m = q.bit_length() - 1
@@ -370,15 +355,15 @@ def tits_ovoid(q: int) -> PointSet4:
             z = field.add(field.add(xs, field.mul(x, y)),
                           field.pow(y, sigma + 2))
             pts.append((x, y, z, 1))
-    return PointSet4(field, tuple(pts))
+    return PointSet(field, 3, tuple(pts))
 
 
-def is_ovoid(ps: PointSet4, caps: Caps | None = None) -> bool:
+def is_ovoid(ps: PointSet, caps: Caps | None = None) -> bool:
     """Exhaustive check: q^2 + 1 points, no three on a common line."""
     caps = caps if caps is not None else Caps.from_env()
     field, pts = ps.field, ps.points
     n = len(pts)
-    if n != field.q ** 2 + 1:
+    if ps.dim != 3 or n != field.q ** 2 + 1:
         return False
     if math.comb(n, 3) > caps.search:
         raise SearchTooLarge(f"triple scan over {n} points exceeds search cap")
@@ -391,10 +376,10 @@ def is_ovoid(ps: PointSet4, caps: Caps | None = None) -> bool:
     return True
 
 
-def ovoid_code(ps: PointSet4) -> LinearCode:
+def ovoid_code(ps: PointSet) -> LinearCode:
     field = ps.field
     q = field.q
-    rows = [[pt[i] for pt in ps.points] for i in range(4)]
+    rows = [[pt[i] for pt in ps.points] for i in range(ps.dim + 1)]
     C = from_generator(field, rows, label=f"ovoid({q})")
     if (C.n, C.k) != (q * q + 1, 4):
         raise NotAnOvoid(f"point set gives a [{C.n}, {C.k}] code, "
@@ -406,7 +391,7 @@ def ovoid_code(ps: PointSet4) -> LinearCode:
 # ---------------------------------------------------------------------------
 # maximal arcs
 
-def denniston_arc(q: int, h: int) -> PointSet3:
+def denniston_arc(q: int, h: int) -> PointSet:
     """Affine points (x, y, 1) whose value under an irreducible binary
     quadratic form lands in the additive subgroup {0, ..., h-1}."""
     m = q.bit_length() - 1
@@ -418,7 +403,7 @@ def denniston_arc(q: int, h: int) -> PointSet3:
     field = field_for_q(q)
     c = next((t for t in range(q) if absolute_trace(field, t) == 1), None)
     if c is None:
-        raise AssertionError("no trace-one element (impossible)")
+        raise ConstructionInvariantBroken("no trace-one element (impossible)")
     pts = []
     for x in range(q):
         x2 = field.mul(x, x)
@@ -429,14 +414,17 @@ def denniston_arc(q: int, h: int) -> PointSet3:
                 pts.append((x, y, 1))
     expected = h * q + h - q
     if len(pts) != expected:
-        raise AssertionError(f"arc has {len(pts)} points, expected {expected}")
-    return PointSet3(field, tuple(pts))
+        raise ConstructionInvariantBroken(
+            f"arc has {len(pts)} points, expected {expected}")
+    return PointSet(field, 2, tuple(pts))
 
 
-def is_maximal_arc(ps: PointSet3, h: int) -> bool:
+def is_maximal_arc(ps: PointSet, h: int) -> bool:
     """Exhaustive check: every line of PG(2, q) meets the set in 0 or h
     points."""
     field, pts = ps.field, ps.points
+    if ps.dim != 2:
+        return False
     for line in projective_point_list(field, 3):
         a, b, c = line
         hits = 0
@@ -450,14 +438,14 @@ def is_maximal_arc(ps: PointSet3, h: int) -> bool:
     return True
 
 
-def arc_code(ps: PointSet3) -> LinearCode:
+def arc_code(ps: PointSet) -> LinearCode:
     field = ps.field
     q = field.q
     n = len(ps)
     h, rem = divmod(n + q, q + 1)
     if rem != 0:
         raise NotMaximalArc(f"{n} points cannot form a maximal arc in PG(2,{q})")
-    rows = [[pt[i] for pt in ps.points] for i in range(3)]
+    rows = [[pt[i] for pt in ps.points] for i in range(ps.dim + 1)]
     C = from_generator(field, rows, label=f"arc({q},{h})")
     if (C.n, C.k) != (n, 3):
         raise NotMaximalArc(f"point set gives a [{C.n}, {C.k}] code, "
@@ -539,8 +527,9 @@ def oval_poly(family: str, q: int, param: int | None = None) -> OvalPolynomial:
         coeffs[e] = field.add(coeffs[e], 1)
     f = OvalPolynomial(field, poly(field, coeffs), family)
     if not is_oval_polynomial(field, f.poly):
-        raise AssertionError(f"catalog polynomial {family} at q={q} failed "
-                             f"the exhaustive oval check")
+        raise ConstructionInvariantBroken(
+            f"catalog polynomial {family} at q={q} failed the exhaustive "
+            f"oval check")
     return f
 
 

@@ -46,6 +46,11 @@ class CoefficientNotInBase(LocalityLabError):
     """Bug signal: a minimal-polynomial coefficient escaped the base field."""
 
 
+class FieldInvariantBroken(LocalityLabError):
+    """Bug signal: a field, field map or polynomial broke a guaranteed
+    invariant."""
+
+
 class NotTowerField(LocalityLabError):
     pass
 
@@ -118,6 +123,10 @@ class HypothesisViolated(LocalityLabError):
     pass
 
 
+class ConstructionInvariantBroken(LocalityLabError):
+    """Bug signal: a constructor's self-check failed."""
+
+
 # locality and bounds
 
 class TrivialCode(LocalityLabError):
@@ -147,11 +156,11 @@ class DesignInvariantBroken(LocalityLabError):
 
 
 class LocalityInvariantBroken(LocalityLabError):
-    """Bug signal: a locality computation broke a guaranteed invariant (a
-    searched word outside the dual, a nontrivial dual that leaves a
-    coordinate uncovered, a cyclic code with locality other than
-    d(dual) - 1, repair coefficients that fail on a basis vector, a
-    uniformly covered dual with locality other than d(dual) - 1)."""
+    """Bug signal: a locality computation or the code core beneath it broke
+    a guaranteed invariant (a searched word outside the dual, a nontrivial
+    dual that leaves a coordinate uncovered, a cyclic code with locality
+    other than d(dual) - 1, repair coefficients that fail on a basis
+    vector, an enumeration that miscounts)."""
 
 
 # command line

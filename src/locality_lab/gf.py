@@ -23,6 +23,7 @@ from .errors import (
     CoefficientNotInBase,
     DivisionByZero,
     DivisionByZeroPolynomial,
+    FieldInvariantBroken,
     FieldMismatch,
     FieldTooLarge,
     GcdNotOne,
@@ -309,9 +310,6 @@ class FieldSpec:
             return self._exp[self.q - 1 - self._log[a]]
         return self._raw_pow(a, self.q - 2)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def _raw_pow(self, a: int, e: int) -> int:
         r = 1
         while e:
@@ -372,20 +370,13 @@ class FieldSpec:
                 log[v] = i
                 v = self._raw_mul(v, self.generator)
             if v != 1:
-                raise AssertionError("generator order mismatch while building tables")
+                raise FieldInvariantBroken(
+                    "generator order mismatch while building tables")
             self._exp, self._log = exp, log
         if self.p != 2 and q <= ADD_TABLE_CAP:
             self._add = [[self._digitwise(a, b, int.__add__) for b in range(q)]
                          for a in range(q)]
             self._neg = [self._digitwise(0, a, int.__sub__) for a in range(q)]
-
-    def add_table(self) -> list[list[int]]:
-        """Full q x q addition table; only for q ≤ ADD_TABLE_CAP or p = 2."""
-        if self._add is not None:
-            return self._add
-        if self.q > ADD_TABLE_CAP and self.p != 2:
-            raise FieldTooLarge(f"addition table for q={self.q} not supported")
-        return [[self.add(a, b) for b in range(self.q)] for a in range(self.q)]
 
 
 _CONSTRUCT_TOKEN = object()
@@ -421,9 +412,11 @@ def field_new(p: int, m: int) -> FieldSpec:
             modulus = cand
             break
     if modulus is None:
-        raise AssertionError(f"no primitive polynomial of degree {m} over GF({p})")
+        raise FieldInvariantBroken(
+            f"no primitive polynomial of degree {m} over GF({p})")
     if not _is_irreducible_over_prime(modulus, p):
-        raise AssertionError("primitive modulus failed irreducibility cross-check")
+        raise FieldInvariantBroken(
+            "primitive modulus failed irreducibility cross-check")
 
     field = FieldSpec(p, m, tuple(modulus), None, _CONSTRUCT_TOKEN)
     field.generator = p if m > 1 else (p - modulus[0]) % p
@@ -454,7 +447,7 @@ def quadratic_extension(base: FieldSpec) -> FieldSpec:
             modulus = (c0, c1, 1)
             break
     if modulus is None:
-        raise AssertionError("no irreducible quadratic found (impossible)")
+        raise FieldInvariantBroken("no irreducible quadratic found (impossible)")
 
     field = FieldSpec(base.p, 2 * base.m, modulus, base, _CONSTRUCT_TOKEN)
     e = field.q - 1
@@ -467,7 +460,7 @@ def quadratic_extension(base: FieldSpec) -> FieldSpec:
             gen = a
             break
     if gen is None:
-        raise AssertionError("no generator found (impossible)")
+        raise FieldInvariantBroken("no generator found (impossible)")
     field.generator = gen
     field._build_tables()
     return field
@@ -480,7 +473,7 @@ def trace_to_base(field: FieldSpec, x: int) -> int:
         raise NotTowerField(f"{field!r} is not a tower")
     t = field.add(x, field.pow(x, base.q))
     if t >= base.q:
-        raise AssertionError("trace landed outside the embedded base field")
+        raise FieldInvariantBroken("trace landed outside the embedded base field")
     return t
 
 
@@ -491,7 +484,7 @@ def absolute_trace(field: FieldSpec, x: int) -> int:
         t = field.add(t, v)
         v = field.pow(v, field.p)
     if t >= field.p:
-        raise AssertionError("trace landed outside the prime subfield")
+        raise FieldInvariantBroken("trace landed outside the prime subfield")
     return t
 
 
@@ -558,7 +551,7 @@ def _embedding_by_root(base: FieldSpec, ext: FieldSpec) -> Embedding:
             root = z
             break
     if root is None:
-        raise AssertionError("base modulus has no root in the extension")
+        raise FieldInvariantBroken("base modulus has no root in the extension")
     fwd = []
     for v in range(base.q):
         acc = 0
@@ -566,7 +559,7 @@ def _embedding_by_root(base: FieldSpec, ext: FieldSpec) -> Embedding:
             acc = ext.add(ext.mul(acc, root), d)
         fwd.append(acc)
     if len(set(fwd)) != base.q:
-        raise AssertionError("embedding is not injective")
+        raise FieldInvariantBroken("embedding is not injective")
     return Embedding(base, ext, tuple(fwd))
 
 
@@ -590,7 +583,7 @@ def canonical_isomorphism(field: FieldSpec):
                 if canon.add(canon.add(canon.mul(z, z), canon.mul(c1, z)), c0) == 0),
                None)
     if rho is None:
-        raise AssertionError("tower modulus has no root in the canonical field")
+        raise FieldInvariantBroken("tower modulus has no root in the canonical field")
     q0 = base.q
 
     def iso(a: int) -> int:
@@ -601,9 +594,9 @@ def canonical_isomorphism(field: FieldSpec):
     for a in range(0, field.q, step):
         for b in range(1, field.q, step):
             if iso(field.add(a, b)) != canon.add(iso(a), iso(b)):
-                raise AssertionError("canonical map is not additive")
+                raise FieldInvariantBroken("canonical map is not additive")
             if iso(field.mul(a, b)) != canon.mul(iso(a), iso(b)):
-                raise AssertionError("canonical map is not multiplicative")
+                raise FieldInvariantBroken("canonical map is not multiplicative")
     return iso
 
 
@@ -646,7 +639,7 @@ class Poly:
 
     def __post_init__(self):
         if self.coeffs and self.coeffs[-1] == 0:
-            raise AssertionError("unnormalized polynomial")
+            raise FieldInvariantBroken("unnormalized polynomial")
 
     @property
     def degree(self) -> int:
@@ -690,11 +683,6 @@ def poly_add(f: Poly, g: Poly) -> Poly:
     for i, c in enumerate(b):
         out[i] = F.add(out[i], c)
     return poly(F, out)
-
-
-def poly_sub(f: Poly, g: Poly) -> Poly:
-    F = _same_field(f, g)
-    return poly_add(f, poly(F, [F.neg(c) for c in g.coeffs]))
 
 
 def poly_mul(f: Poly, g: Poly) -> Poly:

@@ -1,0 +1,156 @@
+"""Scalar references for the numpy kernels of locality_lab.code_core.
+
+Each function redoes one kernel entry point one field operation at a time
+through the FieldSpec methods, with the same routes, caps and budget
+accounting as the kernel it checks.  tests/test_kernels.py compares the
+two.  Not a test module: pytest does not collect it.
+"""
+
+from itertools import combinations, product
+
+from locality_lab.code_core import (
+    Caps,
+    LowWeightWord,
+    _route_costs,
+    _search_cost,
+    dual,
+    nullspace,
+    rref,
+)
+from locality_lab.errors import SearchTooLarge
+
+
+def projective_reps(field, basis):
+    """One representative per projective class of the span of basis,
+    normalized so the first nonzero coefficient is 1."""
+    q = field.q
+    nu = len(basis)
+    for lead in range(nu):
+        # coefficient vectors (0,...,0,1,c_{lead+1},...)
+        for tail in product(range(q), repeat=nu - lead - 1):
+            vec = list(basis[lead])
+            for c, brow in zip(tail, basis[lead + 1:]):
+                if c:
+                    vec = [field.add(v, field.mul(c, b))
+                           for v, b in zip(vec, brow)]
+            yield vec
+
+
+def in_dual(C, vectors) -> bool:
+    """True iff every vector is orthogonal to every row of the generator."""
+    F = C.field
+    for vec in vectors:
+        for row in C.gen:
+            acc = 0
+            for x, g in zip(vec, row):
+                acc = F.add(acc, F.mul(x, g))
+            if acc:
+                return False
+    return True
+
+
+def enumerate_counts(C) -> list[int]:
+    """Weight distribution counts by walking all q^k messages."""
+    F, n, k = C.field, C.n, C.k
+    sc = [[[F.mul(s, x) for x in row] for s in range(F.q)] for row in C.gen]
+    counts = [0] * (n + 1)
+
+    def rec(i, vec):
+        if i == k:
+            counts[sum(1 for x in vec if x)] += 1
+            return
+        rec(i + 1, vec)
+        for s in range(1, F.q):
+            rec(i + 1, [F.add(v, x) for v, x in zip(vec, sc[i][s])])
+
+    rec(0, [0] * n)
+    return counts
+
+
+def deficient_subsets(C, w, use_gen_route):
+    """The w-subsets S, in lexicographic order, that hold the support of
+    some nonzero codeword: one scalar elimination per subset."""
+    F, n, k = C.field, C.n, C.k
+    M = C.gen if use_gen_route else dual(C).gen
+    full_rank = k if use_gen_route else w
+    for S in combinations(range(n), w):
+        cols = [j for j in range(n) if j not in S] if use_gen_route else S
+        _, pivots = rref(F, [[row[j] for row in M] for j in cols])
+        if len(pivots) < full_rank:
+            yield S
+
+
+def words_by_enumeration(C, w):
+    """Weight-w words by walking the projective classes of the code."""
+    F = C.field
+    out = []
+    for vec in projective_reps(F, list(C.gen)):
+        if sum(1 for x in vec if x) != w:
+            continue
+        first = next(x for x in vec if x)
+        inv = F.inv(first)
+        vec = [F.mul(inv, x) for x in vec]
+        out.append(LowWeightWord(
+            tuple(j for j, x in enumerate(vec) if x), tuple(vec)))
+    return out
+
+
+def words_by_scan(C, w, use_gen_route, budget):
+    """The support scan, one nullspace per rank-deficient subset."""
+    F, n, k = C.field, C.n, C.k
+    H = None if use_gen_route else dual(C).gen
+    G = C.gen
+    spent = 0
+    out = []
+    for S in deficient_subsets(C, w, use_gen_route):
+        if use_gen_route:
+            sbar = [j for j in range(n) if j not in set(S)]
+            rows = [[G[r][j] for r in range(k)] for j in sbar]
+            # words u.G restricted to S
+            basis = []
+            for u in nullspace(F, rows, k):
+                word = [0] * w
+                for coeff, grow in zip(u, G):
+                    if coeff:
+                        word = [F.add(x, F.mul(coeff, grow[j]))
+                                for x, j in zip(word, S)]
+                basis.append(word)
+            basis, _ = rref(F, basis)
+        else:
+            basis = nullspace(F, [[hrow[j] for j in S] for hrow in H], w)
+        spent += (F.q ** len(basis) - 1) // (F.q - 1) * w
+        if spent > budget:
+            raise SearchTooLarge("dependency-space enumeration exceeded search cap")
+        for vec in projective_reps(F, basis):
+            if any(x == 0 for x in vec):
+                continue
+            inv = F.inv(vec[0])
+            full = [0] * n
+            for j, x in zip(S, vec):
+                full[j] = F.mul(inv, x)
+            out.append(LowWeightWord(tuple(S), tuple(full)))
+    return out
+
+
+def exact_weight_words(C, w, caps=None):
+    """code_core.exact_weight_words with the scalar routes."""
+    caps = caps if caps is not None else Caps()
+    if C.k == 0 or w == 0 or w > C.n:
+        return []
+    gen_cost, par_cost, enum_cost = _route_costs(C, w)
+    if min(gen_cost, par_cost, enum_cost) > caps.search:
+        raise SearchTooLarge(f"weight-{w} search cost exceeds the cap")
+    if enum_cost < min(gen_cost, par_cost):
+        out = words_by_enumeration(C, w)
+    else:
+        out = words_by_scan(C, w, gen_cost <= par_cost, caps.search)
+    out.sort(key=lambda lw: (lw.support, lw.word))
+    return out
+
+
+def has_words_of_weight_at_most(C, w, caps):
+    """code_core._has_words_of_weight_at_most with the scalar scan."""
+    n, k = C.n, C.k
+    if _search_cost(n, w, min(k, n - k)) > caps.search:
+        raise SearchTooLarge(f"weight-{w} existence scan exceeds the cap")
+    return next(deficient_subsets(C, w, k <= n - k), None) is not None

@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+from locality_lab import constructions
 from locality_lab.cli import SKIPPED, _bundle_exit, main
 from locality_lab.code_core import CAPS_ENV_VAR, load_matrix
 from locality_lab.constructions import ternary_golay
@@ -38,6 +39,23 @@ def test_construct_dual_flag(capsys):
     rc, out, _ = run(capsys, "construct", "ternary-golay", "--dual")
     assert rc == 0
     assert "[11, 5, 6] over GF(3)" in out
+
+
+def test_construct_long_hamming_through_macwilliams(capsys, monkeypatch):
+    # d comes from the 2^9 words of the dual, transformed by MacWilliams
+    monkeypatch.delenv(CAPS_ENV_VAR, raising=False)
+    rc, out, _ = run(capsys, "construct", "hamming", "q=2", "m=9")
+    assert rc == 0
+    assert "[511, 502, 3]" in out
+
+
+def test_failed_self_check_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(constructions, "minimum_distance", lambda C: 4)
+    rc, out, err = run(capsys, "construct", "hamming", "q=2", "m=3")
+    assert rc == 1
+    assert out == ""
+    assert err == ("error: <LinearCode hamming(2,3)> has minimum distance 4, "
+                   "expected 3\n")
 
 
 def test_construct_roundtrips_through_from_file(tmp_path, capsys):
@@ -210,6 +228,24 @@ def test_module_entry_point_runs_without_warning():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["n"] == 7
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "bch", "q=9", "n=10", "delta=3", "--designs", "3:4", "--json"],
+    ["table", "1", "--json"],
+])
+def test_json_output_is_independent_of_hash_seed(argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    env.pop(CAPS_ENV_VAR, None)
+    outputs = set()
+    for seed in ("0", "1", "random"):
+        env["PYTHONHASHSEED"] = seed
+        proc = subprocess.run(
+            [sys.executable, "-m", "locality_lab.cli", *argv],
+            env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from locality_lab.code_core import (
     from_generator,
     from_parity_check,
     load_matrix,
-    low_weight_codewords,
     macwilliams,
     minimum_distance,
     puncture,
@@ -384,7 +383,7 @@ def test_search_cap_raises():
     C = from_generator(F2, [[1 if j == i else 0 for j in range(20)]
                             for i in range(10)])
     with pytest.raises(SearchTooLarge):
-        low_weight_codewords(C, 10, Caps(search=100))
+        exact_weight_words(C, 10, Caps(search=100))
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +392,7 @@ def test_search_cap_raises():
 def test_low_weight_below_distance_is_empty():
     ham = from_parity_check(
         F2, [[0, 0, 0, 1, 1, 1, 1], [0, 1, 1, 0, 0, 1, 1], [1, 0, 1, 0, 1, 0, 1]])
-    res = low_weight_codewords(ham, 2)
-    assert res.words == () and res.counts == {}
+    assert exact_weight_words(ham, 1) == exact_weight_words(ham, 2) == []
 
 
 def test_low_weight_matches_weight_distribution():
@@ -403,17 +401,17 @@ def test_low_weight_matches_weight_distribution():
         for _ in range(8):
             C = random_code(rng, field, n_max=10)
             wd = weight_distribution(C)
-            res = low_weight_codewords(C, C.n)
             for w in range(1, C.n + 1):
-                assert res.counts.get(w, 0) == wd.counts[w]
+                words = exact_weight_words(C, w)
+                assert len(words) * (field.q - 1) == wd.counts[w]
 
 
 def test_low_weight_words_are_codewords_with_exact_support():
     rng = random.Random(97)
     for field in (F2, F3, F4):
         C = random_code(rng, field, n_max=9)
-        res = low_weight_codewords(C, C.n)
-        for lw in res.words:
+        for lw in (lw for w in range(1, C.n + 1)
+                   for lw in exact_weight_words(C, w)):
             assert C.contains(lw.word)
             assert tuple(j for j, x in enumerate(lw.word) if x) == lw.support
             # canonical projective representative
@@ -436,8 +434,8 @@ def test_low_weight_supports_cover_check():
     ham = from_parity_check(
         F2, [[0, 0, 0, 1, 1, 1, 1], [0, 1, 1, 0, 0, 1, 1], [1, 0, 1, 0, 1, 0, 1]])
     covered = set()
-    for s in low_weight_codewords(ham, 3).supports(3):
-        covered.update(s)
+    for lw in exact_weight_words(ham, 3):
+        covered.update(lw.support)
     assert covered == set(range(7))
 
 

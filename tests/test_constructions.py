@@ -17,8 +17,7 @@ from locality_lab.code_core import (
 )
 from locality_lab.constructions import (
     OVAL_FAMILIES,
-    PointSet3,
-    PointSet4,
+    PointSet,
     arc_code,
     bch,
     code_bf_bar,
@@ -297,14 +296,18 @@ def test_broken_point_set_is_rejected():
     # combination of the first two
     a, b = pts[1], pts[2]
     bad = tuple(field.add(x, y) for x, y in zip(a, b))
-    broken = PointSet4(field, tuple(pts[:-1] + [bad]))
+    broken = PointSet(field, 3, tuple(pts[:-1] + [bad]))
     assert not is_ovoid(broken)
     with pytest.raises(NotAnOvoid):
         ovoid_code(broken)
     with pytest.raises(BadParameters):
-        PointSet4(field, tuple(pts[:-1] + [pts[0]]))  # duplicate
+        PointSet(field, 3, tuple(pts[:-1] + [pts[0]]))  # duplicate
     with pytest.raises(BadParameters):
-        PointSet4(field, tuple(pts[:-1] + [(0, 0, 0, 0)]))
+        PointSet(field, 3, tuple(pts[:-1] + [(0, 0, 0, 0)]))
+    with pytest.raises(BadParameters):
+        PointSet(field, 2, tuple(pts))  # points of PG(3, 4), not PG(2, 4)
+    # a point set of PG(3, q) is no maximal arc of PG(2, q)
+    assert not is_maximal_arc(elliptic_quadric(4), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +341,7 @@ def test_random_point_set_is_not_an_arc():
     pts = set()
     while len(pts) < 28:
         pts.add((rng.randrange(8), rng.randrange(8), 1))
-    ps = PointSet3(field, tuple(sorted(pts)))
+    ps = PointSet(field, 2, tuple(sorted(pts)))
     assert not is_maximal_arc(ps, 4)
 
 
@@ -348,8 +351,8 @@ def test_arc_parameter_validation():
     with pytest.raises(BadParameters):
         denniston_arc(4, 4)
     field = field_for_q(8)
-    ps = PointSet3(field, tuple((x, y, 1) for x in range(8) for y in range(4))
-                   [:29])
+    ps = PointSet(field, 2,
+                  tuple((x, y, 1) for x in range(8) for y in range(4))[:29])
     with pytest.raises(NotMaximalArc):
         arc_code(ps)
 

@@ -1,11 +1,12 @@
 """Differential tests: every table-driven numpy kernel of code_core against
-the scalar reference path it replaces."""
+its scalar reference in scalar_reference.py."""
 
 import math
 import random
 
 import numpy as np
 import pytest
+import scalar_reference as ref
 from hypothesis import given, settings, strategies as st
 
 from locality_lab import code_core
@@ -15,7 +16,6 @@ from locality_lab.code_core import (
     _batch_rank,
     _full_support_words,
     _numpy_field_tables,
-    _projective_reps,
     _route_costs,
     _rref_numpy,
     dual,
@@ -27,7 +27,7 @@ from locality_lab.code_core import (
     rref,
     weight_distribution,
 )
-from locality_lab.errors import SearchTooLarge
+from locality_lab.errors import FieldTooLarge, SearchTooLarge
 from locality_lab.gf import field_new
 
 FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 9: (3, 2), 16: (2, 4)}
@@ -165,7 +165,7 @@ def test_full_support_words_match_projective_reps(case):
     F = field(q)
     want = []  # a dependent basis repeats classes, in both paths alike
     for i, basis in enumerate(B):
-        for vec in _projective_reps(F, basis):
+        for vec in ref.projective_reps(F, basis):
             if all(vec):
                 inv = F.inv(vec[0])
                 want.append((i, tuple(F.mul(inv, x) for x in vec)))
@@ -268,42 +268,41 @@ def record_kernel_scans(monkeypatch):
 def test_numpy_paths_match_scalar_reference(monkeypatch):
     roster = code_roster()
     reached = record_kernel_scans(monkeypatch)
-    fast, verdicts = {}, []
-    for i, C in enumerate(roster):
+    caps = code_core.Caps()
+    verdicts = []
+    for C in roster:
+        words = []
         for w in range(1, C.n + 1):
-            fast[i, w] = exact_weight_words(C, w)
-        words = [lw.word for w in range(1, C.n + 1) for lw in fast[i, w]]
-        verdicts.append(in_dual(dual(C), corrupted(words)))
+            fast = exact_weight_words(C, w)
+            assert fast == ref.exact_weight_words(C, w), (C, w)
+            assert code_core._has_words_of_weight_at_most(C, w, caps) == \
+                ref.has_words_of_weight_at_most(C, w, caps), (C, w)
+            words.extend(lw.word for lw in fast)
+        assert list(weight_distribution(C).counts) == ref.enumerate_counts(C)
+        bad = corrupted(words)
+        verdicts.append(in_dual(dual(C), bad))
+        assert verdicts[-1] == ref.in_dual(dual(C), bad)
     assert False in verdicts  # some corrupted word left the dual
     # nullity >= 2 on both routes (the k = n code on the parity-check
     # route), and words found through the generator route
     assert {("parity-check", 2), ("parity-check", 3), ("generator", 2),
             ("parity-check", "words"), ("generator", "words")} <= reached
-    monkeypatch.setattr(code_core, "_numpy_field_tables", lambda F: None)
-    caps = code_core.Caps()
-    for i, C in enumerate(roster):
-        for w in range(1, C.n + 1):
-            assert exact_weight_words(C, w) == fast[i, w], (C, w)
-            assert code_core._has_words_of_weight_at_most(C, w, caps) == any(
-                fast[i, v] for v in range(1, w + 1))
-        words = [lw.word for w in range(1, C.n + 1) for lw in fast[i, w]]
-        assert in_dual(dual(C), corrupted(words)) == verdicts[i]
 
 
-@pytest.mark.parametrize("tabulated", [True, False])
-def test_dependency_budget_is_exact(monkeypatch, tabulated):
+@pytest.mark.parametrize("numpy_kernel", [True, False])
+def test_dependency_budget_is_exact(numpy_kernel):
     """The scan charges (q^nu - 1)/(q - 1) * w per rank-deficient subset
-    and raises once the total exceeds the search cap, on either path."""
-    if not tabulated:
-        monkeypatch.setattr(code_core, "_numpy_field_tables", lambda F: None)
+    and raises once the total exceeds the search cap, in the numpy kernel
+    and in its scalar reference alike."""
+    search = exact_weight_words if numpy_kernel else ref.exact_weight_words
     C = random_code(random.Random(5), 3, 5, 5)  # k = n: every subset
     for w in (4, 5):
         assert route(C, w) == "parity-check"
     # w = 5: one subset of nullity 5, 121 classes; w = 4: five of nullity 4
     for w, spent in ((5, 121 * 5), (4, 5 * 40 * 4)):
-        assert exact_weight_words(C, w, code_core.Caps(search=spent))
+        assert search(C, w, code_core.Caps(search=spent))
         with pytest.raises(SearchTooLarge, match="dependency-space"):
-            exact_weight_words(C, w, code_core.Caps(search=spent - 1))
+            search(C, w, code_core.Caps(search=spent - 1))
 
 
 def mds_count(n, k, q, w):
@@ -314,23 +313,44 @@ def mds_count(n, k, q, w):
         for j in range(w - d + 1))
 
 
-def test_untabulated_field_uses_scalar_path():
-    F = field_new(2, 10)
-    assert _numpy_field_tables(F) is None
-    C = from_parity_check(F, [[1, 1, 1, 1]])  # [4, 3, 2] MDS code
-    assert (C.n, C.k) == (4, 3)
-    for w in (2, 3):
-        words = exact_weight_words(C, w)
-        assert route(C, w) == "parity-check"
-        assert len(words) * (F.q - 1) == mds_count(4, 3, F.q, w)
-        assert in_dual(dual(C), (lw.word for lw in words))
-    D = dual(C)  # the [4, 1] repetition code, through the generator route
-    assert route(D, 4) == "generator"
-    assert [lw.word for lw in exact_weight_words(D, 4)] == [(1, 1, 1, 1)]
-    assert all(not exact_weight_words(D, w) for w in (1, 2, 3))
-    assert code_core._has_words_of_weight_at_most(C, 2, code_core.Caps())
+@pytest.mark.parametrize("p, m", [(2, 10), (3, 6)])
+def test_large_fields_match_mds_formula(p, m):
+    """GF(1024) and GF(729), whose sums go through xor and through Zech
+    logarithms: the numpy kernels against the MDS weight formula and the
+    scalar reference, on both scan routes."""
+    F = field_new(p, m)
+    q = F.q
+    rng = random.Random(q)
+    x = rng.sample(range(1, q), 4)
+    C1 = from_parity_check(F, [[1] + x[:3]])  # [4, 3, 2]
+    C2 = from_parity_check(F, [[1, 1, 1, 1], x])  # [4, 2, 3]
+    C3 = dual(C1)  # [4, 1, 4]
+    routes = set()
+    # C1 has about q^2 words of weight 4, too many to list here
+    for C, top in ((C1, 3), (C2, 4), (C3, 4)):
+        for w in range(1, top + 1):
+            words = exact_weight_words(C, w)
+            routes.add(route(C, w))
+            assert len(words) * (q - 1) == mds_count(4, C.k, q, w), (C, w)
+            assert in_dual(dual(C), (lw.word for lw in words))
+            assert words == ref.exact_weight_words(C, w), (C, w)
+    assert routes == {"enumeration", "generator", "parity-check"}
+    for C in (C2, C3):
+        assert list(weight_distribution(C).counts) == [
+            1] + [mds_count(4, C.k, q, w) for w in range(1, 5)]
+    assert [lw.word for lw in exact_weight_words(C3, 4)] == [C3.gen[0]]
+    assert code_core._has_words_of_weight_at_most(C1, 2, code_core.Caps())
     assert not code_core._has_words_of_weight_at_most(
-        C, 1, code_core.Caps())
+        C1, 1, code_core.Caps())
+
+
+def test_fields_above_the_cap_are_refused():
+    F = field_new(2, 17)
+    with pytest.raises(FieldTooLarge):
+        _numpy_field_tables(F)
+    C = from_generator(F, [[1, 2, 3]])  # small eliminations stay scalar
+    with pytest.raises(FieldTooLarge):
+        exact_weight_words(C, 3)
 
 
 # ---------------------------------------------------------------------------
