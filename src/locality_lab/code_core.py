@@ -2,11 +2,15 @@
 derived codes, weight distributions, and low-weight codeword search.
 
 A LinearCode stores its generator matrix in reduced row echelon form, so
-set-equality of codes is entrywise equality of matrices.  Weight
-distributions come from an enumeration kernel that walks all q^k message
-vectors (numpy, blockwise); minimum_distance may instead transform the
-dual's distribution (MacWilliams, one Krawtchouk recurrence per nonzero
-weight) or scan coordinate subsets.
+set-equality of codes is entrywise equality of matrices.
+
+One planner, plan, chooses every route and prices it in the units the caps
+count.  Work beyond a cap raises the cap's error before it starts; nothing
+is silently truncated.  Weight distributions come from an enumeration
+kernel that walks all q^k message vectors (numpy, blockwise) of the
+smaller side: the code, or its dual followed by the MacWilliams transform
+(one Krawtchouk recurrence per nonzero weight).  minimum_distance reads d
+off that distribution, or scans coordinate subsets one weight at a time.
 
 Low-weight words are found per exact weight, which is the workhorse behind
 locality computation.  Small codes are enumerated projective class by
@@ -27,9 +31,6 @@ through Zech logarithms otherwise, with a sentinel log of 0 so that zero
 operands need no special case.  They are built for every field up to
 gf.DLOG_CAP elements; larger fields are refused with FieldTooLarge, a cap.
 The scalar references the kernels are tested against live with the tests.
-
-Resource caps are explicit: work beyond the enumeration or search cap is an
-error, never a silent truncation.
 """
 
 from __future__ import annotations
@@ -65,8 +66,9 @@ _ENUM_BLOCK = 1 << 18  # rows per numpy block in the enumeration kernel
 
 @dataclass(frozen=True)
 class Caps:
-    """Resource ceilings: enumeration counts q^k, search counts an elimination
-    cost proxy C(n,w) * min(k, n-k) * w summed over the scanned weights."""
+    """Resource ceilings: enumeration counts the q^k words walked, search
+    counts an elimination cost proxy such as C(n,w) * min(k, n-k) * w,
+    priced one scanned weight at a time (see plan)."""
 
     enumeration: int = 1 << 26
     search: int = 1 << 24
@@ -111,6 +113,63 @@ def _parse_cap(part: str, expr: str) -> int:
 
 def _caps(caps: Caps | None) -> Caps:
     return caps if caps is not None else Caps.from_env()
+
+
+# ---------------------------------------------------------------------------
+# the planner
+
+# A distance is read off an enumeration of at most this many words, even
+# under a larger enum cap: beyond it a subset scan is usually far cheaper
+# (bch q=16 n=17 delta=4 on a 2-core machine: the scan finds d = 5 in
+# 0.02 s, enumerating the 16^6-word dual takes over 1 s).
+_DISTANCE_ENUM_LIMIT = 1 << 22
+
+
+class Plan(NamedTuple):
+    route: str
+    cost: int  # in the units of the cap the route is held to
+
+
+def plan(n: int, k: int, q: int, goal: str, caps: Caps, w: int = 0) -> Plan:
+    """The route an [n, k] code over GF(q) takes to a goal, and its price;
+    raises the exceeded cap's error when no route fits.
+
+    "distribution", "distance": "enumerate" the q^k words or the q^(n-k)
+    of the "dual" plus MacWilliams ((n + 1)^2 search units), the smaller
+    side first, the code's own on ties.  A distance enumerates at most
+    _DISTANCE_ENUM_LIMIT words, else it will "scan" weight after weight,
+    each priced as "exists"; the weights up to w are priced now.
+    "exists", "words" at weight w: scan the w-subsets through the cheaper
+    of the "generator" and the "parity-check" matrix (the generator on
+    ties), C(n, w) * w per matrix row; "words" may instead "enumerate" the
+    (q^k - 1)/(q - 1) projective classes, n each, when strictly cheaper."""
+    if goal in ("distribution", "distance"):
+        limit = caps.enumeration if goal == "distribution" else \
+            min(caps.enumeration, _DISTANCE_ENUM_LIMIT)
+        own, other = q ** k, q ** (n - k)
+        if own <= min(other, limit):
+            return Plan("enumerate", own)
+        if other <= limit and (n + 1) ** 2 <= caps.search:
+            return Plan("dual", other)
+        if own <= limit:
+            return Plan("enumerate", own)
+        if goal == "distribution":
+            raise EnumerationTooLarge(f"neither side fits the caps: q^k = "
+                                      f"{own}, q^(n-k) = {other}")
+        return Plan("scan", max((plan(n, k, q, "exists", caps, v).cost
+                                 for v in range(1, w + 1)), default=0))
+    per_row = math.comb(n, w) * max(1, w)
+    best = min(Plan("generator", per_row * max(1, k)),
+               Plan("parity-check", per_row * max(1, n - k)),
+               key=lambda p: p.cost)
+    if goal == "words":
+        enum = (q ** k - 1) // (q - 1) * n
+        if enum < best.cost:
+            best = Plan("enumerate", enum)
+    if best.cost > caps.search:
+        raise SearchTooLarge(f"weight-{w} {goal} scan cost {best.cost} "
+                             f"exceeds cap {caps.search}")
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +668,10 @@ def _span_blocks(sc: np.ndarray, base: np.ndarray, first: int,
         yield W
 
 
-def _enumerate_counts(C: LinearCode) -> np.ndarray:
+def _enumerated_distribution(C: LinearCode) -> WeightDistribution:
+    """The distribution of C from its q^k words, walked in numpy blocks."""
+    if C.k == 0:
+        return WeightDistribution((1,) + (0,) * C.n)
     n, tables = C.n, _numpy_field_tables(C.field)
     sc = _scaled_rows(C, tables)
     counts = np.zeros(n + 1, dtype=np.int64)
@@ -619,28 +681,27 @@ def _enumerate_counts(C: LinearCode) -> np.ndarray:
         weights = np.count_nonzero(W, axis=1)
         counts += np.bincount(weights, minlength=n + 1)
         del W  # free the block before the next one is built
-    return counts
+    counts = [int(x) for x in counts]
+    if counts[0] != 1 or sum(counts) != C.field.q ** C.k:
+        raise LocalityInvariantBroken("enumeration kernel miscounted")
+    return WeightDistribution(tuple(counts))
 
 
 def weight_distribution(C: LinearCode, caps: Caps | None = None) -> WeightDistribution:
-    if C._wd is not None:
-        return C._wd
-    caps = _caps(caps)
-    size = C.field.q ** C.k
-    if size > caps.enumeration:
-        raise EnumerationTooLarge(
-            f"q^k = {size} exceeds enumeration cap {caps.enumeration}")
-    if C.k == 0:
-        wd = WeightDistribution((1,) + (0,) * C.n)
-    else:
-        counts = [int(x) for x in _enumerate_counts(C)]
-        if counts[0] != 1 or sum(counts) != size:
-            raise LocalityInvariantBroken("enumeration kernel miscounted")
-        wd = WeightDistribution(tuple(counts))
-    C._wd = wd
-    if C._mind is None:
-        C._mind = wd.min_distance()
-    return wd
+    """The weight distribution of C, from the side plan chooses: the words
+    of C, or those of its dual followed by the MacWilliams transform."""
+    if C._wd is None:
+        n, k, q = C.n, C.k, C.field.q
+        if plan(n, k, q, "distribution", _caps(caps)).route == "enumerate":
+            C._wd = _enumerated_distribution(C)
+        else:
+            D = dual(C)
+            if D._wd is None:
+                D._wd = _enumerated_distribution(D)
+                D._mind = D._wd.min_distance()
+            C._wd = macwilliams(D._wd, n, n - k, q)
+        C._mind = C._wd.min_distance()
+    return C._wd
 
 
 def macwilliams(wd, n: int, k: int, q: int) -> WeightDistribution:
@@ -682,18 +743,6 @@ class LowWeightWord:
     @property
     def weight(self) -> int:
         return len(self.support)
-
-
-def _search_cost(n: int, w: int, r: int) -> int:
-    return math.comb(n, w) * max(1, r) * max(1, w)
-
-
-def _route_costs(C: LinearCode, w: int) -> tuple[int, int, int]:
-    """Costs of the three search strategies: support scan through the
-    generator, support scan through a parity check, full enumeration."""
-    n, k, q = C.n, C.k, C.field.q
-    reps = (q ** k - 1) // (q - 1)
-    return (_search_cost(n, w, k), _search_cost(n, w, n - k), reps * n)
 
 
 def _words_by_enumeration(C: LinearCode, w: int,
@@ -823,16 +872,12 @@ def exact_weight_words(C: LinearCode, w: int,
     n, k = C.n, C.k
     if k == 0 or w == 0 or w > n:
         return []
-    gen_cost, par_cost, enum_cost = _route_costs(C, w)
-    if min(gen_cost, par_cost, enum_cost) > caps.search:
-        raise SearchTooLarge(
-            f"weight-{w} search cost {min(gen_cost, par_cost, enum_cost)} "
-            f"exceeds cap {caps.search}")
+    route = plan(n, k, C.field.q, "words", caps, w).route
     tables = _numpy_field_tables(C.field)
-    if enum_cost < min(gen_cost, par_cost):
+    if route == "enumerate":
         out = _words_by_enumeration(C, w, tables)
     else:
-        out = _words_by_kernels(C, w, gen_cost <= par_cost, caps.search,
+        out = _words_by_kernels(C, w, route == "generator", caps.search,
                                 tables)
     out.sort(key=lambda lw: (lw.support, lw.word))
     return out
@@ -840,24 +885,10 @@ def exact_weight_words(C: LinearCode, w: int,
 
 def _has_words_of_weight_at_most(C: LinearCode, w: int, caps: Caps) -> bool:
     """Existence test: some w columns of a parity check are dependent."""
-    n, k = C.n, C.k
-    r = min(k, n - k)
-    if _search_cost(n, w, r) > caps.search:
-        raise SearchTooLarge(
-            f"weight-{w} existence scan cost {_search_cost(n, w, r)} "
-            f"exceeds cap {caps.search}")
-    scan = _deficient_blocks(C, w, k <= n - k, _numpy_field_tables(C.field))
+    route = plan(C.n, C.k, C.field.q, "exists", caps, w).route
+    scan = _deficient_blocks(C, w, route == "generator",
+                             _numpy_field_tables(C.field))
     return next(scan, None) is not None
-
-
-def _auto_enum_limit(caps: Caps) -> int:
-    return min(caps.enumeration, 1 << 22)
-
-
-def _macwilliams_affordable(n: int, caps: Caps) -> bool:
-    # priced as the recurrence in macwilliams: about n + 1 steps for each
-    # of at most n + 1 nonzero weights
-    return (n + 1) ** 2 <= caps.search
 
 
 def minimum_distance(C: LinearCode, caps: Caps | None = None) -> int:
@@ -866,25 +897,11 @@ def minimum_distance(C: LinearCode, caps: Caps | None = None) -> int:
     if C._mind is not None:
         return C._mind
     caps = _caps(caps)
-    q = C.field.q
-    direct = q ** C.k
-    via_dual = q ** (C.n - C.k)
-    # the automatic strategy keeps enumeration snappy; the subset scan below
-    # covers codes where both sides are big, within the search cap
-    enum_limit = _auto_enum_limit(caps)
-    d = None
-    if direct <= enum_limit and direct <= via_dual:
-        d = weight_distribution(C, caps).min_distance()
-    elif via_dual <= enum_limit and _macwilliams_affordable(C.n, caps):
-        wd_dual = weight_distribution(dual(C), caps)
-        wd = macwilliams(wd_dual, C.n, C.n - C.k, q)
-        C._wd = wd
-        d = wd.min_distance()
+    if plan(C.n, C.k, C.field.q, "distance", caps).route == "scan":
+        d = next((w for w in range(1, C.n + 1)
+                  if _has_words_of_weight_at_most(C, w, caps)), None)
     else:
-        for w in range(1, C.n + 1):
-            if _has_words_of_weight_at_most(C, w, caps):
-                d = w
-                break
+        d = weight_distribution(C, caps).min_distance()
     if d is None:
         raise LocalityInvariantBroken("nonzero code with no nonzero weight")
     C._mind = d

@@ -4,9 +4,9 @@ maximal arcs in projective space, codes built from oval polynomials over
 even-characteristic fields, and the ternary Golay code.
 
 Every constructor validates its own output: lengths and dimensions always,
-minimum distance whenever the enumeration fits the caps.  Point-set builders
-(ovoids, arcs) return explicit point sets so the exhaustive geometric
-validators can be run separately.
+minimum distance whenever code_core.plan prices it within the caps.
+Point-set builders (ovoids, arcs) return explicit point sets so the
+exhaustive geometric validators can be run separately.
 """
 
 from __future__ import annotations
@@ -25,11 +25,13 @@ from .code_core import (
     from_generator,
     from_parity_check,
     minimum_distance,
+    plan,
     rref,
     weight_distribution,
 )
 from .errors import (
     BadParameters,
+    CapExceeded,
     ConstructionInvariantBroken,
     FamilyUnavailableForParameters,
     FieldTooLarge,
@@ -58,16 +60,11 @@ from .gf import (
 MAX_LENGTH = 1 << 16
 
 
-def _distance_checkable(C: LinearCode, caps: Caps | None = None) -> bool:
-    caps = caps if caps is not None else Caps.from_env()
-    limit = min(caps.enumeration, 1 << 22)
-    q = C.field.q
-    return q ** C.k <= limit or q ** (C.n - C.k) <= limit
-
-
 def _assert_distance(C: LinearCode, d: int, error_cls) -> None:
-    """Verify the advertised minimum distance when enumeration is affordable."""
-    if not _distance_checkable(C):
+    """Verify the advertised minimum distance when plan prices it in caps."""
+    try:
+        plan(C.n, C.k, C.field.q, "distance", Caps.from_env(), w=d)
+    except CapExceeded:
         return
     actual = minimum_distance(C)
     if actual != d:

@@ -1,9 +1,9 @@
 """Scalar references for the numpy kernels of locality_lab.code_core.
 
 Each function redoes one kernel entry point one field operation at a time
-through the FieldSpec methods, with the same routes, caps and budget
-accounting as the kernel it checks.  tests/test_kernels.py compares the
-two.  Not a test module: pytest does not collect it.
+through the FieldSpec methods, on the route code_core.plan gives the kernel
+it checks and with the same budget accounting.  tests/test_kernels.py
+compares the two.  Not a test module: pytest does not collect it.
 """
 
 from itertools import combinations, product
@@ -11,10 +11,9 @@ from itertools import combinations, product
 from locality_lab.code_core import (
     Caps,
     LowWeightWord,
-    _route_costs,
-    _search_cost,
     dual,
     nullspace,
+    plan,
     rref,
 )
 from locality_lab.errors import SearchTooLarge
@@ -137,20 +136,17 @@ def exact_weight_words(C, w, caps=None):
     caps = caps if caps is not None else Caps()
     if C.k == 0 or w == 0 or w > C.n:
         return []
-    gen_cost, par_cost, enum_cost = _route_costs(C, w)
-    if min(gen_cost, par_cost, enum_cost) > caps.search:
-        raise SearchTooLarge(f"weight-{w} search cost exceeds the cap")
-    if enum_cost < min(gen_cost, par_cost):
+    route = plan(C.n, C.k, C.field.q, "words", caps, w).route
+    if route == "enumerate":
         out = words_by_enumeration(C, w)
     else:
-        out = words_by_scan(C, w, gen_cost <= par_cost, caps.search)
+        out = words_by_scan(C, w, route == "generator", caps.search)
     out.sort(key=lambda lw: (lw.support, lw.word))
     return out
 
 
 def has_words_of_weight_at_most(C, w, caps):
     """code_core._has_words_of_weight_at_most with the scalar scan."""
-    n, k = C.n, C.k
-    if _search_cost(n, w, min(k, n - k)) > caps.search:
-        raise SearchTooLarge(f"weight-{w} existence scan exceeds the cap")
-    return next(deficient_subsets(C, w, k <= n - k), None) is not None
+    route = plan(C.n, C.k, C.field.q, "exists", caps, w).route
+    return next(deficient_subsets(C, w, route == "generator"),
+                None) is not None

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from locality_lab import constructions
+from locality_lab import cli, constructions
 from locality_lab.cli import SKIPPED, _bundle_exit, main
 from locality_lab.code_core import CAPS_ENV_VAR, load_matrix
 from locality_lab.constructions import ternary_golay
@@ -56,6 +56,17 @@ def test_failed_self_check_exits_1(capsys, monkeypatch):
     assert out == ""
     assert err == ("error: <LinearCode hamming(2,3)> has minimum distance 4, "
                    "expected 3\n")
+
+
+def test_construct_skips_a_self_check_beyond_the_caps(capsys, monkeypatch):
+    # the dual's 2^5 words would need a MacWilliams transform priced at
+    # 32^2 = 1024, and the weight-2 scan costs 4650: hamming() skips its
+    # distance check instead of failing, and construct reports the skip
+    monkeypatch.setenv(CAPS_ENV_VAR, "search:1000")
+    rc, out, err = run(capsys, "construct", "hamming", "q=2", "m=5")
+    assert rc == 2
+    assert out == "[31, 26, ?] over GF(2)  (distance skipped: cap)\n"
+    assert err == ""
 
 
 def test_construct_roundtrips_through_from_file(tmp_path, capsys):
@@ -139,6 +150,17 @@ def test_analyze_cap_skip_sets_exit_code(capsys, monkeypatch):
     assert bundle["locality"] == "skipped: cap"
     # parameters never require a search, so they are always present
     assert (bundle["n"], bundle["k"]) == (13, 10)
+
+
+def test_analyze_reports_locality_when_distance_is_skipped(capsys,
+                                                          monkeypatch):
+    monkeypatch.setenv(CAPS_ENV_VAR, "enum:2^10,search:1000")
+    rc, out, _ = run(capsys, "analyze", "hamming", "q=2", "m=5", "--json")
+    assert rc == 2
+    bundle = json.loads(out)
+    assert bundle["d"] == SKIPPED
+    assert bundle["weight_distribution"] == SKIPPED
+    assert bundle["locality"]["r_min"] == 15
 
 
 def _bundle(**fields):
@@ -328,6 +350,21 @@ def test_table_two_flags_known_discrepancy(capsys, monkeypatch):
     skipped = [ln for ln in out.splitlines() if ln.endswith("skipped: cap")]
     assert len(skipped) == 3
     assert all("q=32" in ln or "s=5" in ln for ln in skipped)
+
+
+@pytest.mark.parametrize("only", ["q=32", "s=5"])
+def test_table_skips_rows_before_building_them(capsys, monkeypatch, only):
+    def unbuildable(*args):
+        raise RuntimeError("a row priced beyond the caps was built")
+
+    monkeypatch.delenv(CAPS_ENV_VAR, raising=False)
+    monkeypatch.setattr(cli, "ovoid_code", unbuildable)
+    monkeypatch.setattr(cli, "bch", unbuildable)
+    rc, out, _ = run(capsys, "table", "2", "--only", only)
+    assert rc == 2
+    body = [ln for ln in out.splitlines()[1:] if ln.strip()]
+    assert len(body) == (1 if only == "q=32" else 2)
+    assert all(ln.endswith(SKIPPED) for ln in body)
 
 
 def test_table_only_filter(capsys, monkeypatch):

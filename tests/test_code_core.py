@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from locality_lab.code_core import (
     Caps,
     LinearCode,
+    Plan,
     WeightDistribution,
     augment,
     dual,
@@ -21,6 +22,7 @@ from locality_lab.code_core import (
     load_matrix,
     macwilliams,
     minimum_distance,
+    plan,
     puncture,
     rref,
     save_matrix,
@@ -341,11 +343,100 @@ def test_macwilliams_input_validation():
 
 
 def test_enumeration_cap():
-    C = from_generator(F2, [[1 if j == i else 0 for j in range(8)] for i in range(8)])
+    # [I | I]: both sides hold 2^8 words, so no side fits below 256
+    C = from_generator(F2, [[1 if j % 8 == i else 0 for j in range(16)]
+                            for i in range(8)])
     with pytest.raises(EnumerationTooLarge):
         weight_distribution(C, Caps(enumeration=255))
     wd = weight_distribution(C, Caps(enumeration=256))
-    assert wd.counts == tuple(math.comb(8, i) for i in range(9))
+    assert wd.counts == tuple(math.comb(8, i // 2) if i % 2 == 0 else 0
+                              for i in range(17))
+
+
+def test_distribution_called_first_uses_the_dual_side():
+    # a fresh copy has no cached distribution: the 2^26 words of the code
+    # exceed the cap, the 2^5 of its dual do not
+    H = hamming(2, 5)
+    C = from_generator(H.field, H.gen)
+    assert weight_distribution(C, Caps(enumeration=2 ** 10)) == \
+        hamming_weight_distribution_formula(2, 5)
+
+
+# ---------------------------------------------------------------------------
+# the planner
+
+def test_plan_distribution_at_the_enumeration_cap():
+    # [8, 4] over GF(2): equal sides, the code's own side is enumerated
+    assert plan(8, 4, 2, "distribution", Caps(enumeration=16)) == \
+        Plan("enumerate", 16)
+    assert plan(8, 4, 2, "distance", Caps(enumeration=16)) == \
+        Plan("enumerate", 16)
+    with pytest.raises(EnumerationTooLarge):
+        plan(8, 4, 2, "distribution", Caps(enumeration=15))
+    assert plan(8, 5, 2, "distribution", Caps(enumeration=8)) == \
+        Plan("dual", 8)
+    with pytest.raises(EnumerationTooLarge):
+        plan(8, 5, 2, "distribution", Caps(enumeration=7))
+
+
+def test_plan_prices_macwilliams_at_n_plus_one_squared():
+    # [8, 6] over GF(2): the dual side has 4 words; (8 + 1)^2 = 81
+    caps = Caps(enumeration=16, search=81)
+    assert plan(8, 6, 2, "distribution", caps) == Plan("dual", 4)
+    assert plan(8, 6, 2, "distance", caps) == Plan("dual", 4)
+    caps = Caps(enumeration=16, search=80)
+    with pytest.raises(EnumerationTooLarge):
+        plan(8, 6, 2, "distribution", caps)
+    assert plan(8, 6, 2, "distance", caps).route == "scan"
+    # with the own side affordable, it is enumerated instead
+    assert plan(8, 6, 2, "distance", Caps(enumeration=64, search=80)) == \
+        Plan("enumerate", 64)
+
+
+def test_plan_distance_enumerates_at_most_2_22_words():
+    assert plan(44, 22, 2, "distance", Caps()) == Plan("enumerate", 2 ** 22)
+    assert plan(46, 23, 2, "distance", Caps()).route == "scan"
+    assert plan(46, 23, 2, "distribution", Caps()) == \
+        Plan("enumerate", 2 ** 23)
+    # a lower enum cap lowers the distance limit too
+    assert plan(44, 22, 2, "distance", Caps(enumeration=2 ** 21)).route == \
+        "scan"
+
+
+def test_plan_prices_a_distance_scan_one_weight_at_a_time():
+    # [31, 26] over GF(2) with its 32-word dual out of reach: weight 1
+    # costs 31 * 5 = 155, weight 2 costs 465 * 5 * 2 = 4650, and the cap
+    # holds each weight, not their sum 4805
+    caps = Caps(enumeration=16, search=4650)
+    assert plan(31, 26, 2, "distance", caps) == Plan("scan", 0)
+    assert plan(31, 26, 2, "distance", caps, w=2) == Plan("scan", 4650)
+    with pytest.raises(SearchTooLarge):
+        plan(31, 26, 2, "distance", caps, w=3)
+    with pytest.raises(SearchTooLarge):
+        plan(31, 26, 2, "distance", Caps(enumeration=16, search=4649), w=2)
+
+
+def test_plan_exists_at_the_search_cap():
+    # C(6, 2) * 2 * min(2, 4) = 60
+    assert plan(6, 2, 3, "exists", Caps(search=60), w=2) == \
+        Plan("generator", 60)
+    assert plan(6, 4, 3, "exists", Caps(search=60), w=2) == \
+        Plan("parity-check", 60)
+    with pytest.raises(SearchTooLarge):
+        plan(6, 2, 3, "exists", Caps(search=59), w=2)
+
+
+def test_plan_words_tie_breaks():
+    # [4, 1] over GF(2), w = 1: enumeration (1 class * 4) ties the
+    # generator scan (4 * 1 * 1) and loses
+    assert plan(4, 1, 2, "words", Caps(), w=1) == Plan("generator", 4)
+    assert plan(4, 1, 2, "words", Caps(), w=2) == Plan("enumerate", 4)
+    # [4, 2] over GF(5), w = 2: all three cost 24, the generator wins
+    assert plan(4, 2, 5, "words", Caps(), w=2) == Plan("generator", 24)
+    assert plan(4, 3, 5, "words", Caps(), w=2) == Plan("parity-check", 12)
+    assert plan(4, 2, 5, "words", Caps(search=24), w=2).cost == 24
+    with pytest.raises(SearchTooLarge):
+        plan(4, 2, 5, "words", Caps(search=23), w=2)
 
 
 # ---------------------------------------------------------------------------

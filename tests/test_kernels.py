@@ -16,7 +16,6 @@ from locality_lab.code_core import (
     _batch_rank,
     _full_support_words,
     _numpy_field_tables,
-    _route_costs,
     _rref_numpy,
     dual,
     exact_weight_words,
@@ -24,6 +23,7 @@ from locality_lab.code_core import (
     from_parity_check,
     in_dual,
     nullspace,
+    plan,
     rref,
     weight_distribution,
 )
@@ -189,10 +189,7 @@ def random_code(rng, q, n, k):
 
 
 def route(C, w):
-    gen_cost, par_cost, enum_cost = _route_costs(C, w)
-    if enum_cost < min(gen_cost, par_cost):
-        return "enumeration"
-    return "generator" if gen_cost <= par_cost else "parity-check"
+    return plan(C.n, C.k, C.field.q, "words", code_core.Caps(), w).route
 
 
 def code_roster():
@@ -227,7 +224,7 @@ def test_word_counts_match_weight_distribution():
             routes.add(route(C, w))
             assert len(words) * (q - 1) == wd[w], (C, w)
             assert in_dual(dual(C), (lw.word for lw in words))
-    assert routes == {"enumeration", "generator", "parity-check"}
+    assert routes == {"enumerate", "generator", "parity-check"}
 
 
 def corrupted(words):
@@ -334,7 +331,7 @@ def test_large_fields_match_mds_formula(p, m):
             assert len(words) * (q - 1) == mds_count(4, C.k, q, w), (C, w)
             assert in_dual(dual(C), (lw.word for lw in words))
             assert words == ref.exact_weight_words(C, w), (C, w)
-    assert routes == {"enumeration", "generator", "parity-check"}
+    assert routes == {"enumerate", "generator", "parity-check"}
     for C in (C2, C3):
         assert list(weight_distribution(C).counts) == [
             1] + [mds_count(4, C.k, q, w) for w in range(1, 5)]
