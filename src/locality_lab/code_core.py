@@ -6,31 +6,27 @@ set-equality of codes is entrywise equality of matrices.
 
 One planner, plan, chooses every route and prices it in the units the caps
 count.  Work beyond a cap raises the cap's error before it starts; nothing
-is silently truncated.  Weight distributions come from an enumeration
-kernel that walks all q^k message vectors (numpy, blockwise) of the
-smaller side: the code, or its dual followed by the MacWilliams transform
-(one Krawtchouk recurrence per nonzero weight).  minimum_distance reads d
-off that distribution, or scans coordinate subsets one weight at a time.
+is silently truncated.
 
-Low-weight words are found per exact weight, which is the workhorse behind
-locality computation.  Small codes are enumerated projective class by
-class.  Otherwise the search scans the w-subsets S of coordinates in
-lexicographic order, a block of subsets at a time, with one table-driven
-numpy elimination kernel.  The submatrices H[:, S] of a parity check (or
-the generator columns off S) of a block are stacked and ranked together;
-only the rank-deficient subsets can carry a word.  A Gauss-Jordan pass of
-the same kernel over just those subsets reads a basis of each dependency
-space off the reduced forms (on the generator route, the messages u whose
-word u.G vanishes off S).  Grouped by dimension, the projective
-combinations of these bases with no zero entry on S are built in numpy
-and scaled to lead with 1: they are the words.
+Each job has one numpy kernel, and every stack handed to one holds at most
+_BLOCK_CELLS entries.  _projective_span enumerates a span, one vector per
+projective class: the (q^k - 1)/(q - 1) classes of a code, each holding
+q - 1 words of one weight, give its weight distribution (or the dual's,
+followed by the MacWilliams transform), and its words of weight w when it
+is small.  minimum_distance reads d off a distribution or scans weights
+upward.  _eliminate eliminates a stack of matrices.  The support scan
+stacks the submatrices H[:, S] of a parity check (or the generator columns
+off S) of a block of w-subsets S and ranks them in one pass; a Gauss-Jordan
+pass over the rank-deficient ones reads a basis of each dependency space,
+whose classes with no zero entry on S are the words.  rref hands a single
+matrix to _eliminate from the measured crossover _RREF_NUMPY_MIN on.
 
-Every numpy kernel does its field arithmetic through O(q) int32 arrays:
-products as exp[log a + log b], sums as xor in characteristic 2 and
-through Zech logarithms otherwise, with a sentinel log of 0 so that zero
-operands need no special case.  They are built for every field up to
-gf.DLOG_CAP elements; larger fields are refused with FieldTooLarge, a cap.
-The scalar references the kernels are tested against live with the tests.
+The kernels do their field arithmetic through O(q) int32 arrays: products
+as exp[log a + log b], sums as xor in characteristic 2 and through Zech
+logarithms otherwise, with a sentinel log of 0 so that zero operands need
+no special case.  They are built for every field up to gf.DLOG_CAP
+elements; larger fields are refused with FieldTooLarge, a cap.  The scalar
+references the kernels are tested against live with the tests.
 """
 
 from __future__ import annotations
@@ -61,7 +57,6 @@ from .gf import (DLOG_CAP, FieldSpec, canonical_isomorphism, factorize,
                  field_new)
 
 CAPS_ENV_VAR = "LOCALITY_LAB_CAPS"
-_ENUM_BLOCK = 1 << 18  # rows per numpy block in the enumeration kernel
 
 
 @dataclass(frozen=True)
@@ -176,12 +171,14 @@ def plan(n: int, k: int, q: int, goal: str, caps: Caps, w: int = 0) -> Plan:
 # matrices
 
 # a full elimination pass costs about rows * cols * rank field operations;
-# beyond this the table-driven numpy kernel takes over
-_RREF_NUMPY_MIN = 1 << 20
+# on dense matrices over GF(3) to GF(16) the numpy kernel on a stack of one
+# overtakes the scalar loop between 3,500 and 5,500 (measured on 2 cores)
+_RREF_NUMPY_MIN = 1 << 13
 
-# stacks handed to the numpy kernels hold at most this many entries (1 MB)
+# every stack handed to the numpy kernels holds at most this many entries
+# (1 MB), or one matrix or vector per basis when those alone are larger
 _BLOCK_CELLS = 1 << 18
-# subsets (support scan) or vectors (enumeration) per numpy block
+# subsets per block of the support scan: an early hit ends an existence scan
 _SCAN_BLOCK = 4096
 
 
@@ -248,10 +245,12 @@ def _eliminate(tables, A: np.ndarray, jordan: bool):
     (B, rows, cols) at once (A may be overwritten).  Returns the eliminated
     rows, flattened so that row b * rows + i is row i of A[b], and the
     (B, cols) array holding the flat index of the pivot row of each column,
-    -1 where a column has no pivot.
+    -1 where a column has no pivot.  Each pivot row is swapped up to the
+    first free row of its matrix, so the pivot rows of A[b] are its first
+    rows, in column order.
 
     Without jordan only the rank is meaningful: a pivot clears its column
-    from the rows below it.  With jordan each pivot row is scaled to lead
+    from the free rows.  With jordan each pivot row is scaled to lead
     with 1 and clears its column from every other row, so a pivot row read
     at the non-pivot columns is the row of the reduced echelon form there
     (entries at the pivot columns are left stale)."""
@@ -261,34 +260,44 @@ def _eliminate(tables, A: np.ndarray, jordan: bool):
     if flat.size == 0:
         return flat, pivot
     free = np.ones(nb * nrows, dtype=bool)  # rows not yet used as a pivot
+    left = nb * nrows  # free rows in the whole stack
+    top = np.arange(nb) * nrows  # the first free row of each matrix
     for c in range(ncols):
         nonzero = flat[:, c] != 0
-        live = nonzero & free
-        by_matrix = live.reshape(nb, nrows)
+        by_matrix = (nonzero & free).reshape(nb, nrows)
         hit = np.nonzero(by_matrix.any(axis=1))[0]
         if hit.size == 0:
             continue
+        # swap each pivot row up to the first free row of its matrix
         src = hit * nrows + by_matrix[hit].argmax(axis=1)
-        pivot[hit, c] = src
-        free[src] = False
+        dst = top[hit]
+        swap, back = np.r_[src, dst], np.r_[dst, src]
+        flat[swap], nonzero[swap] = flat[back], nonzero[back]
+        free[dst] = False
+        left -= hit.size
+        top[hit] += 1
+        pivot[hit, c] = dst
         if jordan:
-            flat[src, c:] = _vmul(tables, tables.inv[flat[src, c]][:, None],
-                                  flat[src, c:])
-            nonzero[src] = False
+            flat[dst, c:] = _vmul(tables, tables.inv[flat[dst, c]][:, None],
+                                  flat[dst, c:])
+            nonzero[dst] = False
             rows = np.nonzero(nonzero)[0]
             rows = rows[pivot[rows // nrows, c] >= 0]  # matrices with a pivot
         else:
-            live[src] = False
-            rows = np.nonzero(live)[0]
+            rows = np.nonzero(nonzero & free)[0]
         if rows.size:
             # columns up to c are done; only later columns are updated
-            piv = pivot[rows // nrows, c]
+            slot = np.searchsorted(hit, rows // nrows)  # the matrix's pivot
             f = tables.neg[flat[rows, c]]
             if not jordan:
-                f = _vmul(tables, f, tables.inv[flat[piv, c]])
-            flat[rows, c + 1:] = _vadd(
-                tables, flat[rows, c + 1:],
-                _vmul(tables, f[:, None], flat[piv, c + 1:]))
+                f = _vmul(tables, f, tables.inv[flat[dst[slot], c]])
+            P = flat[dst, c + 1:]
+            if hit.size > 1:  # else one pivot row, broadcast to every row
+                P = P[slot]
+            flat[rows, c + 1:] = _vadd(tables, flat[rows, c + 1:],
+                                       _vmul(tables, f[:, None], P))
+        if not left:
+            break  # every row holds a pivot: no later column has one
     return flat, pivot
 
 
@@ -327,34 +336,37 @@ def _batch_kernel(tables, A: np.ndarray):
         yield nu, idx, basis
 
 
-def _rref_numpy(field: FieldSpec, rows: list[list[int]]):
-    tables = _numpy_field_tables(field)
-    M = np.array(rows, dtype=np.int32)
-    nrows, ncols = M.shape
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        nz = np.nonzero(M[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            M[[r, i]] = M[[i, r]]
-        pv = int(M[r, c])
-        if pv != 1:
-            M[r] = _vmul(tables, tables.inv[pv], M[r])
-        factors = tables.neg[M[:, c]]
-        factors[r] = 0
-        rows_hit = np.nonzero(factors)[0]
-        if rows_hit.size:
-            # pivot row is zero left of c, so earlier columns are untouched
-            scaled = _vmul(tables, factors[rows_hit, None], M[r, c:][None, :])
-            M[rows_hit, c:] = _vadd(tables, M[rows_hit, c:], scaled)
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return [[int(x) for x in row] for row in M[:r]], pivots
+def _projective_span(tables: _FieldArrays, B: np.ndarray):
+    """One vector per projective class of the span of each basis B[i], for
+    a stack B of shape (m, nu, w): the combinations with coefficients
+    (0,...,0,1,c_{lead+1},...,c_{nu-1}), for every lead.  Yields blocks V
+    of shape (m, t, w), V[i] in the span of B[i], of at most
+    max(m * w, _BLOCK_CELLS) entries.  The leading coefficients are looped
+    in python; the rest are expanded by broadcasting, each row scaled as
+    it is added.  A dependent basis repeats classes and yields zeros."""
+    q = len(tables.inv)
+    m, nu, w = B.shape
+    scalars = np.arange(q, dtype=np.int32)[None, :, None]
+    for lead in range(nu):
+        split = lead + 1
+        while split < nu and m * q ** (nu - split) * w > _BLOCK_CELLS:
+            split += 1
+        for prefix in product(range(q), repeat=split - lead - 1):
+            V = B[:, lead]
+            for j, c in enumerate(prefix, lead + 1):
+                V = _vadd(tables, V, _vmul(tables, c, B[:, j]))
+            V = V[:, None]
+            for j in range(split, nu):
+                row = _vmul(tables, scalars, B[:, None, j])  # (m, q, w)
+                V = _vadd(tables, V[:, :, None], row[:, None]).reshape(
+                    m, V.shape[1] * q, w)
+            yield V
+
+
+def _lead_with_one(tables: _FieldArrays, V: np.ndarray) -> np.ndarray:
+    """The nonzero rows of V, each scaled so its first nonzero entry is 1."""
+    first = V[np.arange(len(V)), (V != 0).argmax(axis=1)]
+    return _vmul(tables, tables.inv[first][:, None], V)
 
 
 def rref(field: FieldSpec, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
@@ -364,8 +376,14 @@ def rref(field: FieldSpec, rows: list[list[int]]) -> tuple[list[list[int]], list
     if not rows:
         return [], []
     ncols = len(rows[0])
-    if len(rows) * ncols * min(len(rows), ncols) >= _RREF_NUMPY_MIN:
-        return _rref_numpy(field, rows)
+    if (len(rows) * ncols * min(len(rows), ncols) >= _RREF_NUMPY_MIN
+            and field.q <= DLOG_CAP):
+        flat, pivot = _eliminate(_numpy_field_tables(field),
+                                 np.array(rows, dtype=np.int32)[None], True)
+        pivots = np.nonzero(pivot[0] >= 0)[0]
+        red = flat[:len(pivots)]  # the pivot rows, in column order
+        red[:, pivots] = np.eye(len(pivots), dtype=np.int32)  # stale entries
+        return red.tolist(), pivots.tolist()
     pivots = []
     r = 0
     for c in range(ncols):
@@ -469,33 +487,31 @@ def _build(field: FieldSpec, n: int, rows: list[list[int]],
                       label, is_cyclic)
 
 
-def from_generator(field: FieldSpec, rows, label: str | None = None,
-                   is_cyclic: bool = False) -> LinearCode:
+def _checked_rows(field: FieldSpec, rows, who: str) -> list[list[int]]:
+    """The rows as lists; refused if there are none, if they are ragged or
+    if an entry is no element of the field."""
     rows = [list(r) for r in rows]
     if not rows:
-        raise RaggedRows("from_generator needs at least one row")
-    n = len(rows[0])
+        raise RaggedRows(f"{who} needs at least one row")
     for r in rows:
-        if len(r) != n:
+        if len(r) != len(rows[0]):
             raise RaggedRows("rows of unequal length")
         for x in r:
             field.check(x)
-    return _build(field, n, rows, label, is_cyclic)
+    return rows
+
+
+def from_generator(field: FieldSpec, rows, label: str | None = None,
+                   is_cyclic: bool = False) -> LinearCode:
+    rows = _checked_rows(field, rows, "from_generator")
+    return _build(field, len(rows[0]), rows, label, is_cyclic)
 
 
 def from_parity_check(field: FieldSpec, rows, label: str | None = None,
                       is_cyclic: bool = False) -> LinearCode:
-    rows = [list(r) for r in rows]
-    if not rows:
-        raise RaggedRows("from_parity_check needs at least one row")
+    rows = _checked_rows(field, rows, "from_parity_check")
     n = len(rows[0])
-    for r in rows:
-        if len(r) != n:
-            raise RaggedRows("rows of unequal length")
-        for x in r:
-            field.check(x)
-    basis = nullspace(field, rows, n)
-    return _build(field, n, basis, label, is_cyclic)
+    return _build(field, n, nullspace(field, rows, n), label, is_cyclic)
 
 
 def zero_code(field: FieldSpec, n: int, label: str | None = None) -> LinearCode:
@@ -642,47 +658,19 @@ class WeightDistribution:
         return self.counts[i]
 
 
-def _scaled_rows(C: LinearCode, tables: _FieldArrays) -> np.ndarray:
-    """The (k, q, n) array of every multiple c * row of the generator."""
-    G = np.array(C.gen, dtype=np.int32)
-    scalars = np.arange(C.field.q, dtype=np.int32)
-    return _vmul(tables, scalars[None, :, None], G[:, None, :])
-
-
-def _span_blocks(sc: np.ndarray, base: np.ndarray, first: int,
-                 tables: _FieldArrays, block: int):
-    """Every vector base + sum_{i >= first} c_i * row_i, in blocks of at most
-    block rows, where sc[i, c] holds c * row_i.  The leading coefficients
-    are looped in python; the rest are expanded in numpy."""
-    k, q, n = sc.shape
-    split = first
-    while q ** (k - split) > block:
-        split += 1
-    for prefix in product(range(q), repeat=split - first):
-        vec = base
-        for i, s in enumerate(prefix, first):
-            vec = _vadd(tables, vec, sc[i, s])
-        W = vec[None, :]
-        for i in range(split, k):
-            W = _vadd(tables, W[:, None, :], sc[i][None, :, :]).reshape(-1, n)
-        yield W
-
-
 def _enumerated_distribution(C: LinearCode) -> WeightDistribution:
-    """The distribution of C from its q^k words, walked in numpy blocks."""
-    if C.k == 0:
-        return WeightDistribution((1,) + (0,) * C.n)
-    n, tables = C.n, _numpy_field_tables(C.field)
-    sc = _scaled_rows(C, tables)
-    counts = np.zeros(n + 1, dtype=np.int64)
-    # a block of rows stays within both the row budget and a ~64MB budget
-    block = min(_ENUM_BLOCK, max(1024, (64 << 20) // (4 * n)))
-    for W in _span_blocks(sc, np.zeros(n, dtype=np.int32), 0, tables, block):
-        weights = np.count_nonzero(W, axis=1)
-        counts += np.bincount(weights, minlength=n + 1)
-        del W  # free the block before the next one is built
-    counts = [int(x) for x in counts]
-    if counts[0] != 1 or sum(counts) != C.field.q ** C.k:
+    """The distribution of C from its (q^k - 1)/(q - 1) projective classes,
+    walked in numpy blocks: the q - 1 nonzero multiples of a class share
+    its weight."""
+    n, q = C.n, C.field.q
+    classes = np.zeros(n + 1, dtype=np.int64)
+    G = np.array(C.gen, dtype=np.int32).reshape(1, C.k, n)
+    for V in _projective_span(_numpy_field_tables(C.field), G):
+        classes += np.bincount(np.count_nonzero(V[0], axis=1),
+                               minlength=n + 1)
+    counts = [int(x) * (q - 1) for x in classes]
+    counts[0] += 1
+    if counts[0] != 1 or sum(counts) != q ** C.k:
         raise LocalityInvariantBroken("enumeration kernel miscounted")
     return WeightDistribution(tuple(counts))
 
@@ -747,23 +735,13 @@ class LowWeightWord:
 
 def _words_by_enumeration(C: LinearCode, w: int,
                           tables: _FieldArrays) -> list[LowWeightWord]:
-    """Weight-w words of C by walking the projective classes of the code
-    in table-driven numpy blocks."""
-    n = C.n
-    sc = _scaled_rows(C, tables)
-    block = max(1, min(_SCAN_BLOCK, _BLOCK_CELLS // n))
+    """Weight-w words of C, one per projective class of the code."""
     out = []
-    for lead in range(C.k):
-        # coefficient vectors (0,...,0,1,c_{lead+1},...)
-        for W in _span_blocks(sc, sc[lead, 1], lead + 1, tables, block):
-            W = W[np.count_nonzero(W, axis=1) == w]
-            if not len(W):
-                continue
-            first = W[np.arange(len(W)), (W != 0).argmax(axis=1)]
-            W = _vmul(tables, tables.inv[first][:, None], W)
-            supports = np.nonzero(W)[1].reshape(len(W), w).tolist()
-            out.extend(LowWeightWord(tuple(S), tuple(vec))
-                       for S, vec in zip(supports, W.tolist()))
+    for V in _projective_span(tables, np.array(C.gen, dtype=np.int32)[None]):
+        W = _lead_with_one(tables, V[0][np.count_nonzero(V[0], axis=1) == w])
+        supports = np.nonzero(W)[1].reshape(len(W), w).tolist()
+        out.extend(LowWeightWord(tuple(S), tuple(vec))
+                   for S, vec in zip(supports, W.tolist()))
     return out
 
 
@@ -807,35 +785,11 @@ def _deficient_blocks(C: LinearCode, w: int, use_gen_route: bool,
             yield S[hit], K, nullity[hit]
 
 
-def _full_support_words(tables: _FieldArrays, B: np.ndarray):
-    """The words with no zero entry in the span of each basis B[i] (B has
-    shape (m, nu, w)), one per projective class, scaled so the first entry
-    is 1.  Yields (i, words): words[j] lies in the span of B[i[j]].  The
-    coefficient vectors (0,...,0,1,c_{lead+1},...) are expanded in numpy
-    blocks of at most max(m * w, _BLOCK_CELLS) entries."""
-    q = len(tables.inv)
-    m, nu, w = B.shape
-    for lead in range(nu):
-        tails = q ** (nu - lead - 1)
-        size = max(1, min(tails, _BLOCK_CELLS // max(1, m * w)))
-        for t0 in range(0, tails, size):
-            t = np.arange(t0, min(tails, t0 + size))
-            V = np.broadcast_to(B[:, None, lead], (m, len(t), w))
-            for j in range(lead + 1, nu):
-                c = t // q ** (nu - 1 - j) % q  # base-q digits of t
-                V = _vadd(tables, V, _vmul(tables, c[None, :, None],
-                                           B[:, None, j]))
-            i, s = np.nonzero((V != 0).all(axis=2))
-            if i.size:
-                V = V[i, s]
-                yield i, _vmul(tables, tables.inv[V[:, 0]][:, None], V)
-
-
 def _words_by_kernels(C: LinearCode, w: int, use_gen_route: bool, budget: int,
                       tables: _FieldArrays) -> list[LowWeightWord]:
     """The support scan with table-driven numpy: the kernel bases of all
     rank-deficient subsets of a block come from one _batch_kernel pass, and
-    their full-support combinations from _full_support_words."""
+    the words on S are the classes of their spans with no zero entry."""
     q, n = C.field.q, C.n
     G = np.array(C.gen, dtype=np.int32)
     spent = 0
@@ -855,10 +809,12 @@ def _words_by_kernels(C: LinearCode, w: int, use_gen_route: bool, budget: int,
                     words = _vadd(tables, words, _vmul(
                         tables, basis[:, :, r, None], GS[:, None, r]))
                 basis = words
-            for i, vecs in _full_support_words(tables, basis):
+            for V in _projective_span(tables, basis):
+                i, t = np.nonzero((V != 0).all(axis=2))
                 supports = S_nu[i]
                 full = np.zeros((len(i), n), dtype=np.int32)
-                full[np.arange(len(i))[:, None], supports] = vecs
+                full[np.arange(len(i))[:, None], supports] = _lead_with_one(
+                    tables, V[i, t])
                 out.extend(LowWeightWord(tuple(s), tuple(v)) for s, v in
                            zip(supports.tolist(), full.tolist()))
     return out

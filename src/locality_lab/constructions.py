@@ -26,7 +26,6 @@ from .code_core import (
     from_parity_check,
     minimum_distance,
     plan,
-    rref,
     weight_distribution,
 )
 from .errors import (
@@ -356,21 +355,13 @@ def tits_ovoid(q: int) -> PointSet:
 
 
 def is_ovoid(ps: PointSet, caps: Caps | None = None) -> bool:
-    """Exhaustive check: q^2 + 1 points, no three on a common line."""
-    caps = caps if caps is not None else Caps.from_env()
-    field, pts = ps.field, ps.points
-    n = len(pts)
-    if ps.dim != 3 or n != field.q ** 2 + 1:
+    """q^2 + 1 points of PG(3, q), no three on a common line: the code with
+    the points as parity-check columns has no word of weight <= 3."""
+    field = ps.field
+    if ps.dim != 3 or len(ps) != field.q ** 2 + 1:
         return False
-    if math.comb(n, 3) > caps.search:
-        raise SearchTooLarge(f"triple scan over {n} points exceeds search cap")
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                _, piv = rref(field, [list(pts[i]), list(pts[j]), list(pts[k])])
-                if len(piv) < 3:
-                    return False
-    return True
+    H = [[pt[i] for pt in ps.points] for i in range(4)]
+    return minimum_distance(from_parity_check(field, H), caps) >= 4
 
 
 def ovoid_code(ps: PointSet) -> LinearCode:

@@ -2,21 +2,55 @@
 
 Each function redoes one kernel entry point one field operation at a time
 through the FieldSpec methods, on the route code_core.plan gives the kernel
-it checks and with the same budget accounting.  tests/test_kernels.py
-compares the two.  Not a test module: pytest does not collect it.
+it checks and with the same budget accounting.  rref and nullspace are the
+scalar loops of code_core.rref and code_core.nullspace, kept here at every
+size: code_core hands matrices from _RREF_NUMPY_MIN on to its numpy
+kernel.  tests/test_kernels.py compares the two.  Not a test module:
+pytest does not collect it.
 """
 
 from itertools import combinations, product
 
-from locality_lab.code_core import (
-    Caps,
-    LowWeightWord,
-    dual,
-    nullspace,
-    plan,
-    rref,
-)
+from locality_lab.code_core import Caps, LowWeightWord, dual, plan
 from locality_lab.errors import SearchTooLarge
+
+
+def rref(field, rows):
+    """Reduced row echelon form; returns (rows, pivot columns), zero rows
+    dropped."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = field.inv(rows[r][c])
+        rows[r] = [field.mul(x, inv) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [field.sub(x, field.mul(f, y))
+                           for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def nullspace(field, rows, ncols):
+    """Basis of {v : M v = 0} for the matrix with the given rows."""
+    red, pivots = rref(field, rows)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[f] = 1
+        for i, pc in enumerate(pivots):
+            v[pc] = field.neg(red[i][f])
+        basis.append(v)
+    return basis
 
 
 def projective_reps(field, basis):

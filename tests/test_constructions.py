@@ -4,8 +4,10 @@ enumerators, geometric validators, and the catalog of oval polynomials."""
 import math
 import random
 import warnings
+from itertools import combinations
 
 import pytest
+import scalar_reference as ref
 
 from locality_lab.code_core import (
     Caps,
@@ -289,14 +291,39 @@ def test_tits_ovoid():
         tits_ovoid(7)
 
 
+def broken_quadric():
+    """elliptic_quadric(4) with three points made collinear: the last
+    affine point is replaced by the sum of the first two."""
+    field = field_for_q(4)
+    pts = list(elliptic_quadric(4).points)
+    bad = tuple(field.add(x, y) for x, y in zip(pts[1], pts[2]))
+    return PointSet(field, 3, tuple(pts[:-1] + [bad]))
+
+
+def triple_scan_is_ovoid(ps):
+    """The definition, one scalar elimination per triple: q^2 + 1 points
+    of PG(3, q), every three of them independent."""
+    if ps.dim != 3 or len(ps) != ps.field.q ** 2 + 1:
+        return False
+    return all(len(ref.rref(ps.field, list(triple))[1]) == 3
+               for triple in combinations(ps.points, 3))
+
+
+def test_is_ovoid_matches_the_triple_scan():
+    sets = [elliptic_quadric(q) for q in (3, 4, 5)] + [broken_quadric()]
+    verdicts = [is_ovoid(ps) for ps in sets]
+    assert verdicts == [triple_scan_is_ovoid(ps) for ps in sets]
+    assert verdicts == [True, True, True, False]
+
+
+def test_elliptic_quadric_16_is_an_ovoid():
+    assert is_ovoid(elliptic_quadric(16))  # 257 points, 2.8M triples
+
+
 def test_broken_point_set_is_rejected():
     field = field_for_q(4)
     pts = list(elliptic_quadric(4).points)
-    # make three points collinear: replace the last affine point with a
-    # combination of the first two
-    a, b = pts[1], pts[2]
-    bad = tuple(field.add(x, y) for x, y in zip(a, b))
-    broken = PointSet(field, 3, tuple(pts[:-1] + [bad]))
+    broken = broken_quadric()
     assert not is_ovoid(broken)
     with pytest.raises(NotAnOvoid):
         ovoid_code(broken)

@@ -14,20 +14,23 @@ from locality_lab.code_core import (
     LinearCode,
     _batch_kernel,
     _batch_rank,
-    _full_support_words,
+    _enumerated_distribution,
+    _lead_with_one,
     _numpy_field_tables,
-    _rref_numpy,
+    _projective_span,
+    _words_by_enumeration,
+    _words_by_kernels,
     dual,
     exact_weight_words,
     from_generator,
     from_parity_check,
     in_dual,
-    nullspace,
     plan,
     rref,
     weight_distribution,
 )
-from locality_lab.errors import FieldTooLarge, SearchTooLarge
+from locality_lab.errors import (FieldTooLarge, LocalityInvariantBroken,
+                                 SearchTooLarge)
 from locality_lab.gf import field_new
 
 FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 9: (3, 2), 16: (2, 4)}
@@ -51,7 +54,7 @@ def matmul(F, L, R, inner):
 
 
 def scalar_rank(F, matrix):
-    return len(rref(F, matrix)[1])
+    return len(ref.rref(F, matrix)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +119,7 @@ def check_batch_kernel(q, stack, shape):
         for i, b in zip(idx.tolist(), basis.tolist()):
             got[i] = b
     # the reduced echelon form is unique, so the bases agree row for row
-    assert got == [nullspace(F, m, shape[2]) for m in stack]
+    assert got == [ref.nullspace(F, m, shape[2]) for m in stack]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -169,9 +172,13 @@ def test_full_support_words_match_projective_reps(case):
             if all(vec):
                 inv = F.inv(vec[0])
                 want.append((i, tuple(F.mul(inv, x) for x in vec)))
+    tables = _numpy_field_tables(F)
     got = []
-    for i, vecs in _full_support_words(
-            _numpy_field_tables(F), np.array(B, dtype=np.int32).reshape(shape)):
+    for V in _projective_span(tables,
+                              np.array(B, dtype=np.int32).reshape(shape)):
+        assert V.shape[::2] == shape[::2]
+        i, t = np.nonzero((V != 0).all(axis=2))
+        vecs = _lead_with_one(tables, V[i, t])
         got.extend(zip(i.tolist(), map(tuple, vecs.tolist())))
     assert sorted(got) == sorted(want)
 
@@ -345,21 +352,46 @@ def test_fields_above_the_cap_are_refused():
     F = field_new(2, 17)
     with pytest.raises(FieldTooLarge):
         _numpy_field_tables(F)
-    C = from_generator(F, [[1, 2, 3]])  # small eliminations stay scalar
+    C = from_generator(F, [[1, 2, 3]])  # eliminations stay scalar
     with pytest.raises(FieldTooLarge):
         exact_weight_words(C, 3)
+    rng = random.Random(17)
+    M = [[rng.randrange(F.q) for _ in range(32)] for _ in range(16)]
+    assert rref_cost(16, 32) >= code_core._RREF_NUMPY_MIN
+    assert rref(F, M) == ref.rref(F, M)  # at every size
 
 
 # ---------------------------------------------------------------------------
-# the single-matrix numpy elimination against scalar rref
+# the single-matrix elimination against the scalar loop
 
-@pytest.mark.parametrize("q, nrows, ncols, rank_cap", [
+# (q, rows, cols, rank bound or None for a uniform random matrix), on both
+# sides of _RREF_NUMPY_MIN
+RREF_CASES = [
     (2, 104, 110, None),
     (3, 110, 104, 60),
     (4, 103, 103, None),
-])
-def test_rref_numpy_matches_scalar(monkeypatch, q, nrows, ncols, rank_cap):
-    assert nrows * ncols * min(nrows, ncols) >= code_core._RREF_NUMPY_MIN
+    (16, 30, 40, 12),
+    (9, 24, 24, None),
+    (5, 20, 20, None),
+    (9, 12, 40, 4),
+    (16, 16, 31, 7),
+    (3, 1, 50, None),
+]
+
+
+def rref_cost(nrows, ncols):
+    return nrows * ncols * min(nrows, ncols)
+
+
+def test_rref_cases_straddle_the_numpy_threshold():
+    for deficient in (False, True):
+        costs = [rref_cost(r, c) for _, r, c, cap in RREF_CASES
+                 if (cap is not None) == deficient]
+        assert min(costs) < code_core._RREF_NUMPY_MIN <= max(costs)
+
+
+@pytest.mark.parametrize("q, nrows, ncols, rank_cap", RREF_CASES)
+def test_rref_numpy_matches_scalar(q, nrows, ncols, rank_cap):
     F = field(q)
     rng = random.Random(q)
     if rank_cap is None:
@@ -368,7 +400,50 @@ def test_rref_numpy_matches_scalar(monkeypatch, q, nrows, ncols, rank_cap):
         L = [[rng.randrange(q) for _ in range(rank_cap)] for _ in range(nrows)]
         R = [[rng.randrange(q) for _ in range(ncols)] for _ in range(rank_cap)]
         M = matmul(F, L, R, rank_cap)
-    fast = _rref_numpy(F, M)
-    assert rref(F, M) == fast
-    monkeypatch.setattr(code_core, "_RREF_NUMPY_MIN", math.inf)
-    assert rref(F, M) == fast
+    red, pivots = rref(F, M)
+    assert (red, pivots) == ref.rref(F, M)
+    if rank_cap is not None:
+        assert len(pivots) <= rank_cap < min(nrows, ncols)
+
+
+# ---------------------------------------------------------------------------
+# the block split of the projective enumeration
+
+def all_words(C, tables):
+    """Every weight's words on the enumeration route and on the scan route
+    plan picks for an existence test, sorted."""
+    out = []
+    for w in range(1, C.n + 1):
+        scan = plan(C.n, C.k, C.field.q, "exists", code_core.Caps(), w)
+        for words in (_words_by_enumeration(C, w, tables),
+                      _words_by_kernels(C, w, scan.route == "generator",
+                                        1 << 24, tables)):
+            out.append(sorted(words, key=lambda lw: (lw.support, lw.word)))
+    return out
+
+
+@pytest.mark.parametrize("cells", [8, 64])
+def test_block_budget_does_not_change_results(monkeypatch, cells):
+    roster = code_roster()
+    tables = [_numpy_field_tables(C.field) for C in roster]
+    want = [(_enumerated_distribution(C), all_words(C, t))
+            for C, t in zip(roster, tables)]
+    monkeypatch.setattr(code_core, "_BLOCK_CELLS", cells)
+    got = [(_enumerated_distribution(C), all_words(C, t))
+           for C, t in zip(roster, tables)]
+    assert got == want
+
+
+def test_a_dropped_block_breaks_the_distribution(monkeypatch):
+    C = code_roster()[0]
+    span = code_core._projective_span
+
+    def drop_last(tables, B):
+        blocks = list(span(tables, B))
+        assert len(blocks) > 1
+        yield from blocks[:-1]
+
+    monkeypatch.setattr(code_core, "_BLOCK_CELLS", 64)
+    monkeypatch.setattr(code_core, "_projective_span", drop_last)
+    with pytest.raises(LocalityInvariantBroken, match="miscounted"):
+        _enumerated_distribution(C)
