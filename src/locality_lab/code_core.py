@@ -2,7 +2,11 @@
 derived codes, weight distributions, and low-weight codeword search.
 
 A LinearCode stores its generator matrix in reduced row echelon form, so
-set-equality of codes is entrywise equality of matrices.
+set-equality of codes is entrywise equality of matrices.  dual reads the
+dual's reduced form off one elimination of the k-row generator with its
+columns reversed, and caches each code as the other's dual; a code given
+by a parity check is the dual of the code the check generates, and a
+shortening is the dual of the dual's puncturing.
 
 One planner, plan, chooses every route and prices it in the units the caps
 count.  Work beyond a cap raises the cap's error before it starts; nothing
@@ -509,9 +513,13 @@ def from_generator(field: FieldSpec, rows, label: str | None = None,
 
 def from_parity_check(field: FieldSpec, rows, label: str | None = None,
                       is_cyclic: bool = False) -> LinearCode:
+    """The code with the given parity-check rows: the dual of the code
+    they generate, which stays cached as the other's dual."""
     rows = _checked_rows(field, rows, "from_parity_check")
-    n = len(rows[0])
-    return _build(field, n, nullspace(field, rows, n), label, is_cyclic)
+    C = dual(_build(field, len(rows[0]), rows, None, is_cyclic))
+    if label:
+        C.label, C._dual.label = label, f"dual({label})"
+    return C
 
 
 def zero_code(field: FieldSpec, n: int, label: str | None = None) -> LinearCode:
@@ -519,21 +527,30 @@ def zero_code(field: FieldSpec, n: int, label: str | None = None) -> LinearCode:
 
 
 def dual(C: LinearCode) -> LinearCode:
+    """The dual code, built once and cached on both codes.
+
+    Reducing the generator with its columns reversed gives the last
+    information set P of C, greedy from the right, and a basis R of C with
+    the identity on P.  Its complement is the first information set of the
+    dual, greedy from the left, so those columns are the dual's pivots; the
+    dual's row at such a column f is e_f minus column f of R placed at P,
+    the one vector orthogonal to R with that pattern off P."""
     if C._dual is not None:
         return C._dual
-    F = C.field
-    if C.k == 0:
-        rows = [[1 if j == i else 0 for j in range(C.n)] for i in range(C.n)]
-        D = _build(F, C.n, rows, None, C.is_cyclic)
-    else:
-        basis = nullspace(F, [list(r) for r in C.gen], C.n)
-        if basis:
-            D = _build(F, C.n, basis, None, C.is_cyclic)
-        else:
-            D = zero_code(F, C.n)
-            D.is_cyclic = C.is_cyclic
-    if C.label:
-        D.label = f"dual({C.label})"
+    F, n = C.field, C.n
+    red, rev = rref(F, [row[::-1] for row in C.gen])
+    P = [n - 1 - c for c in rev]
+    R = [[F.neg(x) for x in row[::-1]] for row in red]
+    free = sorted(set(range(n)).difference(P))
+    rows = []
+    for f in free:
+        row = [0] * n
+        row[f] = 1
+        for p, r in zip(P, R):
+            row[p] = r[f]
+        rows.append(tuple(row))
+    D = LinearCode(F, n, tuple(rows), tuple(free),
+                   f"dual({C.label})" if C.label else None, C.is_cyclic)
     C._dual = D
     D._dual = C
     return D
@@ -552,33 +569,16 @@ def puncture(C: LinearCode, T) -> LinearCode:
     if not T:
         return C
     keep = [j for j in range(C.n) if j not in set(T)]
-    if C.k == 0:
-        return zero_code(C.field, len(keep))
     rows = [[r[j] for j in keep] for r in C.gen]
     return _build(C.field, len(keep), rows, None)
 
 
 def shorten(C: LinearCode, T) -> LinearCode:
-    T = _check_coords(C, T)
-    if not T:
+    """The words of C that vanish on T, with T removed: the dual of the
+    dual punctured on T."""
+    if not _check_coords(C, T):
         return C
-    keep = [j for j in range(C.n) if j not in set(T)]
-    if C.k == 0:
-        return zero_code(C.field, len(keep))
-    # messages whose codeword vanishes on T
-    constraint_rows = [[C.gen[r][t] for r in range(C.k)] for t in T]
-    U = nullspace(C.field, constraint_rows, C.k)
-    if not U:
-        return zero_code(C.field, len(keep))
-    F = C.field
-    rows = []
-    for u in U:
-        word = [0] * C.n
-        for coeff, grow in zip(u, C.gen):
-            if coeff:
-                word = [F.add(w, F.mul(coeff, g)) for w, g in zip(word, grow)]
-        rows.append([word[j] for j in keep])
-    return _build(F, len(keep), rows, None)
+    return dual(puncture(dual(C), T))
 
 
 def extend(C: LinearCode) -> LinearCode:

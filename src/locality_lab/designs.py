@@ -47,15 +47,9 @@ def support_blocks(C: LinearCode, w: int,
                    caps: Caps | None = None) -> DesignReport:
     """Distinct supports of the weight-w codewords, as a design skeleton
     (no t-design verification yet)."""
-    words = exact_weight_words(C, w, caps)
-    seen: set[tuple[int, ...]] = set()
-    blocks = []
-    for lw in words:
-        if lw.support not in seen:
-            seen.add(lw.support)
-            blocks.append(lw.support)
-    blocks.sort()
-    return DesignReport(n=C.n, block_size=w, blocks=tuple(blocks),
+    words = exact_weight_words(C, w, caps)  # sorted by support
+    blocks = tuple(dict.fromkeys(lw.support for lw in words))
+    return DesignReport(n=C.n, block_size=w, blocks=blocks,
                         t_lambda={}, is_steiner=False)
 
 

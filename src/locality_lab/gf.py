@@ -271,27 +271,14 @@ class FieldSpec:
             return a ^ b
         if self._add is not None:
             return self._add[a][b]
-        p = self.p
-        out, shift = 0, 1
-        while a or b:
-            out += ((a % p + b % p) % p) * shift
-            a //= p
-            b //= p
-            shift *= p
-        return out
+        return self._digitwise(a, b, int.__add__)
 
     def neg(self, a: int) -> int:
         if self.p == 2:
             return a
         if self._neg is not None:
             return self._neg[a]
-        p = self.p
-        out, shift = 0, 1
-        while a:
-            out += (-a % p) * shift
-            a //= p
-            shift *= p
-        return out
+        return self._digitwise(0, a, int.__sub__)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))

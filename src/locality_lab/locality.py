@@ -82,13 +82,12 @@ class LocalityReport:
         }
 
 
-def is_nontrivial(C: LinearCode, caps: Caps | None = None) -> bool:
-    """True iff both the code and its dual have minimum distance >= 2."""
-    if C.k == 0 or C.k == C.n:
-        return False
-    if exact_weight_words(C, 1, caps):
-        return False
-    return not exact_weight_words(dual(C), 1, caps)
+def is_nontrivial(C: LinearCode) -> bool:
+    """True iff both the code and its dual have minimum distance >= 2.  A
+    code holds e_j exactly when column j of its dual's generator is zero,
+    so neither generator may have a zero column."""
+    return 0 < C.k < C.n and all(
+        any(col) for G in (C.gen, dual(C).gen) for col in zip(*G))
 
 
 def minimum_linear_locality(C: LinearCode,
@@ -99,7 +98,7 @@ def minimum_linear_locality(C: LinearCode,
     Scans dual weights upward from d(dual); the words found at each weight
     are accumulated until their supports cover every coordinate.
     """
-    if not is_nontrivial(C, caps):
+    if not is_nontrivial(C):
         raise TrivialCode(
             "locality is defined for codes with d >= 2 and dual distance >= 2")
     D = dual(C)
@@ -121,7 +120,7 @@ def minimum_linear_locality(C: LinearCode,
             options[j] = []
         covered.update(fresh)
         coverage[w] = tuple(fresh)
-        for support in _distinct_supports(words):
+        for support in dict.fromkeys(lw.support for lw in words):
             for j in support:
                 if first_weight.get(j) == w:
                     options[j].append(support)
@@ -144,16 +143,6 @@ def minimum_linear_locality(C: LinearCode,
         coverage_by_weight=coverage,
         repair_options=tuple(tuple(sorted(options[i])) for i in range(n)),
     )
-
-
-def _distinct_supports(words: list[LowWeightWord]) -> list[tuple[int, ...]]:
-    seen: set[tuple[int, ...]] = set()
-    out = []
-    for lw in words:
-        if lw.support not in seen:
-            seen.add(lw.support)
-            out.append(lw.support)
-    return out
 
 
 def repair_coefficients(C: LinearCode, i: int,

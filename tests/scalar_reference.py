@@ -5,13 +5,14 @@ through the FieldSpec methods, on the route code_core.plan gives the kernel
 it checks and with the same budget accounting.  rref and nullspace are the
 scalar loops of code_core.rref and code_core.nullspace, kept here at every
 size: code_core hands matrices from _RREF_NUMPY_MIN on to its numpy
-kernel.  tests/test_kernels.py compares the two.  Not a test module:
-pytest does not collect it.
+kernel.  dual and shorten are the nullspace constructions that
+code_core.dual and code_core.shorten replaced.  tests/test_kernels.py
+compares the two.  Not a test module: pytest does not collect it.
 """
 
 from itertools import combinations, product
 
-from locality_lab.code_core import Caps, LowWeightWord, dual, plan
+from locality_lab.code_core import Caps, LowWeightWord, plan
 from locality_lab.errors import SearchTooLarge
 
 
@@ -51,6 +52,29 @@ def nullspace(field, rows, ncols):
             v[pc] = field.neg(red[i][f])
         basis.append(v)
     return basis
+
+
+def dual(field, rows, ncols):
+    """The reduced form (rows, pivot columns) of the code whose parity
+    check has the given rows: the nullspace of the rows, reduced again."""
+    return rref(field, nullspace(field, rows, ncols))
+
+
+def shorten(field, rows, ncols, T):
+    """The reduced form (rows, pivot columns) of the code generated by the
+    rows, shortened on T: the messages whose codeword vanishes on T, their
+    codewords with T removed."""
+    keep = [j for j in range(ncols) if j not in set(T)]
+    words = []
+    for u in nullspace(field, [[row[t] for row in rows] for t in T],
+                       len(rows)):
+        word = [0] * ncols
+        for coeff, grow in zip(u, rows):
+            if coeff:
+                word = [field.add(w, field.mul(coeff, g))
+                        for w, g in zip(word, grow)]
+        words.append([word[j] for j in keep])
+    return rref(field, words)
 
 
 def projective_reps(field, basis):
@@ -104,7 +128,7 @@ def deficient_subsets(C, w, use_gen_route):
     """The w-subsets S, in lexicographic order, that hold the support of
     some nonzero codeword: one scalar elimination per subset."""
     F, n, k = C.field, C.n, C.k
-    M = C.gen if use_gen_route else dual(C).gen
+    M = C.gen if use_gen_route else dual(F, C.gen, n)[0]
     full_rank = k if use_gen_route else w
     for S in combinations(range(n), w):
         cols = [j for j in range(n) if j not in S] if use_gen_route else S
@@ -131,7 +155,7 @@ def words_by_enumeration(C, w):
 def words_by_scan(C, w, use_gen_route, budget):
     """The support scan, one nullspace per rank-deficient subset."""
     F, n, k = C.field, C.n, C.k
-    H = None if use_gen_route else dual(C).gen
+    H = None if use_gen_route else dual(F, C.gen, n)[0]
     G = C.gen
     spent = 0
     out = []

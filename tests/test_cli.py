@@ -5,6 +5,7 @@ captured output plus the exit code, matching how the console script runs.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -47,6 +48,20 @@ def test_construct_long_hamming_through_macwilliams(capsys, monkeypatch):
     rc, out, _ = run(capsys, "construct", "hamming", "q=2", "m=9")
     assert rc == 0
     assert "[511, 502, 3]" in out
+
+
+def test_analyze_long_ovoid_dual(capsys, monkeypatch):
+    # each of the q^3 + q planes that meet the ovoid in an oval holds
+    # C(q + 1, 4) 4-subsets of it, each carrying one projective class
+    monkeypatch.delenv(CAPS_ENV_VAR, raising=False)
+    rc, out, _ = run(capsys, "analyze", "ovoid-elliptic", "q=32", "--dual")
+    assert rc == 2  # locality is skipped
+    assert "[1025, 1021, 4]" in out
+    assert f"locality: {SKIPPED}" in out
+    q = 32
+    a4 = (q ** 3 + q) * math.comb(q + 1, 4) * (q - 1)
+    assert a4 == 41_607_456_000
+    assert f"weight_distribution: 0:1 4:{a4} " in out
 
 
 def test_failed_self_check_exits_1(capsys, monkeypatch):

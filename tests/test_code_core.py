@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from locality_lab import code_core
 from locality_lab.code_core import (
     Caps,
     LinearCode,
@@ -42,7 +43,9 @@ from locality_lab.errors import (
     SearchTooLarge,
     ZeroCode,
 )
-from locality_lab.constructions import hamming, hamming_weight_distribution_formula
+from locality_lab.constructions import (elliptic_quadric, hamming,
+                                        hamming_weight_distribution_formula,
+                                        ovoid_code)
 from locality_lab.gf import field_new, quadratic_extension
 
 F2 = field_new(2, 1)
@@ -149,6 +152,21 @@ def test_dual_of_zero_and_full():
     assert dual(z) == full
     with pytest.raises(ZeroCode):
         minimum_distance(z)
+
+
+def test_dual_eliminates_only_the_generator(monkeypatch):
+    # the dual of the [1025, 4] ovoid code is read off one elimination of
+    # the 4-row generator, not of a 1021-row nullspace basis
+    rows = []
+
+    def recording_rref(field, matrix):
+        rows.append(len(matrix))
+        return rref(field, matrix)
+
+    monkeypatch.setattr(code_core, "rref", recording_rref)
+    D = dual(ovoid_code(elliptic_quadric(32)))
+    assert (D.n, D.k) == (1025, 1021)
+    assert rows and set(rows) == {4}
 
 
 def test_puncture_shorten_duality_identities():

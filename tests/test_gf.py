@@ -1,6 +1,7 @@
 """Field arithmetic, polynomials, towers, cosets, minimal polynomials."""
 
 import math
+import random
 from functools import reduce
 
 import pytest
@@ -87,6 +88,24 @@ def test_field_axioms_exhaustive():
                     assert F.add(ab, c) == F.add(a, F.add(b, c))
                     assert F.mul(m_ab, c) == F.mul(a, F.mul(b, c))
                     assert F.mul(F.add(a, b), c) == F.add(F.mul(a, c), F.mul(b, c))
+
+
+@pytest.mark.parametrize("p, m", [(3, 7), (5, 4), (7, 4), (521, 1)])
+def test_untabulated_add_and_neg_are_digitwise(p, m):
+    # fields above ADD_TABLE_CAP add and negate base-p digit by digit
+    F = gf.field_new(p, m)
+    assert F.q > gf.ADD_TABLE_CAP and F._add is None and F._neg is None
+    rng = random.Random(F.q)
+
+    def digits(v):
+        return [v // p ** i % p for i in range(m)]
+
+    for _ in range(300):
+        a, b = rng.randrange(F.q), rng.randrange(F.q)
+        assert digits(F.add(a, b)) == [
+            (x + y) % p for x, y in zip(digits(a), digits(b))]
+        assert digits(F.neg(a)) == [-x % p for x in digits(a)]
+        assert F.add(a, F.neg(a)) == 0 and F.sub(a, b) == F.add(a, F.neg(b))
 
 
 def test_frobenius_is_additive():

@@ -3,6 +3,7 @@ its scalar reference in scalar_reference.py."""
 
 import math
 import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -27,7 +28,9 @@ from locality_lab.code_core import (
     in_dual,
     plan,
     rref,
+    shorten,
     weight_distribution,
+    zero_code,
 )
 from locality_lab.errors import (FieldTooLarge, LocalityInvariantBroken,
                                  SearchTooLarge)
@@ -447,3 +450,87 @@ def test_a_dropped_block_breaks_the_distribution(monkeypatch):
     monkeypatch.setattr(code_core, "_projective_span", drop_last)
     with pytest.raises(LocalityInvariantBroken, match="miscounted"):
         _enumerated_distribution(C)
+
+
+# ---------------------------------------------------------------------------
+# duals and shortenings against the nullspace constructions they replaced
+
+# (q, n, k): k = 0 and k = n among them; the eliminations of the dual
+# construction, k * n * min(k, n), on both sides of _RREF_NUMPY_MIN
+DUAL_CASES = [(2, 7, 0), (3, 6, 6), (4, 9, 3), (5, 12, 7), (9, 10, 5),
+              (16, 8, 4), (8, 11, 10), (2, 48, 20), (3, 40, 24),
+              (16, 36, 18), (9, 30, 30), (4, 36, 33)]
+
+
+def generator_rows(q, n, k, seed):
+    """k rows of length n of rank k: [I | A] with random A, its columns
+    shuffled.  When n >= k + 2, one column is zero and one repeats
+    another, so that the dual holds words of weight 1 and 2."""
+    rng = random.Random(seed)
+    rows = [[int(i == j) for j in range(k)]
+            + [rng.randrange(q) for _ in range(n - k)] for i in range(k)]
+    if n >= k + 2:
+        for row in rows:
+            row[k], row[k + 1] = 0, row[0]
+    order = rng.sample(range(n), n)
+    return [[row[j] for j in order] for row in rows]
+
+
+def case_code(q, n, k, seed):
+    F = code_core.field_for_q(q)
+    rows = generator_rows(q, n, k, seed)
+    return F, rows, (from_generator(F, rows) if rows else zero_code(F, n))
+
+
+def test_dual_cases_straddle_the_numpy_threshold():
+    costs = [rref_cost(k, n) for _, n, k in DUAL_CASES if k]
+    assert min(costs) < code_core._RREF_NUMPY_MIN <= max(costs)
+    assert any(k == 0 for _, _, k in DUAL_CASES)
+    assert any(k == n for _, n, k in DUAL_CASES)
+
+
+@pytest.mark.parametrize("q, n, k", DUAL_CASES)
+def test_dual_and_parity_check_match_the_nullspace_reference(q, n, k):
+    F, rows, C = case_code(q, n, k, seed=q * n + k)
+    assert C.k == k
+    D = dual(C)
+    want = ref.dual(F, C.gen, n)
+    assert ([list(r) for r in D.gen], list(D.pivots)) == want
+    assert (D.n, D.k, D.is_cyclic) == (n, n - k, C.is_cyclic)
+    assert dual(D) is C
+    if rows:
+        H = from_parity_check(F, rows, label="h")
+        assert ([list(r) for r in H.gen], list(H.pivots)) == want
+        assert (H.label, dual(H).label, dual(H)) == ("h", "dual(h)", C)
+
+
+@pytest.mark.parametrize("q, n, k", DUAL_CASES)
+def test_shorten_matches_the_nullspace_reference(q, n, k):
+    F, _, C = case_code(q, n, k, seed=q * n + k + 1)
+    rng = random.Random(n)
+    for T in ([], [0], rng.sample(range(n), n // 3),
+              rng.sample(range(n), n - 1), range(n)):
+        S = shorten(C, T)
+        assert S.n == n - len(set(T))
+        assert ([list(r) for r in S.gen], list(S.pivots)) == ref.shorten(
+            F, C.gen, n, T), T
+
+
+def codewords(C):
+    return {C.encode(list(m)) for m in product(range(C.field.q), repeat=C.k)}
+
+
+def test_shorten_by_brute_force():
+    """The shortened code is the set of codewords that vanish on T, with T
+    removed, on codes small enough to list."""
+    rng = random.Random(41)
+    for q in (2, 3, 4, 5):
+        for _ in range(6):
+            n = rng.randint(2, 8)
+            k = rng.randint(0, min(n, 4))
+            F, _, C = case_code(q, n, k, seed=rng.randrange(1 << 30))
+            T = rng.sample(range(n), rng.randint(1, n))
+            keep = [j for j in range(n) if j not in T]
+            want = {tuple(c[j] for j in keep) for c in codewords(C)
+                    if all(c[t] == 0 for t in T)}
+            assert codewords(shorten(C, T)) == want, (q, n, k, T)

@@ -14,7 +14,9 @@ from locality_lab.code_core import (
     LinearCode,
     LowWeightWord,
     dual,
+    exact_weight_words,
     extend,
+    field_for_q,
     from_generator,
     minimum_distance,
     puncture,
@@ -88,6 +90,24 @@ def test_is_nontrivial():
     assert not is_nontrivial(from_generator(F2, [[1, 0, 0], [0, 1, 1]]))
     with pytest.raises(TrivialCode):
         minimum_linear_locality(from_generator(F3, [[1, 0], [0, 1]]))
+
+
+def test_is_nontrivial_matches_weight_one_words():
+    # sparse random generators, so that zero columns and weight-1 words
+    # turn up in the code and in its dual
+    rng = random.Random(8)
+    for q in (2, 3, 4, 5):
+        F = field_for_q(q)
+        for _ in range(40):
+            n = rng.randint(1, 7)
+            rows = [[rng.randrange(q) if rng.random() < 0.6 else 0
+                     for _ in range(n)] for _ in range(rng.randint(1, n))]
+            if not any(map(any, rows)):
+                continue
+            C = from_generator(F, rows)
+            want = (0 < C.k < C.n and not exact_weight_words(C, 1)
+                    and not exact_weight_words(dual(C), 1))
+            assert is_nontrivial(C) == want, C.gen
 
 
 # ---------------------------------------------------------------------------
