@@ -17,6 +17,7 @@ Resource ceilings come from the LOCALITY_LAB_CAPS environment variable
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -73,6 +74,76 @@ from .locality import (
 )
 
 SKIPPED = "skipped: cap"
+
+
+# ---------------------------------------------------------------------------
+# JSON output
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _key(k) -> str:
+    """A dict key as ``json.dumps`` writes it: strings as they are; bools,
+    None, ints and floats as their JSON text; anything else a TypeError."""
+    if isinstance(k, str):
+        return k
+    if k is None or isinstance(k, (int, float)):
+        return json.dumps(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {k.__class__.__name__}")
+
+
+def _dumps(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
+
+    With ``indent`` set, ``json.dumps`` always runs its pure-Python encoder
+    (the C encoder writes single-line output only), one generator step per
+    token.  An ``analyze --json`` report repeats each repair support in the
+    option list of every coordinate it covers, so that encoder dominated
+    the run.  Here each container is one ``str.join``; a list whose
+    elements are all exactly ``int`` is one more join over ``int.__repr__``
+    and, as an element of a list, is rendered once per list object and
+    depth (``kept`` holds each memoised list, so its ``id`` stays valid).
+    Floats and unsupported values go to ``json.dumps`` without indent, so
+    their text and their ``TypeError`` are its own.  ``obj`` must be
+    acyclic.
+    """
+    memo = {}  # (id(list), indent) -> text, for int lists only
+    kept = []
+
+    def enc(o, indent):
+        if isinstance(o, str):
+            return _encode_str(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if not isinstance(o, (list, tuple, dict)):
+            return json.dumps(o)
+        inner = indent + "  "
+        sep = ",\n" + inner
+        if isinstance(o, (list, tuple)):
+            if not o:
+                return "[]"
+            if set(map(type, o)) == {int}:
+                text = f"[\n{inner}{sep.join(map(int.__repr__, o))}\n{indent}]"
+                memo[id(o), indent] = text
+                kept.append(o)
+                return text
+            get = memo.get
+            body = sep.join([get((id(v), inner)) or enc(v, inner) for v in o])
+            return f"[\n{inner}{body}\n{indent}]"
+        if not o:
+            return "{}"
+        body = sep.join([f"{_encode_str(_key(k))}: {enc(v, inner)}"
+                         for k, v in sorted(o.items())])
+        return f"{{\n{inner}{body}\n{indent}}}"
+
+    return enc(obj, "")
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +370,7 @@ def cmd_analyze(args) -> int:
     bundle = _analysis_bundle(C, identity, None, args.bounds,
                               _design_args(args.designs))
     if args.json:
-        print(json.dumps(bundle, sort_keys=True, indent=2))
+        print(_dumps(bundle))
     else:
         _print_bundle(bundle, sys.stdout)
     return _bundle_exit(bundle)
@@ -336,8 +407,7 @@ def cmd_repair_sets(args) -> int:
         rows.append({"coordinate": i, "repair_set": list(support),
                      "coefficients": {str(j): u for j, u in sorted(coeffs.items())}})
     if args.json:
-        print(json.dumps({"r_min": report.r_min, "repair_sets": rows},
-                         sort_keys=True, indent=2))
+        print(_dumps({"r_min": report.r_min, "repair_sets": rows}))
     else:
         print(f"r_min = {report.r_min}")
         for row in rows:
@@ -374,7 +444,7 @@ def cmd_validate_oval(args) -> int:
         exponents = [i for i, c in enumerate(candidate.coeffs) if c]
     result = {"q": q, "f": text, "exponents": exponents, "valid": valid}
     if args.json:
-        print(json.dumps(result, sort_keys=True, indent=2))
+        print(_dumps(result))
     else:
         terms = " + ".join(f"x^{e}" for e in exponents)
         print(f"{terms} over GF({q}): "
@@ -513,7 +583,7 @@ def cmd_table(args) -> int:
         rows.append(_run_table_row(label, q, build, claimed, d_mark, k_mark,
                                    caps))
     if args.json:
-        print(json.dumps(rows, sort_keys=True, indent=2))
+        print(_dumps(rows))
     else:
         fmt = "{:<36} {:>18} {:>18} {:>10} {:>10}  {}"
         print(fmt.format("row", "claimed(n,k,d;r)", "computed", "d_opt",
@@ -549,6 +619,7 @@ def _add_code_arguments(sub, with_dual=True):
                          help="analyze the dual of the constructed code")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="locality-lab",

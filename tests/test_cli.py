@@ -10,10 +10,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from locality_lab import cli, constructions
-from locality_lab.cli import SKIPPED, _bundle_exit, main
+from locality_lab.cli import SKIPPED, _bundle_exit, _dumps, main
 from locality_lab.code_core import CAPS_ENV_VAR, load_matrix
 from locality_lab.constructions import ternary_golay
 
@@ -22,6 +24,108 @@ def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+# ---------------------------------------------------------------------------
+# JSON encoder and parser
+
+def _reference(obj):
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+_strings = st.one_of(
+    st.text(),
+    st.sampled_from(["", '"', "\\", "\n\t\r\b\f", "\x00\x1f\x7f",
+                     "caf\u00e9", "\u2028", "\ud800", "\U0001f600"]))
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=-2**130, max_value=2**130),
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    _strings)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.lists(st.integers(), max_size=5),
+        st.dictionaries(_strings, inner, max_size=5)),
+    max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_values)
+def test_dumps_matches_json_dumps(obj):
+    assert _dumps(obj) == _reference(obj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_values, st.one_of(st.lists(st.integers(), max_size=4), _values))
+def test_dumps_renders_a_shared_object_at_each_depth(obj, shared):
+    # one object at depths 1, 2 and 4, and twice at depth 3
+    nested = [shared, [shared], {"a": [shared, shared], "b": [[shared]]}, obj]
+    assert _dumps(nested) == _reference(nested)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(
+    st.dictionaries(st.integers(), st.integers(), max_size=4),
+    st.dictionaries(st.floats(allow_nan=False), st.none(), max_size=4),
+    st.dictionaries(st.booleans(), st.text(max_size=3), max_size=2)))
+def test_dumps_writes_non_string_keys_as_json_dumps(obj):
+    assert _dumps(obj) == _reference(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    [], {}, (), [[]], {"a": {}}, [True, 1], [1, True], [1, False, 0],
+    [None, -0.0, math.nan, math.inf, -math.inf], [1, 2.0], [-5, 2**100],
+    {"b": 1, "a": [1, 2], "": None}, {None: 1}, 7, "x", 1.5, None, True,
+])
+def test_dumps_edge_values(obj):
+    assert _dumps(obj) == _reference(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    np.int64(3), [1, np.int64(3)], {1, 2}, {"a": [set()]}, {(1, 2): 0},
+    {1: 0, "1": 0}, object(),
+])
+def test_dumps_rejects_what_json_dumps_rejects(obj):
+    with pytest.raises(TypeError) as ours:
+        _dumps(obj)
+    with pytest.raises(TypeError) as theirs:
+        _reference(obj)
+    assert str(ours.value) == str(theirs.value)
+
+
+@pytest.mark.parametrize("argv", [
+    "analyze ovoid-elliptic q=8 --dual --bounds --json",
+    "analyze hamming q=2 m=6 --bounds --json --designs 2:3",
+    "analyze grm q=2 ell=2 m=5 --bounds --json",
+    "repair-sets bch q=16 n=17 delta=3 --json",
+])
+def test_cli_json_is_json_dumps_output(capsys, monkeypatch, argv):
+    monkeypatch.delenv(CAPS_ENV_VAR, raising=False)
+    rc, out, _ = run(capsys, *argv.split())
+    assert rc == 0
+    assert out == _reference(json.loads(out)) + "\n"
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
+    monkeypatch.delenv(CAPS_ENV_VAR, raising=False)
+    calls = [
+        ["analyze", "bch", "q=9", "n=10", "delta=3", "--designs", "3:4",
+         "--json"],
+        ["analyze", "bch", "q=9", "n=10", "delta=3", "--json"],
+        ["table", "1", "--json"],
+    ]
+    cli.build_parser.cache_clear()
+    shared = [run(capsys, *argv) for argv in calls]
+    assert cli.build_parser.cache_info().misses == 1
+    assert cli.build_parser() is cli.build_parser()
+    assert "designs" in json.loads(shared[0][1])
+    assert "designs" not in json.loads(shared[1][1])
+    for argv, (rc, out, err) in zip(calls, shared):
+        cli.build_parser.cache_clear()
+        assert run(capsys, *argv) == (rc, out, err)
 
 
 # ---------------------------------------------------------------------------

@@ -479,3 +479,16 @@ def test_locality_report_json():
     assert js["r_min"] == 2 and js["is_dperp_minus_1"] is True
     assert set(js["coverage_by_weight"]) == {"3"}
     assert len(js["repair_options"]) == 13
+
+
+def test_locality_report_json_shares_one_list_per_support():
+    # the [65, 61] dual of the q = 8 elliptic-quadric ovoid code: 520
+    # weight-56 supports, each listed by all 56 coordinates it covers
+    rep = minimum_linear_locality(dual(ovoid_code(elliptic_quadric(8))))
+    options = rep.to_json()["repair_options"]
+    assert len(options) == 65
+    assert {len(opts) for opts in options} == {448}
+    lists = {id(s): s for opts in options for s in opts}
+    assert len(lists) == 520
+    assert sorted(map(tuple, lists.values())) == sorted(
+        {s for opts in rep.repair_options for s in opts})
