@@ -31,6 +31,14 @@ logarithms otherwise, with a sentinel log of 0 so that zero operands need
 no special case.  They are built for every field up to gf.DLOG_CAP
 elements; larger fields are refused with FieldTooLarge, a cap.  The scalar
 references the kernels are tested against live with the tests.
+
+In characteristic 2 the distribution walks its classes packed: a vector
+over GF(2^e) is stored as e bit planes, bit b of the encodings of 64
+coordinates in each uint64 lane, with zero pad bits past n.  Addition is
+xor on the encodings (for tower fields too, see gf), so a sum is an xor of
+lanes, and a weight is the popcount of the OR of the planes.  Odd
+characteristic and the word routes keep one int32 entry per coordinate,
+since the words need field values on their supports.
 """
 
 from __future__ import annotations
@@ -118,9 +126,10 @@ def _caps(caps: Caps | None) -> Caps:
 # the planner
 
 # A distance is read off an enumeration of at most this many words, even
-# under a larger enum cap: beyond it a subset scan is usually far cheaper
+# under a larger enum cap: beyond it a subset scan is usually cheaper
 # (bch q=16 n=17 delta=4 on a 2-core machine: the scan finds d = 5 in
-# 0.02 s, enumerating the 16^6-word dual takes over 1 s).
+# 0.02 s; enumerating the 16^6-word dual takes 0.05 s packed, 0.10 s
+# through int32 entries).
 _DISTANCE_ENUM_LIMIT = 1 << 22
 
 
@@ -184,6 +193,50 @@ _RREF_NUMPY_MIN = 1 << 13
 _BLOCK_CELLS = 1 << 18
 # subsets per block of the support scan: an early hit ends an existence scan
 _SCAN_BLOCK = 4096
+
+
+def _lanes(w: int) -> int:
+    """uint64 lanes holding w coordinates, one bit each."""
+    return -(-w // 64)
+
+
+def _pack_planes(V: np.ndarray, bits: int) -> np.ndarray:
+    """The entries of V (shape (..., w), encodings below 2^bits) as bit
+    planes: shape (..., bits * _lanes(w)) uint64, where lane b * lanes + l
+    holds bit b of coordinates 64 l to 64 l + 63, and the pad bits past w
+    are zero.  In characteristic 2 the field sum of two vectors is the xor
+    of their planes, and the weight is the popcount of the planes' OR."""
+    w = V.shape[-1]
+    planes = np.zeros(V.shape[:-1] + (bits, 64 * _lanes(w)), dtype=np.uint8)
+    shifts = np.arange(bits, dtype=V.dtype)[:, None]
+    planes[..., :w] = (V[..., None, :] >> shifts) & 1
+    packed = np.packbits(planes, axis=-1, bitorder="little").view(np.uint64)
+    return packed.reshape(V.shape[:-1] + (bits * _lanes(w),))
+
+
+_BYTE_POPCOUNT = np.array([bin(i).count("1") for i in range(256)],
+                          dtype=np.uint8)
+
+
+def _popcount_by_table(x: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64 entry, through a table of byte popcounts."""
+    by_byte = _BYTE_POPCOUNT[np.ascontiguousarray(x).view(np.uint8)]
+    return by_byte.reshape(x.shape + (8,)).sum(axis=-1, dtype=np.uint8)
+
+
+# np.bitwise_count is numpy 2.0+; pyproject.toml still admits numpy 1.24
+_popcount = getattr(np, "bitwise_count", _popcount_by_table)
+
+
+def _packed_weights(V: np.ndarray, bits: int) -> np.ndarray:
+    """Hamming weight of each packed vector V[i] (shape (t, bits * lanes))."""
+    planes = V.reshape(len(V), bits, -1)
+    occupied = planes[:, 0]
+    for b in range(1, bits):
+        occupied = occupied | planes[:, b]
+    ones = _popcount(occupied)
+    return ones[:, 0] if ones.shape[1] == 1 else ones.sum(axis=1,
+                                                          dtype=np.intp)
 
 
 class _FieldArrays(NamedTuple):
@@ -340,30 +393,47 @@ def _batch_kernel(tables, A: np.ndarray):
         yield nu, idx, basis
 
 
-def _projective_span(tables: _FieldArrays, B: np.ndarray):
+def _projective_span(tables: _FieldArrays, B: np.ndarray,
+                     packed: bool = False):
     """One vector per projective class of the span of each basis B[i], for
     a stack B of shape (m, nu, w): the combinations with coefficients
     (0,...,0,1,c_{lead+1},...,c_{nu-1}), for every lead.  Yields blocks V
-    of shape (m, t, w), V[i] in the span of B[i], of at most
-    max(m * w, _BLOCK_CELLS) entries.  The leading coefficients are looped
-    in python; the rest are expanded by broadcasting, each row scaled as
-    it is added.  A dependent basis repeats classes and yields zeros."""
+    of shape (m, t, cells), V[i] in the span of B[i], of at most
+    max(m * vector bytes, _BLOCK_CELLS * 4) bytes.  The leading
+    coefficients are looped in python; the rest are expanded by
+    broadcasting: the q multiples of each row from split on, at most one
+    block of them, are made once.  A dependent basis repeats classes and
+    yields zeros.
+
+    A vector is w int32 entries (cells = w), or, packed (characteristic 2
+    only), the _pack_planes lanes of its entries, each multiple packed as
+    it is made; either way _vadd, an xor in characteristic 2, is the sum."""
     q = len(tables.inv)
     m, nu, w = B.shape
-    scalars = np.arange(q, dtype=np.int32)[None, :, None]
+    scalars = np.arange(q, dtype=np.int32)[None, :, None, None]
+    bits = (q - 1).bit_length()
+    vector_bytes = bits * _lanes(w) * 8 if packed else w * 4
+
+    def encode(V):
+        return _pack_planes(V, bits) if packed else V
+
+    split = 1
+    while split < nu and \
+            m * q ** (nu - split) * vector_bytes > _BLOCK_CELLS * 4:
+        split += 1
+    basis = encode(B)
+    # (m, q, nu - split, cells)
+    multiples = encode(_vmul(tables, scalars, B[:, None, split:]))
     for lead in range(nu):
-        split = lead + 1
-        while split < nu and m * q ** (nu - split) * w > _BLOCK_CELLS:
-            split += 1
-        for prefix in product(range(q), repeat=split - lead - 1):
-            V = B[:, lead]
+        # rows up to split are looped, the rest broadcast
+        for prefix in product(range(q), repeat=max(0, split - lead - 1)):
+            V = basis[:, lead]
             for j, c in enumerate(prefix, lead + 1):
-                V = _vadd(tables, V, _vmul(tables, c, B[:, j]))
+                V = _vadd(tables, V, encode(_vmul(tables, c, B[:, j])))
             V = V[:, None]
-            for j in range(split, nu):
-                row = _vmul(tables, scalars, B[:, None, j])  # (m, q, w)
-                V = _vadd(tables, V[:, :, None], row[:, None]).reshape(
-                    m, V.shape[1] * q, w)
+            for i in range(max(0, lead + 1 - split), nu - split):
+                V = _vadd(tables, V[:, :, None], multiples[:, None, :, i])
+                V = V.reshape(m, V.shape[1] * q, multiples.shape[-1])
             yield V
 
 
@@ -661,14 +731,21 @@ class WeightDistribution:
 def _enumerated_distribution(C: LinearCode) -> WeightDistribution:
     """The distribution of C from its (q^k - 1)/(q - 1) projective classes,
     walked in numpy blocks: the q - 1 nonzero multiples of a class share
-    its weight."""
+    its weight.  In characteristic 2 the classes are walked packed, 64
+    coordinates per lane; a pad bit set by mistake shows as a weight
+    above n, which fails the count check."""
     n, q = C.n, C.field.q
-    classes = np.zeros(n + 1, dtype=np.int64)
+    tables = _numpy_field_tables(C.field)
+    packed = C.field.p == 2
+    bits = (q - 1).bit_length()
+    classes = np.zeros((64 * _lanes(n) if packed else n) + 1, dtype=np.int64)
     G = np.array(C.gen, dtype=np.int32).reshape(1, C.k, n)
-    for V in _projective_span(_numpy_field_tables(C.field), G):
-        classes += np.bincount(np.count_nonzero(V[0], axis=1),
-                               minlength=n + 1)
-    counts = [int(x) * (q - 1) for x in classes]
+    for V in _projective_span(tables, G, packed):
+        weights = _packed_weights(V[0], bits) if packed else \
+            np.count_nonzero(V[0], axis=1)
+        classes += np.bincount(weights, minlength=len(classes))
+    # a weight above n is left out of the sum
+    counts = [x * (q - 1) for x in classes[:n + 1].tolist()]
     counts[0] += 1
     if counts[0] != 1 or sum(counts) != q ** C.k:
         raise LocalityInvariantBroken("enumeration kernel miscounted")

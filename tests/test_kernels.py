@@ -18,6 +18,7 @@ from locality_lab.code_core import (
     _enumerated_distribution,
     _lead_with_one,
     _numpy_field_tables,
+    _popcount_by_table,
     _projective_span,
     _words_by_enumeration,
     _words_by_kernels,
@@ -34,7 +35,8 @@ from locality_lab.code_core import (
 )
 from locality_lab.errors import (FieldTooLarge, LocalityInvariantBroken,
                                  SearchTooLarge)
-from locality_lab.gf import field_new
+from locality_lab.constructions import grm
+from locality_lab.gf import field_new, quadratic_extension
 
 FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 9: (3, 2), 16: (2, 4)}
 
@@ -438,18 +440,165 @@ def test_block_budget_does_not_change_results(monkeypatch, cells):
 
 
 def test_a_dropped_block_breaks_the_distribution(monkeypatch):
-    C = code_roster()[0]
     span = code_core._projective_span
 
-    def drop_last(tables, B):
-        blocks = list(span(tables, B))
+    def drop_last(tables, B, *packed):
+        blocks = list(span(tables, B, *packed))
         assert len(blocks) > 1
         yield from blocks[:-1]
 
     monkeypatch.setattr(code_core, "_BLOCK_CELLS", 64)
     monkeypatch.setattr(code_core, "_projective_span", drop_last)
-    with pytest.raises(LocalityInvariantBroken, match="miscounted"):
-        _enumerated_distribution(C)
+    roster = code_roster()
+    for C in (roster[0], roster[5]):  # GF(16), packed, and GF(3)
+        with pytest.raises(LocalityInvariantBroken, match="miscounted"):
+            _enumerated_distribution(C)
+
+
+# ---------------------------------------------------------------------------
+# the packed enumeration of characteristic 2 against the int32 path
+
+GF8, TOWER16 = field_new(2, 3), quadratic_extension(field_new(2, 2))
+PACKED_FIELDS = [field(2), field(4), GF8, field(16), TOWER16]
+# one coordinate, one lane with and without a pad bit, one bit into the
+# next lane, two lanes with a pad bit, with none, and one bit into a third
+PACKED_LENGTHS = [1, 63, 64, 65, 127, 128, 129]
+
+
+def code_over(F, n, k, rng, zero_column=None):
+    """A random [n, k] code over F; with zero_column, that column is 0."""
+    while True:
+        rows = [[rng.randrange(F.q) for _ in range(n)] for _ in range(k)]
+        for row in rows:
+            if zero_column is not None:
+                row[zero_column] = 0
+        C = from_generator(F, rows)
+        if C.k == k:
+            return C
+
+
+def int32_counts(C):
+    """The weight distribution walked through the int32 encoding."""
+    q, n = C.field.q, C.n
+    classes = np.zeros(n + 1, dtype=np.int64)
+    G = np.array(C.gen, dtype=np.int32).reshape(1, C.k, n)
+    for V in _projective_span(_numpy_field_tables(C.field), G):
+        assert V.dtype == np.int32
+        classes += np.bincount(np.count_nonzero(V[0], axis=1),
+                               minlength=n + 1)
+    return [1] + [int(x) * (q - 1) for x in classes[1:]]
+
+
+def packed_roster():
+    rng = random.Random(64)
+    codes = [code_over(F, n, k, rng) for F in PACKED_FIELDS
+             for n in PACKED_LENGTHS for k in (1, 2, 3) if k <= n]
+    codes += [code_over(F, n, n, rng) for F in PACKED_FIELDS for n in (2, 4)]
+    # zero columns on both sides of a lane boundary
+    codes += [code_over(F, n, 2, rng, zero_column=j)
+              for F in (field(2), GF8, TOWER16)
+              for n, j in ((3, 0), (64, 63), (65, 64), (129, 64), (129, 0))]
+    return codes
+
+
+def record_blocks(monkeypatch):
+    """Patch the enumerator to record (dtype, bytes) of every block."""
+    blocks = []
+    span = code_core._projective_span
+
+    def recording_span(tables, B, *packed):
+        for V in span(tables, B, *packed):
+            blocks.append((V.dtype, V.nbytes))
+            yield V
+
+    monkeypatch.setattr(code_core, "_projective_span", recording_span)
+    return blocks
+
+
+# the default budget, and one that splits every span into many blocks
+@pytest.mark.parametrize("cells", [None, 16])
+def test_packed_distribution_matches_int32_and_scalar(monkeypatch, cells):
+    if cells is not None:
+        monkeypatch.setattr(code_core, "_BLOCK_CELLS", cells)
+    blocks = record_blocks(monkeypatch)
+    for C in packed_roster():
+        blocks.clear()
+        got = list(_enumerated_distribution(C).counts)
+        assert {dtype for dtype, _ in blocks} == {np.dtype(np.uint64)}, C
+        assert got == int32_counts(C) == ref.enumerate_counts(C), C
+
+
+def test_odd_characteristic_keeps_the_int32_path(monkeypatch):
+    blocks = record_blocks(monkeypatch)
+    rng = random.Random(65)
+    for q in (3, 5):
+        for n in (1, 64, 65):
+            C = code_over(field(q), n, min(n, 3), rng)
+            blocks.clear()
+            got = list(_enumerated_distribution(C).counts)
+            assert {dtype for dtype, _ in blocks} == {np.dtype(np.int32)}, C
+            assert got == int32_counts(C) == ref.enumerate_counts(C), C
+
+
+def test_a_dirty_pad_bit_breaks_the_distribution(monkeypatch):
+    pack = code_core._pack_planes
+
+    def dirty(V, bits):
+        out = pack(V, bits)
+        # the top bit of each plane's last lane lies past coordinate n - 1
+        lanes = out.shape[-1] // bits
+        out.reshape(out.shape[:-1] + (bits, lanes))[..., -1] |= np.uint64(
+            1 << 63)
+        return out
+
+    monkeypatch.setattr(code_core, "_pack_planes", dirty)
+    for n in (1, 63, 65, 127):
+        C = from_generator(field(2), [[1] * n])  # one class, of weight n
+        with pytest.raises(LocalityInvariantBroken, match="miscounted"):
+            _enumerated_distribution(C)
+
+
+@pytest.mark.parametrize("build, cells", [
+    (lambda: grm(2, 2, 5), 1 << 10),  # RM(2,5) under a lowered budget
+    (lambda: grm(2, 2, 6), None),      # 2^21 classes at the first lead
+    (lambda: code_over(GF8, 100, 7, random.Random(8)), None),
+    (lambda: code_over(field(3), 40, 12, random.Random(3)), None),
+], ids=["rm25-lowered", "rm26", "gf8", "gf3"])
+def test_every_block_keeps_the_byte_budget(monkeypatch, build, cells):
+    C = build()
+    if cells is not None:
+        monkeypatch.setattr(code_core, "_BLOCK_CELLS", cells)
+    blocks = record_blocks(monkeypatch)
+    _enumerated_distribution(C)  # counts checked by the kernel itself
+    assert len(blocks) > C.k  # some lead was split into several blocks
+    assert max(size for _, size in blocks) <= code_core._BLOCK_CELLS * 4
+
+
+def popcount_reference(x):
+    return np.array([int(v).bit_count() for v in x.ravel()],
+                    dtype=np.uint8).reshape(x.shape)
+
+
+LANES = st.integers(0, (1 << 64) - 1) | st.sampled_from([0, (1 << 64) - 1])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(LANES, max_size=40), st.integers(1, 3))
+def test_popcount_table_matches_bitwise_count(lanes, rows):
+    x = np.array(lanes * rows, dtype=np.uint64).reshape(rows, len(lanes))
+    got = _popcount_by_table(x)
+    assert got.dtype == np.uint8 and got.shape == x.shape
+    assert np.array_equal(got, popcount_reference(x))
+    if hasattr(np, "bitwise_count"):
+        assert np.array_equal(got, np.bitwise_count(x))
+        assert code_core._popcount is np.bitwise_count
+
+
+def test_popcount_table_on_full_and_empty_lanes():
+    x = np.array([0, (1 << 64) - 1, 1 << 63, 1], dtype=np.uint64)
+    assert _popcount_by_table(x).tolist() == [0, 64, 1, 1]
+    # a strided view, as a slice of packed planes would be
+    assert _popcount_by_table(x[::2]).tolist() == [0, 1]
 
 
 # ---------------------------------------------------------------------------
