@@ -57,6 +57,7 @@ from .constructions import (
 )
 from .designs import analyze_design
 from .errors import (
+    BadCoordinate,
     BadParams,
     CapExceeded,
     LocalityLabError,
@@ -398,8 +399,11 @@ def cmd_construct(args) -> int:
 
 def cmd_repair_sets(args) -> int:
     C = _resolve(args)
+    only = args.coordinate
+    if only is not None and not 0 <= only < C.n:
+        raise BadCoordinate(f"coordinate {only} outside [0, {C.n})")
+    coords = range(C.n) if only is None else [only]
     report = minimum_linear_locality(C)
-    coords = range(C.n) if args.coordinate is None else [args.coordinate]
     rows = []
     for i in coords:
         support = report.repair_set(i)  # lexicographically first option
@@ -670,7 +674,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceeded as exc:
         print(f"error (cap): {exc}", file=sys.stderr)
         return 2
-    except LocalityLabError as exc:
+    except (LocalityLabError, OSError) as exc:  # OSError: a user's path
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -25,6 +25,11 @@ pass over the rank-deficient ones reads a basis of each dependency space,
 whose classes with no zero entry on S are the words.  rref hands a single
 matrix to _eliminate from the measured crossover _RREF_NUMPY_MIN on.
 
+The words of one weight w are one int32 array of shape (m, n), one row per
+projective class, scaled to lead with 1 and sorted by support, then by
+word; word_supports reads their (m, w) supports off it, and in_dual checks
+the array against a generator, whose int32 form gen_array is made once.
+
 The kernels do their field arithmetic through O(q) int32 arrays: products
 as exp[log a + log b], sums as xor in characteristic 2 and through Zech
 logarithms otherwise, with a sentinel log of 0 so that zero operands need
@@ -46,7 +51,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, islice, product
 from typing import NamedTuple
 
@@ -501,7 +506,7 @@ class LinearCode:
     """A [n, k] code over a FieldSpec, held by its canonical generator matrix."""
 
     __slots__ = ("field", "n", "k", "gen", "pivots", "label", "is_cyclic",
-                 "_dual", "_wd", "_mind")
+                 "_gen_array", "_dual", "_wd", "_mind")
 
     def __init__(self, field: FieldSpec, n: int, gen: tuple[tuple[int, ...], ...],
                  pivots: tuple[int, ...], label: str | None = None,
@@ -513,6 +518,7 @@ class LinearCode:
         self.pivots = pivots
         self.label = label
         self.is_cyclic = is_cyclic
+        self._gen_array: np.ndarray | None = None
         self._dual: LinearCode | None = None
         self._wd = None
         self._mind: int | None = None
@@ -530,6 +536,15 @@ class LinearCode:
 
     def q(self) -> int:
         return self.field.q
+
+    @property
+    def gen_array(self) -> np.ndarray:
+        """The generator as an int32 array, made on first use, read-only."""
+        if self._gen_array is None:
+            G = np.array(self.gen, dtype=np.int32).reshape(self.k, self.n)
+            G.flags.writeable = False
+            self._gen_array = G
+        return self._gen_array
 
     def encode(self, message: list[int]) -> tuple[int, ...]:
         F = self.field
@@ -653,12 +668,7 @@ def shorten(C: LinearCode, T) -> LinearCode:
 
 def extend(C: LinearCode) -> LinearCode:
     F = C.field
-    rows = []
-    for r in C.gen:
-        s = 0
-        for x in r:
-            s = F.add(s, x)
-        rows.append(list(r) + [F.neg(s)])
+    rows = [list(r) + [F.neg(reduce(F.add, r, 0))] for r in C.gen]
     if not rows:
         return zero_code(F, C.n + 1)
     out = _build(F, C.n + 1, rows, None)
@@ -678,16 +688,16 @@ def augment(C: LinearCode) -> LinearCode:
     return out
 
 
-def in_dual(C: LinearCode, vectors) -> bool:
-    """True iff every vector (of length n) is orthogonal to every row of
-    the generator of C, i.e. lies in dual(C).  One table-driven product per
-    block of vectors."""
-    n = C.n
+def in_dual(C: LinearCode, W) -> bool:
+    """True iff every row of the (m, n) array W, such as the words
+    exact_weight_words returns, is orthogonal to every row of the generator
+    of C, i.e. lies in dual(C).  One table-driven syndrome per block of
+    rows, against C's own generator."""
+    n, G = C.n, C.gen_array
     tables = _numpy_field_tables(C.field)
-    G = np.array(C.gen, dtype=np.int32).reshape(C.k, n)
-    vectors = iter(vectors)
-    while chunk := list(islice(vectors, max(1, _BLOCK_CELLS // max(1, n)))):
-        V = np.array(chunk, dtype=np.int32).reshape(len(chunk), n)
+    W = np.asarray(W, dtype=np.int32).reshape(len(W), n)
+    step = max(1, _BLOCK_CELLS // max(1, n))
+    for V in (W[i:i + step] for i in range(0, len(W), step)):
         syndromes = np.zeros((len(V), C.k), dtype=np.int32)
         for j in range(n):
             syndromes = _vadd(tables, syndromes,
@@ -708,21 +718,11 @@ class WeightDistribution:
         if any(c < 0 for c in self.counts):
             raise InconsistentInput("negative weight count")
 
-    @property
-    def n(self) -> int:
-        return len(self.counts) - 1
-
     def total(self) -> int:
         return sum(self.counts)
 
     def min_distance(self) -> int | None:
-        for w in range(1, len(self.counts)):
-            if self.counts[w]:
-                return w
-        return None
-
-    def to_json(self) -> list[int]:
-        return list(self.counts)
+        return next((w for w, c in enumerate(self.counts) if w and c), None)
 
     def __getitem__(self, i: int) -> int:
         return self.counts[i]
@@ -739,8 +739,7 @@ def _enumerated_distribution(C: LinearCode) -> WeightDistribution:
     packed = C.field.p == 2
     bits = (q - 1).bit_length()
     classes = np.zeros((64 * _lanes(n) if packed else n) + 1, dtype=np.int64)
-    G = np.array(C.gen, dtype=np.int32).reshape(1, C.k, n)
-    for V in _projective_span(tables, G, packed):
+    for V in _projective_span(tables, C.gen_array[None], packed):
         weights = _packed_weights(V[0], bits) if packed else \
             np.count_nonzero(V[0], axis=1)
         classes += np.bincount(weights, minlength=len(classes))
@@ -800,26 +799,23 @@ def macwilliams(wd, n: int, k: int, q: int) -> WeightDistribution:
 # ---------------------------------------------------------------------------
 # low-weight search
 
-@dataclass(frozen=True)
-class LowWeightWord:
-    support: tuple[int, ...]
-    word: tuple[int, ...]
-
-    @property
-    def weight(self) -> int:
-        return len(self.support)
+def word_supports(W: np.ndarray, w: int) -> np.ndarray:
+    """The supports of the rows of W, words of weight w each: shape (m, w),
+    each row ascending."""
+    return np.nonzero(W)[1].reshape(len(W), w)
 
 
-def _words_by_enumeration(C: LinearCode, w: int,
-                          tables: _FieldArrays) -> list[LowWeightWord]:
-    """Weight-w words of C, one per projective class of the code."""
-    out = []
-    for V in _projective_span(tables, np.array(C.gen, dtype=np.int32)[None]):
-        W = _lead_with_one(tables, V[0][np.count_nonzero(V[0], axis=1) == w])
-        supports = np.nonzero(W)[1].reshape(len(W), w).tolist()
-        out.extend(LowWeightWord(tuple(S), tuple(vec))
-                   for S, vec in zip(supports, W.tolist()))
-    return out
+def distinct_supports(W: np.ndarray, w: int) -> list[tuple[int, ...]]:
+    """The distinct supports of the weight-w rows of W, ascending, as
+    tuples of ints: the form reports hand on to JSON."""
+    return list(map(tuple, np.unique(word_supports(W, w), axis=0).tolist()))
+
+
+def _words_by_enumeration(C: LinearCode, w: int, tables: _FieldArrays):
+    """Blocks of the weight-w words of C, one per projective class of the
+    code, each scaled to lead with 1."""
+    for V in _projective_span(tables, C.gen_array[None]):
+        yield _lead_with_one(tables, V[0][np.count_nonzero(V[0], axis=1) == w])
 
 
 def _deficient_blocks(C: LinearCode, w: int, use_gen_route: bool,
@@ -835,8 +831,7 @@ def _deficient_blocks(C: LinearCode, w: int, use_gen_route: bool,
     the generator route, whose kernel is the messages u with u.G zero off
     S; nullity[i] is the dimension of that kernel."""
     n, k = C.n, C.k
-    M = C.gen if use_gen_route else dual(C).gen
-    Mnp = np.array(M, dtype=np.int32).reshape(len(M), n)
+    M = (C if use_gen_route else dual(C)).gen_array
     ncols = n - w if use_gen_route else w
     full_rank = k if use_gen_route else w
     # the stacks, the words on S and (generator route) G[:, S] of a block
@@ -851,26 +846,25 @@ def _deficient_blocks(C: LinearCode, w: int, use_gen_route: bool,
             off = np.ones((len(chunk), n), dtype=bool)
             off[np.arange(len(chunk))[:, None], S] = False
             cols = np.nonzero(off)[1].reshape(len(chunk), ncols)
-        A = Mnp[:, cols].transpose(1, 0, 2)  # (subsets, rows of M, ncols)
+        A = M[:, cols].transpose(1, 0, 2)  # (subsets, rows of M, ncols)
         if A.shape[2] > A.shape[1]:
             A = A.transpose(0, 2, 1)  # fewer columns, fewer kernel steps
         nullity = full_rank - _batch_rank(tables, A)
         hit = np.nonzero(nullity)[0]
         if hit.size:
-            K = Mnp[:, cols[hit]]
+            K = M[:, cols[hit]]
             K = K.transpose(1, 2, 0) if use_gen_route else K.transpose(1, 0, 2)
             yield S[hit], K, nullity[hit]
 
 
 def _words_by_kernels(C: LinearCode, w: int, use_gen_route: bool, budget: int,
-                      tables: _FieldArrays) -> list[LowWeightWord]:
+                      tables: _FieldArrays):
     """The support scan with table-driven numpy: the kernel bases of all
     rank-deficient subsets of a block come from one _batch_kernel pass, and
-    the words on S are the classes of their spans with no zero entry."""
-    q, n = C.field.q, C.n
-    G = np.array(C.gen, dtype=np.int32)
+    the words on S are the classes of their spans with no zero entry.
+    Yields blocks of words of length n, each scaled to lead with 1."""
+    q, n, G = C.field.q, C.n, C.gen_array
     spent = 0
-    out = []
     for S, K, nullity in _deficient_blocks(C, w, use_gen_route, tables):
         values, counts = np.unique(nullity, return_counts=True)
         spent += w * sum(c * ((q ** nu - 1) // (q - 1)) for nu, c in
@@ -888,32 +882,34 @@ def _words_by_kernels(C: LinearCode, w: int, use_gen_route: bool, budget: int,
                 basis = words
             for V in _projective_span(tables, basis):
                 i, t = np.nonzero((V != 0).all(axis=2))
-                supports = S_nu[i]
                 full = np.zeros((len(i), n), dtype=np.int32)
-                full[np.arange(len(i))[:, None], supports] = _lead_with_one(
+                full[np.arange(len(i))[:, None], S_nu[i]] = _lead_with_one(
                     tables, V[i, t])
-                out.extend(LowWeightWord(tuple(s), tuple(v)) for s, v in
-                           zip(supports.tolist(), full.tolist()))
-    return out
+                yield full
 
 
 def exact_weight_words(C: LinearCode, w: int,
-                       caps: Caps | None = None) -> list[LowWeightWord]:
-    """All weight-w codewords of C, one representative per projective class,
-    in deterministic order."""
+                       caps: Caps | None = None) -> np.ndarray:
+    """All weight-w codewords of C, one per projective class, as one int32
+    array of shape (m, n), (0, n) when there are none.  Each row is scaled
+    to lead with 1 and has exactly w nonzero entries, so word_supports
+    reads the supports off it.  The rows are sorted by support, then by
+    word: two words on one support differ only on it."""
     caps = _caps(caps)
     n, k = C.n, C.k
     if k == 0 or w == 0 or w > n:
-        return []
+        return np.zeros((0, n), dtype=np.int32)
     route = plan(n, k, C.field.q, "words", caps, w).route
     tables = _numpy_field_tables(C.field)
     if route == "enumerate":
-        out = _words_by_enumeration(C, w, tables)
+        blocks = _words_by_enumeration(C, w, tables)
     else:
-        out = _words_by_kernels(C, w, route == "generator", caps.search,
-                                tables)
-    out.sort(key=lambda lw: (lw.support, lw.word))
-    return out
+        blocks = _words_by_kernels(C, w, route == "generator", caps.search,
+                                   tables)
+    W = np.concatenate([np.zeros((0, n), dtype=np.int32), *blocks])
+    S = word_supports(W, w)
+    keys = np.hstack([S, np.take_along_axis(W, S, axis=1)])
+    return W[np.lexsort(keys[:, ::-1].T)]
 
 
 def _has_words_of_weight_at_most(C: LinearCode, w: int, caps: Caps) -> bool:
@@ -945,7 +941,7 @@ def minimum_distance(C: LinearCode, caps: Caps | None = None) -> int:
 # matrix file format: "q n k" then k rows of n encodings
 
 def field_for_q(q: int) -> FieldSpec:
-    fac = factorize(q)
+    fac = factorize(q) if q >= 2 else {}  # factorize(0) would never end
     if len(fac) != 1:
         raise NotPrime(f"{q} is not a prime power")
     p, m = next(iter(fac.items()))
@@ -970,17 +966,22 @@ def save_matrix(path, C: LinearCode) -> None:
 
 
 def load_matrix(path) -> LinearCode:
-    with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            tokens = [int(t) for t in fh.read().split()]
+    except ValueError as exc:  # a bad token, or a byte beyond ASCII
+        raise InconsistentInput(f"matrix file {path}: {exc}") from None
     if len(tokens) < 3:
         raise InconsistentInput("matrix file too short")
-    q, n, k = int(tokens[0]), int(tokens[1]), int(tokens[2])
+    q, n, k = tokens[:3]
+    if n < 0 or k < 0:
+        raise InconsistentInput(f"matrix file claims n = {n}, k = {k}")
     body = tokens[3:]
     if len(body) != n * k:
         raise InconsistentInput(
             f"expected {n * k} entries for a {k}x{n} matrix, got {len(body)}")
     field = field_for_q(q)
-    rows = [[int(body[i * n + j]) for j in range(n)] for i in range(k)]
+    rows = [body[i * n:(i + 1) * n] for i in range(k)]
     C = from_generator(field, rows) if rows else zero_code(field, n)
     if C.k != k:
         raise InconsistentInput(f"rows have rank {C.k}, file claims k = {k}")

@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass, replace
 from itertools import combinations
 
-from .code_core import Caps, LinearCode, dual, exact_weight_words, minimum_distance
+from .code_core import (Caps, LinearCode, distinct_supports, dual,
+                        exact_weight_words, minimum_distance)
 from .errors import (BadParameters, DesignInvariantBroken,
                      LocalityInvariantBroken)
 from .locality import minimum_linear_locality
@@ -47,8 +48,7 @@ def support_blocks(C: LinearCode, w: int,
                    caps: Caps | None = None) -> DesignReport:
     """Distinct supports of the weight-w codewords, as a design skeleton
     (no t-design verification yet)."""
-    words = exact_weight_words(C, w, caps)  # sorted by support
-    blocks = tuple(dict.fromkeys(lw.support for lw in words))
+    blocks = tuple(distinct_supports(exact_weight_words(C, w, caps), w))
     return DesignReport(n=C.n, block_size=w, blocks=blocks,
                         t_lambda={}, is_steiner=False)
 

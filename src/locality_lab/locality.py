@@ -12,17 +12,19 @@ the distance dichotomy enjoyed by near-MDS codes.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .code_core import (
     Caps,
     LinearCode,
-    LowWeightWord,
+    distinct_supports,
     dual,
     exact_weight_words,
     in_dual,
     minimum_distance,
     nullspace,
+    word_supports,
 )
 from .errors import (
     BadLocality,
@@ -91,7 +93,7 @@ def is_nontrivial(C: LinearCode) -> bool:
     code holds e_j exactly when column j of its dual's generator is zero,
     so neither generator may have a zero column."""
     return 0 < C.k < C.n and all(
-        any(col) for G in (C.gen, dual(C).gen) for col in zip(*G))
+        G.any(axis=0).all() for G in (C.gen_array, dual(C).gen_array))
 
 
 def minimum_linear_locality(C: LinearCode,
@@ -109,25 +111,25 @@ def minimum_linear_locality(C: LinearCode,
     n = C.n
     d_dual = minimum_distance(D, caps)
     covered: set[int] = set()
-    first_weight: dict[int, int] = {}
     coverage: dict[int, tuple[int, ...]] = {}
     options: dict[int, list[tuple[int, ...]]] = {}
     w = d_dual
     while True:
         words = exact_weight_words(D, w, caps)
-        if not in_dual(C, (lw.word for lw in words)):
+        if not in_dual(C, words):
             raise LocalityInvariantBroken(
                 f"weight-{w} search produced a word outside the dual")
-        fresh = sorted({j for lw in words for j in lw.support} - covered)
-        for j in fresh:
-            first_weight[j] = w
-            options[j] = []
-        covered.update(fresh)
-        coverage[w] = tuple(fresh)
-        for support in dict.fromkeys(lw.support for lw in words):
+        supports = distinct_supports(words, w)
+        # the coordinates first covered at weight w, and their options
+        fresh = {j: [] for j in
+                 sorted({j for s in supports for j in s} - covered)}
+        for support in supports:
             for j in support:
-                if first_weight.get(j) == w:
-                    options[j].append(support)
+                if j in fresh:
+                    fresh[j].append(support)
+        coverage[w] = tuple(fresh)
+        covered.update(fresh)
+        options.update(fresh)
         if len(covered) == n:
             break
         if w >= n:
@@ -160,7 +162,7 @@ def repair_coefficients(C: LinearCode, i: int,
     cols = sorted(repair + [i])
     pos = cols.index(i)
     rows = [[C.gen[r][j] for j in cols] for r in range(k)]
-    h = _kernel_vector_nonzero_at(F, rows, len(cols), pos)
+    h = next((v for v in nullspace(F, rows, len(cols)) if v[pos]), None)
     if h is None:
         raise NotARepairSet(
             f"no dual codeword on {{{i}}} + {repair} is nonzero at {i}")
@@ -176,14 +178,6 @@ def repair_coefficients(C: LinearCode, i: int,
                 f"repair coefficients for coordinate {i} failed on a basis "
                 "vector")
     return coeffs
-
-
-def _kernel_vector_nonzero_at(F, rows, ncols, pos):
-    basis = nullspace(F, rows, ncols)
-    for vec in basis:
-        if vec[pos]:
-            return vec
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +368,11 @@ def nmds_locality_check(C: LinearCode, caps: Caps | None = None) -> str:
 
 
 def nmds_support_pairing(C: LinearCode, caps: Caps | None = None
-                         ) -> list[tuple[LowWeightWord, LowWeightWord]]:
-    """Match every minimum-weight word of a near-MDS code with the unique
-    (projective) minimum-weight dual word of disjoint support."""
+                         ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Match the support of every minimum-weight word of a near-MDS code
+    with the support of the unique (projective) minimum-weight dual word
+    disjoint from it.  As d + d(dual) = n, that support is the complement:
+    one lookup per word."""
     if not is_nmds(C, caps):
         raise HypothesisViolated("support pairing needs a near-MDS code")
     D = dual(C)
@@ -387,22 +383,19 @@ def nmds_support_pairing(C: LinearCode, caps: Caps | None = None
     if len(words) != len(dual_words):
         raise PairingFailed(
             f"{len(words)} minimum-weight classes vs {len(dual_words)} dual")
+    if d + d_dual != C.n:
+        raise PairingFailed(f"weights {d} and {d_dual} do not partition "
+                            f"the {C.n} coordinates")
+    partners = Counter(map(tuple, word_supports(dual_words, d_dual).tolist()))
     pairs = []
-    used: set[int] = set()
-    for lw in words:
-        s = set(lw.support)
-        matches = [t for t, dw in enumerate(dual_words)
-                   if s.isdisjoint(dw.support)]
-        if len(matches) != 1 or matches[0] in used:
+    used: set[tuple[int, ...]] = set()
+    for s in map(tuple, word_supports(words, d).tolist()):
+        rest = tuple(sorted(set(range(C.n)).difference(s)))
+        if partners[rest] != 1 or rest in used:
             raise PairingFailed(
-                f"word with support {lw.support} has {len(matches)} partners")
-        used.add(matches[0])
-        partner = dual_words[matches[0]]
-        if len(lw.support) + len(partner.support) != C.n:
-            raise PairingFailed(
-                f"supports {lw.support} and {partner.support} do not "
-                f"partition the {C.n} coordinates")
-        pairs.append((lw, partner))
+                f"word with support {s} has {partners[rest]} partners")
+        used.add(rest)
+        pairs.append((s, rest))
     return pairs
 
 

@@ -12,7 +12,9 @@ compares the two.  Not a test module: pytest does not collect it.
 
 from itertools import combinations, product
 
-from locality_lab.code_core import Caps, LowWeightWord, plan
+import numpy as np
+
+from locality_lab.code_core import Caps, plan
 from locality_lab.errors import SearchTooLarge
 
 
@@ -146,9 +148,7 @@ def words_by_enumeration(C, w):
             continue
         first = next(x for x in vec if x)
         inv = F.inv(first)
-        vec = [F.mul(inv, x) for x in vec]
-        out.append(LowWeightWord(
-            tuple(j for j, x in enumerate(vec) if x), tuple(vec)))
+        out.append(tuple(F.mul(inv, x) for x in vec))
     return out
 
 
@@ -185,22 +185,24 @@ def words_by_scan(C, w, use_gen_route, budget):
             full = [0] * n
             for j, x in zip(S, vec):
                 full[j] = F.mul(inv, x)
-            out.append(LowWeightWord(tuple(S), tuple(full)))
+            out.append(tuple(full))
     return out
 
 
 def exact_weight_words(C, w, caps=None):
-    """code_core.exact_weight_words with the scalar routes."""
+    """code_core.exact_weight_words with the scalar routes, its words
+    sorted by support, then by word, and only then made an (m, n) array."""
     caps = caps if caps is not None else Caps()
-    if C.k == 0 or w == 0 or w > C.n:
-        return []
-    route = plan(C.n, C.k, C.field.q, "words", caps, w).route
-    if route == "enumerate":
-        out = words_by_enumeration(C, w)
-    else:
-        out = words_by_scan(C, w, route == "generator", caps.search)
-    out.sort(key=lambda lw: (lw.support, lw.word))
-    return out
+    out = []
+    if C.k and 0 < w <= C.n:
+        route = plan(C.n, C.k, C.field.q, "words", caps, w).route
+        if route == "enumerate":
+            out = words_by_enumeration(C, w)
+        else:
+            out = words_by_scan(C, w, route == "generator", caps.search)
+    out.sort(key=lambda word: (
+        tuple(j for j, x in enumerate(word) if x), word))
+    return np.array(out, dtype=np.int32).reshape(len(out), C.n)
 
 
 def has_words_of_weight_at_most(C, w, caps):

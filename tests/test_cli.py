@@ -4,6 +4,7 @@ Every test drives main() directly with an argv list and inspects the
 captured output plus the exit code, matching how the console script runs.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -96,17 +97,33 @@ def test_dumps_rejects_what_json_dumps_rejects(obj):
     assert str(ours.value) == str(theirs.value)
 
 
-@pytest.mark.parametrize("argv", [
-    "analyze ovoid-elliptic q=8 --dual --bounds --json",
-    "analyze hamming q=2 m=6 --bounds --json --designs 2:3",
-    "analyze grm q=2 ell=2 m=5 --bounds --json",
-    "repair-sets bch q=16 n=17 delta=3 --json",
-])
-def test_cli_json_is_json_dumps_output(capsys, monkeypatch, argv):
+# (argv, exit status, sha256 of the output), pinned: the output stays
+# byte-identical when the engine under it changes
+JSON_OUTPUTS = [
+    ("analyze ovoid-elliptic q=8 --dual --bounds --json", 0,
+     "4c795e9a25a7115a57052ca903986e05528dc17f88dec604031c80946526ff4e"),
+    ("analyze hamming q=2 m=6 --bounds --json --designs 2:3", 0,
+     "061ed96f1746e5a5f94807d17cb1bfac056c345e9b632897ef95c1a4e8a2da34"),
+    ("analyze grm q=2 ell=2 m=5 --bounds --json", 0,
+     "1bc2c40a6418b826e7f40c302ac8dad75e0ca95bb9d752254dd718d932429474"),
+    ("repair-sets bch q=16 n=17 delta=3 --json", 0,
+     "5331b720ac3acaa5f860e8cb2c7e2b6b3c743fc532afe6df8acf0b7f2ce7e375"),
+    ("table 1 --json", 0,
+     "9500e955631a0f2b74a77efe94ba22ff73373729262830d181dceb071355d8c7"),
+    ("table 2 --json", 1,  # the known FAIL row
+     "0f1b314a679f0e1cbfee609fdcbb2cc09c28968a60852f97e91668eff70cce90"),
+]
+
+
+@pytest.mark.parametrize("argv, status, digest", JSON_OUTPUTS,
+                         ids=[argv for argv, _, _ in JSON_OUTPUTS])
+def test_cli_json_is_json_dumps_output(capsys, monkeypatch, argv, status,
+                                       digest):
     monkeypatch.delenv(CAPS_ENV_VAR, raising=False)
     rc, out, _ = run(capsys, *argv.split())
-    assert rc == 0
+    assert rc == status
     assert out == _reference(json.loads(out)) + "\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
@@ -358,6 +375,32 @@ def test_malformed_caps_exit_1(capsys, monkeypatch, caps, reason):
     assert CAPS_ENV_VAR in err and reason in err
 
 
+@pytest.mark.parametrize("content, reason", [
+    (b"2 3 1\n1 x 1\n", "invalid literal for int()"),  # a non-integer token
+    (b"2 3 1\n1 \xff 1\n", "can't decode byte 0xff"),  # a byte beyond ASCII
+    (b"2 -1 0\n", "n = -1, k = 0"),  # once a length -1 zero code
+    (b"2 3 -1\n", "n = 3, k = -1"),
+    (b"0 3 1\n1 1 1\n", "0 is not a prime power"),  # once an endless loop
+])
+def test_malformed_matrix_file_exits_1(tmp_path, capsys, content, reason):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(content)
+    rc, out, err = run(capsys, "analyze", "from-file", f"path={path}")
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: ") and reason in err, err
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "from-file", "path={}"),
+    ("construct", "hamming", "q=2", "m=3", "--out", "{}"),
+])
+def test_unusable_path_exits_1(tmp_path, capsys, argv):
+    missing = tmp_path / "no" / "such.txt"
+    rc, out, err = run(capsys, *(a.format(missing) for a in argv))
+    assert (rc, out) == (1, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+
 def test_module_entry_point_runs_without_warning():
     # the package must not import cli before runpy executes it
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
@@ -411,6 +454,15 @@ def test_repair_sets_single_coordinate(capsys):
     assert rc == 0
     assert "r_min = 3" in out
     assert out.count("c5 =") == 1
+
+
+@pytest.mark.parametrize("coordinate", ["99", "7", "-1"])
+def test_repair_sets_coordinate_outside_the_code_exits_1(capsys, coordinate):
+    # -1 once printed coordinate 6's repair set under i = -1, 99 a traceback
+    rc, out, err = run(capsys, "repair-sets", "hamming", "q=2", "m=3",
+                       "--coordinate", coordinate)
+    assert (rc, out) == (1, "")
+    assert err == f"error: coordinate {coordinate} outside [0, 7)\n"
 
 
 # ---------------------------------------------------------------------------

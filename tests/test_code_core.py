@@ -4,6 +4,7 @@ weight distributions, MacWilliams, and the low-weight search."""
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,6 +30,7 @@ from locality_lab.code_core import (
     save_matrix,
     shorten,
     weight_distribution,
+    word_supports,
     zero_code,
     _has_words_of_weight_at_most,
 )
@@ -501,7 +503,8 @@ def test_search_cap_raises():
 def test_low_weight_below_distance_is_empty():
     ham = from_parity_check(
         F2, [[0, 0, 0, 1, 1, 1, 1], [0, 1, 1, 0, 0, 1, 1], [1, 0, 1, 0, 1, 0, 1]])
-    assert exact_weight_words(ham, 1) == exact_weight_words(ham, 2) == []
+    for w in (1, 2):
+        assert exact_weight_words(ham, w).shape == (0, 7)
 
 
 def test_low_weight_matches_weight_distribution():
@@ -519,12 +522,15 @@ def test_low_weight_words_are_codewords_with_exact_support():
     rng = random.Random(97)
     for field in (F2, F3, F4):
         C = random_code(rng, field, n_max=9)
-        for lw in (lw for w in range(1, C.n + 1)
-                   for lw in exact_weight_words(C, w)):
-            assert C.contains(lw.word)
-            assert tuple(j for j, x in enumerate(lw.word) if x) == lw.support
-            # canonical projective representative
-            assert lw.word[lw.support[0]] == 1
+        for w in range(1, C.n + 1):
+            W = exact_weight_words(C, w)
+            assert W.dtype == np.int32 and W.shape[1:] == (C.n,)
+            assert (np.count_nonzero(W, axis=1) == w).all()
+            for word, support in zip(W.tolist(), word_supports(W, w).tolist()):
+                assert C.contains(word)
+                assert [j for j, x in enumerate(word) if x] == support
+                # canonical projective representative
+                assert word[support[0]] == 1
 
 
 def test_exact_weight_words_deterministic():
@@ -532,8 +538,9 @@ def test_exact_weight_words_deterministic():
         F2, [[0, 0, 0, 1, 1, 1, 1], [0, 1, 1, 0, 0, 1, 1], [1, 0, 1, 0, 1, 0, 1]])
     a = exact_weight_words(ham, 3)
     b = exact_weight_words(ham, 3)
-    assert a == b
-    assert [w.support for w in a] == sorted(w.support for w in a)
+    assert np.array_equal(a, b)
+    supports = word_supports(a, 3).tolist()
+    assert supports == sorted(supports)
     assert len(a) == 7
 
 
@@ -542,9 +549,7 @@ def test_low_weight_supports_cover_check():
     # plane; they cover every coordinate
     ham = from_parity_check(
         F2, [[0, 0, 0, 1, 1, 1, 1], [0, 1, 1, 0, 0, 1, 1], [1, 0, 1, 0, 1, 0, 1]])
-    covered = set()
-    for lw in exact_weight_words(ham, 3):
-        covered.update(lw.support)
+    covered = set(word_supports(exact_weight_words(ham, 3), 3).ravel().tolist())
     assert covered == set(range(7))
 
 
@@ -584,8 +589,9 @@ def test_matrix_file_validation(tmp_path):
     rankdrop.write_text("2 3 2\n1 0 1\n1 0 1\n")
     with pytest.raises(InconsistentInput):
         load_matrix(rankdrop)
-    with pytest.raises(NotPrime):
-        field_for_q(6)
+    for q in (6, 1, 0, -4):  # factorize(0) would loop, -4 factor as 2^2
+        with pytest.raises(NotPrime):
+            field_for_q(q)
     assert field_for_q(9).m == 2
 
 

@@ -234,18 +234,19 @@ def test_word_counts_match_weight_distribution():
         for w in range(1, C.n + 1):
             words = exact_weight_words(C, w)
             routes.add(route(C, w))
-            assert len(words) * (q - 1) == wd[w], (C, w)
-            assert in_dual(dual(C), (lw.word for lw in words))
+            assert words.shape == (wd[w] // (q - 1), C.n), (C, w)
+            assert words.dtype == np.int32
+            assert in_dual(dual(C), words)
     assert routes == {"enumerate", "generator", "parity-check"}
 
 
-def corrupted(words):
-    """The words plus the last one with its first nonzero entry zeroed."""
-    if not words:
-        return words
-    bad = list(words[-1])
-    bad[next(j for j, x in enumerate(bad) if x)] = 0
-    return words + [tuple(bad)]
+def corrupted(W):
+    """The rows of W plus the last one with its first nonzero entry zeroed."""
+    if not len(W):
+        return W
+    bad = W[-1].copy()
+    bad[np.flatnonzero(bad)[0]] = 0
+    return np.vstack([W, bad])
 
 
 def record_kernel_scans(monkeypatch):
@@ -262,12 +263,12 @@ def record_kernel_scans(monkeypatch):
 
     def recording_scan(C, w, use_gen_route, budget, tables):
         nus.clear()
-        words = scan(C, w, use_gen_route, budget, tables)
         route = "generator" if use_gen_route else "parity-check"
+        for words in scan(C, w, use_gen_route, budget, tables):
+            if len(words):
+                reached.add((route, "words"))
+            yield words
         reached.update((route, nu) for nu in nus)
-        if words:
-            reached.add((route, "words"))
-        return words
 
     monkeypatch.setattr(code_core, "_batch_kernel", counting_kernel)
     monkeypatch.setattr(code_core, "_words_by_kernels", recording_scan)
@@ -283,14 +284,14 @@ def test_numpy_paths_match_scalar_reference(monkeypatch):
         words = []
         for w in range(1, C.n + 1):
             fast = exact_weight_words(C, w)
-            assert fast == ref.exact_weight_words(C, w), (C, w)
+            assert np.array_equal(fast, ref.exact_weight_words(C, w)), (C, w)
             assert code_core._has_words_of_weight_at_most(C, w, caps) == \
                 ref.has_words_of_weight_at_most(C, w, caps), (C, w)
-            words.extend(lw.word for lw in fast)
+            words.append(fast)
         assert list(weight_distribution(C).counts) == ref.enumerate_counts(C)
-        bad = corrupted(words)
+        bad = corrupted(np.concatenate(words))
         verdicts.append(in_dual(dual(C), bad))
-        assert verdicts[-1] == ref.in_dual(dual(C), bad)
+        assert verdicts[-1] == ref.in_dual(dual(C), bad.tolist())
     assert False in verdicts  # some corrupted word left the dual
     # nullity >= 2 on both routes (the k = n code on the parity-check
     # route), and words found through the generator route
@@ -309,7 +310,7 @@ def test_dependency_budget_is_exact(numpy_kernel):
         assert route(C, w) == "parity-check"
     # w = 5: one subset of nullity 5, 121 classes; w = 4: five of nullity 4
     for w, spent in ((5, 121 * 5), (4, 5 * 40 * 4)):
-        assert search(C, w, code_core.Caps(search=spent))
+        assert len(search(C, w, code_core.Caps(search=spent)))
         with pytest.raises(SearchTooLarge, match="dependency-space"):
             search(C, w, code_core.Caps(search=spent - 1))
 
@@ -341,13 +342,13 @@ def test_large_fields_match_mds_formula(p, m):
             words = exact_weight_words(C, w)
             routes.add(route(C, w))
             assert len(words) * (q - 1) == mds_count(4, C.k, q, w), (C, w)
-            assert in_dual(dual(C), (lw.word for lw in words))
-            assert words == ref.exact_weight_words(C, w), (C, w)
+            assert in_dual(dual(C), words)
+            assert np.array_equal(words, ref.exact_weight_words(C, w)), (C, w)
     assert routes == {"enumerate", "generator", "parity-check"}
     for C in (C2, C3):
         assert list(weight_distribution(C).counts) == [
             1] + [mds_count(4, C.k, q, w) for w in range(1, 5)]
-    assert [lw.word for lw in exact_weight_words(C3, 4)] == [C3.gen[0]]
+    assert exact_weight_words(C3, 4).tolist() == [list(C3.gen[0])]
     assert code_core._has_words_of_weight_at_most(C1, 2, code_core.Caps())
     assert not code_core._has_words_of_weight_at_most(
         C1, 1, code_core.Caps())
@@ -416,14 +417,15 @@ def test_rref_numpy_matches_scalar(q, nrows, ncols, rank_cap):
 
 def all_words(C, tables):
     """Every weight's words on the enumeration route and on the scan route
-    plan picks for an existence test, sorted."""
+    plan picks for an existence test, as sorted lists."""
     out = []
     for w in range(1, C.n + 1):
         scan = plan(C.n, C.k, C.field.q, "exists", code_core.Caps(), w)
-        for words in (_words_by_enumeration(C, w, tables),
-                      _words_by_kernels(C, w, scan.route == "generator",
-                                        1 << 24, tables)):
-            out.append(sorted(words, key=lambda lw: (lw.support, lw.word)))
+        for blocks in (_words_by_enumeration(C, w, tables),
+                       _words_by_kernels(C, w, scan.route == "generator",
+                                         1 << 24, tables)):
+            W = np.concatenate([np.zeros((0, C.n), dtype=np.int32), *blocks])
+            out.append(sorted(W.tolist()))
     return out
 
 
@@ -437,6 +439,24 @@ def test_block_budget_does_not_change_results(monkeypatch, cells):
     got = [(_enumerated_distribution(C), all_words(C, t))
            for C, t in zip(roster, tables)]
     assert got == want
+
+
+def test_in_dual_checks_every_block(monkeypatch):
+    """Blocks of one or two words: a word corrupted in any block is found,
+    as the scalar reference finds it."""
+    monkeypatch.setattr(code_core, "_BLOCK_CELLS", 16)
+    found = 0
+    for C in code_roster()[4:8]:  # [n, n - 2] and [n, n - 3] codes
+        W = np.concatenate([exact_weight_words(dual(C), w)
+                            for w in range(1, C.n + 1)])
+        assert len(W) > 2 and in_dual(C, W)
+        for r in range(len(W)):
+            bad = W.copy()
+            bad[r, np.flatnonzero(bad[r])[0]] = 0
+            verdict = in_dual(C, bad)
+            assert verdict == ref.in_dual(C, bad.tolist()), (C, r)
+            found += not verdict
+    assert found
 
 
 def test_a_dropped_block_breaks_the_distribution(monkeypatch):

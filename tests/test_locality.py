@@ -6,13 +6,14 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import locality_lab.locality as locality_module
 
 from locality_lab.code_core import (
     LinearCode,
-    LowWeightWord,
+    distinct_supports,
     dual,
     exact_weight_words,
     extend,
@@ -42,6 +43,7 @@ from locality_lab.errors import (
     HypothesisViolated,
     LocalityInvariantBroken,
     NotARepairSet,
+    PairingFailed,
     TrivialCode,
 )
 from locality_lab.gf import field_new
@@ -105,8 +107,8 @@ def test_is_nontrivial_matches_weight_one_words():
             if not any(map(any, rows)):
                 continue
             C = from_generator(F, rows)
-            want = (0 < C.k < C.n and not exact_weight_words(C, 1)
-                    and not exact_weight_words(dual(C), 1))
+            want = (0 < C.k < C.n and not len(exact_weight_words(C, 1))
+                    and not len(exact_weight_words(dual(C), 1)))
             assert is_nontrivial(C) == want, C.gen
 
 
@@ -179,19 +181,17 @@ def test_every_searched_word_is_checked(monkeypatch):
     search = locality_module.exact_weight_words
 
     def corrupt_last(D, w, caps=None):
-        words = search(D, w, caps)
-        if not words:
-            return words
-        bad = list(words[-1].word)
-        bad[words[-1].support[-1]] = 0
-        return words[:-1] + [LowWeightWord(words[-1].support, tuple(bad))]
+        words = search(D, w, caps).copy()
+        if len(words):  # zero the last entry of the last word's support
+            words[-1, np.flatnonzero(words[-1])[-1]] = 0
+        return words
 
     monkeypatch.setattr(locality_module, "exact_weight_words", corrupt_last)
     with pytest.raises(LocalityInvariantBroken, match="outside the dual"):
         minimum_linear_locality(hamming(2, 5))  # 31 dual words of weight 16
 
     monkeypatch.setattr(locality_module, "exact_weight_words",
-                        lambda D, w, caps=None: [])
+                        lambda D, w, caps=None: np.zeros((0, D.n), np.int32))
     with pytest.raises(LocalityInvariantBroken, match="uncovered"):
         minimum_linear_locality(hamming(2, 3))
 
@@ -217,9 +217,10 @@ def test_invariant_checks_survive_optimize():
 # prints the name of every check that raised its bug-signal error
 BROKEN_INVARIANTS = """
 from types import SimpleNamespace
+import numpy as np
 import locality_lab.designs as designs
 import locality_lab.locality as locality
-from locality_lab.code_core import LowWeightWord, from_generator
+from locality_lab.code_core import from_generator
 from locality_lab.constructions import hamming
 from locality_lab.errors import (DesignInvariantBroken,
                                  LocalityInvariantBroken, PairingFailed)
@@ -234,15 +235,14 @@ def expect(name, error, call):
 
 
 C = from_generator(field_new(2, 1), [[1, 0, 1], [0, 1, 1]])
-locality._kernel_vector_nonzero_at = lambda F, rows, ncols, pos: [1, 0, 1]
+locality.nullspace = lambda F, rows, ncols: [[1, 0, 1]]
 expect("repair_coefficients", LocalityInvariantBroken,
        lambda: locality.repair_coefficients(C, 2, [0, 1]))
 
 locality.is_nmds = lambda C, caps=None: True
 locality.minimum_distance = lambda C, caps=None: 1
-locality.exact_weight_words = lambda D, w, caps=None: [
-    LowWeightWord((0,), (1, 0, 0)) if D is C else
-    LowWeightWord((1,), (0, 1, 0))]
+locality.exact_weight_words = lambda D, w, caps=None: np.array(
+    [[1, 0, 0]] if D is C else [[0, 1, 0]], dtype=np.int32)
 expect("nmds_support_pairing", PairingFailed,
        lambda: locality.nmds_support_pairing(C))
 
@@ -409,11 +409,39 @@ def test_nmds_support_pairing():
     pairs = nmds_support_pairing(G)
     assert len(pairs) == 66  # 132 words over GF(3), two per support
     assert weight_distribution(G).counts[5] == 132
+    # each partner is the one dual support disjoint from the word's
+    dual_supports = distinct_supports(exact_weight_words(dual(G), 6), 6)
     for c, h in pairs:
-        assert set(c.support).isdisjoint(h.support)
-        assert len(c.support) + len(h.support) == G.n
+        assert [t for t in dual_supports if set(c).isdisjoint(t)] == [h]
+        assert len(c) + len(h) == G.n
     B = bch(9, 10, 3, 1)
     assert len(nmds_support_pairing(B)) * 8 == 240
+
+
+# (distances of C and its dual, their minimum-weight words, the error)
+PAIRING_FAILURES = [
+    ((1, 2), [[1, 0, 0]], [[0, 1, 1], [1, 1, 0]], "classes"),
+    ((1, 1), [[1, 0, 0]], [[0, 1, 0]], "partition"),
+    ((1, 2), [[1, 0, 0]], [[1, 1, 0]], "has 0 partners"),
+    ((1, 2), [[1, 0, 0], [0, 0, 1]], [[0, 1, 1], [0, 1, 1]],
+     "has 2 partners"),
+    ((1, 2), [[1, 0, 0], [1, 0, 0]], [[0, 1, 1], [1, 1, 0]],
+     "has 1 partners"),
+]
+
+
+@pytest.mark.parametrize("dists, words, dual_words, error", PAIRING_FAILURES)
+def test_nmds_support_pairing_failures(monkeypatch, dists, words, dual_words,
+                                       error):
+    C = from_generator(F2, [[1, 0, 1], [0, 1, 1]])
+    monkeypatch.setattr(locality_module, "is_nmds", lambda C, caps=None: True)
+    monkeypatch.setattr(locality_module, "minimum_distance",
+                        lambda D, caps=None: dists[D is not C])
+    monkeypatch.setattr(
+        locality_module, "exact_weight_words", lambda D, w, caps=None:
+        np.array(words if D is C else dual_words, dtype=np.int32))
+    with pytest.raises(PairingFailed, match=error):
+        nmds_support_pairing(C)
 
 
 def test_llrc_string():
