@@ -674,7 +674,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceeded as exc:
         print(f"error (cap): {exc}", file=sys.stderr)
         return 2
-    except (LocalityLabError, OSError) as exc:  # OSError: a user's path
+    except LocalityLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations, islice, product
 from typing import NamedTuple
 
@@ -68,6 +68,7 @@ from .errors import (
     NotPrime,
     RaggedRows,
     SearchTooLarge,
+    UnusablePath,
     ZeroCode,
 )
 from .gf import (DLOG_CAP, FieldSpec, canonical_isomorphism, factorize,
@@ -668,7 +669,12 @@ def shorten(C: LinearCode, T) -> LinearCode:
 
 def extend(C: LinearCode) -> LinearCode:
     F = C.field
-    rows = [list(r) + [F.neg(reduce(F.add, r, 0))] for r in C.gen]
+    rows = []
+    for r in C.gen:
+        s = 0
+        for x in r:
+            s = F.add(s, x)
+        rows.append(list(r) + [F.neg(s)])
     if not rows:
         return zero_code(F, C.n + 1)
     out = _build(F, C.n + 1, rows, None)
@@ -722,7 +728,10 @@ class WeightDistribution:
         return sum(self.counts)
 
     def min_distance(self) -> int | None:
-        return next((w for w, c in enumerate(self.counts) if w and c), None)
+        for w in range(1, len(self.counts)):
+            if self.counts[w]:
+                return w
+        return None
 
     def __getitem__(self, i: int) -> int:
         return self.counts[i]
@@ -908,7 +917,7 @@ def exact_weight_words(C: LinearCode, w: int,
                                    tables)
     W = np.concatenate([np.zeros((0, n), dtype=np.int32), *blocks])
     S = word_supports(W, w)
-    keys = np.hstack([S, np.take_along_axis(W, S, axis=1)])
+    keys = np.hstack([S.astype(np.int32), np.take_along_axis(W, S, axis=1)])
     return W[np.lexsort(keys[:, ::-1].T)]
 
 
@@ -961,8 +970,11 @@ def save_matrix(path, C: LinearCode) -> None:
     lines = [f"{C.field.q} {C.n} {C.k}"]
     for row in rows:
         lines.append(" ".join(str(x) for x in row))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise UnusablePath(str(exc)) from exc
 
 
 def load_matrix(path) -> LinearCode:
@@ -971,6 +983,8 @@ def load_matrix(path) -> LinearCode:
             tokens = [int(t) for t in fh.read().split()]
     except ValueError as exc:  # a bad token, or a byte beyond ASCII
         raise InconsistentInput(f"matrix file {path}: {exc}") from None
+    except OSError as exc:
+        raise UnusablePath(str(exc)) from exc
     if len(tokens) < 3:
         raise InconsistentInput("matrix file too short")
     q, n, k = tokens[:3]

@@ -81,6 +81,10 @@ class InconsistentInput(LocalityLabError):
     pass
 
 
+class UnusablePath(LocalityLabError):
+    """A matrix file could not be opened, read or written."""
+
+
 class NonIntegerOutput(LocalityLabError):
     """Bug signal: a transform produced a non-integral count."""
 

@@ -389,8 +389,9 @@ def nmds_support_pairing(C: LinearCode, caps: Caps | None = None
     partners = Counter(map(tuple, word_supports(dual_words, d_dual).tolist()))
     pairs = []
     used: set[tuple[int, ...]] = set()
-    for s in map(tuple, word_supports(words, d).tolist()):
-        rest = tuple(sorted(set(range(C.n)).difference(s)))
+    # the complement of a support is where the word is zero
+    for s, rest in zip(map(tuple, word_supports(words, d).tolist()),
+                       map(tuple, word_supports(words == 0, d_dual).tolist())):
         if partners[rest] != 1 or rest in used:
             raise PairingFailed(
                 f"word with support {s} has {partners[rest]} partners")

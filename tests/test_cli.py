@@ -401,6 +401,17 @@ def test_unusable_path_exits_1(tmp_path, capsys, argv):
     assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
 
 
+def test_other_os_errors_are_not_reported_as_user_errors(monkeypatch):
+    # only a matrix file's path becomes "error: ..."; an OSError elsewhere,
+    # such as a broken pipe on stdout, keeps its traceback
+    def broken(args):
+        raise BrokenPipeError("stdout closed")
+
+    monkeypatch.setattr(cli, "_resolve", broken)
+    with pytest.raises(BrokenPipeError):
+        main(["analyze", "hamming", "q=2", "m=3"])
+
+
 def test_module_entry_point_runs_without_warning():
     # the package must not import cli before runpy executes it
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
