@@ -259,7 +259,10 @@ def _design_args(requests: list[str]) -> list[tuple[int, int]]:
         t, sep, w = item.partition(":")
         if not sep:
             raise BadParams(f"--designs wants t:w, got {item!r}")
-        out.append((_int(t, "design strength t"), _int(w, "design weight w")))
+        t, w = _int(t, "design strength t"), _int(w, "design weight w")
+        if not 1 <= t <= w:
+            raise BadParams(f"--designs wants 1 <= t <= w, got {item!r}")
+        out.append((t, w))
     return out
 
 
@@ -364,12 +367,12 @@ def _print_bundle(bundle, out) -> None:
 
 
 def cmd_analyze(args) -> int:
+    designs = _design_args(args.designs)
     C = _resolve(args)
     identity = {"family": args.family,
                 "params": _parse_params(args.params),
                 "dual": bool(args.dual)}
-    bundle = _analysis_bundle(C, identity, None, args.bounds,
-                              _design_args(args.designs))
+    bundle = _analysis_bundle(C, identity, None, args.bounds, designs)
     if args.json:
         print(_dumps(bundle))
     else:

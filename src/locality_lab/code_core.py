@@ -58,7 +58,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    AllOneAlreadyPresent,
     BadCoordinate,
     EnumerationTooLarge,
     FieldTooLarge,
@@ -506,19 +505,17 @@ def nullspace(field: FieldSpec, rows: list[list[int]], ncols: int) -> list[list[
 class LinearCode:
     """A [n, k] code over a FieldSpec, held by its canonical generator matrix."""
 
-    __slots__ = ("field", "n", "k", "gen", "pivots", "label", "is_cyclic",
-                 "_gen_array", "_dual", "_wd", "_mind")
+    __slots__ = ("field", "n", "k", "gen", "pivots", "label", "_gen_array",
+                 "_dual", "_wd", "_mind")
 
     def __init__(self, field: FieldSpec, n: int, gen: tuple[tuple[int, ...], ...],
-                 pivots: tuple[int, ...], label: str | None = None,
-                 is_cyclic: bool = False):
+                 pivots: tuple[int, ...], label: str | None = None):
         self.field = field
         self.n = n
         self.k = len(gen)
         self.gen = gen
         self.pivots = pivots
         self.label = label
-        self.is_cyclic = is_cyclic
         self._gen_array: np.ndarray | None = None
         self._dual: LinearCode | None = None
         self._wd = None
@@ -571,10 +568,10 @@ class LinearCode:
 
 
 def _build(field: FieldSpec, n: int, rows: list[list[int]],
-           label: str | None, is_cyclic: bool = False) -> LinearCode:
+           label: str | None) -> LinearCode:
     red, pivots = rref(field, rows)
     return LinearCode(field, n, tuple(tuple(r) for r in red), tuple(pivots),
-                      label, is_cyclic)
+                      label)
 
 
 def _checked_rows(field: FieldSpec, rows, who: str) -> list[list[int]]:
@@ -591,18 +588,16 @@ def _checked_rows(field: FieldSpec, rows, who: str) -> list[list[int]]:
     return rows
 
 
-def from_generator(field: FieldSpec, rows, label: str | None = None,
-                   is_cyclic: bool = False) -> LinearCode:
+def from_generator(field: FieldSpec, rows, label: str | None = None) -> LinearCode:
     rows = _checked_rows(field, rows, "from_generator")
-    return _build(field, len(rows[0]), rows, label, is_cyclic)
+    return _build(field, len(rows[0]), rows, label)
 
 
-def from_parity_check(field: FieldSpec, rows, label: str | None = None,
-                      is_cyclic: bool = False) -> LinearCode:
+def from_parity_check(field: FieldSpec, rows, label: str | None = None) -> LinearCode:
     """The code with the given parity-check rows: the dual of the code
     they generate, which stays cached as the other's dual."""
     rows = _checked_rows(field, rows, "from_parity_check")
-    C = dual(_build(field, len(rows[0]), rows, None, is_cyclic))
+    C = dual(_build(field, len(rows[0]), rows, None))
     if label:
         C.label, C._dual.label = label, f"dual({label})"
     return C
@@ -636,7 +631,7 @@ def dual(C: LinearCode) -> LinearCode:
             row[p] = r[f]
         rows.append(tuple(row))
     D = LinearCode(F, n, tuple(rows), tuple(free),
-                   f"dual({C.label})" if C.label else None, C.is_cyclic)
+                   f"dual({C.label})" if C.label else None)
     C._dual = D
     D._dual = C
     return D
@@ -683,17 +678,6 @@ def extend(C: LinearCode) -> LinearCode:
     return out
 
 
-def augment(C: LinearCode) -> LinearCode:
-    ones = [1] * C.n
-    if C.k and C.contains(ones):
-        raise AllOneAlreadyPresent("all-one vector already in the code")
-    rows = [list(r) for r in C.gen] + [ones]
-    out = _build(C.field, C.n, rows, None)
-    if out.k != C.k + 1:
-        raise LocalityInvariantBroken("augment failed to grow the dimension")
-    return out
-
-
 def in_dual(C: LinearCode, W) -> bool:
     """True iff every row of the (m, n) array W, such as the words
     exact_weight_words returns, is orthogonal to every row of the generator
@@ -711,6 +695,14 @@ def in_dual(C: LinearCode, W) -> bool:
         if syndromes.any():
             return False
     return True
+
+
+def is_cyclic(C: LinearCode) -> bool:
+    """True iff the cyclic shift maps C onto itself.  A code is cyclic iff
+    its dual is, so the rows of whichever of C and dual(C) has fewer are
+    shifted and tested against the other's generator."""
+    S = C if C.k <= C.n - C.k else dual(C)
+    return in_dual(dual(S), np.roll(S.gen_array, 1, axis=1))
 
 
 # ---------------------------------------------------------------------------

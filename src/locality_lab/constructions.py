@@ -158,7 +158,7 @@ def cyclic_code(q: int, n: int, g: Poly, label: str | None = None) -> LinearCode
         raise NotADivisor("generator polynomial does not divide x^n - 1")
     k = n - g.degree
     rows = [[0] * i + list(g.coeffs) + [0] * (k - 1 - i) for i in range(k)]
-    return from_generator(field, rows, label=label, is_cyclic=True)
+    return from_generator(field, rows, label=label)
 
 
 def bch(q: int, n: int, delta: int, h: int) -> LinearCode:
@@ -339,7 +339,7 @@ def tits_ovoid(q: int) -> PointSet:
     """The non-classical ovoid over GF(2^(2e+1)): affine points
     (x, y, x^sigma + xy + y^(sigma+2), 1) with sigma = 2^(e+1)."""
     m = q.bit_length() - 1
-    if q != 1 << m or m < 3 or m % 2 == 0:
+    if q < 8 or q & (q - 1) or m % 2 == 0:
         raise WrongFieldForm(f"Tits ovoid needs q = 2^(2e+1) with e >= 1, got {q}")
     e = (m - 1) // 2
     sigma = 1 << (e + 1)
@@ -382,11 +382,9 @@ def ovoid_code(ps: PointSet) -> LinearCode:
 def denniston_arc(q: int, h: int) -> PointSet:
     """Affine points (x, y, 1) whose value under an irreducible binary
     quadratic form lands in the additive subgroup {0, ..., h-1}."""
-    m = q.bit_length() - 1
-    i = h.bit_length() - 1
-    if q != 1 << m or m < 3:
+    if q < 8 or q & (q - 1):
         raise BadParameters(f"need q = 2^m with m >= 3, got {q}")
-    if h != 1 << i or not 2 <= i < m:
+    if not 4 <= h < q or h & (h - 1):
         raise BadParameters(f"need h = 2^i with 2 <= i < m, got {h}")
     field = field_for_q(q)
     c = next((t for t in range(q) if absolute_trace(field, t) == 1), None)
@@ -504,7 +502,7 @@ def oval_poly(family: str, q: int, param: int | None = None) -> OvalPolynomial:
     modulo q-1 so the polynomial has degree below q.  The result is
     validated exhaustively."""
     m = q.bit_length() - 1
-    if q != 1 << m or m < 3:
+    if q < 8 or q & (q - 1):
         raise FamilyUnavailableForParameters(f"need q = 2^m with m >= 3, got {q}")
     field = field_for_q(q)
     coeffs = [0] * q

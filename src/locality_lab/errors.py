@@ -69,10 +69,6 @@ class BadCoordinate(LocalityLabError):
     pass
 
 
-class AllOneAlreadyPresent(LocalityLabError):
-    pass
-
-
 class EnumerationTooLarge(CapExceeded):
     pass
 

@@ -22,6 +22,7 @@ from .code_core import (
     dual,
     exact_weight_words,
     in_dual,
+    is_cyclic,
     minimum_distance,
     nullspace,
     word_supports,
@@ -138,7 +139,7 @@ def minimum_linear_locality(C: LinearCode,
         w += 1
     r_min = w - 1
     # transitive coordinate action forces coverage already at d(dual)
-    if C.is_cyclic and r_min != d_dual - 1:
+    if r_min != d_dual - 1 and is_cyclic(C):
         raise LocalityInvariantBroken(
             f"cyclic code has locality {r_min}, not d(dual) - 1 = {d_dual - 1}")
     return LocalityReport(

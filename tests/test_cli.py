@@ -353,11 +353,20 @@ def test_analyze_trivial_code_is_not_a_cap_skip(capsys):
     ("analyze", "cyclic", "q=2", "n=7", "g=1,a"),  # malformed coefficient
     ("analyze", "oval-code-gf", "q=8", "f=translation:z"),
     ("validate-oval", "q=8", "f=monomial:x"),
+    # q or h no power of two in range, such as 0
+    ("analyze", "arc-denniston", "q=8", "h=0"),
+    ("analyze", "arc-denniston", "q=0", "h=4"),
+    ("analyze", "ovoid-tits", "q=0"),
+    ("analyze", "oval-code-gf", "q=0", "f=translation"),
+    # --designs t:w outside 1 <= t <= w
+    ("analyze", "hamming", "q=2", "m=3", "--designs", "3:-1"),
+    ("analyze", "hamming", "q=2", "m=3", "--designs", "0:0"),
+    ("analyze", "hamming", "q=2", "m=3", "--designs", "9:3"),
 ])
 def test_error_paths_exit_1(capsys, argv):
-    rc, _, err = run(capsys, *argv)
-    assert rc == 1
-    assert err.strip()
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("caps, reason", [

@@ -3,6 +3,7 @@ weight distributions, MacWilliams, and the low-weight search."""
 
 import math
 import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -14,13 +15,13 @@ from locality_lab.code_core import (
     LinearCode,
     Plan,
     WeightDistribution,
-    augment,
     dual,
     exact_weight_words,
     extend,
     field_for_q,
     from_generator,
     from_parity_check,
+    is_cyclic,
     load_matrix,
     macwilliams,
     minimum_distance,
@@ -35,7 +36,6 @@ from locality_lab.code_core import (
     _has_words_of_weight_at_most,
 )
 from locality_lab.errors import (
-    AllOneAlreadyPresent,
     BadCoordinate,
     EnumerationTooLarge,
     InconsistentInput,
@@ -45,9 +45,9 @@ from locality_lab.errors import (
     SearchTooLarge,
     ZeroCode,
 )
-from locality_lab.constructions import (elliptic_quadric, hamming,
+from locality_lab.constructions import (bch, elliptic_quadric, hamming,
                                         hamming_weight_distribution_formula,
-                                        ovoid_code)
+                                        ovoid_code, ternary_golay)
 from locality_lab.gf import field_new, quadratic_extension
 
 F2 = field_new(2, 1)
@@ -198,7 +198,7 @@ def test_puncture_and_shorten_edges():
     assert shorten(rep, [1]).k == 0
 
 
-def test_extend_and_augment():
+def test_extend():
     ham = from_parity_check(
         F2, [[0, 0, 0, 1, 1, 1, 1], [0, 1, 1, 0, 0, 1, 1], [1, 0, 1, 0, 1, 0, 1]])
     ext = extend(ham)
@@ -210,12 +210,56 @@ def test_extend_and_augment():
         for x in row:
             acc ^= x
         assert acc == 0
-    aug = augment(from_generator(F2, [[1, 0, 0], [0, 1, 0]]))
-    assert aug.k == 3 and aug.contains([1, 1, 1])
-    with pytest.raises(AllOneAlreadyPresent):
-        augment(aug)
-    with pytest.raises(AllOneAlreadyPresent):
-        augment(from_parity_check(F2, [[1, 1, 1, 1]]))  # all-one has even weight
+
+
+def _brute_force_cyclic(C):
+    """Every codeword's cyclic shift is a codeword, by listing all q^k."""
+    words = {C.encode(list(m)) for m in product(range(C.q()), repeat=C.k)}
+    return all(w[-1:] + w[:-1] in words for w in words)
+
+
+def test_is_cyclic_matches_brute_force():
+    rng = random.Random(13)
+    seen = set()
+    for field in (F2, F3, F4, field_new(5, 1)):
+        for _ in range(12):
+            n = rng.randint(3, 7)
+            v = [rng.randrange(field.q) for _ in range(n)]
+            if rng.random() < 0.5:  # the span of v's shifts is cyclic
+                rows = [v[i:] + v[:i] for i in range(n)]
+            else:
+                rows = [[rng.randrange(field.q) for _ in range(n)]
+                        for _ in range(rng.randint(1, n))]
+            C = from_generator(field, rows)
+            if field.q ** C.k > 4096:
+                continue
+            assert is_cyclic(C) == _brute_force_cyclic(C), rows
+            seen.add((is_cyclic(C), 2 * C.k < C.n, 2 * C.k > C.n))
+        for n in (3, 6):
+            assert is_cyclic(zero_code(field, n))
+            full = from_generator(field, [[int(i == j) for j in range(n)]
+                                          for i in range(n)])
+            assert full.k == n and is_cyclic(full)
+    # cyclic and not, with k below and above n/2
+    assert {(c, lo, hi) for c in (True, False)
+            for lo, hi in ((True, False), (False, True))} <= seen
+
+
+def test_is_cyclic_certifies_cyclic_constructions_and_their_duals():
+    for C in (bch(2, 7, 3, 1), bch(3, 8, 3, 1), bch(2, 15, 5, 1),
+              bch(4, 15, 4, 1), bch(5, 8, 3, 2), bch(9, 10, 3, 1),
+              bch(16, 17, 3, 1), ternary_golay()):
+        assert is_cyclic(C) and is_cyclic(dual(C)), C
+    # the [7, 4] Hamming code as built has its columns in counting order
+    assert not is_cyclic(from_parity_check(
+        F2, [[0, 0, 0, 1, 1, 1, 1], [0, 1, 1, 0, 0, 1, 1], [1, 0, 1, 0, 1, 0, 1]]))
+
+
+def test_reloaded_ternary_golay_is_cyclic(tmp_path):
+    path = tmp_path / "golay.txt"
+    save_matrix(path, ternary_golay())
+    back = load_matrix(path)
+    assert back == ternary_golay() and is_cyclic(back)
 
 
 def test_extend_distance_gain_is_zero_or_one():

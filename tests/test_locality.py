@@ -19,6 +19,7 @@ from locality_lab.code_core import (
     extend,
     field_for_q,
     from_generator,
+    is_cyclic,
     minimum_distance,
     puncture,
     shorten,
@@ -171,10 +172,14 @@ def test_locality_cyclic_fast_path():
 NOT_CYCLIC = [[1, 1, 1, 0, 0], [0, 0, 1, 1, 1]]
 
 
-def test_wrong_cyclic_flag_is_caught():
-    assert minimum_linear_locality(from_generator(F2, NOT_CYCLIC)).r_min == 2
+def test_wrong_cyclic_flag_is_caught(monkeypatch):
+    C = from_generator(F2, NOT_CYCLIC)
+    assert not is_cyclic(C)
+    assert minimum_linear_locality(C).r_min == 2
+    # a shift check that wrongly certifies C is caught by the invariant
+    monkeypatch.setattr(locality_module, "is_cyclic", lambda C: True)
     with pytest.raises(LocalityInvariantBroken, match="cyclic"):
-        minimum_linear_locality(from_generator(F2, NOT_CYCLIC, is_cyclic=True))
+        minimum_linear_locality(C)
 
 
 def test_every_searched_word_is_checked(monkeypatch):
@@ -197,14 +202,14 @@ def test_every_searched_word_is_checked(monkeypatch):
 
 
 def test_invariant_checks_survive_optimize():
-    script = ("from locality_lab.code_core import from_generator\n"
+    script = ("import locality_lab.locality as locality\n"
+              "from locality_lab.code_core import from_generator\n"
               "from locality_lab.errors import LocalityInvariantBroken\n"
               "from locality_lab.gf import field_new\n"
-              "from locality_lab.locality import minimum_linear_locality\n"
-              f"C = from_generator(field_new(2, 1), {NOT_CYCLIC!r}, "
-              "is_cyclic=True)\n"
+              f"C = from_generator(field_new(2, 1), {NOT_CYCLIC!r})\n"
+              "locality.is_cyclic = lambda C: True\n"
               "try:\n"
-              "    minimum_linear_locality(C)\n"
+              "    locality.minimum_linear_locality(C)\n"
               "except LocalityInvariantBroken:\n"
               "    print('raised')\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
