@@ -583,12 +583,12 @@ def _run_table_row(label, q, build, claimed, d_mark, k_mark, caps):
 
 def cmd_table(args) -> int:
     caps = Caps.from_env()
-    rows = []
-    for label, q, build, claimed, d_mark, k_mark in _table_rows(args.which):
-        if args.only and args.only not in label:
-            continue
-        rows.append(_run_table_row(label, q, build, claimed, d_mark, k_mark,
-                                   caps))
+    table = [row for row in _table_rows(args.which)
+             if not args.only or args.only in row[0]]
+    if not table:
+        raise BadParams(
+            f"no row of table {args.which} matches --only {args.only!r}")
+    rows = [_run_table_row(*row, caps) for row in table]
     if args.json:
         print(_dumps(rows))
     else:
@@ -626,9 +626,18 @@ def _add_code_arguments(sub, with_dual=True):
                          help="analyze the dual of the constructed code")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise BadParams, so they exit
+    1 with one error line, not argparse's 2, the status of a cap skip.
+    The subcommand parsers are made of the same class."""
+
+    def error(self, message):
+        raise BadParams(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="locality-lab",
         description="locality analysis and optimality certification "
                     "for linear codes")
@@ -671,8 +680,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CapExceeded as exc:
         print(f"error (cap): {exc}", file=sys.stderr)

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice, product
@@ -819,8 +820,21 @@ def _words_by_enumeration(C: LinearCode, w: int, tables: _FieldArrays):
         yield _lead_with_one(tables, V[0][np.count_nonzero(V[0], axis=1) == w])
 
 
+def _subsets_through(n: int, w: int, through: list[int]):
+    """The w-subsets of range(n) that meet the ascending list through, each
+    once, as an ascending tuple: for each u of through, u with the
+    (w - 1)-subsets of the coordinates off through and those of through
+    above u, so u is the subset's least member of through."""
+    off = sorted(set(range(n)).difference(through))
+    for i, u in enumerate(through):
+        rest = sorted(off + through[i + 1:])
+        for T in combinations(rest, w - 1):
+            j = bisect_left(T, u)
+            yield T[:j] + (u,) + T[j:]
+
+
 def _deficient_blocks(C: LinearCode, w: int, use_gen_route: bool,
-                      tables: _FieldArrays):
+                      tables: _FieldArrays, through: list[int] | None = None):
     """The w-subsets S of coordinates, in lexicographic order, that hold the
     support of some nonzero codeword: the columns of a parity check on S
     are dependent, or (generator route) the generator columns off S have
@@ -830,7 +844,9 @@ def _deficient_blocks(C: LinearCode, w: int, use_gen_route: bool,
     subset; K[i] is H[:, S] on the parity-check route, whose kernel is the
     dependency space on S, and the transposed generator columns off S on
     the generator route, whose kernel is the messages u with u.G zero off
-    S; nullity[i] is the dimension of that kernel."""
+    S; nullity[i] is the dimension of that kernel.  Given the ascending
+    list through, only the w-subsets meeting it are scanned, in the order
+    of _subsets_through."""
     n, k = C.n, C.k
     M = (C if use_gen_route else dual(C)).gen_array
     ncols = n - w if use_gen_route else w
@@ -839,7 +855,8 @@ def _deficient_blocks(C: LinearCode, w: int, use_gen_route: bool,
     # all stay within _BLOCK_CELLS
     per_subset = max(1, len(M) * ncols, w * full_rank)
     block = max(1, min(_SCAN_BLOCK, _BLOCK_CELLS // per_subset))
-    subsets = combinations(range(n), w)
+    subsets = combinations(range(n), w) if through is None else \
+        _subsets_through(n, w, through)
     while chunk := list(islice(subsets, block)):
         S = np.array(chunk, dtype=np.intp).reshape(len(chunk), w)
         cols = S
@@ -859,14 +876,16 @@ def _deficient_blocks(C: LinearCode, w: int, use_gen_route: bool,
 
 
 def _words_by_kernels(C: LinearCode, w: int, use_gen_route: bool, budget: int,
-                      tables: _FieldArrays):
+                      tables: _FieldArrays, through: list[int] | None = None):
     """The support scan with table-driven numpy: the kernel bases of all
     rank-deficient subsets of a block come from one _batch_kernel pass, and
     the words on S are the classes of their spans with no zero entry.
-    Yields blocks of words of length n, each scaled to lead with 1."""
+    Yields blocks of words of length n, each scaled to lead with 1; given
+    through, only the words whose support meets it."""
     q, n, G = C.field.q, C.n, C.gen_array
     spent = 0
-    for S, K, nullity in _deficient_blocks(C, w, use_gen_route, tables):
+    for S, K, nullity in _deficient_blocks(C, w, use_gen_route, tables,
+                                           through):
         values, counts = np.unique(nullity, return_counts=True)
         spent += w * sum(c * ((q ** nu - 1) // (q - 1)) for nu, c in
                          zip(values.tolist(), counts.tolist()))
@@ -889,13 +908,15 @@ def _words_by_kernels(C: LinearCode, w: int, use_gen_route: bool, budget: int,
                 yield full
 
 
-def exact_weight_words(C: LinearCode, w: int,
-                       caps: Caps | None = None) -> np.ndarray:
+def exact_weight_words(C: LinearCode, w: int, caps: Caps | None = None,
+                       through: list[int] | None = None) -> np.ndarray:
     """All weight-w codewords of C, one per projective class, as one int32
-    array of shape (m, n), (0, n) when there are none.  Each row is scaled
+    array of shape (m, n), (0, n) when there are none; given the ascending
+    list through, only those whose support meets it.  Each row is scaled
     to lead with 1 and has exactly w nonzero entries, so word_supports
     reads the supports off it.  The rows are sorted by support, then by
-    word: two words on one support differ only on it."""
+    word: two words on one support differ only on it.  The route and its
+    price are those of the full scan, through or not."""
     caps = _caps(caps)
     n, k = C.n, C.k
     if k == 0 or w == 0 or w > n:
@@ -906,8 +927,10 @@ def exact_weight_words(C: LinearCode, w: int,
         blocks = _words_by_enumeration(C, w, tables)
     else:
         blocks = _words_by_kernels(C, w, route == "generator", caps.search,
-                                   tables)
+                                   tables, through)
     W = np.concatenate([np.zeros((0, n), dtype=np.int32), *blocks])
+    if through is not None and route == "enumerate":
+        W = W[W[:, through].any(axis=1)]
     S = word_supports(W, w)
     keys = np.hstack([S.astype(np.int32), np.take_along_axis(W, S, axis=1)])
     return W[np.lexsort(keys[:, ::-1].T)]

@@ -103,7 +103,9 @@ def minimum_linear_locality(C: LinearCode,
     codeword of weight at most r + 1.
 
     Scans dual weights upward from d(dual); the words found at each weight
-    are accumulated until their supports cover every coordinate.
+    are accumulated until their supports cover every coordinate.  The first
+    weight scans every support, each later one only the supports through a
+    coordinate still uncovered: the others would cover nothing new.
     """
     if not is_nontrivial(C):
         raise TrivialCode(
@@ -115,8 +117,9 @@ def minimum_linear_locality(C: LinearCode,
     coverage: dict[int, tuple[int, ...]] = {}
     options: dict[int, list[tuple[int, ...]]] = {}
     w = d_dual
+    uncovered = None  # every coordinate, at the first weight
     while True:
-        words = exact_weight_words(D, w, caps)
+        words = exact_weight_words(D, w, caps, through=uncovered)
         if not in_dual(C, words):
             raise LocalityInvariantBroken(
                 f"weight-{w} search produced a word outside the dual")
@@ -136,6 +139,7 @@ def minimum_linear_locality(C: LinearCode,
         if w >= n:
             raise LocalityInvariantBroken(
                 "nontrivial dual left coordinates uncovered")
+        uncovered = sorted(set(range(n)) - covered)
         w += 1
     r_min = w - 1
     # transitive coordinate action forces coverage already at d(dual)

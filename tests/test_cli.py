@@ -112,6 +112,14 @@ JSON_OUTPUTS = [
      "9500e955631a0f2b74a77efe94ba22ff73373729262830d181dceb071355d8c7"),
     ("table 2 --json", 1,  # the known FAIL row
      "0f1b314a679f0e1cbfee609fdcbb2cc09c28968a60852f97e91668eff70cce90"),
+    # coverage over two weights: the later weight scans through the
+    # coordinates still uncovered
+    ("analyze oval-code-gf q=32 f=segre --bounds --json", 0,
+     "5f1ed6ea385b785239438929e34791e60fdf503b202addb5aff9c9c0b15f7ba8"),
+    ("repair-sets oval-code-gf q=32 f=segre --json", 0,
+     "8ff109148250a5c5f70e8b2718859bb9837a8f7f3b25771f0a95f10e7427276b"),
+    ("analyze oval-code-gfbar q=8 f=translation:1 --bounds --json", 0,
+     "e9003deb667409d298e17a4fbc75f25f29c7c8805a3cba5a57c1ec12d9633965"),
 ]
 
 
@@ -362,11 +370,26 @@ def test_analyze_trivial_code_is_not_a_cap_skip(capsys):
     ("analyze", "hamming", "q=2", "m=3", "--designs", "3:-1"),
     ("analyze", "hamming", "q=2", "m=3", "--designs", "0:0"),
     ("analyze", "hamming", "q=2", "m=3", "--designs", "9:3"),
+    # --only that matches no row
+    ("table", "1", "--only", "nosuch"),
+    ("table", "1", "--only", "nosuch", "--json"),
+    # usage errors: argparse would exit 2, the status of a cap skip
+    ("table", "3"),
+    ("analyze",),
+    ("repair-sets", "hamming", "q=2", "m=3", "--coordinate", "x"),
 ])
 def test_error_paths_exit_1(capsys, argv):
     rc, out, err = run(capsys, *argv)
     assert (rc, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("table", "--help")])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: locality-lab")
 
 
 @pytest.mark.parametrize("caps, reason", [

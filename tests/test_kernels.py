@@ -3,7 +3,7 @@ its scalar reference in scalar_reference.py."""
 
 import math
 import random
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -262,10 +262,10 @@ def record_kernel_scans(monkeypatch):
             nus.append(nu)
             yield nu, idx, basis
 
-    def recording_scan(C, w, use_gen_route, budget, tables):
+    def recording_scan(C, w, use_gen_route, budget, tables, through=None):
         nus.clear()
         route = "generator" if use_gen_route else "parity-check"
-        for words in scan(C, w, use_gen_route, budget, tables):
+        for words in scan(C, w, use_gen_route, budget, tables, through):
             if len(words):
                 reached.add((route, "words"))
             yield words
@@ -298,6 +298,45 @@ def test_numpy_paths_match_scalar_reference(monkeypatch):
     # route), and words found through the generator route
     assert {("parity-check", 2), ("parity-check", 3), ("generator", 2),
             ("parity-check", "words"), ("generator", "words")} <= reached
+
+
+@pytest.mark.parametrize("n, w, through", [
+    (1, 1, [0]), (5, 1, [2, 4]), (5, 5, [0]), (5, 5, [0, 1, 2, 3, 4]),
+    (6, 3, [0]), (6, 3, [5]), (6, 3, [1, 2, 3, 4, 5]), (7, 4, [0, 3, 6]),
+    (7, 2, []), (8, 4, [1, 2, 5, 6, 7]), (9, 8, [3, 4]),
+])
+def test_subsets_through_meet_through_once(n, w, through):
+    got = list(code_core._subsets_through(n, w, through))
+    assert all(S == tuple(sorted(set(S))) for S in got)  # ascending tuples
+    assert len(got) == len(set(got))
+    assert set(got) == {S for S in combinations(range(n), w)
+                        if set(S) & set(through)}
+
+
+def through_sets(rng, n):
+    """One coordinate, all but one, and two random subsets of range(n)."""
+    return [[rng.randrange(n)], sorted(rng.sample(range(n), n - 1)),
+            *(sorted(rng.sample(range(n), rng.randint(1, n)))
+              for _ in range(2))]
+
+
+def test_restricted_scan_matches_filtered_full_scan():
+    """The words through U are the rows of the full scan whose support
+    meets U, on every route, as in the scalar reference filtered alike."""
+    rng = random.Random(14)
+    narrowed = set()  # routes on which some U dropped some but not all words
+    for C in code_roster():
+        for w in range(1, C.n + 1):
+            full = exact_weight_words(C, w)
+            slow = ref.exact_weight_words(C, w)
+            for U in through_sets(rng, C.n):
+                got = exact_weight_words(C, w, through=U)
+                assert np.array_equal(got, full[full[:, U].any(axis=1)])
+                assert np.array_equal(got, slow[slow[:, U].any(axis=1)]), \
+                    (C, w, U)
+                if 0 < len(got) < len(full):
+                    narrowed.add(route(C, w))
+    assert narrowed == {"enumerate", "generator", "parity-check"}
 
 
 @pytest.mark.parametrize("numpy_kernel", [True, False])

@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+import scalar_reference as ref
 
 import locality_lab.locality as locality_module
 
@@ -49,6 +50,7 @@ from locality_lab.errors import (
 )
 from locality_lab.gf import field_new
 from locality_lab.locality import (
+    LocalityReport,
     bounds_report,
     classify_d_optimality,
     classify_k_optimality,
@@ -185,8 +187,8 @@ def test_wrong_cyclic_flag_is_caught(monkeypatch):
 def test_every_searched_word_is_checked(monkeypatch):
     search = locality_module.exact_weight_words
 
-    def corrupt_last(D, w, caps=None):
-        words = search(D, w, caps).copy()
+    def corrupt_last(D, w, caps=None, through=None):
+        words = search(D, w, caps, through).copy()
         if len(words):  # zero the last entry of the last word's support
             words[-1, np.flatnonzero(words[-1])[-1]] = 0
         return words
@@ -196,9 +198,92 @@ def test_every_searched_word_is_checked(monkeypatch):
         minimum_linear_locality(hamming(2, 5))  # 31 dual words of weight 16
 
     monkeypatch.setattr(locality_module, "exact_weight_words",
-                        lambda D, w, caps=None: np.zeros((0, D.n), np.int32))
+                        lambda D, w, caps=None, through=None:
+                        np.zeros((0, D.n), np.int32))
     with pytest.raises(LocalityInvariantBroken, match="uncovered"):
         minimum_linear_locality(hamming(2, 3))
+
+
+def field_tables(F):
+    """The addition and multiplication tables of F, as (q, q) arrays."""
+    q = F.q
+    return (np.array([[F.add(a, b) for b in range(q)] for a in range(q)]),
+            np.array([[F.mul(a, b) for b in range(q)] for a in range(q)]))
+
+
+def span_of(F, rows, n):
+    """Every word of the span of rows, all q^len(rows) combinations."""
+    ADD, MUL = field_tables(F)
+    coeffs = np.indices((F.q,) * len(rows)).reshape(len(rows), -1)
+    words = np.zeros((coeffs.shape[1], n), dtype=np.intp)
+    for c, row in zip(coeffs, rows):
+        words = ADD[words, MUL[c[:, None], np.array(row)[None, :]]]
+    return words
+
+
+def brute_force_report(C):
+    """The LocalityReport of C read off every word of its dual: coordinate
+    j is first covered at w_j, the least weight of a dual word through j,
+    and its options are the supports of weight w_j through it."""
+    n = C.n
+    D_rows, _ = ref.dual(C.field, C.gen, n)
+    supports = [tuple(np.flatnonzero(m).tolist()) for m in
+                np.unique(span_of(C.field, D_rows, n) != 0, axis=0)]
+    supports = [s for s in supports if s]
+    w_of = [min(len(s) for s in supports if j in s) for j in range(n)]
+    d_dual, w_star = min(map(len, supports)), max(w_of)
+    return LocalityReport(
+        r_min=w_star - 1,
+        w_star=w_star,
+        d_dual=d_dual,
+        is_dperp_minus_1=w_star == d_dual,
+        coverage_by_weight={w: tuple(j for j in range(n) if w_of[j] == w)
+                            for w in range(d_dual, w_star + 1)},
+        repair_options=tuple(
+            tuple(sorted(s for s in supports if len(s) == w_of[j] and j in s))
+            for j in range(n)))
+
+
+def differential_roster():
+    """About 40 tiny random nontrivial codes over GF(2), GF(3) and GF(4),
+    then the oval code and NOT_CYCLIC, whose coverage spans two weights."""
+    rng = random.Random(1414)
+    codes = []
+    while len(codes) < 40:
+        q = rng.choice([2, 3, 4])
+        n = rng.randint(4, 9)
+        k = rng.randint(max(1, n - {2: 8, 3: 6, 4: 5}[q]), n - 1)
+        C = from_generator(field_for_q(q), [[rng.randrange(q)
+                                             for _ in range(n)]
+                                            for _ in range(k)])
+        if is_nontrivial(C):
+            codes.append(C)
+    return codes + [code_gf(oval_poly("translation", 8, 1)),
+                    from_generator(F2, NOT_CYCLIC)]
+
+
+def test_locality_matches_brute_force_over_the_whole_dual():
+    spanning = 0
+    for C in differential_roster():
+        rep, want = minimum_linear_locality(C), brute_force_report(C)
+        for field in ("r_min", "w_star", "d_dual", "is_dperp_minus_1",
+                      "coverage_by_weight", "repair_options"):
+            assert getattr(rep, field) == getattr(want, field), (C.gen, field)
+        if sum(map(bool, rep.coverage_by_weight.values())) < 2:
+            continue
+        # coverage over two or more weights: the restricted scan ran, and
+        # every repair rule it reported holds on every codeword
+        spanning += 1
+        ADD, MUL = field_tables(C.field)
+        words = span_of(C.field, C.gen, C.n)
+        for i, options in enumerate(rep.repair_options):
+            for support in options:
+                rule = repair_coefficients(C, i, set(support) - {i})
+                acc = np.zeros(len(words), dtype=np.intp)
+                for j, u in rule.items():
+                    acc = ADD[acc, MUL[u, words[:, j]]]
+                assert np.array_equal(acc, words[:, i]), (C.gen, i, support)
+    assert spanning >= 5
 
 
 def test_invariant_checks_survive_optimize():
