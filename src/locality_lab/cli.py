@@ -620,7 +620,8 @@ def cmd_table(args) -> int:
 
 def _add_code_arguments(sub, with_dual=True):
     sub.add_argument("family", help="code family name")
-    sub.add_argument("params", nargs="*", help="key=value parameters")
+    sub.add_argument("params", nargs="*", default=[],
+                     help="key=value parameters")
     if with_dual:
         sub.add_argument("--dual", action="store_true",
                          help="analyze the dual of the constructed code")
@@ -667,7 +668,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("validate-oval",
                         help="check the oval-polynomial property")
-    p.add_argument("params", nargs="*", help="q=... f=family[:param]")
+    p.add_argument("params", nargs="*", default=[],
+                   help="q=... f=family[:param]")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_validate_oval)
 

@@ -44,6 +44,16 @@ xor on the encodings (for tower fields too, see gf), so a sum is an xor of
 lanes, and a weight is the popcount of the OR of the planes.  Odd
 characteristic and the word routes keep one int32 entry per coordinate,
 since the words need field values on their supports.
+
+_projective_span tabulates the span of a basis's last rows once, in at
+most half a block: the coefficient-1 slice of each row's step is the
+classes that lead at that row.  Every other class is a class of the
+leading rows, which the walker takes from itself, added to the whole
+table, several of them to a block in one reused buffer.  Its blocks are
+coordinate-major, (m, cells, t), with the class axis innermost, so the
+xor, popcount and weight count of a block each run along long rows; the
+consumers reduce along the coordinate axis and transpose only the
+vectors they keep.
 """
 
 from __future__ import annotations
@@ -53,7 +63,7 @@ import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice, product
+from itertools import combinations, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -149,10 +159,11 @@ def plan(n: int, k: int, q: int, goal: str, caps: Caps, w: int = 0) -> Plan:
     raises the exceeded cap's error when no route fits.
 
     "distribution", "distance": "enumerate" the q^k words or the q^(n-k)
-    of the "dual" plus MacWilliams ((n + 1)^2 search units), the smaller
-    side first, the code's own on ties.  A distance enumerates at most
-    _DISTANCE_ENUM_LIMIT words, else it will "scan" weight after weight,
-    each priced as "exists"; the weights up to w are priced now.
+    of the "dual" plus MacWilliams, the smaller side first, the code's own
+    on ties; the transform is no search, so only the enum cap holds either
+    side.  A distance enumerates at most _DISTANCE_ENUM_LIMIT words, else
+    it will "scan" weight after weight, each priced as "exists"; the
+    weights up to w are priced now.
     "exists", "words" at weight w: scan the w-subsets through the cheaper
     of the "generator" and the "parity-check" matrix (the generator on
     ties), C(n, w) * w per matrix row; "words" may instead "enumerate" the
@@ -163,10 +174,8 @@ def plan(n: int, k: int, q: int, goal: str, caps: Caps, w: int = 0) -> Plan:
         own, other = q ** k, q ** (n - k)
         if own <= min(other, limit):
             return Plan("enumerate", own)
-        if other <= limit and (n + 1) ** 2 <= caps.search:
+        if other <= limit:
             return Plan("dual", other)
-        if own <= limit:
-            return Plan("enumerate", own)
         if goal == "distribution":
             raise EnumerationTooLarge(f"neither side fits the caps: q^k = "
                                       f"{own}, q^(n-k) = {other}")
@@ -235,14 +244,14 @@ _popcount = getattr(np, "bitwise_count", _popcount_by_table)
 
 
 def _packed_weights(V: np.ndarray, bits: int) -> np.ndarray:
-    """Hamming weight of each packed vector V[i] (shape (t, bits * lanes))."""
-    planes = V.reshape(len(V), bits, -1)
-    occupied = planes[:, 0]
+    """Hamming weight of each packed vector V[:, i] (shape
+    (bits * lanes, t))."""
+    planes = V.reshape(bits, -1, V.shape[1])
+    occupied = planes[0]
     for b in range(1, bits):
-        occupied = occupied | planes[:, b]
+        occupied = occupied | planes[b]
     ones = _popcount(occupied)
-    return ones[:, 0] if ones.shape[1] == 1 else ones.sum(axis=1,
-                                                          dtype=np.intp)
+    return ones[0] if len(ones) == 1 else ones.sum(axis=0, dtype=np.intp)
 
 
 class _FieldArrays(NamedTuple):
@@ -404,43 +413,89 @@ def _projective_span(tables: _FieldArrays, B: np.ndarray,
     """One vector per projective class of the span of each basis B[i], for
     a stack B of shape (m, nu, w): the combinations with coefficients
     (0,...,0,1,c_{lead+1},...,c_{nu-1}), for every lead.  Yields blocks V
-    of shape (m, t, cells), V[i] in the span of B[i], of at most
-    max(m * vector bytes, _BLOCK_CELLS * 4) bytes.  The leading
-    coefficients are looped in python; the rest are expanded by
-    broadcasting: the q multiples of each row from split on, at most one
-    block of them, are made once.  A dependent basis repeats classes and
-    yields zeros.
+    of shape (m, cells, t), coordinate-major, so that V[i, :, j] is a
+    vector in the span of B[i] and the class axis is innermost, of at most
+    max(m * vector bytes, _BLOCK_CELLS * 4) bytes.  A dependent basis
+    repeats classes and yields zeros.
+
+    Table: the span of the last r rows is tabulated once, from the last
+    row up, in at most half of _BLOCK_CELLS * 4 bytes.  Each step adds the
+    multiples of one row to the span so far, and its coefficient-1 slice
+    holds exactly the classes that lead at that row, so those slices are
+    yielded as they are made.  When the whole span fits (r = nu), the top
+    row's step makes only that slice.  Leading combinations: the classes
+    leading above the table are the projective classes of the first
+    nu - r rows, walked by this same function, each added to the whole
+    table; a block holds as many of them as fit in a quarter of the budget
+    (at least one), written into one buffer that the next block reuses, so
+    a consumer must be done with a block before it asks for the next.
+    When not even the q multiples of one row fit half the budget, the last
+    row's coefficient is looped instead, one block per coefficient and
+    leading block.
 
     A vector is w int32 entries (cells = w), or, packed (characteristic 2
     only), the _pack_planes lanes of its entries, each multiple packed as
     it is made; either way _vadd, an xor in characteristic 2, is the sum."""
     q = len(tables.inv)
-    m, nu, w = B.shape
-    scalars = np.arange(q, dtype=np.int32)[None, :, None, None]
+    m, _, w = B.shape
     bits = (q - 1).bit_length()
-    vector_bytes = bits * _lanes(w) * 8 if packed else w * 4
+    cells = bits * _lanes(w) if packed else w
+    dtype = np.dtype(np.uint64 if packed else np.int32)
+    # vectors per basis in one block
+    room = _BLOCK_CELLS * 4 // max(1, m * cells * dtype.itemsize)
 
-    def encode(V):
-        return _pack_planes(V, bits) if packed else V
+    def scaled(j, lo, hi):  # (m, cells, hi - lo): c * B[:, j], lo <= c < hi
+        V = B[:, j, None] if (lo, hi) == (1, 2) else _vmul(
+            tables, np.arange(lo, hi, dtype=np.int32)[:, None], B[:, j, None])
+        return (_pack_planes(V, bits) if packed else V).transpose(0, 2, 1)
 
-    split = 1
-    while split < nu and \
-            m * q ** (nu - split) * vector_bytes > _BLOCK_CELLS * 4:
-        split += 1
-    basis = encode(B)
-    # (m, q, nu - split, cells)
-    multiples = encode(_vmul(tables, scalars, B[:, None, split:]))
-    for lead in range(nu):
-        # rows up to split are looped, the rest broadcast
-        for prefix in product(range(q), repeat=max(0, split - lead - 1)):
-            V = basis[:, lead]
-            for j, c in enumerate(prefix, lead + 1):
-                V = _vadd(tables, V, encode(_vmul(tables, c, B[:, j])))
-            V = V[:, None]
-            for i in range(max(0, lead + 1 - split), nu - split):
-                V = _vadd(tables, V[:, :, None], multiples[:, None, :, i])
-                V = V.reshape(m, V.shape[1] * q, multiples.shape[-1])
-            yield V
+    def add(a, b, out):
+        """out = a + b, the xor written in place."""
+        if tables.zech is None:
+            return np.bitwise_xor(a, b, out=out)
+        out[...] = _vadd(tables, a, b)
+        return out
+
+    def walk(nu):  # the classes of the span of the first nu rows
+        if nu == 0:
+            return
+        yield scaled(nu - 1, 1, 2)  # the classes leading at row nu - 1
+        if nu == 1:
+            return
+        # the last r rows tabulated: q^r vectors per basis in at most half
+        # of room, or 2 q^(nu - 1) when r = nu
+        r = 0
+        while r < nu and q ** r * (q if r + 1 < nu else 2) <= room // 2:
+            r += 1
+        if r == 0:
+            for L in walk(nu - 1):
+                for c in range(q):
+                    yield _vadd(tables, L, scaled(nu - 1, c, c + 1))
+            return
+        top = nu - r
+        T = np.empty((m, cells, q ** (r - 1) * (q if top else 2)), dtype)
+        T[:, :, 0] = 0
+        T[:, :, 1:q] = scaled(nu - 1, 1, q)
+        size = q
+        for j in range(nu - 2, top - 1, -1):
+            c = q if j else 2  # the top row: its leading classes only
+            add(T[:, :, None, :size], scaled(j, 1, c)[..., None],
+                T[:, :, size:c * size].reshape(m, cells, c - 1, size))
+            yield T[:, :, size:2 * size]  # the classes leading at row j
+            size *= q
+        if top == 0:
+            return
+        # leading combinations per block: a quarter of the budget beside
+        # the table, or one when the table alone is larger
+        batch = max(1, room // 4 // size)
+        buffer = np.empty((m, cells, batch, size), dtype)
+        for L in walk(top):
+            for i in range(0, L.shape[2], batch):
+                lead = L[:, :, i:i + batch, None]
+                V = add(lead, T[:, :, None], buffer[:, :, :lead.shape[2]])
+                yield V.reshape(m, cells, -1)
+
+    yield from walk(B.shape[1])
 
 
 def _lead_with_one(tables: _FieldArrays, V: np.ndarray) -> np.ndarray:
@@ -743,7 +798,7 @@ def _enumerated_distribution(C: LinearCode) -> WeightDistribution:
     classes = np.zeros((64 * _lanes(n) if packed else n) + 1, dtype=np.int64)
     for V in _projective_span(tables, C.gen_array[None], packed):
         weights = _packed_weights(V[0], bits) if packed else \
-            np.count_nonzero(V[0], axis=1)
+            np.count_nonzero(V[0], axis=0)
         classes += np.bincount(weights, minlength=len(classes))
     # a weight above n is left out of the sum
     counts = [x * (q - 1) for x in classes[:n + 1].tolist()]
@@ -817,7 +872,8 @@ def _words_by_enumeration(C: LinearCode, w: int, tables: _FieldArrays):
     """Blocks of the weight-w words of C, one per projective class of the
     code, each scaled to lead with 1."""
     for V in _projective_span(tables, C.gen_array[None]):
-        yield _lead_with_one(tables, V[0][np.count_nonzero(V[0], axis=1) == w])
+        keep = np.count_nonzero(V[0], axis=0) == w
+        yield _lead_with_one(tables, V[0][:, keep].T)
 
 
 def _subsets_through(n: int, w: int, through: list[int]):
@@ -901,10 +957,10 @@ def _words_by_kernels(C: LinearCode, w: int, use_gen_route: bool, budget: int,
                         tables, basis[:, :, r, None], GS[:, None, r]))
                 basis = words
             for V in _projective_span(tables, basis):
-                i, t = np.nonzero((V != 0).all(axis=2))
+                i, t = np.nonzero((V != 0).all(axis=1))
                 full = np.zeros((len(i), n), dtype=np.int32)
                 full[np.arange(len(i))[:, None], S_nu[i]] = _lead_with_one(
-                    tables, V[i, t])
+                    tables, V[i, :, t])
                 yield full
 
 

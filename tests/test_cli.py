@@ -203,10 +203,10 @@ def test_failed_self_check_exits_1(capsys, monkeypatch):
 
 
 def test_construct_skips_a_self_check_beyond_the_caps(capsys, monkeypatch):
-    # the dual's 2^5 words would need a MacWilliams transform priced at
-    # 32^2 = 1024, and the weight-2 scan costs 4650: hamming() skips its
-    # distance check instead of failing, and construct reports the skip
-    monkeypatch.setenv(CAPS_ENV_VAR, "search:1000")
+    # neither the 2^26 words nor the dual's 2^5 fit the enum cap, and the
+    # weight-2 scan costs 4650: hamming() skips its distance check instead
+    # of failing, and construct reports the skip
+    monkeypatch.setenv(CAPS_ENV_VAR, "enum:16,search:1000")
     rc, out, err = run(capsys, "construct", "hamming", "q=2", "m=5")
     assert rc == 2
     assert out == "[31, 26, ?] over GF(2)  (distance skipped: cap)\n"
@@ -298,13 +298,17 @@ def test_analyze_cap_skip_sets_exit_code(capsys, monkeypatch):
 
 def test_analyze_reports_locality_when_distance_is_skipped(capsys,
                                                           monkeypatch):
-    monkeypatch.setenv(CAPS_ENV_VAR, "enum:2^10,search:1000")
-    rc, out, _ = run(capsys, "analyze", "hamming", "q=2", "m=5", "--json")
+    # the [31, 5, 16] simplex code: neither side fits the enum cap, so both
+    # distances are scanned.  The dual's d = 3 costs C(31, 3) * 3 * 5 =
+    # 67425 at weight 3, within the cap; the code's weight-4 scan costs
+    # 629300, beyond it.  The locality needs only the dual's weight-3 words
+    monkeypatch.setenv(CAPS_ENV_VAR, "enum:16,search:70000")
+    rc, out, _ = run(capsys, "analyze", "simplex", "q=2", "m=5", "--json")
     assert rc == 2
     bundle = json.loads(out)
     assert bundle["d"] == SKIPPED
     assert bundle["weight_distribution"] == SKIPPED
-    assert bundle["locality"]["r_min"] == 15
+    assert bundle["locality"]["r_min"] == 2
 
 
 def _bundle(**fields):
@@ -382,6 +386,20 @@ def test_error_paths_exit_1(capsys, argv):
     rc, out, err = run(capsys, *argv)
     assert (rc, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["analyze", "construct", "repair-sets"])
+def test_missing_family_names_only_family(capsys, command):
+    # params may be empty, so the message names the family alone
+    rc, out, err = run(capsys, command)
+    assert (rc, out) == (1, "")
+    assert err == "error: the following arguments are required: family\n"
+
+
+def test_validate_oval_without_params_asks_for_q(capsys):
+    rc, out, err = run(capsys, "validate-oval")
+    assert (rc, out) == (1, "")
+    assert err == "error: missing required parameter 'q'\n"
 
 
 @pytest.mark.parametrize("argv", [("--help",), ("table", "--help")])

@@ -443,18 +443,24 @@ def test_plan_distribution_at_the_enumeration_cap():
         plan(8, 5, 2, "distribution", Caps(enumeration=7))
 
 
-def test_plan_prices_macwilliams_at_n_plus_one_squared():
-    # [8, 6] over GF(2): the dual side has 4 words; (8 + 1)^2 = 81
-    caps = Caps(enumeration=16, search=81)
-    assert plan(8, 6, 2, "distribution", caps) == Plan("dual", 4)
-    assert plan(8, 6, 2, "distance", caps) == Plan("dual", 4)
-    caps = Caps(enumeration=16, search=80)
+def test_plan_takes_the_dual_side_whatever_the_search_cap():
+    # [8, 6] over GF(2): the dual side has 4 words.  MacWilliams is a
+    # transform, not a search, so no search cap holds it back, not even one
+    # below (8 + 1)^2 = 81
+    for search in (1, 80, 81):
+        caps = Caps(enumeration=16, search=search)
+        assert plan(8, 6, 2, "distribution", caps) == Plan("dual", 4)
+        assert plan(8, 6, 2, "distance", caps) == Plan("dual", 4)
+    # the smaller side wins when both fit, the code's own on ties
+    assert plan(8, 6, 2, "distance", Caps(enumeration=64, search=1)) == \
+        Plan("dual", 4)
+    assert plan(8, 4, 2, "distribution", Caps(search=1)) == \
+        Plan("enumerate", 16)
+    # the enum cap still holds both sides
+    caps = Caps(enumeration=3, search=1 << 24)
     with pytest.raises(EnumerationTooLarge):
         plan(8, 6, 2, "distribution", caps)
     assert plan(8, 6, 2, "distance", caps).route == "scan"
-    # with the own side affordable, it is enumerated instead
-    assert plan(8, 6, 2, "distance", Caps(enumeration=64, search=80)) == \
-        Plan("enumerate", 64)
 
 
 def test_plan_distance_enumerates_at_most_2_22_words():

@@ -182,9 +182,9 @@ def test_full_support_words_match_projective_reps(case):
     got = []
     for V in _projective_span(tables,
                               np.array(B, dtype=np.int32).reshape(shape)):
-        assert V.shape[::2] == shape[::2]
-        i, t = np.nonzero((V != 0).all(axis=2))
-        vecs = _lead_with_one(tables, V[i, t])
+        assert V.shape[:2] == shape[::2]
+        i, t = np.nonzero((V != 0).all(axis=1))
+        vecs = _lead_with_one(tables, V[i, :, t])
         got.extend(zip(i.tolist(), map(tuple, vecs.tolist())))
     assert sorted(got) == sorted(want)
 
@@ -503,7 +503,8 @@ def test_a_dropped_block_breaks_the_distribution(monkeypatch):
     span = code_core._projective_span
 
     def drop_last(tables, B, *packed):
-        blocks = list(span(tables, B, *packed))
+        # copies: the enumerator reuses one buffer for its blocks
+        blocks = [V.copy() for V in span(tables, B, *packed)]
         assert len(blocks) > 1
         yield from blocks[:-1]
 
@@ -544,7 +545,7 @@ def int32_counts(C):
     G = np.array(C.gen, dtype=np.int32).reshape(1, C.k, n)
     for V in _projective_span(_numpy_field_tables(C.field), G):
         assert V.dtype == np.int32
-        classes += np.bincount(np.count_nonzero(V[0], axis=1),
+        classes += np.bincount(np.count_nonzero(V[0], axis=0),
                                minlength=n + 1)
     return [1] + [int(x) * (q - 1) for x in classes[1:]]
 
@@ -588,6 +589,14 @@ def test_packed_distribution_matches_int32_and_scalar(monkeypatch, cells):
         assert got == int32_counts(C) == ref.enumerate_counts(C), C
 
 
+def test_packed_distribution_through_the_table_popcount(monkeypatch):
+    # the byte-table popcount that numpy before 2.0 runs, end to end
+    monkeypatch.setattr(code_core, "_popcount", _popcount_by_table)
+    for C in packed_roster():
+        got = list(_enumerated_distribution(C).counts)
+        assert got == int32_counts(C) == ref.enumerate_counts(C), C
+
+
 def test_odd_characteristic_keeps_the_int32_path(monkeypatch):
     blocks = record_blocks(monkeypatch)
     rng = random.Random(65)
@@ -598,6 +607,35 @@ def test_odd_characteristic_keeps_the_int32_path(monkeypatch):
             got = list(_enumerated_distribution(C).counts)
             assert {dtype for dtype, _ in blocks} == {np.dtype(np.int32)}, C
             assert got == int32_counts(C) == ref.enumerate_counts(C), C
+
+
+# the default budget, and one under which the span of a few rows is
+# tabulated and the leading combinations run over several blocks
+@pytest.mark.parametrize("cells", [None, 64])
+def test_span_yields_each_class_once(monkeypatch, cells):
+    if cells is not None:
+        monkeypatch.setattr(code_core, "_BLOCK_CELLS", cells)
+    rng = random.Random(15)
+    for F in (field(2), field(3), field(4), field(16), TOWER16):
+        tables = _numpy_field_tables(F)
+        bits = (F.q - 1).bit_length()
+        for nu, w in product(range(1, 5), (5, 65)):
+            B = [[[rng.randrange(F.q) for _ in range(w)] for _ in range(nu)]
+                 for _ in range(3)]
+            want = [np.array(list(ref.projective_reps(F, basis)),
+                             dtype=np.int32) for basis in B]
+            for packed in (False, True) if F.p == 2 else (False,):
+                got = [[] for _ in B]
+                for V in _projective_span(tables, np.array(B, dtype=np.int32),
+                                          packed):
+                    for i, vectors in enumerate(V):
+                        got[i] += vectors.T.tolist()
+                for vectors, reps in zip(got, want):
+                    if packed:
+                        reps = code_core._pack_planes(reps, bits)
+                    assert len(vectors) == (F.q ** nu - 1) // (F.q - 1)
+                    assert sorted(vectors) == sorted(reps.tolist()), \
+                        (F, nu, w, packed)
 
 
 def test_a_dirty_pad_bit_breaks_the_distribution(monkeypatch):
@@ -630,7 +668,7 @@ def test_every_block_keeps_the_byte_budget(monkeypatch, build, cells):
         monkeypatch.setattr(code_core, "_BLOCK_CELLS", cells)
     blocks = record_blocks(monkeypatch)
     _enumerated_distribution(C)  # counts checked by the kernel itself
-    assert len(blocks) > C.k  # some lead was split into several blocks
+    assert len(blocks) > C.k  # the leading combinations took several blocks
     assert max(size for _, size in blocks) <= code_core._BLOCK_CELLS * 4
 
 
