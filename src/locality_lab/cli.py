@@ -440,6 +440,8 @@ def cmd_validate_oval(args) -> int:
     field = field_for_q(q)
     if family == "monomial":
         e = _int(param, "monomial exponent")
+        if e < 0:
+            raise BadParams(f"monomial exponent must be >= 0, got {e}")
         coeffs = [0] * e + [1]
         candidate = poly(field, coeffs)
         valid = is_oval_polynomial(field, candidate)

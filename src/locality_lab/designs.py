@@ -69,32 +69,40 @@ def verify_t_design(report: DesignReport, t: int) -> int | None:
             f"need 1 <= t <= block size {report.block_size}, got {t}")
     if not report.blocks:
         return None
-    counts = _coverage_counts(report, t)
-    if len(counts) != math.comb(report.n, t):
-        return None  # some t-subset is uncovered
-    values = set(counts.values())
-    if len(values) != 1:
-        return None
-    lam = values.pop()
-    _check_downward_consistency(report, t, lam)
-    return lam
+    return _design_lambdas(report, t).get(t)
 
 
-def _check_downward_consistency(report: DesignReport, t: int, lam: int) -> None:
+def _design_lambdas(report: DesignReport, t_max: int) -> dict[int, int]:
+    """λ_t for each t <= t_max at which the blocks form a t-design, each
+    level counted once and checked against the levels below it."""
+    if t_max > report.block_size:
+        raise BadParameters(
+            f"need 1 <= t <= block size {report.block_size}, got {t_max}")
+    lambdas = {}
+    for t in range(1, t_max + 1):
+        counts = _coverage_counts(report, t)
+        values = set(counts.values())
+        if len(values) == 1 and len(counts) == math.comb(report.n, t):
+            lambdas[t] = values.pop()  # no t-subset is uncovered
+    _check_downward_consistency(report, lambdas)
+    return lambdas
+
+
+def _check_downward_consistency(report: DesignReport,
+                                lambdas: dict[int, int]) -> None:
     # a t-design is a t'-design for t' < t with binomially scaled λ
     n, w = report.n, report.block_size
-    for tp in range(1, t):
-        expected, rest = divmod(lam * math.comb(n - tp, t - tp),
-                                math.comb(w - tp, t - tp))
-        counts = _coverage_counts(report, tp)
-        if rest or set(counts.values()) != {expected} \
-                or len(counts) != math.comb(n, tp):
+    for t, lam in lambdas.items():
+        for tp in range(1, t):
+            expected, rest = divmod(lam * math.comb(n - tp, t - tp),
+                                    math.comb(w - tp, t - tp))
+            if rest or lambdas.get(tp) != expected:
+                raise DesignInvariantBroken(
+                    f"{t}-design with λ = {lam} is not a {tp}-design")
+        if len(report.blocks) * math.comb(w, t) != lam * math.comb(n, t):
             raise DesignInvariantBroken(
-                f"{t}-design with λ = {lam} is not a {tp}-design")
-    if len(report.blocks) * math.comb(w, t) != lam * math.comb(n, t):
-        raise DesignInvariantBroken(
-            f"{len(report.blocks)} blocks break b C(w,t) = λ C(n,t) for the "
-            f"{t}-design with λ = {lam}")
+                f"{len(report.blocks)} blocks break b C(w,t) = λ C(n,t) for "
+                f"the {t}-design with λ = {lam}")
 
 
 def analyze_design(C: LinearCode, w: int, t_max: int | None = None,
@@ -105,11 +113,7 @@ def analyze_design(C: LinearCode, w: int, t_max: int | None = None,
         return report
     if t_max is None:
         t_max = min(report.block_size, 4)
-    t_lambda = {}
-    for t in range(1, t_max + 1):
-        lam = verify_t_design(report, t)
-        if lam is not None:
-            t_lambda[t] = lam
+    t_lambda = _design_lambdas(report, t_max)
     steiner = any(t >= 2 and lam == 1 for t, lam in t_lambda.items())
     return replace(report, t_lambda=t_lambda, is_steiner=steiner)
 

@@ -7,6 +7,16 @@ base-q0 digits are the coefficients over the base field.  In both cases the
 additive structure is digitwise mod p on the base-p digits of the encoding,
 which is what the enumeration kernels in code_core rely on.
 
+A field over its prime subfield rests on one primitive, multiplication
+by x: shift the base-p digits up one place and subtract the overflow digit
+times the modulus (in characteristic 2, a shift and an xor).  field_new
+tests each candidate modulus by the order of x, computed with products
+built from that step: x^(q-1) = 1 and x^((q-1)/l) != 1 for every prime
+l | q - 1.  The same order test picks a tower's generator and checks the
+root of unity behind a minimal polynomial.  The discrete-log tables walk
+the powers of x with the step, and an untabulated product is Horner's
+rule over the digits of one factor with the same step.
+
 A FieldSpec owns its lookup tables (discrete logs for q up to 2^16, a full
 addition table for small odd characteristic) and exposes arithmetic as
 methods taking and returning bare ints.  Cross-field mixups are caught at
@@ -81,103 +91,12 @@ def multiplicative_order(a: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# raw polynomial arithmetic over GF(p), used only to bootstrap FieldSpec
-# (coefficient lists low-to-high, plain ints mod p)
-
-def _pp_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    deg = len(mod) - 1
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    # reduce modulo the monic mod
-    for i in range(len(res) - 1, deg - 1, -1):
-        c = res[i]
-        if c:
-            res[i] = 0
-            for j in range(deg):
-                res[i - deg + j] = (res[i - deg + j] - c * mod[j]) % p
-    res = res[:deg]
-    while len(res) < deg:
-        res.append(0)
-    return res
-
-
-def _pp_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    deg = len(mod) - 1
-    result = [1] + [0] * (deg - 1)
-    base = list(a[:deg]) + [0] * max(0, deg - len(a))
-    while e:
-        if e & 1:
-            result = _pp_mulmod(result, base, mod, p)
-        base = _pp_mulmod(base, base, mod, p)
-        e >>= 1
-    return result
-
-
-def _pp_is_one(a: list[int]) -> bool:
-    return a[0] == 1 and all(c == 0 for c in a[1:])
-
-
-def _x_has_full_order(mod: list[int], p: int) -> bool:
-    """True iff x generates the units of GF(p)[x]/(mod), i.e. mod is primitive."""
-    m = len(mod) - 1
-    e = p ** m - 1
-    x = [0, 1] if m > 1 else [(-mod[0]) % p]
-    if not _pp_is_one(_pp_powmod(x, e, mod, p)):
-        return False
-    return all(not _pp_is_one(_pp_powmod(x, e // ell, mod, p)) for ell in factorize(e))
-
-
-def _is_irreducible_over_prime(mod: list[int], p: int) -> bool:
-    """Standard test: x^(p^d) - x shares no factor with mod for d < m, and
-    x^(p^m) = x modulo mod."""
-    m = len(mod) - 1
-    if m == 1:
-        return True
-    x = [0, 1]
-    xp = list(x)
-    for d in range(1, m):
-        xp = _pp_powmod(xp, p, mod, p)
-        diff = [(u - v) % p for u, v in zip(xp + [0] * m, x + [0] * m)][: len(mod) - 1]
-        if _pp_gcd_nontrivial(diff, mod, p):
-            return False
-    xp = _pp_powmod(xp, p, mod, p)
-    return xp[:2] == [0, 1] and all(c == 0 for c in xp[2:])
-
-
-def _pp_gcd_nontrivial(a: list[int], mod: list[int], p: int) -> bool:
-    def trim(f):
-        f = list(f)
-        while f and f[-1] == 0:
-            f.pop()
-        return f
-
-    f, g = trim(mod), trim(a)
-    while g:
-        # f mod g
-        inv_lead = pow(g[-1], p - 2, p)
-        f = list(f)
-        while len(f) >= len(g):
-            c = (f[-1] * inv_lead) % p
-            off = len(f) - len(g)
-            for i, gi in enumerate(g):
-                f[off + i] = (f[off + i] - c * gi) % p
-            f = trim(f)
-            if not f:
-                break
-        f, g = g, f
-    return len(f) > 1
-
-
-# ---------------------------------------------------------------------------
 
 class FieldSpec:
     """A concrete finite field; construct via field_new or quadratic_extension."""
 
     __slots__ = (
-        "p", "m", "q", "modulus", "tower_base", "generator",
+        "p", "m", "q", "modulus", "tower_base", "generator", "_mod_low",
         "_exp", "_log", "_add", "_neg", "_hash",
     )
 
@@ -191,6 +110,9 @@ class FieldSpec:
         self.modulus = modulus
         self.tower_base = tower_base
         self.generator = 0          # set by the constructors below
+        # the modulus below x^m as an encoding; the multiply-by-x step of a
+        # field over its prime subfield reduces with it
+        self._mod_low = sum(c * p ** i for i, c in enumerate(modulus[:-1]))
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self._add: list[list[int]] | None = None
@@ -239,11 +161,25 @@ class FieldSpec:
             return z0 + q0 * z1
         if self.m == 1:
             return (a * b) % self.p
-        p = self.p
-        da = self._digits(a)
-        db = self._digits(b)
-        prod = _pp_mulmod(da, db, list(self.modulus), p)
-        return self._undigits(prod)
+        # Horner over the digits of b: acc <- acc*x + d*a
+        acc = 0
+        for d in reversed(self._digits(b)):
+            acc = self._mul_x(acc)
+            if d:
+                acc = acc ^ a if self.p == 2 else self._digitwise(
+                    acc, a, lambda u, v, d=d: u + d * v)
+        return acc
+
+    def _mul_x(self, a: int) -> int:
+        """a*x in a field built over its prime subfield: shift the base-p
+        digits up one place and subtract the overflow digit times the
+        modulus (in characteristic 2, a shift and an xor)."""
+        top, a = divmod(a * self.p, self.q)
+        if not top:
+            return a
+        if self.p == 2:
+            return a ^ self._mod_low
+        return self._digitwise(a, self._mod_low, lambda u, c: u - top * c)
 
     def _digits(self, v: int) -> list[int]:
         p, m = self.p, self.m
@@ -252,12 +188,6 @@ class FieldSpec:
             out.append(v % p)
             v //= p
         return out
-
-    def _undigits(self, digits: list[int]) -> int:
-        v = 0
-        for d in reversed(digits):
-            v = v * self.p + d
-        return v
 
     # -- public element operations ------------------------------------------
 
@@ -348,6 +278,10 @@ class FieldSpec:
     def _build_tables(self) -> None:
         q = self.q
         if q <= DLOG_CAP and self.generator:
+            g = self.generator
+            # a field over its prime subfield is generated by x itself
+            step = (self._mul_x if self.tower_base is None
+                    else lambda v: self._raw_mul(v, g))
             exp = [1] * (2 * (q - 1))
             log = [-1] * q
             v = 1
@@ -355,7 +289,7 @@ class FieldSpec:
                 exp[i] = v
                 exp[i + q - 1] = v
                 log[v] = i
-                v = self._raw_mul(v, self.generator)
+                v = step(v)
             if v != 1:
                 raise FieldInvariantBroken(
                     "generator order mismatch while building tables")
@@ -369,44 +303,70 @@ class FieldSpec:
 _CONSTRUCT_TOKEN = object()
 
 
+def _has_order(F: FieldSpec, a: int, n: int) -> bool:
+    """a^n = 1 and a^(n/l) != 1 for every prime l | n, by raw arithmetic.
+
+    The tables and pow's reduction of exponents mod q - 1 both assume a
+    field; a candidate modulus may be reducible, so it is tested without.
+    """
+    return (F._raw_pow(a, n) == 1
+            and all(F._raw_pow(a, n // ell) != 1 for ell in factorize(n)))
+
+
+def _is_irreducible(field: FieldSpec) -> bool:
+    """Ben-Or's test of field.modulus over GF(p): gcd(x^(p^d) - x, f) = 1
+    for every d <= m/2."""
+    F = field_new(field.p, 1)
+    f = Poly(F, field.modulus)
+    minus_x = Poly(F, (0, F.neg(1)))
+    xp = Poly(F, (0, 1))
+    for _ in range(field.m // 2):
+        # xp <- xp^p mod f, by squaring and multiplying
+        power, e = Poly(F, (1,)), field.p
+        while e:
+            if e & 1:
+                power = poly_mod(poly_mul(power, xp), f)
+            xp = poly_mod(poly_mul(xp, xp), f)
+            e >>= 1
+        xp = power
+        if poly_gcd(poly_add(xp, minus_x), f).degree > 0:
+            return False
+    return True
+
+
 @lru_cache(maxsize=None)
 def field_new(p: int, m: int) -> FieldSpec:
     """The field GF(p^m) with the smallest-encoded monic primitive modulus.
 
     Candidate moduli are ranked by the integer encoding of their coefficient
     sequence read low-to-high; the first whose residue class of x has order
-    p^m - 1 wins.  That order test implies both primitivity and
-    irreducibility, and irreducibility is re-checked independently.
+    p^m - 1 wins, and x is the generator.  The ring GF(p)[x]/(f) has p^m - 1
+    nonzero elements, so that order implies both primitivity and
+    irreducibility; irreducibility is re-checked independently.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if m < 1:
         raise FieldTooLarge("extension degree must be >= 1")
-    if p ** m > FIELD_CAP:
-        raise FieldTooLarge(f"p^m = {p ** m} exceeds cap {FIELD_CAP}")
+    q = p ** m
+    if q > FIELD_CAP:
+        raise FieldTooLarge(f"p^m = {q} exceeds cap {FIELD_CAP}")
 
-    modulus = None
-    for enc in range(1, p ** m):
+    for enc in range(1, q):
         if enc % p == 0:
             continue  # constant term 0: divisible by x
-        digits = []
-        v = enc
-        for _ in range(m):
-            digits.append(v % p)
-            v //= p
-        cand = digits + [1]
-        if _x_has_full_order(cand, p):
-            modulus = cand
+        field = FieldSpec(p, m, (*(enc // p ** i % p for i in range(m)), 1),
+                          None, _CONSTRUCT_TOKEN)
+        x = field._mul_x(1)
+        if _has_order(field, x, q - 1):
             break
-    if modulus is None:
+    else:
         raise FieldInvariantBroken(
             f"no primitive polynomial of degree {m} over GF({p})")
-    if not _is_irreducible_over_prime(modulus, p):
+    if m > 1 and not _is_irreducible(field):
         raise FieldInvariantBroken(
             "primitive modulus failed irreducibility cross-check")
-
-    field = FieldSpec(p, m, tuple(modulus), None, _CONSTRUCT_TOKEN)
-    field.generator = p if m > 1 else (p - modulus[0]) % p
+    field.generator = x
     field._build_tables()
     return field
 
@@ -423,30 +383,21 @@ def quadratic_extension(base: FieldSpec) -> FieldSpec:
     if q0 * q0 > FIELD_CAP:
         raise FieldTooLarge(f"q^2 = {q0 * q0} exceeds cap {FIELD_CAP}")
 
-    modulus = None
     for enc in range(1, q0 * q0):
-        c0, c1 = enc % q0, enc // q0
-        if c0 == 0:
+        if enc % q0 == 0:
             continue
         # irreducible over base iff no root in base
-        if all(base.add(base.add(base.mul(t, t), base.mul(c1, t)), c0) != 0
-               for t in range(q0)):
-            modulus = (c0, c1, 1)
+        f = Poly(base, (enc % q0, enc // q0, 1))
+        if all(poly_eval(f, t) != 0 for t in range(q0)):
             break
-    if modulus is None:
+    else:
         raise FieldInvariantBroken("no irreducible quadratic found (impossible)")
 
-    field = FieldSpec(base.p, 2 * base.m, modulus, base, _CONSTRUCT_TOKEN)
-    e = field.q - 1
-    fac = factorize(e)
-    gen = None
-    for a in range(2, field.q):
-        if field._raw_pow(a, e) != 1:
-            continue
-        if all(field._raw_pow(a, e // ell) != 1 for ell in fac):
-            gen = a
+    field = FieldSpec(base.p, 2 * base.m, f.coeffs, base, _CONSTRUCT_TOKEN)
+    for gen in range(2, field.q):
+        if _has_order(field, gen, field.q - 1):
             break
-    if gen is None:
+    else:
         raise FieldInvariantBroken("no generator found (impossible)")
     field.generator = gen
     field._build_tables()
@@ -528,23 +479,20 @@ class Embedding:
 
 def _embedding_by_root(base: FieldSpec, ext: FieldSpec) -> Embedding:
     # smallest root of the base modulus inside ext; base elements embed by
-    # evaluating their polynomial-basis digits at that root
-    root = None
-    for z in range(ext.q):
-        acc = 0
-        for c in reversed(base.modulus):
-            acc = ext.add(ext.mul(acc, z), c)
-        if acc == 0:
-            root = z
+    # evaluating their polynomial-basis digits at that root.  The roots are
+    # the conjugates r, r^p, ... of one root, all in the subfield of order
+    # base.q, whose units are the powers of h below.
+    f = Poly(ext, base.modulus)
+    h = ext.gen_pow((ext.q - 1) // (base.q - 1))
+    z = 1
+    for _ in range(base.q - 1):
+        if poly_eval(f, z) == 0:
             break
-    if root is None:
+        z = ext.mul(z, h)
+    else:
         raise FieldInvariantBroken("base modulus has no root in the extension")
-    fwd = []
-    for v in range(base.q):
-        acc = 0
-        for d in reversed(base._digits(v)):
-            acc = ext.add(ext.mul(acc, root), d)
-        fwd.append(acc)
+    root = min(ext.pow(z, base.p ** i) for i in range(base.m))
+    fwd = [poly_eval(poly(ext, base._digits(v)), root) for v in range(base.q)]
     if len(set(fwd)) != base.q:
         raise FieldInvariantBroken("embedding is not injective")
     return Embedding(base, ext, tuple(fwd))
@@ -565,10 +513,8 @@ def canonical_isomorphism(field: FieldSpec):
     if base is None or base != field_new(base.p, base.m):
         raise NotTowerField(f"no canonical encoding map for {field!r}")
     phi0 = _embedding_by_root(base, canon)
-    c0, c1 = phi0.map(field.modulus[0]), phi0.map(field.modulus[1])
-    rho = next((z for z in range(canon.q)
-                if canon.add(canon.add(canon.mul(z, z), canon.mul(c1, z)), c0) == 0),
-               None)
+    f = poly(canon, [phi0.map(c) for c in field.modulus])
+    rho = next((z for z in range(canon.q) if poly_eval(f, z) == 0), None)
     if rho is None:
         raise FieldInvariantBroken("tower modulus has no root in the canonical field")
     q0 = base.q
@@ -764,11 +710,8 @@ def minimal_polynomial(ext: FieldSpec, beta: int, s: int, n: int,
         embedding = Embedding(base, ext)
     if embedding.base != base or embedding.ext != ext:
         raise FieldMismatch("embedding does not connect the given fields")
-    if ext.pow(beta, n) != 1:
-        raise NotRootOfUnity(f"beta^{n} != 1")
-    for ell in factorize(n):
-        if ext.pow(beta, n // ell) == 1:
-            raise NotRootOfUnity(f"beta has order dividing {n // ell}, not primitive")
+    if not _has_order(ext, beta, n):
+        raise NotRootOfUnity(f"beta is not a primitive {n}-th root of unity")
     coset = cyclotomic_coset(s, n, base.q)
     prod = poly(ext, [1])
     for i in coset:

@@ -152,7 +152,7 @@ def minimum_linear_locality(C: LinearCode,
         d_dual=d_dual,
         is_dperp_minus_1=(r_min == d_dual - 1),
         coverage_by_weight=coverage,
-        repair_options=tuple(tuple(sorted(options[i])) for i in range(n)),
+        repair_options=tuple(tuple(options[i]) for i in range(n)),
     )
 
 

@@ -7,7 +7,9 @@ scalar loops of code_core.rref and code_core.nullspace, kept here at every
 size: code_core hands matrices from _RREF_NUMPY_MIN on to its numpy
 kernel.  dual and shorten are the nullspace constructions that
 code_core.dual and code_core.shorten replaced.  tests/test_kernels.py
-compares the two.  Not a test module: pytest does not collect it.
+compares the two.  field_product is the schoolbook product that gf's
+multiply-by-x step replaced; tests/test_gf.py compares them.  Not a test
+module: pytest does not collect it.
 """
 
 from itertools import combinations, product
@@ -16,6 +18,24 @@ import numpy as np
 
 from locality_lab.code_core import Caps, plan
 from locality_lab.errors import SearchTooLarge
+
+
+def field_product(field, a, b):
+    """a*b in a field built over GF(p): the product of the base-p digit
+    lists, reduced modulo the monic modulus one top coefficient at a time,
+    in plain integer arithmetic."""
+    p, m, mod = field.p, field.m, field.modulus
+    da = [a // p ** i % p for i in range(m)]
+    db = [b // p ** i % p for i in range(m)]
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] += x * y
+    for top in range(2 * m - 2, m - 1, -1):
+        c = prod[top] % p
+        for j in range(m + 1):
+            prod[top - m + j] -= c * mod[j]
+    return sum(c % p * p ** i for i, c in enumerate(prod[:m]))
 
 
 def rref(field, rows):

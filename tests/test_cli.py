@@ -365,6 +365,7 @@ def test_analyze_trivial_code_is_not_a_cap_skip(capsys):
     ("analyze", "cyclic", "q=2", "n=7", "g=1,a"),  # malformed coefficient
     ("analyze", "oval-code-gf", "q=8", "f=translation:z"),
     ("validate-oval", "q=8", "f=monomial:x"),
+    ("validate-oval", "q=8", "f=monomial:-1"),  # x^-1 would be the constant 1
     # q or h no power of two in range, such as 0
     ("analyze", "arc-denniston", "q=8", "h=0"),
     ("analyze", "arc-denniston", "q=0", "h=4"),

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from locality_lab import designs
 from locality_lab.code_core import dual
 from locality_lab.constructions import (
     bch,
@@ -66,6 +67,20 @@ def test_golay_four_design():
     rep = analyze_design(ternary_golay(), 5, t_max=4)
     assert rep.t_lambda == {1: 30, 2: 12, 3: 4, 4: 1}
     assert rep.is_steiner
+
+
+def test_each_level_is_counted_once(monkeypatch):
+    levels = []
+    count = designs._coverage_counts
+
+    def recording(report, t):
+        levels.append(t)
+        return count(report, t)
+
+    monkeypatch.setattr(designs, "_coverage_counts", recording)
+    rep = analyze_design(ternary_golay(), 5, t_max=4)
+    assert rep.t_lambda == {1: 30, 2: 12, 3: 4, 4: 1}
+    assert levels == [1, 2, 3, 4]
 
 
 def test_verify_t_design_non_design():

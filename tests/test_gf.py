@@ -5,6 +5,7 @@ import random
 from functools import reduce
 
 import pytest
+import scalar_reference as ref
 
 from locality_lab import errors, gf
 
@@ -39,7 +40,6 @@ def test_moduli_are_smallest_primitive():
 def test_gf9_modulus_oracle():
     # independent re-derivation: scan monic quadratics over GF(3), keep the
     # irreducible ones, then the primitive ones, ranked by low-to-high encoding
-    F3 = gf.field_new(3, 1)
     irreducible = []
     for enc in range(9):
         c0, c1 = enc % 3, enc // 3
@@ -50,7 +50,8 @@ def test_gf9_modulus_oracle():
     for enc, cand in irreducible:
         v, order = [1, 0], None
         for k in range(1, 9):
-            v = gf._pp_mulmod(v, [0, 1], list(cand), 3)
+            # v <- v*x, with x^2 = -c1*x - c0
+            v = [-v[1] * cand[0] % 3, (v[0] - v[1] * cand[1]) % 3]
             if v == [1, 0]:
                 order = k
                 break
@@ -58,13 +59,30 @@ def test_gf9_modulus_oracle():
             primitive.append(cand)
     assert len(primitive) == 2
     assert gf.field_new(3, 2).modulus == primitive[0]
-    del F3
 
 
 def test_modulus_is_irreducible():
     for F in _all_fields():
-        if F.m > 1:
-            assert gf._is_irreducible_over_prime(list(F.modulus), F.p)
+        assert gf._is_irreducible(F)
+        # brute force: no monic factor of degree <= m/2 divides the modulus
+        p, m = F.p, F.m
+        for deg in range(1, m // 2 + 1):
+            for enc in range(p ** deg):
+                g = [enc // p ** i % p for i in range(deg)] + [1]
+                rem = list(F.modulus)
+                for top in range(m, deg - 1, -1):
+                    c = rem[top]
+                    for j in range(deg + 1):
+                        rem[top - deg + j] = (rem[top - deg + j] - c * g[j]) % p
+                assert any(rem), (F, g)
+
+
+def test_a_reducible_modulus_is_refused():
+    # x^2 + 1 = (x + 1)^2 over GF(2): x^3 = x, so x has no order 3, though
+    # x^(3/3) != 1 alone would pass for it
+    F = gf.FieldSpec(2, 2, (1, 0, 1), None, gf._CONSTRUCT_TOKEN)
+    assert not gf._is_irreducible(F)
+    assert not gf._has_order(F, 2, 3)
 
 
 def test_field_axioms_exhaustive():
@@ -106,6 +124,25 @@ def test_untabulated_add_and_neg_are_digitwise(p, m):
             (x + y) % p for x, y in zip(digits(a), digits(b))]
         assert digits(F.neg(a)) == [-x % p for x in digits(a)]
         assert F.add(a, F.neg(a)) == 0 and F.sub(a, b) == F.add(a, F.neg(b))
+
+
+def test_raw_product_matches_the_tables():
+    for F in _all_fields():
+        assert F._exp is not None
+        for a in range(F.q):
+            for b in range(F.q):
+                assert F._raw_mul(a, b) == F.mul(a, b) == ref.field_product(
+                    F, a, b)
+
+
+@pytest.mark.parametrize("p, m", [(2, 17), (3, 11)])
+def test_untabulated_product_matches_schoolbook(p, m):
+    F = gf.field_new(p, m)
+    assert F._exp is None
+    rng = random.Random(F.q)
+    for _ in range(1000):
+        a, b = rng.randrange(F.q), rng.randrange(F.q)
+        assert F.mul(a, b) == ref.field_product(F, a, b)
 
 
 def test_frobenius_is_additive():
@@ -242,16 +279,20 @@ def test_minimal_polynomials_factor_xn_minus_1(p, m, n):
 
 
 def test_embedding_is_a_field_homomorphism():
-    base = gf.field_new(2, 2)
-    ext, emb, _ = gf.splitting_field(base, 63)
-    assert ext.q == 64 and emb.fwd is not None
-    for a in range(4):
-        for b in range(4):
-            assert emb.map(base.add(a, b)) == ext.add(emb.map(a), emb.map(b))
-            assert emb.map(base.mul(a, b)) == ext.mul(emb.map(a), emb.map(b))
-    with pytest.raises(errors.CoefficientNotInBase):
-        bad = next(v for v in range(64) if not emb.in_base(v))
-        emb.unmap(bad)
+    for p, m, n, Q in [(2, 2, 63, 64), (2, 3, 73, 512), (3, 2, 7, 729)]:
+        base = gf.field_new(p, m)
+        ext, emb, _ = gf.splitting_field(base, n)
+        assert ext.q == Q and emb.fwd is not None
+        for a in range(base.q):
+            for b in range(base.q):
+                assert emb.map(base.add(a, b)) == ext.add(emb.map(a), emb.map(b))
+                assert emb.map(base.mul(a, b)) == ext.mul(emb.map(a), emb.map(b))
+        # x goes to the least root of the base modulus in the whole extension
+        f = gf.poly(ext, base.modulus)
+        assert emb.map(p) == min(z for z in range(Q) if gf.poly_eval(f, z) == 0)
+        with pytest.raises(errors.CoefficientNotInBase):
+            bad = next(v for v in range(Q) if not emb.in_base(v))
+            emb.unmap(bad)
 
 
 def test_poly_arithmetic():

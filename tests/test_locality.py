@@ -27,12 +27,15 @@ from locality_lab.code_core import (
     weight_distribution,
 )
 from locality_lab.constructions import (
+    arc_code,
     bch,
     code_bf_bar,
     code_gf,
     code_gf_bar,
+    denniston_arc,
     elliptic_quadric,
     grm,
+    grm_punctured,
     hamming,
     oval_poly,
     ovoid_code,
@@ -150,6 +153,28 @@ def test_locality_report_invariants():
                 for j, u in coeffs.items():
                     acc = C.field.add(acc, C.field.mul(u, word[j]))
                 assert acc == word[i]
+
+
+# the codes of the perfbench `families` workload
+FAMILIES = {
+    "grm q=2 ell=2 m=5": lambda: grm(2, 2, 5),
+    "ovoid-elliptic q=8 --dual": lambda: dual(ovoid_code(elliptic_quadric(8))),
+    "arc-denniston q=16 h=4": lambda: arc_code(denniston_arc(16, 4)),
+    "oval-code-gf q=32 f=segre": lambda: code_gf(oval_poly("segre", 32)),
+    "hamming q=2 m=6": lambda: hamming(2, 6),
+    "grm q=2 ell=1 m=5": lambda: grm(2, 1, 5),
+    "bch q=16 n=17 delta=3": lambda: bch(16, 17, 3, 1),
+    "grm-punctured q=4 ell=1 m=3": lambda: grm_punctured(4, 1, 3),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_repair_options_are_strictly_ascending(family):
+    # the report keeps each coordinate's supports in the order the scan
+    # lists them, without sorting: that order must already be ascending
+    rep = minimum_linear_locality(FAMILIES[family]())
+    for options in rep.repair_options:
+        assert all(a < b for a, b in zip(options, options[1:]))
 
 
 def test_locality_strictly_above_dual_distance():
@@ -338,10 +363,10 @@ expect("nmds_support_pairing", PairingFailed,
 
 pair = designs.DesignReport(4, 2, ((0, 1), (2, 3)), {}, False)
 expect("t-design is a t'-design", DesignInvariantBroken,
-       lambda: designs._check_downward_consistency(pair, 2, 1))
+       lambda: designs._check_downward_consistency(pair, {1: 1, 2: 1}))
 single = designs.DesignReport(4, 2, ((0, 1),), {}, False)
 expect("block count", DesignInvariantBroken,
-       lambda: designs._check_downward_consistency(single, 1, 1))
+       lambda: designs._check_downward_consistency(single, {1: 1}))
 
 designs.minimum_linear_locality = lambda C, caps=None: SimpleNamespace(
     r_min=99)
