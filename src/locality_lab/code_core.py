@@ -141,14 +141,6 @@ def _caps(caps: Caps | None) -> Caps:
 # ---------------------------------------------------------------------------
 # the planner
 
-# A distance is read off an enumeration of at most this many words, even
-# under a larger enum cap: beyond it a subset scan is usually cheaper
-# (bch q=16 n=17 delta=4 on a 2-core machine: the scan finds d = 5 in
-# 0.02 s; enumerating the 16^6-word dual takes 0.05 s packed, 0.10 s
-# through int32 entries).
-_DISTANCE_ENUM_LIMIT = 1 << 22
-
-
 class Plan(NamedTuple):
     route: str
     cost: int  # in the units of the cap the route is held to
@@ -161,20 +153,17 @@ def plan(n: int, k: int, q: int, goal: str, caps: Caps, w: int = 0) -> Plan:
     "distribution", "distance": "enumerate" the q^k words or the q^(n-k)
     of the "dual" plus MacWilliams, the smaller side first, the code's own
     on ties; the transform is no search, so only the enum cap holds either
-    side.  A distance enumerates at most _DISTANCE_ENUM_LIMIT words, else
-    it will "scan" weight after weight, each priced as "exists"; the
-    weights up to w are priced now.
+    side.  A distance that fits neither side will "scan" weight after
+    weight, each priced as "exists"; the weights up to w are priced now.
     "exists", "words" at weight w: scan the w-subsets through the cheaper
     of the "generator" and the "parity-check" matrix (the generator on
     ties), C(n, w) * w per matrix row; "words" may instead "enumerate" the
     (q^k - 1)/(q - 1) projective classes, n each, when strictly cheaper."""
     if goal in ("distribution", "distance"):
-        limit = caps.enumeration if goal == "distribution" else \
-            min(caps.enumeration, _DISTANCE_ENUM_LIMIT)
         own, other = q ** k, q ** (n - k)
-        if own <= min(other, limit):
+        if own <= min(other, caps.enumeration):
             return Plan("enumerate", own)
-        if other <= limit:
+        if other <= caps.enumeration:
             return Plan("dual", other)
         if goal == "distribution":
             raise EnumerationTooLarge(f"neither side fits the caps: q^k = "

@@ -26,7 +26,6 @@ from .code_core import (
     from_parity_check,
     minimum_distance,
     plan,
-    weight_distribution,
 )
 from .errors import (
     BadParameters,

@@ -404,17 +404,6 @@ def quadratic_extension(base: FieldSpec) -> FieldSpec:
     return field
 
 
-def trace_to_base(field: FieldSpec, x: int) -> int:
-    """Tr(x) = x + x^q0 from a quadratic tower down to its base field."""
-    base = field.tower_base
-    if base is None:
-        raise NotTowerField(f"{field!r} is not a tower")
-    t = field.add(x, field.pow(x, base.q))
-    if t >= base.q:
-        raise FieldInvariantBroken("trace landed outside the embedded base field")
-    return t
-
-
 def absolute_trace(field: FieldSpec, x: int) -> int:
     """Tr(x) = x + x^p + ... + x^(p^(m-1)), landing in the prime subfield."""
     t, v = 0, x
@@ -675,29 +664,12 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     return poly_monic(a)
 
 
-def poly_lcm(fs: list[Poly]) -> Poly:
-    if not fs:
-        raise DivisionByZeroPolynomial("lcm of an empty list")
-    acc = poly_monic(fs[0])
-    for f in fs[1:]:
-        _same_field(acc, f)
-        g = poly_gcd(acc, f)
-        acc = poly_monic(poly_divmod(poly_mul(acc, f), g)[0])
-    return acc
-
-
 def poly_eval(f: Poly, x: int) -> int:
     F = f.field
     acc = 0
     for c in reversed(f.coeffs):
         acc = F.add(F.mul(acc, x), c)
     return acc
-
-
-def poly_derivative(f: Poly) -> Poly:
-    F = f.field
-    # i mod p is the encoding of the prime-subfield constant i
-    return poly(F, [F.mul(c, i % F.p) for i, c in enumerate(f.coeffs[1:], start=1)])
 
 
 def minimal_polynomial(ext: FieldSpec, beta: int, s: int, n: int,

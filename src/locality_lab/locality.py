@@ -198,20 +198,6 @@ def singleton_like(n: int, k: int, r: int) -> int:
     return n - k - math.ceil(k / r) + 2
 
 
-def classify_d_optimality(C: LinearCode, r: int,
-                          caps: Caps | None = None) -> str:
-    """"d_optimal" / "almost_d_optimal" / "neither", comparing d against
-    the locality-r distance bound.  Meaningful when r is a genuine
-    locality of C."""
-    rhs = singleton_like(C.n, C.k, r)
-    d = minimum_distance(C, caps)
-    if d == rhs:
-        return "d_optimal"
-    if d == rhs - 1:
-        return "almost_d_optimal"
-    return "neither"
-
-
 # ---------------------------------------------------------------------------
 # dimension-side bound
 
@@ -294,15 +280,6 @@ def cm_bound_upper(n: int, d: int, q: int, r: int) -> CMBound:
     return CMBound(rhs, tuple(terms))
 
 
-def classify_k_optimality(C: LinearCode, r: int,
-                          caps: Caps | None = None) -> str:
-    """"k_optimal_certified" when the dimension meets the bound exactly;
-    "inconclusive" otherwise (true optimality may still hold)."""
-    d = minimum_distance(C, caps)
-    cm = cm_bound_upper(C.n, d, C.q(), r)
-    return "k_optimal_certified" if C.k == cm.rhs else "inconclusive"
-
-
 @dataclass(frozen=True)
 class BoundsReport:
     singleton_like_rhs: int
@@ -337,6 +314,26 @@ def bounds_report(C: LinearCode, r: int,
         k_optimal_certified=(C.k == cm.rhs),
         k_opt_components=cm.components,
     )
+
+
+def classify_d_optimality(C: LinearCode, r: int,
+                          caps: Caps | None = None) -> str:
+    """"d_optimal" / "almost_d_optimal" / "neither", comparing d against
+    the locality-r distance bound.  Meaningful when r is a genuine
+    locality of C."""
+    b = bounds_report(C, r, caps)
+    if b.d_optimal:
+        return "d_optimal"
+    return "almost_d_optimal" if b.almost_d_optimal else "neither"
+
+
+def classify_k_optimality(C: LinearCode, r: int,
+                          caps: Caps | None = None) -> str:
+    """"k_optimal_certified" when the dimension meets the bound exactly;
+    "inconclusive" otherwise (true optimality may still hold)."""
+    if bounds_report(C, r, caps).k_optimal_certified:
+        return "k_optimal_certified"
+    return "inconclusive"
 
 
 # ---------------------------------------------------------------------------

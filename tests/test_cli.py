@@ -179,6 +179,29 @@ def test_construct_long_hamming_through_macwilliams(capsys, monkeypatch):
     assert "[511, 502, 3]" in out
 
 
+def test_construct_reads_d_off_a_2_24_word_dual(capsys, monkeypatch):
+    # the [63, 39] BCH code's distance comes from the 2^24 words of its
+    # dual, below the enum cap, as its distribution does
+    monkeypatch.delenv(CAPS_ENV_VAR, raising=False)
+    rc, out, err = run(capsys, "construct", "bch", "q=2", "n=63", "delta=9")
+    assert rc == 0
+    assert out == "[63, 39, 9] over GF(2)\n"
+    assert err == ""
+
+
+def test_analyze_d_is_the_least_weight_of_its_distribution(capsys,
+                                                           monkeypatch):
+    monkeypatch.delenv(CAPS_ENV_VAR, raising=False)
+    rc, out, _ = run(capsys, "analyze", "bch", "q=2", "n=63", "delta=9",
+                     "--json")
+    assert rc == 2  # the locality search is beyond the search cap
+    bundle = json.loads(out)
+    assert bundle["d"] == 9
+    assert bundle["d"] == min(int(w) for w, count
+                              in bundle["weight_distribution"].items()
+                              if int(w) > 0 and count > 0)
+
+
 def test_analyze_long_ovoid_dual(capsys, monkeypatch):
     # each of the q^3 + q planes that meet the ovoid in an oval holds
     # C(q + 1, 4) 4-subsets of it, each carrying one projective class

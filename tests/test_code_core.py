@@ -463,14 +463,22 @@ def test_plan_takes_the_dual_side_whatever_the_search_cap():
     assert plan(8, 6, 2, "distance", caps).route == "scan"
 
 
-def test_plan_distance_enumerates_at_most_2_22_words():
-    assert plan(44, 22, 2, "distance", Caps()) == Plan("enumerate", 2 ** 22)
-    assert plan(46, 23, 2, "distance", Caps()).route == "scan"
-    assert plan(46, 23, 2, "distribution", Caps()) == \
-        Plan("enumerate", 2 ** 23)
-    # a lower enum cap lowers the distance limit too
-    assert plan(44, 22, 2, "distance", Caps(enumeration=2 ** 21)).route == \
-        "scan"
+@pytest.mark.parametrize("enum_cap", [2 ** 4, 2 ** 10, 2 ** 22,
+                                      Caps.enumeration])
+def test_plan_distance_takes_the_distribution_route(enum_cap):
+    # one enumeration rule for both goals; a distance scans only where
+    # the distribution cannot be enumerated
+    caps = Caps(enumeration=enum_cap)
+    for q in (2, 3, 4, 16):
+        for n in (1, 5, 12, 30, 46, 64):
+            for k in range(n + 1):
+                try:
+                    expected = plan(n, k, q, "distribution", caps)
+                except EnumerationTooLarge:
+                    assert plan(n, k, q, "distance", caps).route == "scan"
+                    continue
+                for w in (0, 3):
+                    assert plan(n, k, q, "distance", caps, w=w) == expected
 
 
 def test_plan_prices_a_distance_scan_one_weight_at_a_time():
