@@ -440,8 +440,9 @@ def cmd_validate_oval(args) -> int:
         e = _int(param, "monomial exponent")
         if e < 0:
             raise BadParams(f"monomial exponent must be >= 0, got {e}")
-        coeffs = [0] * e + [1]
-        candidate = poly(field, coeffs)
+        # x^e is the map of x^r on GF(q), r = e mod (q - 1) in [1, q - 1]
+        r = (e - 1) % (q - 1) + 1 if e else 0
+        candidate = poly(field, [0] * r + [1])
         valid = is_oval_polynomial(field, candidate)
         exponents = [e]
     else:

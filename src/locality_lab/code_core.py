@@ -27,8 +27,8 @@ matrix to _eliminate from the measured crossover _RREF_NUMPY_MIN on.
 
 The words of one weight w are one int32 array of shape (m, n), one row per
 projective class, scaled to lead with 1 and sorted by support, then by
-word; word_supports reads their (m, w) supports off it, and in_dual checks
-the array against a generator, whose int32 form gen_array is made once.
+word; word_supports reads their (m, w) supports off it, and in_dual, the
+one membership check, tests it on the smaller of the code and its dual.
 
 The kernels do their field arithmetic through O(q) int32 arrays: products
 as exp[log a + log b], sums as xor in characteristic 2 and through Zech
@@ -599,18 +599,6 @@ class LinearCode:
                 out = [F.add(o, F.mul(u, g)) for o, g in zip(out, row)]
         return tuple(out)
 
-    def contains(self, vec) -> bool:
-        F = self.field
-        if len(vec) != self.n:
-            return False
-        residue = list(vec)
-        for i, pc in enumerate(self.pivots):
-            c = residue[pc]
-            if c:
-                residue = [F.sub(x, F.mul(c, y))
-                           for x, y in zip(residue, self.gen[i])]
-        return all(x == 0 for x in residue)
-
 
 def _build(field: FieldSpec, n: int, rows: list[list[int]],
            label: str | None) -> LinearCode:
@@ -724,30 +712,34 @@ def extend(C: LinearCode) -> LinearCode:
 
 
 def in_dual(C: LinearCode, W) -> bool:
-    """True iff every row of the (m, n) array W, such as the words
-    exact_weight_words returns, is orthogonal to every row of the generator
-    of C, i.e. lies in dual(C).  One table-driven syndrome per block of
-    rows, against C's own generator."""
-    n, G = C.n, C.gen_array
+    """True iff every row w of the (m, n) array W, such as the words
+    exact_weight_words returns, lies in dual(C), checked on the smaller side
+    per block of rows: the syndrome against C's generator when k <= n - k,
+    else w = w[P] H, with dual(C) reduced here to H with pivots P (a
+    LinearCode built by hand may hold rows outside echelon form)."""
+    n = C.n
     tables = _numpy_field_tables(C.field)
     W = np.asarray(W, dtype=np.int32).reshape(len(W), n)
+    syndrome = C.k <= n - C.k
+    if syndrome:
+        cols, M = range(n), C.gen_array.T
+    else:
+        red, cols = rref(C.field, dual(C).gen)
+        M = np.array(red, dtype=np.int32).reshape(len(cols), n)
     step = max(1, _BLOCK_CELLS // max(1, n))
     for V in (W[i:i + step] for i in range(0, len(W), step)):
-        syndromes = np.zeros((len(V), C.k), dtype=np.int32)
-        for j in range(n):
-            syndromes = _vadd(tables, syndromes,
-                              _vmul(tables, V[:, j, None], G[None, :, j]))
-        if syndromes.any():
+        acc = np.zeros((len(V), M.shape[1]), dtype=np.int32)
+        for t, j in enumerate(cols):
+            acc = _vadd(tables, acc, _vmul(tables, V[:, j, None], M[None, t]))
+        if (acc != (0 if syndrome else V)).any():
             return False
     return True
 
 
 def is_cyclic(C: LinearCode) -> bool:
-    """True iff the cyclic shift maps C onto itself.  A code is cyclic iff
-    its dual is, so the rows of whichever of C and dual(C) has fewer are
-    shifted and tested against the other's generator."""
-    S = C if C.k <= C.n - C.k else dual(C)
-    return in_dual(dual(S), np.roll(S.gen_array, 1, axis=1))
+    """True iff the cyclic shift maps C onto itself: the shifted generator
+    rows lie in C, the dual of dual(C)."""
+    return in_dual(dual(C), np.roll(C.gen_array, 1, axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,8 @@ def hamming_weight_distribution_formula(q: int, m: int) -> WeightDistribution:
 # cyclic and BCH codes
 
 def cyclic_code(q: int, n: int, g: Poly, label: str | None = None) -> LinearCode:
+    if n > MAX_LENGTH:
+        raise FieldTooLarge(f"length {n} exceeds {MAX_LENGTH}")
     field = field_for_q(q)
     if g.field != field:
         raise WrongFieldForm(f"generator polynomial lives over GF({g.field.q}), "
@@ -148,10 +150,6 @@ def cyclic_code(q: int, n: int, g: Poly, label: str | None = None) -> LinearCode
         raise GcdNotOne(f"gcd({n}, {q}) != 1")
     if g.is_zero() or g.degree >= n:
         raise NotADivisor(f"degree {g.degree} generator for length {n}")
-    lead = g.coeffs[-1]
-    if lead != 1:
-        inv = field.inv(lead)
-        g = poly(field, [field.mul(inv, c) for c in g.coeffs])
     _, rem = poly_divmod(poly_x_pow_n_minus_1(field, n), g)
     if not rem.is_zero():
         raise NotADivisor("generator polynomial does not divide x^n - 1")
@@ -164,6 +162,8 @@ def bch(q: int, n: int, delta: int, h: int) -> LinearCode:
     """Cyclic code whose generator is the least common multiple of the minimal
     polynomials of beta^h, ..., beta^(h+delta-2) for a primitive n-th root of
     unity beta in the splitting field."""
+    if n > MAX_LENGTH:
+        raise FieldTooLarge(f"length {n} exceeds {MAX_LENGTH}")
     if not 2 <= delta <= n:
         raise BadParameters(f"designed distance {delta} outside [2, {n}]")
     field = field_for_q(q)

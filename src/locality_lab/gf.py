@@ -15,7 +15,7 @@ built from that step: x^(q-1) = 1 and x^((q-1)/l) != 1 for every prime
 l | q - 1.  The same order test picks a tower's generator and checks the
 root of unity behind a minimal polynomial.  The discrete-log tables walk
 the powers of x with the step, and an untabulated product is Horner's
-rule over the digits of one factor with the same step.
+rule over the digits of one factor, on packed digits for odd p.
 
 A FieldSpec owns its lookup tables (discrete logs for q up to 2^16, a full
 addition table for small odd characteristic) and exposes arithmetic as
@@ -159,16 +159,23 @@ class FieldSpec:
                 z0 = base.sub(z0, base.mul(z2, c0))
                 z1 = base.sub(z1, base.mul(z2, c1))
             return z0 + q0 * z1
-        if self.m == 1:
-            return (a * b) % self.p
         # Horner over the digits of b: acc <- acc*x + d*a
-        acc = 0
+        if self.p == 2:
+            acc = 0
+            for d in reversed(self._digits(b)):
+                acc = self._mul_x(acc) ^ (a if d else 0)
+            return acc
+        # odd p: the digits sit unreduced in s-bit slots of one integer; a
+        # slot stays below 2m(p-1)^2 < 2^s, so no sum carries into the next
+        p, m = self.p, self.m
+        s = (2 * m * p * p).bit_length()
+        A = sum(d << s * i for i, d in enumerate(self._digits(a)))
+        low = sum(-c % p << s * i for i, c in enumerate(self.modulus[:-1]))
+        acc, mask, slot = 0, (1 << s * m) - 1, (1 << s) - 1
         for d in reversed(self._digits(b)):
-            acc = self._mul_x(acc)
-            if d:
-                acc = acc ^ a if self.p == 2 else self._digitwise(
-                    acc, a, lambda u, v, d=d: u + d * v)
-        return acc
+            acc <<= s  # times x: the overflow slot, mod p, times low folds back
+            acc = (acc & mask) + (acc >> s * m) % p * low + d * A
+        return sum((acc >> s * i & slot) % p * p ** i for i in range(m))
 
     def _mul_x(self, a: int) -> int:
         """a*x in a field built over its prime subfield: shift the base-p

@@ -160,29 +160,27 @@ def repair_coefficients(C: LinearCode, i: int,
                         support) -> dict[int, int]:
     """Coefficients u_j with c_i = sum u_j c_j for every codeword c, valid
     whenever ``support + {i}`` carries a dual codeword nonzero at i."""
-    n, k, F = C.n, C.k, C.field
+    n, F = C.n, C.field
     repair = sorted(set(support))
     if i in repair or not all(0 <= j < n for j in repair) or not 0 <= i < n:
         raise NotARepairSet(f"bad coordinates: i = {i}, support = {support}")
     cols = sorted(repair + [i])
     pos = cols.index(i)
-    rows = [[C.gen[r][j] for j in cols] for r in range(k)]
+    rows = [[row[j] for j in cols] for row in C.gen]
     h = next((v for v in nullspace(F, rows, len(cols)) if v[pos]), None)
     if h is None:
         raise NotARepairSet(
             f"no dual codeword on {{{i}}} + {repair} is nonzero at {i}")
     scale = F.neg(F.inv(h[pos]))
-    coeffs = {j: F.mul(scale, h[t])
-              for t, j in enumerate(cols) if j != i}
-    for row in C.gen:  # reconstruction must hold on a basis
-        acc = 0
-        for j, u in coeffs.items():
-            acc = F.add(acc, F.mul(u, row[j]))
-        if acc != row[i]:
-            raise LocalityInvariantBroken(
-                f"repair coefficients for coordinate {i} failed on a basis "
-                "vector")
-    return coeffs
+    rule = [0] * n  # -1 at i, u_j at each j of the repair set
+    for t, j in enumerate(cols):
+        rule[j] = F.mul(scale, h[t])
+    # c_i = sum u_j c_j on every codeword iff the rule is a dual word
+    if not in_dual(C, [rule]):
+        raise LocalityInvariantBroken(
+            f"repair coefficients for coordinate {i} failed on a basis "
+            "vector")
+    return {j: rule[j] for j in repair}
 
 
 # ---------------------------------------------------------------------------

@@ -566,6 +566,20 @@ def test_validate_oval_monomial_negative(capsys):
     assert "NOT an oval polynomial" in out
 
 
+@pytest.mark.parametrize("e", [99999999999, 7 * 10 ** 10])
+def test_validate_oval_huge_exponent_reads_as_its_residue(capsys, e):
+    # x^e is the map of x^r on GF(8), r = e mod 7 taken in [1, 7]
+    rc, out, err = run(capsys, "validate-oval", "q=8", f"f=monomial:{e}",
+                       "--json")
+    assert rc == 0 and err == ""
+    result = json.loads(out)
+    assert result["exponents"] == [e]
+    r = (e - 1) % 7 + 1
+    _, want, _ = run(capsys, "validate-oval", "q=8", f"f=monomial:{r}",
+                     "--json")
+    assert result["valid"] == json.loads(want)["valid"]
+
+
 def test_validate_oval_catalog_json(capsys):
     rc, out, _ = run(capsys, "validate-oval", "q=32", "f=payne", "--json")
     assert rc == 0

@@ -7,6 +7,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+import scalar_reference as ref
 from hypothesis import given, settings, strategies as st
 
 from locality_lab import code_core
@@ -117,13 +118,13 @@ def test_encode_and_contains():
         C = random_code(rng, field, n_max=9)
         for _ in range(10):
             msg = [rng.randrange(field.q) for _ in range(C.k)]
-            assert C.contains(C.encode(msg))
+            assert ref.in_dual(dual(C), [C.encode(msg)])
         outside = [rng.randrange(field.q) for _ in range(C.n)]
         # membership test agrees with brute force over all messages when small
         if field.q ** C.k <= 4096:
             words = {C.encode(list(m)) for m in
                      __import__("itertools").product(range(field.q), repeat=C.k)}
-            assert C.contains(outside) == (tuple(outside) in words)
+            assert ref.in_dual(dual(C), [outside]) == (tuple(outside) in words)
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +586,7 @@ def test_low_weight_words_are_codewords_with_exact_support():
             assert W.dtype == np.int32 and W.shape[1:] == (C.n,)
             assert (np.count_nonzero(W, axis=1) == w).all()
             for word, support in zip(W.tolist(), word_supports(W, w).tolist()):
-                assert C.contains(word)
+                assert ref.in_dual(dual(C), [word])
                 assert [j for j, x in enumerate(word) if x] == support
                 # canonical projective representative
                 assert word[support[0]] == 1

@@ -9,6 +9,7 @@ from itertools import combinations
 import pytest
 import scalar_reference as ref
 
+from locality_lab import constructions
 from locality_lab.code_core import (
     Caps,
     dual,
@@ -49,6 +50,7 @@ from locality_lab.constructions import (
 from locality_lab.errors import (
     BadParameters,
     FamilyUnavailableForParameters,
+    FieldTooLarge,
     GcdNotOne,
     HypothesisViolated,
     NotADivisor,
@@ -119,6 +121,15 @@ def test_cyclic_code_validation():
         cyclic_code(3, 6, poly(F3, [2, 1]))
     with pytest.raises(WrongFieldForm):
         cyclic_code(2, 4, poly(F3, [2, 1]))
+
+
+def test_cyclic_lengths_above_max_length_are_refused(monkeypatch):
+    monkeypatch.setattr(constructions, "MAX_LENGTH", 16)
+    with pytest.raises(FieldTooLarge, match="length 17 exceeds 16"):
+        bch(2, 17, 3, 1)
+    with pytest.raises(FieldTooLarge, match="length 17 exceeds 16"):
+        cyclic_code(2, 17, poly(field_new(2, 1), [1, 1]))
+    assert bch(2, 15, 3, 1).n == 15
 
 
 def test_bch_small_nmds_instances():

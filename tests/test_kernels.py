@@ -499,6 +499,42 @@ def test_in_dual_checks_every_block(monkeypatch):
     assert found
 
 
+def test_in_dual_matches_scalar_reference_on_both_sides():
+    """in_dual against the scalar syndrome, on both sides of its choice:
+    codes with 2k below, at and above n, the zero code, the whole space and
+    a generator outside echelon form, each checked with words of its dual,
+    corrupted words and random vectors."""
+    rng = random.Random(18)
+    codes = [code_roster()[-1]]  # a generator outside echelon form
+    for q in (2, 3, 4, 9, 16):
+        n = rng.choice([6, 8])
+        codes.append(zero_code(field(q), n))
+        codes.extend(random_code(rng, q, n, k)
+                     for k in (1, rng.randint(2, n // 2 - 1), n // 2,
+                               n - 1, n))
+    seen, verdicts = set(), []
+    for C in codes:
+        for A in (C, dual(C)):
+            q, D = A.field.q, dual(A)
+            words = np.array([D.encode([rng.randrange(q) for _ in range(D.k)])
+                              for _ in range(6)], dtype=np.int32)
+            words = words[words.any(axis=1)]
+            assert in_dual(A, words) and ref.in_dual(A, words.tolist())
+            outside = [corrupted(words)] if len(words) else []
+            outside.append(np.array([[rng.randrange(q) for _ in range(A.n)]
+                                     for _ in range(3)], dtype=np.int32))
+            for bad in outside:
+                verdicts.append(in_dual(A, bad))
+                assert verdicts[-1] == ref.in_dual(A, bad.tolist()), (A, bad)
+            seen.add((2 * A.k < A.n, 2 * A.k > A.n, A.k in (0, A.n)))
+    assert False in verdicts
+    # the syndrome (2k <= n) and the re-encoding (2k > n), with k = 0 and
+    # k = n among them
+    assert {(True, False, False), (False, False, False),
+            (False, True, False), (True, False, True),
+            (False, True, True)} <= seen
+
+
 def test_a_dropped_block_breaks_the_distribution(monkeypatch):
     span = code_core._projective_span
 
