@@ -551,7 +551,7 @@ class LinearCode:
     """A [n, k] code over a FieldSpec, held by its canonical generator matrix."""
 
     __slots__ = ("field", "n", "k", "gen", "pivots", "label", "_gen_array",
-                 "_dual", "_wd", "_mind")
+                 "_dual_rref", "_dual", "_wd", "_mind")
 
     def __init__(self, field: FieldSpec, n: int, gen: tuple[tuple[int, ...], ...],
                  pivots: tuple[int, ...], label: str | None = None):
@@ -562,6 +562,7 @@ class LinearCode:
         self.pivots = pivots
         self.label = label
         self._gen_array: np.ndarray | None = None
+        self._dual_rref = None  # in_dual's reduced dual: (pivots, rows)
         self._dual: LinearCode | None = None
         self._wd = None
         self._mind: int | None = None
@@ -715,8 +716,9 @@ def in_dual(C: LinearCode, W) -> bool:
     """True iff every row w of the (m, n) array W, such as the words
     exact_weight_words returns, lies in dual(C), checked on the smaller side
     per block of rows: the syndrome against C's generator when k <= n - k,
-    else w = w[P] H, with dual(C) reduced here to H with pivots P (a
-    LinearCode built by hand may hold rows outside echelon form)."""
+    else w = w[P] H, with dual(C) reduced to H with pivots P on the first
+    such call and the reduction kept on C (a LinearCode built by hand may
+    hold rows outside echelon form, so the stored pivots are not used)."""
     n = C.n
     tables = _numpy_field_tables(C.field)
     W = np.asarray(W, dtype=np.int32).reshape(len(W), n)
@@ -724,8 +726,12 @@ def in_dual(C: LinearCode, W) -> bool:
     if syndrome:
         cols, M = range(n), C.gen_array.T
     else:
-        red, cols = rref(C.field, dual(C).gen)
-        M = np.array(red, dtype=np.int32).reshape(len(cols), n)
+        if C._dual_rref is None:
+            red, cols = rref(C.field, dual(C).gen)
+            M = np.array(red, dtype=np.int32).reshape(len(cols), n)
+            M.flags.writeable = False
+            C._dual_rref = cols, M
+        cols, M = C._dual_rref
     step = max(1, _BLOCK_CELLS // max(1, n))
     for V in (W[i:i + step] for i in range(0, len(W), step)):
         acc = np.zeros((len(V), M.shape[1]), dtype=np.int32)

@@ -3,10 +3,18 @@ cyclic and BCH codes, generalized Reed-Muller codes, codes from ovoids and
 maximal arcs in projective space, codes built from oval polynomials over
 even-characteristic fields, and the ternary Golay code.
 
+Each job has one implementation: code_core._projective_span walks the
+points of PG(m-1, q) as the classes of the span of the identity;
+_code_with_zeros builds BCH and punctured generalized Reed-Muller codes
+alike from their zero sets, one minimal polynomial per cyclotomic coset
+(MacWilliams and Sloane, ch. 7); _code_from_columns builds and checks
+every code whose generator columns are a point set.
+
 Every constructor validates its own output: lengths and dimensions always,
 minimum distance whenever code_core.plan prices it within the caps.
-Point-set builders (ovoids, arcs) return explicit point sets so the
-exhaustive geometric validators can be run separately.
+Lengths above MAX_LENGTH are refused before any loop.  Point-set
+builders (ovoids, arcs) return explicit point sets so the exhaustive
+geometric validators can be run separately.
 """
 
 from __future__ import annotations
@@ -15,10 +23,14 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .code_core import (
     Caps,
     LinearCode,
     WeightDistribution,
+    _numpy_field_tables,
+    _projective_span,
     dual,
     extend,
     field_for_q,
@@ -58,6 +70,11 @@ from .gf import (
 MAX_LENGTH = 1 << 16
 
 
+def _check_length(n: int) -> None:
+    if n > MAX_LENGTH:
+        raise FieldTooLarge(f"length {n} exceeds {MAX_LENGTH}")
+
+
 def _assert_distance(C: LinearCode, d: int, error_cls) -> None:
     """Verify the advertised minimum distance when plan prices it in caps."""
     try:
@@ -75,20 +92,14 @@ def _assert_distance(C: LinearCode, d: int, error_cls) -> None:
 
 def projective_point_list(field: FieldSpec, m: int) -> list[tuple[int, ...]]:
     """One representative per projective point of PG(m-1, q): first nonzero
-    coordinate scaled to 1, sorted by integer encoding of the tuple."""
-    q = field.q
-    seen = set()
-    for enc in range(1, q ** m):
-        digits, x = [], enc
-        for _ in range(m):
-            digits.append(x % q)
-            x //= q
-        lead = next(d for d in digits if d)
-        if lead != 1:
-            inv = field.inv(lead)
-            digits = [field.mul(inv, d) for d in digits]
-        seen.add(tuple(digits))
-    return sorted(seen, key=lambda pt: sum(c * q ** i for i, c in enumerate(pt)))
+    coordinate 1, sorted by the integer encoding sum c_i q^i of the tuple.
+    They are the class representatives of the span of the identity."""
+    if m == 0:
+        return []
+    span = _projective_span(_numpy_field_tables(field),
+                            np.eye(m, dtype=np.int32)[None])
+    P = np.concatenate([V[0].T.copy() for V in span])  # buffers are reused
+    return list(map(tuple, P[np.lexsort(P.T)].tolist()))
 
 
 def hamming(q: int, m: int) -> LinearCode:
@@ -96,11 +107,9 @@ def hamming(q: int, m: int) -> LinearCode:
         raise BadParameters(f"hamming needs m >= 2, got {m}")
     field = field_for_q(q)
     n = (q ** m - 1) // (q - 1)
-    if n > MAX_LENGTH:
-        raise FieldTooLarge(f"length {n} exceeds {MAX_LENGTH}")
+    _check_length(n)
     pts = projective_point_list(field, m)
-    rows = [[pt[i] for pt in pts] for i in range(m)]
-    C = from_parity_check(field, rows, label=f"hamming({q},{m})")
+    C = from_parity_check(field, list(zip(*pts)), label=f"hamming({q},{m})")
     if (C.n, C.k) != (n, n - m):
         raise ConstructionInvariantBroken(
             "hamming constructor produced wrong parameters")
@@ -140,8 +149,7 @@ def hamming_weight_distribution_formula(q: int, m: int) -> WeightDistribution:
 # cyclic and BCH codes
 
 def cyclic_code(q: int, n: int, g: Poly, label: str | None = None) -> LinearCode:
-    if n > MAX_LENGTH:
-        raise FieldTooLarge(f"length {n} exceeds {MAX_LENGTH}")
+    _check_length(n)
     field = field_for_q(q)
     if g.field != field:
         raise WrongFieldForm(f"generator polynomial lives over GF({g.field.q}), "
@@ -158,26 +166,31 @@ def cyclic_code(q: int, n: int, g: Poly, label: str | None = None) -> LinearCode
     return from_generator(field, rows, label=label)
 
 
+def _code_with_zeros(field: FieldSpec, n: int, zeros, label: str) -> LinearCode:
+    """The cyclic code of length n over field with the zeros beta^j, j in
+    zeros, and their conjugates, for a primitive n-th root of unity beta in
+    the splitting field: its generator multiplies one minimal polynomial per
+    distinct cyclotomic coset of the zeros."""
+    ext, emb, beta = splitting_field(field, n)
+    g = poly(field, [1])
+    seen = set()
+    for j in zeros:
+        coset = cyclotomic_coset(j % n, n, field.q)
+        if coset not in seen:
+            seen.add(coset)
+            g = poly_mul(g, minimal_polynomial(ext, beta, j % n, n, field, emb))
+    return cyclic_code(field.q, n, g, label=label)
+
+
 def bch(q: int, n: int, delta: int, h: int) -> LinearCode:
     """Cyclic code whose generator is the least common multiple of the minimal
     polynomials of beta^h, ..., beta^(h+delta-2) for a primitive n-th root of
     unity beta in the splitting field."""
-    if n > MAX_LENGTH:
-        raise FieldTooLarge(f"length {n} exceeds {MAX_LENGTH}")
+    _check_length(n)
     if not 2 <= delta <= n:
         raise BadParameters(f"designed distance {delta} outside [2, {n}]")
-    field = field_for_q(q)
-    ext, emb, beta = splitting_field(field, n)
-    g = poly(field, [1])
-    seen = set()
-    for s in range(h, h + delta - 1):
-        rep = s % n
-        coset = cyclotomic_coset(rep, n, q)
-        if coset in seen:
-            continue
-        seen.add(coset)
-        g = poly_mul(g, minimal_polynomial(ext, beta, rep, n, field, emb))
-    return cyclic_code(q, n, g, label=f"bch({q},{n},{delta},{h})")
+    return _code_with_zeros(field_for_q(q), n, range(h, h + delta - 1),
+                            f"bch({q},{n},{delta},{h})")
 
 
 def ternary_golay() -> LinearCode:
@@ -235,21 +248,11 @@ def grm_punctured(q: int, ell: int, m: int) -> LinearCode:
     _check_grm_range(q, ell, m)
     field = field_for_q(q)
     n = q ** m - 1
-    if n > MAX_LENGTH:
-        raise FieldTooLarge(f"length {n} exceeds {MAX_LENGTH}")
-    ext, emb, beta = splitting_field(field, n)
+    _check_length(n)
     bound = (q - 1) * m - ell
-    g = poly(field, [1])
-    seen = set()
-    for j in range(1, n):
-        if q_weight(j, q, m) >= bound:
-            continue
-        coset = cyclotomic_coset(j, n, q)
-        if coset in seen:
-            continue
-        seen.add(coset)
-        g = poly_mul(g, minimal_polynomial(ext, beta, j, n, field, emb))
-    C = cyclic_code(q, n, g, label=f"grm-punctured({q},{ell},{m})")
+    C = _code_with_zeros(field, n, [j for j in range(1, n)
+                                    if q_weight(j, q, m) < bound],
+                         f"grm-punctured({q},{ell},{m})")
     if C.k != grm_dimension(q, ell, m):
         raise ConstructionInvariantBroken(
             "punctured code dimension disagrees with the closed form")
@@ -313,25 +316,29 @@ class PointSet:
 # ---------------------------------------------------------------------------
 # ovoids
 
+def _ovoid_points(field: FieldSpec, z) -> PointSet:
+    """The point at infinity (0, 0, 1, 0) and the affine points
+    (x, y, z(x, y), 1)."""
+    q = field.q
+    return PointSet(field, 3, ((0, 0, 1, 0),) + tuple(
+        (x, y, z(x, y), 1) for x in range(q) for y in range(q)))
+
+
 def elliptic_quadric(q: int) -> PointSet:
     """The point at infinity plus the affine points (x, y, x^2+xy+ay^2, 1)
     for the smallest a making x^2+x+a rootless."""
     if q <= 2:
         raise WrongFieldForm(f"ovoids need q > 2, got {q}")
     field = field_for_q(q)
+    _check_length(q * q + 1)
     a = next((c for c in range(q)
               if all(field.add(field.add(field.mul(t, t), t), c) != 0
                      for t in range(q))), None)
     if a is None:
         raise ConstructionInvariantBroken("no irreducible x^2+x+a (impossible)")
-    pts = [(0, 0, 1, 0)]
-    for x in range(q):
-        x2 = field.mul(x, x)
-        for y in range(q):
-            z = field.add(field.add(x2, field.mul(x, y)),
-                          field.mul(a, field.mul(y, y)))
-            pts.append((x, y, z, 1))
-    return PointSet(field, 3, tuple(pts))
+    add, mul = field.add, field.mul
+    return _ovoid_points(field, lambda x, y: add(
+        add(mul(x, x), mul(x, y)), mul(a, mul(y, y))))
 
 
 def tits_ovoid(q: int) -> PointSet:
@@ -340,17 +347,24 @@ def tits_ovoid(q: int) -> PointSet:
     m = q.bit_length() - 1
     if q < 8 or q & (q - 1) or m % 2 == 0:
         raise WrongFieldForm(f"Tits ovoid needs q = 2^(2e+1) with e >= 1, got {q}")
-    e = (m - 1) // 2
-    sigma = 1 << (e + 1)
+    sigma = 1 << ((m - 1) // 2 + 1)
     field = field_for_q(q)
-    pts = [(0, 0, 1, 0)]
-    for x in range(q):
-        xs = field.pow(x, sigma)
-        for y in range(q):
-            z = field.add(field.add(xs, field.mul(x, y)),
-                          field.pow(y, sigma + 2))
-            pts.append((x, y, z, 1))
-    return PointSet(field, 3, tuple(pts))
+    _check_length(q * q + 1)
+    add, pw = field.add, field.pow
+    return _ovoid_points(field, lambda x, y: add(
+        add(pw(x, sigma), field.mul(x, y)), pw(y, sigma + 2)))
+
+
+def _code_from_columns(field: FieldSpec, cols, label: str, n: int, k: int,
+                       d: int, error_cls) -> LinearCode:
+    """The code generated by the columns cols, refused with error_cls unless
+    it is [n, k] with minimum distance d (checked when plan prices it)."""
+    C = from_generator(field, list(zip(*cols)), label=label)
+    if (C.n, C.k) != (n, k):
+        raise error_cls(f"{label} came out [{C.n}, {C.k}], "
+                        f"expected [{n}, {k}]")
+    _assert_distance(C, d, error_cls)
+    return C
 
 
 def is_ovoid(ps: PointSet, caps: Caps | None = None) -> bool:
@@ -359,20 +373,14 @@ def is_ovoid(ps: PointSet, caps: Caps | None = None) -> bool:
     field = ps.field
     if ps.dim != 3 or len(ps) != field.q ** 2 + 1:
         return False
-    H = [[pt[i] for pt in ps.points] for i in range(4)]
-    return minimum_distance(from_parity_check(field, H), caps) >= 4
+    H = from_parity_check(field, list(zip(*ps.points)))
+    return minimum_distance(H, caps) >= 4
 
 
 def ovoid_code(ps: PointSet) -> LinearCode:
-    field = ps.field
-    q = field.q
-    rows = [[pt[i] for pt in ps.points] for i in range(ps.dim + 1)]
-    C = from_generator(field, rows, label=f"ovoid({q})")
-    if (C.n, C.k) != (q * q + 1, 4):
-        raise NotAnOvoid(f"point set gives a [{C.n}, {C.k}] code, "
-                         f"expected [{q * q + 1}, 4]")
-    _assert_distance(C, q * q - q, NotAnOvoid)
-    return C
+    q = ps.field.q
+    return _code_from_columns(ps.field, ps.points, f"ovoid({q})",
+                              q * q + 1, 4, q * q - q, NotAnOvoid)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +394,8 @@ def denniston_arc(q: int, h: int) -> PointSet:
     if not 4 <= h < q or h & (h - 1):
         raise BadParameters(f"need h = 2^i with 2 <= i < m, got {h}")
     field = field_for_q(q)
+    n = h * q + h - q
+    _check_length(n)
     c = next((t for t in range(q) if absolute_trace(field, t) == 1), None)
     if c is None:
         raise ConstructionInvariantBroken("no trace-one element (impossible)")
@@ -397,10 +407,9 @@ def denniston_arc(q: int, h: int) -> PointSet:
                           field.mul(c, field.mul(y, y)))
             if v < h:  # encodings below h form the chosen additive subgroup
                 pts.append((x, y, 1))
-    expected = h * q + h - q
-    if len(pts) != expected:
+    if len(pts) != n:
         raise ConstructionInvariantBroken(
-            f"arc has {len(pts)} points, expected {expected}")
+            f"arc has {len(pts)} points, expected {n}")
     return PointSet(field, 2, tuple(pts))
 
 
@@ -424,19 +433,12 @@ def is_maximal_arc(ps: PointSet, h: int) -> bool:
 
 
 def arc_code(ps: PointSet) -> LinearCode:
-    field = ps.field
-    q = field.q
-    n = len(ps)
+    q, n = ps.field.q, len(ps)
     h, rem = divmod(n + q, q + 1)
     if rem != 0:
         raise NotMaximalArc(f"{n} points cannot form a maximal arc in PG(2,{q})")
-    rows = [[pt[i] for pt in ps.points] for i in range(ps.dim + 1)]
-    C = from_generator(field, rows, label=f"arc({q},{h})")
-    if (C.n, C.k) != (n, 3):
-        raise NotMaximalArc(f"point set gives a [{C.n}, {C.k}] code, "
-                            f"expected [{n}, 3]")
-    _assert_distance(C, n - h, NotMaximalArc)
-    return C
+    return _code_from_columns(ps.field, ps.points, f"arc({q},{h})",
+                              n, 3, n - h, NotMaximalArc)
 
 
 # ---------------------------------------------------------------------------
@@ -544,24 +546,9 @@ def is_oval_polynomial(field: FieldSpec, f: Poly) -> bool:
 
 
 def _oval_columns(f: OvalPolynomial):
-    field = f.field
-    q = field.q
-    cols = []
-    for i in range(q - 1):
-        a = field.gen_pow(i)
-        cols.append((poly_eval(f.poly, a), a, 1))
-    return cols
-
-
-def _code_from_columns(field: FieldSpec, cols, label: str,
-                       n: int, d: int) -> LinearCode:
-    rows = [[c[i] for c in cols] for i in range(3)]
-    C = from_generator(field, rows, label=label)
-    if (C.n, C.k) != (n, 3):
-        raise HypothesisViolated(f"{label} came out [{C.n}, {C.k}], "
-                                 f"expected [{n}, 3]")
-    _assert_distance(C, d, HypothesisViolated)
-    return C
+    """(f(a), a, 1) for the nonzero a, in order of their logarithms."""
+    return [(poly_eval(f.poly, a), a, 1)
+            for a in map(f.field.gen_pow, range(f.q - 1))]
 
 
 def _require_gf2_coeffs_odd_m(f: OvalPolynomial, what: str) -> None:
@@ -581,25 +568,23 @@ def code_bf_bar(f: OvalPolynomial) -> LinearCode:
     q = field.q
     cols = [(0, 0, 1)] + _oval_columns(f) + [(1, 0, 0), (0, 1, 0), (1, 1, 0)]
     return _code_from_columns(field, cols, f"oval-code-bfbar({f.family},{q})",
-                              q + 3, q)
+                              q + 3, 3, q, HypothesisViolated)
 
 
 def code_gf(f: OvalPolynomial) -> LinearCode:
     """The [q+1, 3, q-2] code whose columns are (f(a), a, 1) over the nonzero
     a plus (0,1,1) and (1,0,1)."""
     _require_gf2_coeffs_odd_m(f, "the [q+1, 3, q-2] construction")
-    field = f.field
-    q = field.q
+    q = f.q
     cols = _oval_columns(f) + [(0, 1, 1), (1, 0, 1)]
-    return _code_from_columns(field, cols, f"oval-code-gf({f.family},{q})",
-                              q + 1, q - 2)
+    return _code_from_columns(f.field, cols, f"oval-code-gf({f.family},{q})",
+                              q + 1, 3, q - 2, HypothesisViolated)
 
 
 def code_gf_bar(f: OvalPolynomial) -> LinearCode:
     """The [q+2, 3, q-1] code: the same columns with (0,0,1) prepended."""
     _require_gf2_coeffs_odd_m(f, "the [q+2, 3, q-1] construction")
-    field = f.field
-    q = field.q
+    q = f.q
     cols = [(0, 0, 1)] + _oval_columns(f) + [(0, 1, 1), (1, 0, 1)]
-    return _code_from_columns(field, cols, f"oval-code-gfbar({f.family},{q})",
-                              q + 2, q - 1)
+    return _code_from_columns(f.field, cols, f"oval-code-gfbar({f.family},{q})",
+                              q + 2, 3, q - 1, HypothesisViolated)

@@ -73,10 +73,9 @@ class LocalityReport:
         return tuple(j for j in support if j != i)
 
     def to_json(self) -> dict:
-        """JSON-ready form.  Each distinct support is one list object,
-        shared by the option lists of all coordinates it covers."""
-        shared = {s: list(s) for s in
-                  {s for opts in self.repair_options for s in opts}}
+        """JSON-ready form.  Each distinct support is one tuple object,
+        shared by the option lists of all coordinates it covers, as
+        minimum_linear_locality lists it."""
         return {
             "r_min": self.r_min,
             "w_star": self.w_star,
@@ -84,8 +83,7 @@ class LocalityReport:
             "is_dperp_minus_1": self.is_dperp_minus_1,
             "coverage_by_weight": {str(w): list(c)
                                    for w, c in self.coverage_by_weight.items()},
-            "repair_options": [[shared[s] for s in opts]
-                               for opts in self.repair_options],
+            "repair_options": [list(opts) for opts in self.repair_options],
         }
 
 

@@ -8,8 +8,12 @@ size: code_core hands matrices from _RREF_NUMPY_MIN on to its numpy
 kernel.  dual and shorten are the nullspace constructions that
 code_core.dual and code_core.shorten replaced.  tests/test_kernels.py
 compares the two.  field_product is the schoolbook product that gf's
-multiply-by-x step replaced; tests/test_gf.py compares them.  Not a test
-module: pytest does not collect it.
+multiply-by-x step replaced; tests/test_gf.py compares them.
+projective_point_list is the loop over all q^m encodings that the span
+walk of locality_lab.constructions replaced, and generator_with_zeros the
+coset loop that bch and grm_punctured each ran before _code_with_zeros;
+tests/test_constructions.py compares them.  Not a test module: pytest does
+not collect it.
 """
 
 from itertools import combinations, product
@@ -18,6 +22,8 @@ import numpy as np
 
 from locality_lab.code_core import Caps, plan
 from locality_lab.errors import SearchTooLarge
+from locality_lab.gf import (cyclotomic_coset, minimal_polynomial, poly,
+                             poly_mul, splitting_field)
 
 
 def field_product(field, a, b):
@@ -36,6 +42,36 @@ def field_product(field, a, b):
         for j in range(m + 1):
             prod[top - m + j] -= c * mod[j]
     return sum(c % p * p ** i for i, c in enumerate(prod[:m]))
+
+
+def projective_point_list(field, m):
+    """One representative per projective point of PG(m-1, q): every nonzero
+    encoding read as base-q digits and scaled so its first nonzero digit is
+    1, sorted by the integer encoding of the tuple."""
+    q = field.q
+    seen = set()
+    for enc in range(1, q ** m):
+        digits = [enc // q ** i % q for i in range(m)]
+        inv = field.inv(next(d for d in digits if d))
+        seen.add(tuple(field.mul(inv, d) for d in digits))
+    return sorted(seen, key=lambda pt: sum(c * q ** i for i, c in enumerate(pt)))
+
+
+def generator_with_zeros(field, n, zeros):
+    """The generator polynomial of the cyclic code of length n over field
+    with the zeros beta^j, j in zeros: the product of the minimal
+    polynomials of beta^j, one per cyclotomic coset, in order of first
+    appearance."""
+    ext, emb, beta = splitting_field(field, n)
+    g = poly(field, [1])
+    seen = set()
+    for j in zeros:
+        coset = cyclotomic_coset(j % n, n, field.q)
+        if coset in seen:
+            continue
+        seen.add(coset)
+        g = poly_mul(g, minimal_polynomial(ext, beta, j % n, n, field, emb))
+    return g
 
 
 def rref(field, rows):

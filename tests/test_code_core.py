@@ -172,6 +172,26 @@ def test_dual_eliminates_only_the_generator(monkeypatch):
     assert rows and set(rows) == {4}
 
 
+def test_in_dual_reduces_the_dual_once_per_code(monkeypatch):
+    # bch(16, 17, 3, 1) is [17, 13]: in_dual checks on the 4-row dual side,
+    # reduced on the first call and kept for the other sixteen
+    C = bch(16, 17, 3, 1)
+    D = dual(C)
+    rows = []
+
+    def recording_rref(field, matrix):
+        rows.append(len(matrix))
+        return rref(field, matrix)
+
+    monkeypatch.setattr(code_core, "rref", recording_rref)
+    for j in range(17):  # the dual of a cyclic code is cyclic
+        assert code_core.in_dual(C, np.roll(D.gen_array, j, axis=1))
+    bad = D.gen_array[:1].copy()
+    bad[0, 0] ^= 1
+    assert not code_core.in_dual(C, bad)
+    assert rows == [4]
+
+
 def test_puncture_shorten_duality_identities():
     rng = random.Random(5)
     for field in (F2, F3, F4):

@@ -42,6 +42,7 @@ from locality_lab.constructions import (
     is_ovoid,
     oval_poly,
     ovoid_code,
+    projective_point_list,
     q_weight,
     simplex,
     ternary_golay,
@@ -70,6 +71,17 @@ def sparse(wd):
 
 # ---------------------------------------------------------------------------
 # Hamming and simplex
+
+def test_projective_point_list_matches_the_scalar_loop():
+    for q in (2, 3, 4, 5, 7, 8, 9, 16):
+        field = field_for_q(q)
+        m = 0
+        while q ** m <= 1 << 12:
+            pts = projective_point_list(field, m)
+            assert pts == ref.projective_point_list(field, m), (q, m)
+            assert len(pts) == (q ** m - 1) // (q - 1)
+            m += 1
+
 
 def test_hamming_parameters():
     H = hamming(3, 3)
@@ -130,6 +142,39 @@ def test_cyclic_lengths_above_max_length_are_refused(monkeypatch):
     with pytest.raises(FieldTooLarge, match="length 17 exceeds 16"):
         cyclic_code(2, 17, poly(field_new(2, 1), [1, 1]))
     assert bch(2, 15, 3, 1).n == 15
+
+
+def test_point_set_lengths_above_max_length_are_refused(monkeypatch):
+    monkeypatch.setattr(constructions, "MAX_LENGTH", 16)
+    for build, n in ((lambda: elliptic_quadric(4), 17),
+                     (lambda: tits_ovoid(8), 65),
+                     (lambda: denniston_arc(8, 4), 28)):
+        with pytest.raises(FieldTooLarge, match=f"length {n} exceeds 16"):
+            build()
+
+
+@pytest.mark.parametrize("family, args, zeros", [
+    ("bch", (2, 15, 5, 1), range(1, 5)),
+    ("bch", (2, 31, 5, 1), range(1, 5)),
+    ("bch", (3, 13, 4, 2), range(2, 5)),
+    ("bch", (3, 26, 4, 2), range(2, 5)),
+    ("bch", (9, 10, 3, 1), range(1, 3)),
+    ("bch", (16, 17, 3, 1), range(1, 3)),
+    ("bch", (4, 21, 4, 0), range(0, 3)),
+    ("grm-punctured", (2, 2, 4), [j for j in range(1, 15)
+                                  if q_weight(j, 2, 4) < 2]),
+    ("grm-punctured", (3, 1, 2), [j for j in range(1, 8)
+                                  if q_weight(j, 3, 2) < 3]),
+    ("grm-punctured", (4, 1, 3), [j for j in range(1, 63)
+                                  if q_weight(j, 4, 3) < 8]),
+])
+def test_zero_set_codes_match_the_coset_loop(family, args, zeros):
+    build = {"bch": bch, "grm-punctured": grm_punctured}[family]
+    C = build(*args)
+    q, n = args[0], (args[1] if family == "bch" else args[0] ** args[2] - 1)
+    want = cyclic_code(q, n, ref.generator_with_zeros(field_for_q(q), n, zeros))
+    assert C.gen == want.gen
+    assert C.label == f"{family}({','.join(map(str, args))})"
 
 
 def test_bch_small_nmds_instances():
@@ -382,6 +427,18 @@ def test_random_point_set_is_not_an_arc():
         pts.add((rng.randrange(8), rng.randrange(8), 1))
     ps = PointSet(field, 2, tuple(sorted(pts)))
     assert not is_maximal_arc(ps, 4)
+
+
+def test_point_sets_of_the_wrong_rank_name_their_code():
+    field = field_for_q(4)
+    plane = PointSet(field, 3, tuple(
+        pt + (0,) for pt in projective_point_list(field, 3)[:17]))
+    with pytest.raises(NotAnOvoid,
+                       match=r"ovoid\(4\) came out \[17, 3\], expected \[17, 4\]"):
+        ovoid_code(plane)
+    with pytest.raises(NotMaximalArc,
+                       match=r"arc\(8,1\) came out \[1, 1\], expected \[1, 3\]"):
+        arc_code(PointSet(F8, 2, ((0, 0, 1),)))
 
 
 def test_arc_parameter_validation():
