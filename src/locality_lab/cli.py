@@ -58,7 +58,7 @@ from .constructions import (
 from .designs import analyze_design
 from .errors import (
     BadCoordinate,
-    BadParams,
+    BadParameters,
     CapExceeded,
     LocalityLabError,
     TrivialCode,
@@ -153,9 +153,9 @@ def _parse_params(tokens: list[str]) -> dict[str, str]:
     for tok in tokens:
         key, sep, value = tok.partition("=")
         if not sep or not key or not value:
-            raise BadParams(f"expected key=value, got {tok!r}")
+            raise BadParameters(f"expected key=value, got {tok!r}")
         if key in params:
-            raise BadParams(f"duplicate parameter {key!r}")
+            raise BadParameters(f"duplicate parameter {key!r}")
         params[key] = value
     return params
 
@@ -164,13 +164,13 @@ def _int(text: str, what: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise BadParams(f"{what} must be an integer, got {text!r}") from None
+        raise BadParameters(f"{what} must be an integer, got {text!r}") from None
 
 
 def _take_int(params: dict, key: str, default: int | None = None) -> int:
     if key not in params:
         if default is None:
-            raise BadParams(f"missing required parameter {key!r}")
+            raise BadParameters(f"missing required parameter {key!r}")
         return default
     return _int(params.pop(key), f"parameter {key!r}")
 
@@ -178,7 +178,7 @@ def _take_int(params: dict, key: str, default: int | None = None) -> int:
 def _oval_from_text(q: int, text: str):
     family, _, param = text.partition(":")
     if family not in OVAL_FAMILIES:
-        raise BadParams(
+        raise BadParameters(
             f"unknown oval polynomial family {family!r}; "
             f"choose from {', '.join(OVAL_FAMILIES)}")
     value = _int(param, "oval polynomial parameter") if param else None
@@ -195,7 +195,7 @@ def _build_code(family: str, params: dict[str, str]) -> LinearCode:
         q, n = _take_int(params, "q"), _take_int(params, "n")
         raw = params.pop("g", None)
         if raw is None:
-            raise BadParams("cyclic needs g=c0,c1,... (ascending coefficients)")
+            raise BadParameters("cyclic needs g=c0,c1,... (ascending coefficients)")
         coeffs = [_int(c, "each coefficient of g") for c in raw.split(",")]
         C = cyclic_code(q, n, poly(field_for_q(q), coeffs))
     elif family == "bch":
@@ -218,7 +218,7 @@ def _build_code(family: str, params: dict[str, str]) -> LinearCode:
         q = _take_int(params, "q")
         text = params.pop("f", None)
         if text is None:
-            raise BadParams("oval codes need f=family[:param]")
+            raise BadParameters("oval codes need f=family[:param]")
         f = _oval_from_text(q, text)
         builder = {"oval-code-bfbar": code_bf_bar, "oval-code-gf": code_gf,
                    "oval-code-gfbar": code_gf_bar}[family]
@@ -228,12 +228,12 @@ def _build_code(family: str, params: dict[str, str]) -> LinearCode:
     elif family == "from-file":
         path = params.pop("path", None)
         if path is None:
-            raise BadParams("from-file needs path=...")
+            raise BadParameters("from-file needs path=...")
         C = load_matrix(path)
     else:
         raise UnknownFamily(f"unknown family {family!r}")
     if params:
-        raise BadParams(f"unused parameters: {', '.join(sorted(params))}")
+        raise BadParameters(f"unused parameters: {', '.join(sorted(params))}")
     return C
 
 
@@ -256,10 +256,10 @@ def _design_args(requests: list[str]) -> list[tuple[int, int]]:
     for item in requests:
         t, sep, w = item.partition(":")
         if not sep:
-            raise BadParams(f"--designs wants t:w, got {item!r}")
+            raise BadParameters(f"--designs wants t:w, got {item!r}")
         t, w = _int(t, "design strength t"), _int(w, "design weight w")
         if not 1 <= t <= w:
-            raise BadParams(f"--designs wants 1 <= t <= w, got {item!r}")
+            raise BadParameters(f"--designs wants 1 <= t <= w, got {item!r}")
         out.append((t, w))
     return out
 
@@ -432,14 +432,14 @@ def cmd_validate_oval(args) -> int:
     q = _take_int(params, "q")
     text = params.pop("f", None)
     if text is None or params:
-        raise BadParams("validate-oval wants q=... f=family[:param] "
+        raise BadParameters("validate-oval wants q=... f=family[:param] "
                         "or f=monomial:e")
     family, _, param = text.partition(":")
     field = field_for_q(q)
     if family == "monomial":
         e = _int(param, "monomial exponent")
         if e < 0:
-            raise BadParams(f"monomial exponent must be >= 0, got {e}")
+            raise BadParameters(f"monomial exponent must be >= 0, got {e}")
         # x^e is the map of x^r on GF(q), r = e mod (q - 1) in [1, q - 1]
         r = (e - 1) % (q - 1) + 1 if e else 0
         candidate = poly(field, [0] * r + [1])
@@ -544,7 +544,7 @@ def _table_rows(which: int):
              lambda: dual(extend(bch(9, 10, 3, 1))), (11, 5, 6, 4),
              "yes", "yes"),
         ]
-    raise BadParams(f"no such table: {which}")
+    raise BadParameters(f"no such table: {which}")
 
 
 def _run_table_row(label, q, build, claimed, d_mark, k_mark, caps):
@@ -584,7 +584,7 @@ def cmd_table(args) -> int:
     table = [row for row in _table_rows(args.which)
              if not args.only or args.only in row[0]]
     if not table:
-        raise BadParams(
+        raise BadParameters(
             f"no row of table {args.which} matches --only {args.only!r}")
     rows = [_run_table_row(*row, caps) for row in table]
     if args.json:
@@ -626,12 +626,12 @@ def _add_code_arguments(sub, with_dual=True):
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors raise BadParams, so they exit
+    """An argument parser whose usage errors raise BadParameters, so they exit
     1 with one error line, not argparse's 2, the status of a cap skip.
     The subcommand parsers are made of the same class."""
 
     def error(self, message):
-        raise BadParams(message)
+        raise BadParameters(message)
 
 
 @functools.cache

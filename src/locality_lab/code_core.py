@@ -2,11 +2,12 @@
 derived codes, weight distributions, and low-weight codeword search.
 
 A LinearCode stores its generator matrix in reduced row echelon form, so
-set-equality of codes is entrywise equality of matrices.  dual reads the
-dual's reduced form off one elimination of the k-row generator with its
-columns reversed, and caches each code as the other's dual; a code given
-by a parity check is the dual of the code the check generates, and a
-shortening is the dual of the dual's puncturing.
+set-equality of codes is entrywise equality of matrices; only _build, which
+reduces its rows, and dual make one.  dual reads the dual's reduced form
+off the nullspace of the generator with its columns reversed, and caches
+each code as the other's dual; a code given by a parity check is the dual
+of the code the check generates, and a shortening is the dual of the
+dual's puncturing.
 
 One planner, plan, chooses every route and prices it in the units the caps
 count.  Work beyond a cap raises the cap's error before it starts; nothing
@@ -28,7 +29,8 @@ matrix to _eliminate from the measured crossover _RREF_NUMPY_MIN on.
 The words of one weight w are one int32 array of shape (m, n), one row per
 projective class, scaled to lead with 1 and sorted by support, then by
 word; word_supports reads their (m, w) supports off it, and in_dual, the
-one membership check, tests it on the smaller of the code and its dual.
+one membership check, tests it against the stored form of the smaller of
+the code and its dual.
 
 The kernels do their field arithmetic through O(q) int32 arrays: products
 as exp[log a + log b], sums as xor in characteristic 2 and through Zech
@@ -85,6 +87,7 @@ from .gf import (DLOG_CAP, FieldSpec, canonical_isomorphism, factorize,
                  field_new)
 
 CAPS_ENV_VAR = "LOCALITY_LAB_CAPS"
+_CONSTRUCT_TOKEN = object()  # LinearCode's: passed only by _build and dual
 
 
 @dataclass(frozen=True)
@@ -533,7 +536,7 @@ def rref(field: FieldSpec, rows: list[list[int]]) -> tuple[list[list[int]], list
 def nullspace(field: FieldSpec, rows: list[list[int]], ncols: int) -> list[list[int]]:
     """Basis of {v : M v = 0} for the matrix with the given rows."""
     red, pivots = rref(field, rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    free = sorted(set(range(ncols)).difference(pivots))
     basis = []
     for f in free:
         v = [0] * ncols
@@ -548,13 +551,17 @@ def nullspace(field: FieldSpec, rows: list[list[int]], ncols: int) -> list[list[
 # the code object
 
 class LinearCode:
-    """A [n, k] code over a FieldSpec, held by its canonical generator matrix."""
+    """A [n, k] code over a FieldSpec, held by its generator gen in reduced
+    row echelon form with pivot columns pivots; made only in this module."""
 
     __slots__ = ("field", "n", "k", "gen", "pivots", "label", "_gen_array",
-                 "_dual_rref", "_dual", "_wd", "_mind")
+                 "_dual", "_wd", "_mind")
 
     def __init__(self, field: FieldSpec, n: int, gen: tuple[tuple[int, ...], ...],
-                 pivots: tuple[int, ...], label: str | None = None):
+                 pivots: tuple[int, ...], label: str | None = None,
+                 _token: object = None):
+        if _token is not _CONSTRUCT_TOKEN:
+            raise TypeError("use from_generator(), from_parity_check() or dual()")
         self.field = field
         self.n = n
         self.k = len(gen)
@@ -562,7 +569,6 @@ class LinearCode:
         self.pivots = pivots
         self.label = label
         self._gen_array: np.ndarray | None = None
-        self._dual_rref = None  # in_dual's reduced dual: (pivots, rows)
         self._dual: LinearCode | None = None
         self._wd = None
         self._mind: int | None = None
@@ -605,7 +611,7 @@ def _build(field: FieldSpec, n: int, rows: list[list[int]],
            label: str | None) -> LinearCode:
     red, pivots = rref(field, rows)
     return LinearCode(field, n, tuple(tuple(r) for r in red), tuple(pivots),
-                      label)
+                      label, _CONSTRUCT_TOKEN)
 
 
 def _checked_rows(field: FieldSpec, rows, who: str) -> list[list[int]]:
@@ -638,34 +644,23 @@ def from_parity_check(field: FieldSpec, rows, label: str | None = None) -> Linea
 
 
 def zero_code(field: FieldSpec, n: int, label: str | None = None) -> LinearCode:
-    return LinearCode(field, n, (), (), label)
+    return _build(field, n, [], label)
 
 
 def dual(C: LinearCode) -> LinearCode:
     """The dual code, built once and cached on both codes.
 
-    Reducing the generator with its columns reversed gives the last
-    information set P of C, greedy from the right, and a basis R of C with
-    the identity on P.  Its complement is the first information set of the
-    dual, greedy from the left, so those columns are the dual's pivots; the
-    dual's row at such a column f is e_f minus column f of R placed at P,
-    the one vector orthogonal to R with that pattern off P."""
+    The nullspace of the generator with its columns reversed, read back in
+    reverse, is already reduced: the reversed reduction has zeros left of
+    each pivot, so each kernel vector, reversed, leads with its 1 at a
+    column where no other row is nonzero."""
     if C._dual is not None:
         return C._dual
     F, n = C.field, C.n
-    red, rev = rref(F, [row[::-1] for row in C.gen])
-    P = [n - 1 - c for c in rev]
-    R = [[F.neg(x) for x in row[::-1]] for row in red]
-    free = sorted(set(range(n)).difference(P))
-    rows = []
-    for f in free:
-        row = [0] * n
-        row[f] = 1
-        for p, r in zip(P, R):
-            row[p] = r[f]
-        rows.append(tuple(row))
-    D = LinearCode(F, n, tuple(rows), tuple(free),
-                   f"dual({C.label})" if C.label else None)
+    kernel = nullspace(F, [row[::-1] for row in C.gen], n)
+    rows = tuple(tuple(v[::-1]) for v in reversed(kernel))
+    D = LinearCode(F, n, rows, tuple(row.index(1) for row in rows),
+                   f"dual({C.label})" if C.label else None, _CONSTRUCT_TOKEN)
     C._dual = D
     D._dual = C
     return D
@@ -704,8 +699,6 @@ def extend(C: LinearCode) -> LinearCode:
         for x in r:
             s = F.add(s, x)
         rows.append(list(r) + [F.neg(s)])
-    if not rows:
-        return zero_code(F, C.n + 1)
     out = _build(F, C.n + 1, rows, None)
     if C.label:
         out.label = f"extend({C.label})"
@@ -716,9 +709,8 @@ def in_dual(C: LinearCode, W) -> bool:
     """True iff every row w of the (m, n) array W, such as the words
     exact_weight_words returns, lies in dual(C), checked on the smaller side
     per block of rows: the syndrome against C's generator when k <= n - k,
-    else w = w[P] H, with dual(C) reduced to H with pivots P on the first
-    such call and the reduction kept on C (a LinearCode built by hand may
-    hold rows outside echelon form, so the stored pivots are not used)."""
+    else w = w[P] H, for the stored reduced generator H of dual(C) and its
+    pivots P."""
     n = C.n
     tables = _numpy_field_tables(C.field)
     W = np.asarray(W, dtype=np.int32).reshape(len(W), n)
@@ -726,12 +718,7 @@ def in_dual(C: LinearCode, W) -> bool:
     if syndrome:
         cols, M = range(n), C.gen_array.T
     else:
-        if C._dual_rref is None:
-            red, cols = rref(C.field, dual(C).gen)
-            M = np.array(red, dtype=np.int32).reshape(len(cols), n)
-            M.flags.writeable = False
-            C._dual_rref = cols, M
-        cols, M = C._dual_rref
+        cols, M = dual(C).pivots, dual(C).gen_array
     step = max(1, _BLOCK_CELLS // max(1, n))
     for V in (W[i:i + step] for i in range(0, len(W), step)):
         acc = np.zeros((len(V), M.shape[1]), dtype=np.int32)
@@ -857,10 +844,10 @@ def distinct_supports(W: np.ndarray, w: int) -> list[tuple[int, ...]]:
 
 def _words_by_enumeration(C: LinearCode, w: int, tables: _FieldArrays):
     """Blocks of the weight-w words of C, one per projective class of the
-    code, each scaled to lead with 1."""
+    code; each leads with the 1 at the pivot of its leading generator row."""
     for V in _projective_span(tables, C.gen_array[None]):
         keep = np.count_nonzero(V[0], axis=0) == w
-        yield _lead_with_one(tables, V[0][:, keep].T)
+        yield V[0][:, keep].T
 
 
 def _subsets_through(n: int, w: int, through: list[int]):

@@ -462,7 +462,10 @@ def _monomial_exponents(family: str, q: int, m: int, param: int | None):
         if math.gcd(h, m) != 1:
             raise FamilyUnavailableForParameters(
                 f"translation needs gcd(h, m) = 1, got h={h}, m={m}")
-        return [1 << h]
+        if h < 1:
+            raise FamilyUnavailableForParameters(
+                f"translation needs h >= 1, got h={h}")
+        return [1 << (h % m)]  # x^(2^h) = x^(2^(h mod m)) on GF(2^m)
     if family == "segre":
         if not odd:
             raise FamilyUnavailableForParameters("segre needs m odd")

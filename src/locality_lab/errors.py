@@ -168,6 +168,3 @@ class LocalityInvariantBroken(LocalityLabError):
 class UnknownFamily(LocalityLabError):
     pass
 
-
-class BadParams(LocalityLabError):
-    pass

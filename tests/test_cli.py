@@ -580,6 +580,25 @@ def test_validate_oval_huge_exponent_reads_as_its_residue(capsys, e):
     assert result["valid"] == json.loads(want)["valid"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate-oval", "q=8", "f=translation:-1"],
+    ["construct", "oval-code-gf", "q=8", "f=translation:-1"],
+])
+def test_translation_shift_below_one_is_refused(capsys, argv):
+    # the shift 1 << h once ran first: a negative count was a traceback
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (1, "")
+    assert err == "error: translation needs h >= 1, got h=-1\n"
+
+
+@pytest.mark.parametrize("h", [4, 10 ** 21])
+def test_translation_shift_reads_modulo_m(capsys, h):
+    # x^(2^h) is x^(2^(h mod 3)) on GF(8); 1 << 10^21 once overflowed
+    rc, out, err = run(capsys, "validate-oval", "q=8", f"f=translation:{h}")
+    assert (rc, err) == (0, "")
+    assert out == "x^2 over GF(8): oval polynomial\n"
+
+
 def test_validate_oval_catalog_json(capsys):
     rc, out, _ = run(capsys, "validate-oval", "q=32", "f=payne", "--json")
     assert rc == 0

@@ -172,9 +172,9 @@ def test_dual_eliminates_only_the_generator(monkeypatch):
     assert rows and set(rows) == {4}
 
 
-def test_in_dual_reduces_the_dual_once_per_code(monkeypatch):
+def test_in_dual_makes_no_elimination(monkeypatch):
     # bch(16, 17, 3, 1) is [17, 13]: in_dual checks on the 4-row dual side,
-    # reduced on the first call and kept for the other sixteen
+    # through the dual's stored reduced generator and pivots
     C = bch(16, 17, 3, 1)
     D = dual(C)
     rows = []
@@ -186,10 +186,43 @@ def test_in_dual_reduces_the_dual_once_per_code(monkeypatch):
     monkeypatch.setattr(code_core, "rref", recording_rref)
     for j in range(17):  # the dual of a cyclic code is cyclic
         assert code_core.in_dual(C, np.roll(D.gen_array, j, axis=1))
+        assert code_core.in_dual(D, np.roll(C.gen_array, j, axis=1))
     bad = D.gen_array[:1].copy()
     bad[0, 0] ^= 1
     assert not code_core.in_dual(C, bad)
-    assert rows == [4]
+    assert rows == []
+
+
+def test_a_linear_code_is_made_only_by_code_core():
+    with pytest.raises(TypeError, match="use from_generator"):
+        LinearCode(F3, 2, ((1, 0),), (0,))
+
+
+def is_reduced(C):
+    """C holds its own reduced echelon form and the form's pivots."""
+    return rref(C.field, C.gen) == ([list(r) for r in C.gen], list(C.pivots))
+
+
+def test_every_way_of_making_a_code_yields_its_reduced_form(tmp_path):
+    F5 = field_new(5, 1)
+    unreduced = from_generator(F5, [[0, 2, 3, 1, 4, 4], [3, 1, 0, 2, 2, 1]])
+    rng = random.Random(20)
+    codes = [unreduced, hamming(2, 6), hamming(4, 3), bch(16, 17, 3, 1),
+             from_parity_check(F3, [[1, 2, 0, 1], [0, 1, 1, 1]]),
+             random_code(rng, quadratic_extension(F3)), zero_code(F4, 5),
+             from_generator(F2, [[1, 1, 0], [0, 1, 1], [1, 0, 1]])]
+    codes += [random_code(rng, field) for field in (F2, F3, F4)
+              for _ in range(4)]
+    made = []
+    for C in codes:
+        T = [0, C.n - 1] if C.n > 2 else [0]
+        made += [C, dual(C), puncture(C, T), shorten(C, T), extend(C)]
+        path = tmp_path / "code.txt"
+        save_matrix(path, C)
+        made.append(load_matrix(path))
+    assert unreduced.gen != ((0, 2, 3, 1, 4, 4), (3, 1, 0, 2, 2, 1))
+    for C in made:
+        assert is_reduced(C), C
 
 
 def test_puncture_shorten_duality_identities():

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from locality_lab import code_core
 from locality_lab.code_core import (
-    LinearCode,
     _batch_kernel,
     _batch_rank,
     _enumerated_distribution,
@@ -220,10 +219,9 @@ def code_roster():
                                  rng.randint(5, 9), rng.randint(1, 2)))
     codes.append(random_code(rng, 3, 5, 5))  # k = n
     codes.append(random_code(rng, 9, 6, 1))  # k = 1
-    # a generator outside echelon form: enumerated words need normalising
-    F5 = field(5)
-    codes.append(LinearCode(F5, 6, ((0, 2, 3, 1, 4, 4), (3, 1, 0, 2, 2, 1)),
-                            (1, 0)))
+    # given by rows outside echelon form, reduced by from_generator
+    codes.append(from_generator(field(5), [[0, 2, 3, 1, 4, 4],
+                                           [3, 1, 0, 2, 2, 1]]))
     return codes
 
 
@@ -502,10 +500,10 @@ def test_in_dual_checks_every_block(monkeypatch):
 def test_in_dual_matches_scalar_reference_on_both_sides():
     """in_dual against the scalar syndrome, on both sides of its choice:
     codes with 2k below, at and above n, the zero code, the whole space and
-    a generator outside echelon form, each checked with words of its dual,
-    corrupted words and random vectors."""
+    a code given by rows outside echelon form, each checked with words of
+    its dual, corrupted words and random vectors."""
     rng = random.Random(18)
-    codes = [code_roster()[-1]]  # a generator outside echelon form
+    codes = [code_roster()[-1]]  # given by rows outside echelon form
     for q in (2, 3, 4, 9, 16):
         n = rng.choice([6, 8])
         codes.append(zero_code(field(q), n))
