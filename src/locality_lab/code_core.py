@@ -23,8 +23,11 @@ upward.  _eliminate eliminates a stack of matrices.  The support scan
 stacks the submatrices H[:, S] of a parity check (or the generator columns
 off S) of a block of w-subsets S and ranks them in one pass; a Gauss-Jordan
 pass over the rank-deficient ones reads a basis of each dependency space,
-whose classes with no zero entry on S are the words.  rref hands a single
-matrix to _eliminate from the measured crossover _RREF_NUMPY_MIN on.
+whose classes with no zero entry on S are the words.  The syndrome join
+finds the words of one weight without ranking every w-subset: it keys the
+parity-check syndromes of the first and the last halves of each support
+and joins equal keys by one sort.  rref hands a single matrix to
+_eliminate from the measured crossover _RREF_NUMPY_MIN on.
 
 The words of one weight w are one int32 array of shape (m, n), one row per
 projective class, scaled to lead with 1 and sorted by support, then by
@@ -65,7 +68,7 @@ import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 from typing import NamedTuple
 
 import numpy as np
@@ -93,8 +96,9 @@ _CONSTRUCT_TOKEN = object()  # LinearCode's: passed only by _build and dual
 @dataclass(frozen=True)
 class Caps:
     """Resource ceilings: enumeration counts the q^k words walked, search
-    counts an elimination cost proxy such as C(n,w) * min(k, n-k) * w,
-    priced one scanned weight at a time (see plan)."""
+    counts an elimination cost proxy such as C(n,w) * min(k, n-k) * w, or
+    the field operations of a syndrome join, priced one weight at a time
+    (see plan)."""
 
     enumeration: int = 1 << 26
     search: int = 1 << 24
@@ -161,7 +165,11 @@ def plan(n: int, k: int, q: int, goal: str, caps: Caps, w: int = 0) -> Plan:
     "exists", "words" at weight w: scan the w-subsets through the cheaper
     of the "generator" and the "parity-check" matrix (the generator on
     ties), C(n, w) * w per matrix row; "words" may instead "enumerate" the
-    (q^k - 1)/(q - 1) projective classes, n each, when strictly cheaper."""
+    (q^k - 1)/(q - 1) projective classes, n each, or "join" the syndromes
+    of the halves of size a = ceil(w/2) and b = floor(w/2), the field
+    operations that build them, (C(n, a) (q-1)^(a-1) a + C(n, b)
+    (q-1)^(b-1) b) per parity-check row; each only when strictly cheaper
+    than the routes before it."""
     if goal in ("distribution", "distance"):
         own, other = q ** k, q ** (n - k)
         if own <= min(other, caps.enumeration):
@@ -181,6 +189,10 @@ def plan(n: int, k: int, q: int, goal: str, caps: Caps, w: int = 0) -> Plan:
         enum = (q ** k - 1) // (q - 1) * n
         if enum < best.cost:
             best = Plan("enumerate", enum)
+        halves = sum(math.comb(n, h) * (q - 1) ** max(0, h - 1) * h
+                     for h in ((w + 1) // 2, w // 2))
+        if halves * max(1, n - k) < best.cost:
+            best = Plan("join", halves * max(1, n - k))
     if best.cost > caps.search:
         raise SearchTooLarge(f"weight-{w} {goal} scan cost {best.cost} "
                              f"exceeds cap {caps.search}")
@@ -938,6 +950,145 @@ def _words_by_kernels(C: LinearCode, w: int, use_gen_route: bool, budget: int,
                 yield full
 
 
+def _syndrome_keys(tables: _FieldArrays, Ht: np.ndarray, S: np.ndarray,
+                   coefs: np.ndarray):
+    """The syndromes sum_i c_i h_(S_i) of every subset row of S with every
+    coefficient row c of coefs, for the parity-check columns h_j = Ht[j]:
+    record i * len(coefs) + t is S[i] with coefs[t].  Returns each
+    syndrome scaled to lead with 1, packed into uint64 lanes, bits
+    entries after entries, as the key (shape (records, lanes)), and its
+    scale, the leading entry (0 for a zero syndrome).  The syndromes are
+    made a block of subsets at a time."""
+    q, r, m = len(tables.inv), Ht.shape[1], len(coefs)
+    bits = (q - 1).bit_length()
+    per = 64 // bits  # entries per lane
+    shifts = np.arange(per, dtype=np.uint64) * np.uint64(bits)
+    key = np.zeros((len(S) * m, max(1, -(-r // per))), dtype=np.uint64)
+    scale = np.zeros(len(S) * m, dtype=np.int32)
+    step = max(1, _BLOCK_CELLS // max(1, m * r))
+    for at in range(0, len(S), step):
+        block = S[at:at + step]
+        syn = np.zeros((len(block), m, r), dtype=np.int32)
+        for i in range(S.shape[1]):
+            syn = _vadd(tables, syn, _vmul(tables, coefs[None, :, i, None],
+                                           Ht[block[:, i]][:, None]))
+        syn = syn.reshape(len(block) * m, r)
+        rows = slice(at * m, at * m + len(syn))
+        if r:  # the code C = GF(q)^n has no parity-check rows
+            lead = syn[np.arange(len(syn)), (syn != 0).argmax(axis=1)]
+            syn = _vmul(tables, tables.inv[lead][:, None], syn)
+            scale[rows] = lead
+        for lane, lo in enumerate(range(0, r, per)):
+            part = syn[:, lo:lo + per].astype(np.uint64)
+            key[rows, lane] = (part << shifts[:part.shape[1]]).sum(axis=1)
+    return key, scale
+
+
+def _join_sorted(lkey, lpos, rkey, rpos):
+    """The pairs of a left and a right record with equal keys and
+    lpos < rpos, by one sort of both sides by key, then position, then
+    side (right first), after dropping the records that no position
+    allows.  Returns (lefts, lo, hi, rights): the left record lefts[i]
+    pairs with the right records rights[lo[i]:hi[i]]."""
+    none = np.zeros(0, dtype=np.intp)
+    if not (len(lpos) and len(rpos)):
+        return none, none, none, none
+    li = np.nonzero(lpos < rpos.max())[0]
+    ri = np.nonzero(rpos > lpos.min())[0]
+    if not (len(li) and len(ri)):
+        return none, none, none, none
+    keys = np.concatenate([rkey[ri], lkey[li]])
+    is_left = np.arange(len(keys)) >= len(ri)
+    pos = 2 * np.concatenate([rpos[ri], lpos[li]]) + is_left
+    order = np.lexsort([pos, *keys.T])
+    sk = keys[order]
+    starts = np.r_[True, (sk[1:] != sk[:-1]).any(axis=1)]
+    group = np.cumsum(starts) - 1
+    is_right = ~is_left[order]
+    below = np.cumsum(is_right)  # right records up to each sorted position
+    group_end = below[np.r_[np.nonzero(starts)[0][1:], len(order)] - 1]
+    at = np.nonzero(~is_right)[0]
+    return (li[order[at] - len(ri)], below[at], group_end[group[at]],
+            ri[order[is_right]])
+
+
+def _words_by_join(C: LinearCode, w: int, budget: int, tables: _FieldArrays,
+                   through: list[int] | None = None):
+    """The weight-w words of C by a collision of half-support syndromes
+    against the parity check H = dual(C).gen_array.  A word with support
+    S, scaled to lead with 1, splits into its first a = ceil(w/2)
+    coordinates T1, with coefficients leading with 1, and its last
+    b = floor(w/2), T2, with coefficients mu times a vector leading with 1:
+    H c = 0 says the two halves' syndromes s1, s2 agree up to scale,
+    s1 + mu s2 = 0.  So the half syndromes are keyed by their scaled form
+    and joined where max(T1) < min(T2); mu = -lambda1 / lambda2 for their
+    scales, and a pair of zero syndromes gives q - 1 words, one per mu
+    (one, when b = 0).  The left halves are taken in blocks; given
+    through, a left half meeting it joins every right half, and one
+    missing it only the right halves meeting it.  Each block's matched
+    words are charged w each against the budget before they are made.
+    Yields blocks of words of length n, each leading with 1."""
+    q, n = C.field.q, C.n
+    Ht = np.ascontiguousarray(dual(C).gen_array.T)  # column h_j is Ht[j]
+    a, b = (w + 1) // 2, w // 2
+
+    def coefficients(size):  # every vector leading with 1, no zero entry
+        rows = [((1,) + c)[:size]
+                for c in product(range(1, q), repeat=max(0, size - 1))]
+        return np.array(rows, dtype=np.int32).reshape(len(rows), size)
+
+    def records(S, cf):  # key, scale, position and meets-through per record
+        key, scale = _syndrome_keys(tables, Ht, S, cf)
+        meets = np.zeros(len(S), dtype=bool) if through is None else \
+            np.isin(S, through).any(axis=1)
+        return key, scale, np.repeat(meets, len(cf))
+
+    right_cf = coefficients(b)
+    right_S = np.array(list(combinations(range(n), b)), dtype=np.intp
+                       ).reshape(math.comb(n, b), b)
+    rkey, rscale, rmeets = records(right_S, right_cf)
+    rpos = np.repeat(right_S[:, 0] if b else n, len(right_cf))  # min(T2)
+    rall = np.arange(len(rkey))
+    left_cf = right_cf if a == b else coefficients(a)
+    many = q - 1 if b else 1  # words of a pair of zero syndromes
+    spent = 0
+    block = max(1, _BLOCK_CELLS // max(1, len(left_cf) * Ht.shape[1]))
+    subsets = combinations(range(n), a)
+    while chunk := list(islice(subsets, block)):
+        left_S = np.array(chunk, dtype=np.intp).reshape(len(chunk), a)
+        lkey, lscale, lmeets = records(left_S, left_cf)
+        lpos = np.repeat(left_S[:, -1], len(left_cf))  # max(T1)
+        joins = [(np.arange(len(lkey)), rall)] if through is None else \
+            [(np.nonzero(lmeets)[0], rall),
+             (np.nonzero(~lmeets)[0], np.nonzero(rmeets)[0])]
+        for lidx, ridx in joins:
+            lefts, lo, hi, rights = _join_sorted(lkey[lidx], lpos[lidx],
+                                                 rkey[ridx], rpos[ridx])
+            lefts, rights = lidx[lefts], ridx[rights]
+            counts = hi - lo
+            per_pair = np.where(lscale[lefts] == 0, many, 1)
+            spent += w * int((counts * per_pair).sum())
+            if spent > budget:
+                raise SearchTooLarge("syndrome join exceeded search cap")
+            # the pairs: left record li with right record ri
+            li = np.repeat(lefts, counts)
+            first = np.repeat(np.cumsum(counts) - counts, counts)
+            ri = rights[np.repeat(lo, counts) + np.arange(len(li)) - first]
+            mu = _vmul(tables, tables.neg[lscale[li]],
+                       tables.inv[rscale[ri]])
+            zero = mu == 0  # a pair of zero syndromes: one word per mu
+            li = np.r_[li[~zero], np.repeat(li[zero], many)]
+            ri = np.r_[ri[~zero], np.repeat(ri[zero], many)]
+            mu = np.r_[mu[~zero], np.tile(np.arange(1, many + 1),
+                                          np.count_nonzero(zero))]
+            rows = np.arange(len(li))[:, None]
+            W = np.zeros((len(li), n), dtype=np.int32)
+            W[rows, left_S[li // len(left_cf)]] = left_cf[li % len(left_cf)]
+            W[rows, right_S[ri // len(right_cf)]] = _vmul(
+                tables, mu[:, None], right_cf[ri % len(right_cf)])
+            yield W
+
+
 def exact_weight_words(C: LinearCode, w: int, caps: Caps | None = None,
                        through: list[int] | None = None) -> np.ndarray:
     """All weight-w codewords of C, one per projective class, as one int32
@@ -945,8 +1096,13 @@ def exact_weight_words(C: LinearCode, w: int, caps: Caps | None = None,
     list through, only those whose support meets it.  Each row is scaled
     to lead with 1 and has exactly w nonzero entries, so word_supports
     reads the supports off it.  The rows are sorted by support, then by
-    word: two words on one support differ only on it.  The route and its
-    price are those of the full scan, through or not."""
+    word: two words on one support differ only on it, so every route
+    returns the same array.  The route is plan's "words" route: an
+    enumeration of C, the rank scan of the w-subsets through the generator
+    or the parity check, or the syndrome join, priced at (C(n, a)
+    (q-1)^(a-1) a + C(n, b) (q-1)^(b-1) b) (n - k) for the halves
+    a = ceil(w/2), b = floor(w/2).  The route and its price are those of
+    the full search, through or not."""
     caps = _caps(caps)
     n, k = C.n, C.k
     if k == 0 or w == 0 or w > n:
@@ -955,6 +1111,8 @@ def exact_weight_words(C: LinearCode, w: int, caps: Caps | None = None,
     tables = _numpy_field_tables(C.field)
     if route == "enumerate":
         blocks = _words_by_enumeration(C, w, tables)
+    elif route == "join":
+        blocks = _words_by_join(C, w, caps.search, tables, through)
     else:
         blocks = _words_by_kernels(C, w, route == "generator", caps.search,
                                    tables, through)

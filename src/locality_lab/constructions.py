@@ -466,6 +466,9 @@ def _monomial_exponents(family: str, q: int, m: int, param: int | None):
             raise FamilyUnavailableForParameters(
                 f"translation needs h >= 1, got h={h}")
         return [1 << (h % m)]  # x^(2^h) = x^(2^(h mod m)) on GF(2^m)
+    if param is not None and family in OVAL_FAMILIES:
+        raise FamilyUnavailableForParameters(
+            f"{family} takes no parameter, got {family}:{param}")
     if family == "segre":
         if not odd:
             raise FamilyUnavailableForParameters("segre needs m odd")

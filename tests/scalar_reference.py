@@ -2,10 +2,11 @@
 
 Each function redoes one kernel entry point one field operation at a time
 through the FieldSpec methods, on the route code_core.plan gives the kernel
-it checks and with the same budget accounting.  rref and nullspace are the
-scalar loops of code_core.rref and code_core.nullspace, kept here at every
-size: code_core hands matrices from _RREF_NUMPY_MIN on to its numpy
-kernel.  dual and shorten are the nullspace constructions that
+it checks and with the same budget accounting; the syndrome join, which
+charges per word listed, is checked against the parity-check scan.  rref
+and nullspace are the scalar loops of code_core.rref and
+code_core.nullspace, kept here at every size: code_core hands matrices
+from _RREF_NUMPY_MIN on to its numpy kernel.  dual and shorten are the nullspace constructions that
 code_core.dual and code_core.shorten replaced.  tests/test_kernels.py
 compares the two.  field_product is the schoolbook product that gf's
 multiply-by-x step replaced; tests/test_gf.py compares them.
@@ -254,8 +255,13 @@ def exact_weight_words(C, w, caps=None):
         route = plan(C.n, C.k, C.field.q, "words", caps, w).route
         if route == "enumerate":
             out = words_by_enumeration(C, w)
-        else:
-            out = words_by_scan(C, w, route == "generator", caps.search)
+        elif route == "generator":
+            out = words_by_scan(C, w, True, caps.search)
+        elif route in ("parity-check", "join"):
+            # the syndrome join lists the words of the parity-check scan,
+            # the dependencies of the parity check's columns; it charges
+            # the budget per word listed, not per dependency space
+            out = words_by_scan(C, w, False, caps.search)
     out.sort(key=lambda word: (
         tuple(j for j, x in enumerate(word) if x), word))
     return np.array(out, dtype=np.int32).reshape(len(out), C.n)

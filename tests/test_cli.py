@@ -599,6 +599,27 @@ def test_translation_shift_reads_modulo_m(capsys, h):
     assert out == "x^2 over GF(8): oval polynomial\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["validate-oval", "q=32", "f=segre:99"], "segre takes no parameter, "
+     "got segre:99"),
+    (["validate-oval", "q=32", "f=payne:-5", "--json"], "payne takes no "
+     "parameter, got payne:-5"),
+    (["construct", "oval-code-gf", "q=8", "f=segre:5"], "segre takes no "
+     "parameter, got segre:5"),
+])
+def test_oval_family_without_parameter_refuses_one(capsys, argv, message):
+    # the parameter was once dropped: segre:99 printed x^6 and exited 0
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
+def test_translation_keeps_its_parameter(capsys):
+    rc, out, err = run(capsys, "validate-oval", "q=32", "f=translation:3")
+    assert (rc, err) == (0, "")
+    assert out == "x^8 over GF(32): oval polynomial\n"
+
+
 def test_validate_oval_catalog_json(capsys):
     rc, out, _ = run(capsys, "validate-oval", "q=32", "f=payne", "--json")
     assert rc == 0

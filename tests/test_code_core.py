@@ -563,12 +563,21 @@ def test_plan_words_tie_breaks():
     # generator scan (4 * 1 * 1) and loses
     assert plan(4, 1, 2, "words", Caps(), w=1) == Plan("generator", 4)
     assert plan(4, 1, 2, "words", Caps(), w=2) == Plan("enumerate", 4)
-    # [4, 2] over GF(5), w = 2: all three cost 24, the generator wins
-    assert plan(4, 2, 5, "words", Caps(), w=2) == Plan("generator", 24)
-    assert plan(4, 3, 5, "words", Caps(), w=2) == Plan("parity-check", 12)
-    assert plan(4, 2, 5, "words", Caps(search=24), w=2).cost == 24
+    # [4, 2] over GF(5), w = 3: the three older routes cost 24, the
+    # generator wins; the join costs (4 * 1 + 6 * 4 * 2) * 2 = 104
+    assert plan(4, 2, 5, "words", Caps(), w=3) == Plan("generator", 24)
+    # w = 2: the join, (4 + 4) per parity-check row, undercuts all three
+    assert plan(4, 2, 5, "words", Caps(), w=2) == Plan("join", 16)
+    assert plan(4, 3, 5, "words", Caps(), w=2) == Plan("join", 8)
+    assert plan(4, 2, 5, "exists", Caps(), w=2) == Plan("generator", 24)
+    # a join that ties loses: [4, 2] over GF(3), w = 2, where it ties
+    # enumeration at 16, and [4, 3] over GF(5), w = 1, where it ties the
+    # parity-check scan at 4
+    assert plan(4, 2, 3, "words", Caps(), w=2) == Plan("enumerate", 16)
+    assert plan(4, 3, 5, "words", Caps(), w=1) == Plan("parity-check", 4)
+    assert plan(4, 2, 5, "words", Caps(search=16), w=2).cost == 16
     with pytest.raises(SearchTooLarge):
-        plan(4, 2, 5, "words", Caps(search=23), w=2)
+        plan(4, 2, 5, "words", Caps(search=15), w=2)
 
 
 # ---------------------------------------------------------------------------

@@ -236,7 +236,7 @@ def test_word_counts_match_weight_distribution():
             assert len(words) * (q - 1) == wd[w], (C, w)
             assert words.shape[1] == C.n and words.dtype == np.int32
             assert in_dual(dual(C), words)
-    assert routes == {"enumerate", "generator", "parity-check"}
+    assert routes == {"enumerate", "generator", "parity-check", "join"}
 
 
 def corrupted(W):
@@ -334,7 +334,7 @@ def test_restricted_scan_matches_filtered_full_scan():
                     (C, w, U)
                 if 0 < len(got) < len(full):
                     narrowed.add(route(C, w))
-    assert narrowed == {"enumerate", "generator", "parity-check"}
+    assert narrowed == {"enumerate", "generator", "parity-check", "join"}
 
 
 @pytest.mark.parametrize("numpy_kernel", [True, False])
@@ -351,6 +351,116 @@ def test_dependency_budget_is_exact(numpy_kernel):
         assert len(search(C, w, code_core.Caps(search=spent)))
         with pytest.raises(SearchTooLarge, match="dependency-space"):
             search(C, w, code_core.Caps(search=spent - 1))
+
+
+# ---------------------------------------------------------------------------
+# the syndrome join against the rank scan and the scalar reference
+
+def words_by(route, C, w, through=None, caps=None):
+    """exact_weight_words, and its scalar reference when through is None,
+    with plan's route forced."""
+    def forced(*args, **kwargs):
+        return code_core.Plan(route, 0)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(code_core, "plan", forced)
+        mp.setattr(ref, "plan", forced)
+        fast = exact_weight_words(C, w, caps, through)
+        slow = None if through is not None else ref.exact_weight_words(C, w)
+    return fast, slow
+
+
+def join_roster():
+    """(code, largest weight to list): random codes over small fields, over
+    GF(1024) and over GF(729), and codes whose syndromes are degenerate."""
+    rng = random.Random(21)
+    fields = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 8: (2, 3),
+              9: (3, 2), 16: (2, 4)}
+    codes = []
+    for q, (p, m) in fields.items():
+        F = field_new(p, m)
+        for _ in range(2):
+            n = rng.randint(5, 7 if q <= 5 else 6)
+            k = rng.randint(1, n - 1 if q <= 5 else 3)
+            while True:
+                C = from_generator(F, [[rng.randrange(q) for _ in range(n)]
+                                       for _ in range(k)])
+                if C.k == k:
+                    codes.append((C, n))
+                    break
+    for p, m in ((2, 10), (3, 6)):  # xor sums, Zech-logarithm sums
+        F = field_new(p, m)
+        for k in (2, 3):
+            codes.append((from_generator(F, [[rng.randrange(1, F.q)
+                                              for _ in range(5)]
+                                             for _ in range(k)]), 3))
+    F3, F4 = field_new(3, 1), field_new(2, 2)
+    codes += [
+        # k = n: the parity check has no rows
+        (from_generator(F3, [[int(i == j) for j in range(4)]
+                             for i in range(4)]), 4),
+        # holds e_2: column 2 of the parity check is zero
+        (from_generator(F3, [[1, 2, 0, 1, 1, 0], [0, 0, 1, 0, 0, 0],
+                             [0, 1, 0, 2, 1, 1]]), 6),
+        # one parity-check row: every support has nullity w - 1
+        (from_parity_check(F4, [[1, 1, 2, 3, 1, 2]]), 5),
+        # (1, 2, mu, mu, 0, 0): two disjoint weight-2 words, whose halves
+        # both have zero syndromes
+        (from_generator(F3, [[1, 2, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0],
+                             [0, 0, 0, 0, 1, 1]]), 6),
+    ]
+    return codes
+
+
+def test_join_matches_rank_scan_and_scalar_reference(monkeypatch):
+    """The join lists the words of the parity-check scan, row for row, at
+    every weight (w = 1 has an empty right half, w = 2 equal halves), in
+    blocks of the default size and of a few cells, through one
+    coordinate, two, and all of them."""
+    rng = random.Random(22)
+    degenerate = set()
+    for C, top in join_roster():
+        n, H = C.n, dual(C).gen_array
+        if not len(H):
+            degenerate.add("no rows")
+        elif (H == 0).all(axis=0).any():
+            degenerate.add("zero column")
+        for w in range(1, top + 1):
+            join, slow = words_by("join", C, w)
+            scan, _ = words_by("parity-check", C, w)
+            assert np.array_equal(join, scan), (C, w)
+            assert np.array_equal(join, slow), (C, w)
+            if w == 4 and join.size and (join[:, :2] == [1, 2]).all(
+                    axis=1).any():
+                degenerate.add("zero halves")
+            for U in ([rng.randrange(n)], sorted(rng.sample(range(n), 2)),
+                      list(range(n))):
+                got, _ = words_by("join", C, w, U)
+                assert np.array_equal(got, join[join[:, U].any(axis=1)]), \
+                    (C, w, U)
+        with monkeypatch.context() as mp:
+            mp.setattr(code_core, "_BLOCK_CELLS", 8)
+            for w in range(1, top + 1):
+                assert np.array_equal(words_by("join", C, w)[0],
+                                      words_by("parity-check", C, w)[0])
+    assert degenerate == {"no rows", "zero column", "zero halves"}
+
+
+@pytest.mark.parametrize("q, rows, w, through, charged", [
+    # k = n over GF(3), w = 4: C(5, 4) * 2^3 = 40 words of zero syndromes
+    (3, [[int(i == j) for j in range(5)] for i in range(5)], 4, None, 160),
+    # the [7, 4] Hamming code, w = 3: the 3 words through coordinate 0
+    (2, [[1, 0, 0, 0, 0, 1, 1], [0, 1, 0, 0, 1, 0, 1], [0, 0, 1, 0, 1, 1, 0],
+         [0, 0, 0, 1, 1, 1, 1]], 3, [0], 9),
+])
+def test_join_budget_is_exact(q, rows, w, through, charged):
+    """The join charges w per word it lists and raises once the total
+    exceeds the search cap."""
+    C = from_generator(field(q), rows)
+    words, _ = words_by("join", C, w, through, code_core.Caps(search=charged))
+    assert len(words) * w == charged
+    with pytest.raises(SearchTooLarge, match="syndrome join"):
+        words_by("join", C, w, through, code_core.Caps(search=charged - 1))
 
 
 def mds_count(n, k, q, w):
@@ -382,7 +492,7 @@ def test_large_fields_match_mds_formula(p, m):
             assert len(words) * (q - 1) == mds_count(4, C.k, q, w), (C, w)
             assert in_dual(dual(C), words)
             assert np.array_equal(words, ref.exact_weight_words(C, w)), (C, w)
-    assert routes == {"enumerate", "generator", "parity-check"}
+    assert routes == {"enumerate", "generator", "parity-check", "join"}
     for C in (C2, C3):
         assert list(weight_distribution(C).counts) == [
             1] + [mds_count(4, C.k, q, w) for w in range(1, 5)]
