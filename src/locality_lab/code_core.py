@@ -20,14 +20,14 @@ q - 1 words of one weight, give its weight distribution (or the dual's,
 followed by the MacWilliams transform), and its words of weight w when it
 is small.  minimum_distance reads d off a distribution or scans weights
 upward.  _eliminate eliminates a stack of matrices.  The support scan
-stacks the submatrices H[:, S] of a parity check (or the generator columns
-off S) of a block of w-subsets S and ranks them in one pass; a Gauss-Jordan
-pass over the rank-deficient ones reads a basis of each dependency space,
-whose classes with no zero entry on S are the words.  The syndrome join
-finds the words of one weight without ranking every w-subset: it keys the
-parity-check syndromes of the first and the last halves of each support
-and joins equal keys by one sort.  rref hands a single matrix to
-_eliminate from the measured crossover _RREF_NUMPY_MIN on.
+stacks the submatrices H[:, S] of the parity check of a block of w-subsets
+S and ranks them in one pass; a Gauss-Jordan pass over the rank-deficient
+ones reads a basis of each dependency space, whose classes with no zero
+entry on S are the words.  The syndrome join finds the words of one weight
+without ranking every w-subset: it keys the parity-check syndromes of the
+first and the last halves of each support and joins equal keys by one
+sort.  rref hands a single matrix to _eliminate from the measured
+crossover _RREF_NUMPY_MIN on.
 
 The words of one weight w are one int32 array of shape (m, n), one row per
 projective class, scaled to lead with 1 and sorted by support, then by
@@ -86,8 +86,8 @@ from .errors import (
     UnusablePath,
     ZeroCode,
 )
-from .gf import (DLOG_CAP, FieldSpec, canonical_isomorphism, factorize,
-                 field_new)
+from .gf import (DLOG_CAP, FIELD_CAP, FieldSpec, canonical_isomorphism,
+                 factorize, field_new)
 
 CAPS_ENV_VAR = "LOCALITY_LAB_CAPS"
 _CONSTRUCT_TOKEN = object()  # LinearCode's: passed only by _build and dual
@@ -95,10 +95,10 @@ _CONSTRUCT_TOKEN = object()  # LinearCode's: passed only by _build and dual
 
 @dataclass(frozen=True)
 class Caps:
-    """Resource ceilings: enumeration counts the q^k words walked, search
-    counts an elimination cost proxy such as C(n,w) * min(k, n-k) * w, or
-    the field operations of a syndrome join, priced one weight at a time
-    (see plan)."""
+    """Resource ceilings: enumeration counts the q^k words walked; search
+    counts, one weight w at a time, the C(n, w) * w * (n - k) cost proxy of
+    a rank scan of the parity check, n per class of an enumeration of the
+    words, or the field operations of a syndrome join (see plan)."""
 
     enumeration: int = 1 << 26
     search: int = 1 << 24
@@ -162,12 +162,11 @@ def plan(n: int, k: int, q: int, goal: str, caps: Caps, w: int = 0) -> Plan:
     on ties; the transform is no search, so only the enum cap holds either
     side.  A distance that fits neither side will "scan" weight after
     weight, each priced as "exists"; the weights up to w are priced now.
-    "exists", "words" at weight w: scan the w-subsets through the cheaper
-    of the "generator" and the "parity-check" matrix (the generator on
-    ties), C(n, w) * w per matrix row; "words" may instead "enumerate" the
-    (q^k - 1)/(q - 1) projective classes, n each, or "join" the syndromes
-    of the halves of size a = ceil(w/2) and b = floor(w/2), the field
-    operations that build them, (C(n, a) (q-1)^(a-1) a + C(n, b)
+    "exists", "words" at weight w: rank the w-subsets of the columns of the
+    "parity-check" matrix, C(n, w) * w per row; "words" may instead
+    "enumerate" the (q^k - 1)/(q - 1) projective classes, n each, or "join"
+    the syndromes of the halves of size a = ceil(w/2) and b = floor(w/2),
+    the field operations that build them, (C(n, a) (q-1)^(a-1) a + C(n, b)
     (q-1)^(b-1) b) per parity-check row; each only when strictly cheaper
     than the routes before it."""
     if goal in ("distribution", "distance"):
@@ -181,10 +180,7 @@ def plan(n: int, k: int, q: int, goal: str, caps: Caps, w: int = 0) -> Plan:
                                       f"{own}, q^(n-k) = {other}")
         return Plan("scan", max((plan(n, k, q, "exists", caps, v).cost
                                  for v in range(1, w + 1)), default=0))
-    per_row = math.comb(n, w) * max(1, w)
-    best = min(Plan("generator", per_row * max(1, k)),
-               Plan("parity-check", per_row * max(1, n - k)),
-               key=lambda p: p.cost)
+    best = Plan("parity-check", math.comb(n, w) * max(1, w) * max(1, n - k))
     if goal == "words":
         enum = (q ** k - 1) // (q - 1) * n
         if enum < best.cost:
@@ -875,59 +871,44 @@ def _subsets_through(n: int, w: int, through: list[int]):
             yield T[:j] + (u,) + T[j:]
 
 
-def _deficient_blocks(C: LinearCode, w: int, use_gen_route: bool,
-                      tables: _FieldArrays, through: list[int] | None = None):
+def _deficient_blocks(C: LinearCode, w: int, tables: _FieldArrays,
+                      through: list[int] | None = None):
     """The w-subsets S of coordinates, in lexicographic order, that hold the
-    support of some nonzero codeword: the columns of a parity check on S
-    are dependent, or (generator route) the generator columns off S have
-    rank below k.  The w-subsets of a block are ranked together by
+    support of some nonzero codeword: the columns of the parity check H on
+    S are dependent.  The w-subsets of a block are ranked together by
     _batch_rank, and each block with a rank-deficient subset yields
-    (S, K, nullity) for those subsets only, in order.  S[i] is the
-    subset; K[i] is H[:, S] on the parity-check route, whose kernel is the
-    dependency space on S, and the transposed generator columns off S on
-    the generator route, whose kernel is the messages u with u.G zero off
-    S; nullity[i] is the dimension of that kernel.  Given the ascending
-    list through, only the w-subsets meeting it are scanned, in the order
-    of _subsets_through."""
-    n, k = C.n, C.k
-    M = (C if use_gen_route else dual(C)).gen_array
-    ncols = n - w if use_gen_route else w
-    full_rank = k if use_gen_route else w
-    # the stacks, the words on S and (generator route) G[:, S] of a block
-    # all stay within _BLOCK_CELLS
-    per_subset = max(1, len(M) * ncols, w * full_rank)
+    (S, K, nullity) for those subsets only, in order.  S[i] is the subset;
+    K[i] is H[:, S[i]], whose kernel is the dependency space on S, and
+    nullity[i] is the dimension of that kernel.  Given the ascending list
+    through, only the w-subsets meeting it are scanned, in the order of
+    _subsets_through."""
+    n, H = C.n, dual(C).gen_array
+    # the stacks and the words on S of a block stay within _BLOCK_CELLS
+    per_subset = max(1, len(H) * w, w * w)
     block = max(1, min(_SCAN_BLOCK, _BLOCK_CELLS // per_subset))
     subsets = combinations(range(n), w) if through is None else \
         _subsets_through(n, w, through)
     while chunk := list(islice(subsets, block)):
         S = np.array(chunk, dtype=np.intp).reshape(len(chunk), w)
-        cols = S
-        if use_gen_route:
-            off = np.ones((len(chunk), n), dtype=bool)
-            off[np.arange(len(chunk))[:, None], S] = False
-            cols = np.nonzero(off)[1].reshape(len(chunk), ncols)
-        A = M[:, cols].transpose(1, 0, 2)  # (subsets, rows of M, ncols)
+        A = H[:, S].transpose(1, 0, 2)  # (subsets, n - k, w)
         if A.shape[2] > A.shape[1]:
             A = A.transpose(0, 2, 1)  # fewer columns, fewer kernel steps
-        nullity = full_rank - _batch_rank(tables, A)
+        nullity = w - _batch_rank(tables, A)
         hit = np.nonzero(nullity)[0]
         if hit.size:
-            K = M[:, cols[hit]]
-            K = K.transpose(1, 2, 0) if use_gen_route else K.transpose(1, 0, 2)
-            yield S[hit], K, nullity[hit]
+            yield S[hit], H[:, S[hit]].transpose(1, 0, 2), nullity[hit]
 
 
-def _words_by_kernels(C: LinearCode, w: int, use_gen_route: bool, budget: int,
+def _words_by_kernels(C: LinearCode, w: int, budget: int,
                       tables: _FieldArrays, through: list[int] | None = None):
     """The support scan with table-driven numpy: the kernel bases of all
     rank-deficient subsets of a block come from one _batch_kernel pass, and
     the words on S are the classes of their spans with no zero entry.
     Yields blocks of words of length n, each scaled to lead with 1; given
     through, only the words whose support meets it."""
-    q, n, G = C.field.q, C.n, C.gen_array
+    q, n = C.field.q, C.n
     spent = 0
-    for S, K, nullity in _deficient_blocks(C, w, use_gen_route, tables,
-                                           through):
+    for S, K, nullity in _deficient_blocks(C, w, tables, through):
         values, counts = np.unique(nullity, return_counts=True)
         spent += w * sum(c * ((q ** nu - 1) // (q - 1)) for nu, c in
                          zip(values.tolist(), counts.tolist()))
@@ -935,13 +916,6 @@ def _words_by_kernels(C: LinearCode, w: int, use_gen_route: bool, budget: int,
             raise SearchTooLarge("dependency-space enumeration exceeded search cap")
         for nu, idx, basis in _batch_kernel(tables, K):
             S_nu = S[idx]
-            if use_gen_route:  # the words u.G, restricted to S
-                GS = G[:, S_nu].transpose(1, 0, 2)  # (subsets, k, w)
-                words = np.zeros((len(idx), nu, w), dtype=np.int32)
-                for r in range(C.k):
-                    words = _vadd(tables, words, _vmul(
-                        tables, basis[:, :, r, None], GS[:, None, r]))
-                basis = words
             for V in _projective_span(tables, basis):
                 i, t = np.nonzero((V != 0).all(axis=1))
                 full = np.zeros((len(i), n), dtype=np.int32)
@@ -1098,8 +1072,8 @@ def exact_weight_words(C: LinearCode, w: int, caps: Caps | None = None,
     reads the supports off it.  The rows are sorted by support, then by
     word: two words on one support differ only on it, so every route
     returns the same array.  The route is plan's "words" route: an
-    enumeration of C, the rank scan of the w-subsets through the generator
-    or the parity check, or the syndrome join, priced at (C(n, a)
+    enumeration of C, the rank scan of the w-subsets of the columns of the
+    parity check, or the syndrome join, priced at (C(n, a)
     (q-1)^(a-1) a + C(n, b) (q-1)^(b-1) b) (n - k) for the halves
     a = ceil(w/2), b = floor(w/2).  The route and its price are those of
     the full search, through or not."""
@@ -1114,8 +1088,7 @@ def exact_weight_words(C: LinearCode, w: int, caps: Caps | None = None,
     elif route == "join":
         blocks = _words_by_join(C, w, caps.search, tables, through)
     else:
-        blocks = _words_by_kernels(C, w, route == "generator", caps.search,
-                                   tables, through)
+        blocks = _words_by_kernels(C, w, caps.search, tables, through)
     W = np.concatenate([np.zeros((0, n), dtype=np.int32), *blocks])
     if through is not None and route == "enumerate":
         W = W[W[:, through].any(axis=1)]
@@ -1125,10 +1098,10 @@ def exact_weight_words(C: LinearCode, w: int, caps: Caps | None = None,
 
 
 def _has_words_of_weight_at_most(C: LinearCode, w: int, caps: Caps) -> bool:
-    """Existence test: some w columns of a parity check are dependent."""
-    route = plan(C.n, C.k, C.field.q, "exists", caps, w).route
-    scan = _deficient_blocks(C, w, route == "generator",
-                             _numpy_field_tables(C.field))
+    """Existence test: some w columns of the parity check are dependent;
+    raises SearchTooLarge when plan prices the scan beyond the cap."""
+    plan(C.n, C.k, C.field.q, "exists", caps, w)
+    scan = _deficient_blocks(C, w, _numpy_field_tables(C.field))
     return next(scan, None) is not None
 
 
@@ -1153,6 +1126,9 @@ def minimum_distance(C: LinearCode, caps: Caps | None = None) -> int:
 # matrix file format: "q n k" then k rows of n encodings
 
 def field_for_q(q: int) -> FieldSpec:
+    if q > FIELD_CAP:  # before factorize, whose trial division would not end
+        shown = q if q < 1 << 64 else "2^64 or more"
+        raise FieldTooLarge(f"q = {shown} exceeds cap {FIELD_CAP}")
     fac = factorize(q) if q >= 2 else {}  # factorize(0) would never end
     if len(fac) != 1:
         raise NotPrime(f"{q} is not a prime power")

@@ -72,7 +72,16 @@ MAX_LENGTH = 1 << 16
 
 def _check_length(n: int) -> None:
     if n > MAX_LENGTH:
-        raise FieldTooLarge(f"length {n} exceeds {MAX_LENGTH}")
+        shown = n if n < 1 << 64 else "2^64 or more"
+        raise FieldTooLarge(f"length {shown} exceeds {MAX_LENGTH}")
+
+
+def _length_power(q: int, m: int) -> int:
+    """q^m, q >= 2, for a length of at least q^(m-1): refused before it is
+    computed when m > 64, since that length is then 2^64 or more."""
+    if m > 64:
+        _check_length(1 << 64)
+    return q ** m
 
 
 def _assert_distance(C: LinearCode, d: int, error_cls) -> None:
@@ -106,7 +115,7 @@ def hamming(q: int, m: int) -> LinearCode:
     if m < 2:
         raise BadParameters(f"hamming needs m >= 2, got {m}")
     field = field_for_q(q)
-    n = (q ** m - 1) // (q - 1)
+    n = (_length_power(q, m) - 1) // (q - 1)
     _check_length(n)
     pts = projective_point_list(field, m)
     C = from_parity_check(field, list(zip(*pts)), label=f"hamming({q},{m})")
@@ -247,7 +256,7 @@ def grm_punctured(q: int, ell: int, m: int) -> LinearCode:
     beta^j exactly when the base-q digit sum of j is below (q-1)m - ell."""
     _check_grm_range(q, ell, m)
     field = field_for_q(q)
-    n = q ** m - 1
+    n = _length_power(q, m) - 1
     _check_length(n)
     bound = (q - 1) * m - ell
     C = _code_with_zeros(field, n, [j for j in range(1, n)

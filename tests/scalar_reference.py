@@ -183,16 +183,14 @@ def enumerate_counts(C) -> list[int]:
     return counts
 
 
-def deficient_subsets(C, w, use_gen_route):
-    """The w-subsets S, in lexicographic order, that hold the support of
-    some nonzero codeword: one scalar elimination per subset."""
-    F, n, k = C.field, C.n, C.k
-    M = C.gen if use_gen_route else dual(F, C.gen, n)[0]
-    full_rank = k if use_gen_route else w
+def deficient_subsets(C, w):
+    """The w-subsets S, in lexicographic order, on which the columns of the
+    parity check are dependent: one scalar elimination per subset."""
+    F, n = C.field, C.n
+    H = dual(F, C.gen, n)[0]
     for S in combinations(range(n), w):
-        cols = [j for j in range(n) if j not in S] if use_gen_route else S
-        _, pivots = rref(F, [[row[j] for row in M] for j in cols])
-        if len(pivots) < full_rank:
+        _, pivots = rref(F, [[row[j] for row in H] for j in S])
+        if len(pivots) < w:
             yield S
 
 
@@ -209,29 +207,14 @@ def words_by_enumeration(C, w):
     return out
 
 
-def words_by_scan(C, w, use_gen_route, budget):
+def words_by_scan(C, w, budget):
     """The support scan, one nullspace per rank-deficient subset."""
-    F, n, k = C.field, C.n, C.k
-    H = None if use_gen_route else dual(F, C.gen, n)[0]
-    G = C.gen
+    F, n = C.field, C.n
+    H = dual(F, C.gen, n)[0]
     spent = 0
     out = []
-    for S in deficient_subsets(C, w, use_gen_route):
-        if use_gen_route:
-            sbar = [j for j in range(n) if j not in set(S)]
-            rows = [[G[r][j] for r in range(k)] for j in sbar]
-            # words u.G restricted to S
-            basis = []
-            for u in nullspace(F, rows, k):
-                word = [0] * w
-                for coeff, grow in zip(u, G):
-                    if coeff:
-                        word = [F.add(x, F.mul(coeff, grow[j]))
-                                for x, j in zip(word, S)]
-                basis.append(word)
-            basis, _ = rref(F, basis)
-        else:
-            basis = nullspace(F, [[hrow[j] for j in S] for hrow in H], w)
+    for S in deficient_subsets(C, w):
+        basis = nullspace(F, [[hrow[j] for j in S] for hrow in H], w)
         spent += (F.q ** len(basis) - 1) // (F.q - 1) * w
         if spent > budget:
             raise SearchTooLarge("dependency-space enumeration exceeded search cap")
@@ -255,13 +238,11 @@ def exact_weight_words(C, w, caps=None):
         route = plan(C.n, C.k, C.field.q, "words", caps, w).route
         if route == "enumerate":
             out = words_by_enumeration(C, w)
-        elif route == "generator":
-            out = words_by_scan(C, w, True, caps.search)
-        elif route in ("parity-check", "join"):
+        else:
             # the syndrome join lists the words of the parity-check scan,
             # the dependencies of the parity check's columns; it charges
             # the budget per word listed, not per dependency space
-            out = words_by_scan(C, w, False, caps.search)
+            out = words_by_scan(C, w, caps.search)
     out.sort(key=lambda word: (
         tuple(j for j, x in enumerate(word) if x), word))
     return np.array(out, dtype=np.int32).reshape(len(out), C.n)
@@ -269,6 +250,5 @@ def exact_weight_words(C, w, caps=None):
 
 def has_words_of_weight_at_most(C, w, caps):
     """code_core._has_words_of_weight_at_most with the scalar scan."""
-    route = plan(C.n, C.k, C.field.q, "exists", caps, w).route
-    return next(deficient_subsets(C, w, route == "generator"),
-                None) is not None
+    plan(C.n, C.k, C.field.q, "exists", caps, w)
+    return next(deficient_subsets(C, w), None) is not None

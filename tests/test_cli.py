@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -410,6 +411,26 @@ def test_error_paths_exit_1(capsys, argv):
     rc, out, err = run(capsys, *argv)
     assert (rc, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("params, message", [
+    # a prime above the field cap, which trial division would take ages on
+    (("hamming", "q=2305843009213693951", "m=2"),
+     "q = 2305843009213693951 exceeds cap 1048576"),
+    # lengths of 2^64 or more: q^m is never computed, nor printed
+    (("hamming", "q=3", "m=100000000"), "length 2^64 or more exceeds 65536"),
+    (("grm", "q=3", "ell=1", "m=100000000"),
+     "length 2^64 or more exceeds 65536"),
+    (("hamming", "q=2", "m=99999"), "length 2^64 or more exceeds 65536"),
+    (("grm-punctured", "q=2", "ell=1", "m=5000"),
+     "length 2^64 or more exceeds 65536"),
+])
+def test_oversize_parameters_are_refused_before_arithmetic(capsys, params,
+                                                           message):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "analyze", *params)
+    assert time.perf_counter() - start < 2
+    assert (rc, out, err) == (2, "", f"error (cap): {message}\n")
 
 
 @pytest.mark.parametrize("command", ["analyze", "construct", "repair-sets"])

@@ -549,27 +549,42 @@ def test_plan_prices_a_distance_scan_one_weight_at_a_time():
 
 
 def test_plan_exists_at_the_search_cap():
-    # C(6, 2) * 2 * min(2, 4) = 60
-    assert plan(6, 2, 3, "exists", Caps(search=60), w=2) == \
-        Plan("generator", 60)
+    # C(6, 2) * 2 * (n - k): 60 for the [6, 4] code, 120 for the [6, 2] one
     assert plan(6, 4, 3, "exists", Caps(search=60), w=2) == \
         Plan("parity-check", 60)
+    assert plan(6, 2, 3, "exists", Caps(search=120), w=2) == \
+        Plan("parity-check", 120)
     with pytest.raises(SearchTooLarge):
-        plan(6, 2, 3, "exists", Caps(search=59), w=2)
+        plan(6, 4, 3, "exists", Caps(search=59), w=2)
+    with pytest.raises(SearchTooLarge):
+        plan(6, 2, 3, "exists", Caps(search=60), w=2)
+
+
+def test_plan_prices_the_parity_check_rows_of_long_low_rate_codes():
+    # the [16385, 4] ovoid code over GF(128) at w = 1: 16385 * 16381 is
+    # above 2^24, however few generator rows the code has
+    with pytest.raises(SearchTooLarge):
+        plan(16385, 4, 128, "exists", Caps(), 1)
+    # the [1540, 3] Denniston arc code over GF(512): 1540 * 1537 at w = 1,
+    # C(1540, 2) * 2 * 1537 at w = 2
+    assert plan(1540, 3, 512, "exists", Caps(), 1) == \
+        Plan("parity-check", 1540 * 1537)
+    with pytest.raises(SearchTooLarge):
+        plan(1540, 3, 512, "exists", Caps(), 2)
 
 
 def test_plan_words_tie_breaks():
-    # [4, 1] over GF(2), w = 1: enumeration (1 class * 4) ties the
-    # generator scan (4 * 1 * 1) and loses
-    assert plan(4, 1, 2, "words", Caps(), w=1) == Plan("generator", 4)
+    # [4, 1] over GF(2), w = 1: enumeration (1 class * 4) undercuts the
+    # rank scan and the join (4 * 3 each)
+    assert plan(4, 1, 2, "words", Caps(), w=1) == Plan("enumerate", 4)
     assert plan(4, 1, 2, "words", Caps(), w=2) == Plan("enumerate", 4)
-    # [4, 2] over GF(5), w = 3: the three older routes cost 24, the
-    # generator wins; the join costs (4 * 1 + 6 * 4 * 2) * 2 = 104
-    assert plan(4, 2, 5, "words", Caps(), w=3) == Plan("generator", 24)
-    # w = 2: the join, (4 + 4) per parity-check row, undercuts all three
+    # [4, 2] over GF(5), w = 3: enumeration (6 classes * 4) ties the rank
+    # scan (4 * 3 * 2) and loses; the join costs (4 * 1 + 6 * 4 * 2) * 2
+    assert plan(4, 2, 5, "words", Caps(), w=3) == Plan("parity-check", 24)
+    # w = 2: the join, (4 + 4) per parity-check row, undercuts both
     assert plan(4, 2, 5, "words", Caps(), w=2) == Plan("join", 16)
     assert plan(4, 3, 5, "words", Caps(), w=2) == Plan("join", 8)
-    assert plan(4, 2, 5, "exists", Caps(), w=2) == Plan("generator", 24)
+    assert plan(4, 2, 5, "exists", Caps(), w=2) == Plan("parity-check", 24)
     # a join that ties loses: [4, 2] over GF(3), w = 2, where it ties
     # enumeration at 16, and [4, 3] over GF(5), w = 1, where it ties the
     # parity-check scan at 4

@@ -207,7 +207,7 @@ def route(C, w):
 def code_roster():
     rng = random.Random(2024)
     codes = []
-    for _ in range(4):  # small k: generator-route scans
+    for _ in range(4):  # small k over GF(9) and GF(16)
         codes.append(random_code(rng, rng.choice([9, 16]),
                                  rng.randint(8, 10), 3))
     for _ in range(4):  # large k: parity-check-route scans
@@ -236,7 +236,7 @@ def test_word_counts_match_weight_distribution():
             assert len(words) * (q - 1) == wd[w], (C, w)
             assert words.shape[1] == C.n and words.dtype == np.int32
             assert in_dual(dual(C), words)
-    assert routes == {"enumerate", "generator", "parity-check", "join"}
+    assert routes == {"enumerate", "parity-check", "join"}
 
 
 def corrupted(W):
@@ -249,9 +249,9 @@ def corrupted(W):
 
 
 def record_kernel_scans(monkeypatch):
-    """Patch the numpy support scan to record what it reached: (route, nu)
-    for every nullity of a kernel basis, (route, "words") when a scan
-    returned words."""
+    """Patch the numpy support scan to record what it reached: every
+    nullity nu of a kernel basis, and "words" when a scan returned
+    words."""
     reached, nus = set(), []
     kernel, scan = code_core._batch_kernel, code_core._words_by_kernels
 
@@ -260,14 +260,13 @@ def record_kernel_scans(monkeypatch):
             nus.append(nu)
             yield nu, idx, basis
 
-    def recording_scan(C, w, use_gen_route, budget, tables, through=None):
+    def recording_scan(C, w, budget, tables, through=None):
         nus.clear()
-        route = "generator" if use_gen_route else "parity-check"
-        for words in scan(C, w, use_gen_route, budget, tables, through):
+        for words in scan(C, w, budget, tables, through):
             if len(words):
-                reached.add((route, "words"))
+                reached.add("words")
             yield words
-        reached.update((route, nu) for nu in nus)
+        reached.update(nus)
 
     monkeypatch.setattr(code_core, "_batch_kernel", counting_kernel)
     monkeypatch.setattr(code_core, "_words_by_kernels", recording_scan)
@@ -292,10 +291,9 @@ def test_numpy_paths_match_scalar_reference(monkeypatch):
         verdicts.append(in_dual(dual(C), bad))
         assert verdicts[-1] == ref.in_dual(dual(C), bad.tolist())
     assert False in verdicts  # some corrupted word left the dual
-    # nullity >= 2 on both routes (the k = n code on the parity-check
-    # route), and words found through the generator route
-    assert {("parity-check", 2), ("parity-check", 3), ("generator", 2),
-            ("parity-check", "words"), ("generator", "words")} <= reached
+    # dependency spaces of nullity 2 and 3 (the k = n code among them),
+    # and words found by the scan
+    assert {2, 3, "words"} <= reached
 
 
 @pytest.mark.parametrize("n, w, through", [
@@ -334,7 +332,7 @@ def test_restricted_scan_matches_filtered_full_scan():
                     (C, w, U)
                 if 0 < len(got) < len(full):
                     narrowed.add(route(C, w))
-    assert narrowed == {"enumerate", "generator", "parity-check", "join"}
+    assert narrowed == {"enumerate", "parity-check", "join"}
 
 
 @pytest.mark.parametrize("numpy_kernel", [True, False])
@@ -475,7 +473,7 @@ def mds_count(n, k, q, w):
 def test_large_fields_match_mds_formula(p, m):
     """GF(1024) and GF(729), whose sums go through xor and through Zech
     logarithms: the numpy kernels against the MDS weight formula and the
-    scalar reference, on both scan routes."""
+    scalar reference, on every route."""
     F = field_new(p, m)
     q = F.q
     rng = random.Random(q)
@@ -492,7 +490,7 @@ def test_large_fields_match_mds_formula(p, m):
             assert len(words) * (q - 1) == mds_count(4, C.k, q, w), (C, w)
             assert in_dual(dual(C), words)
             assert np.array_equal(words, ref.exact_weight_words(C, w)), (C, w)
-    assert routes == {"enumerate", "generator", "parity-check", "join"}
+    assert routes == {"enumerate", "parity-check", "join"}
     for C in (C2, C3):
         assert list(weight_distribution(C).counts) == [
             1] + [mds_count(4, C.k, q, w) for w in range(1, 5)]
@@ -564,14 +562,12 @@ def test_rref_numpy_matches_scalar(q, nrows, ncols, rank_cap):
 # the block split of the projective enumeration
 
 def all_words(C, tables):
-    """Every weight's words on the enumeration route and on the scan route
-    plan picks for an existence test, as sorted lists."""
+    """Every weight's words on the enumeration route and on the rank scan,
+    as sorted lists."""
     out = []
     for w in range(1, C.n + 1):
-        scan = plan(C.n, C.k, C.field.q, "exists", code_core.Caps(), w)
         for blocks in (_words_by_enumeration(C, w, tables),
-                       _words_by_kernels(C, w, scan.route == "generator",
-                                         1 << 24, tables)):
+                       _words_by_kernels(C, w, 1 << 24, tables)):
             W = np.concatenate([np.zeros((0, C.n), dtype=np.int32), *blocks])
             out.append(sorted(W.tolist()))
     return out
