@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 from .code_core import (
@@ -161,10 +162,19 @@ def _parse_params(tokens: list[str]) -> dict[str, str]:
 
 
 def _int(text: str, what: str) -> int:
+    """text as an int; the error names what and quotes at most 40
+    characters of text."""
     try:
         return int(text)
     except ValueError:
-        raise BadParameters(f"{what} must be an integer, got {text!r}") from None
+        pass
+    if re.fullmatch(r"\s*[+-]?\d+\s*", text):  # beyond int's digit limit
+        raise BadParameters(f"{what} has {len(text.strip().lstrip('+-'))} "
+                            f"digits, above the limit of "
+                            f"{sys.get_int_max_str_digits()}")
+    shown = repr(text) if len(text) <= 40 else \
+        f"{text[:40]!r}... ({len(text)} characters)"
+    raise BadParameters(f"{what} must be an integer, got {shown}")
 
 
 def _take_int(params: dict, key: str, default: int | None = None) -> int:
@@ -659,7 +669,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("repair-sets",
                         help="repair sets and reconstruction coefficients")
     _add_code_arguments(p)
-    p.add_argument("--coordinate", type=int, default=None,
+    p.add_argument("--coordinate", type=lambda t: _int(t, "--coordinate"),
+                   default=None,
                    help="restrict to one coordinate")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_repair_sets)

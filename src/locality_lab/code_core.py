@@ -26,8 +26,10 @@ ones reads a basis of each dependency space, whose classes with no zero
 entry on S are the words.  The syndrome join finds the words of one weight
 without ranking every w-subset: it keys the parity-check syndromes of the
 first and the last halves of each support and joins equal keys by one
-sort.  rref hands a single matrix to _eliminate from the measured
-crossover _RREF_NUMPY_MIN on.
+sort.  Both scans take the parity check and list only the words whose
+least support member is below a count u, a prefix of their subsets.  rref
+hands a single matrix to _eliminate from the measured crossover
+_RREF_NUMPY_MIN on.
 
 The words of one weight w are one int32 array of shape (m, n), one row per
 projective class, scaled to lead with 1 and sorted by support, then by
@@ -65,16 +67,16 @@ from __future__ import annotations
 
 import math
 import os
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice, product
+from itertools import combinations, islice, product, takewhile
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
     BadCoordinate,
+    CapExceeded,
     EnumerationTooLarge,
     FieldTooLarge,
     InconsistentInput,
@@ -176,8 +178,11 @@ def plan(n: int, k: int, q: int, goal: str, caps: Caps, w: int = 0) -> Plan:
         if other <= caps.enumeration:
             return Plan("dual", other)
         if goal == "distribution":
-            raise EnumerationTooLarge(f"neither side fits the caps: q^k = "
-                                      f"{own}, q^(n-k) = {other}")
+            # written as powers: q^(n-k) may have more digits than str
+            # converts
+            raise EnumerationTooLarge(
+                f"neither side fits the enum cap {caps.enumeration}: "
+                f"q^k = {q}^{k}, q^(n-k) = {q}^{n - k}")
         return Plan("scan", max((plan(n, k, q, "exists", caps, v).cost
                                  for v in range(1, w + 1)), default=0))
     best = Plan("parity-check", math.comb(n, w) * max(1, w) * max(1, n - k))
@@ -655,8 +660,15 @@ def zero_code(field: FieldSpec, n: int, label: str | None = None) -> LinearCode:
     return _build(field, n, [], label)
 
 
+# the largest dual generator dual writes out, in entries: its rows are
+# Python tuples, so a [8191, 13] code's dual, 66,985,998 entries, peaks
+# near 1 GB, and the next Hamming code's would need about 4 GB
+_DUAL_CELLS = 1 << 26
+
+
 def dual(C: LinearCode) -> LinearCode:
-    """The dual code, built once and cached on both codes.
+    """The dual code, built once and cached on both codes; one whose
+    generator would hold more than _DUAL_CELLS entries is refused first.
 
     The nullspace of the generator with its columns reversed, read back in
     reverse, is already reduced: the reversed reduction has zeros left of
@@ -665,6 +677,9 @@ def dual(C: LinearCode) -> LinearCode:
     if C._dual is not None:
         return C._dual
     F, n = C.field, C.n
+    if (n - C.k) * n > _DUAL_CELLS:
+        raise CapExceeded(f"dual generator {n - C.k} x {n} exceeds "
+                          f"{_DUAL_CELLS} entries")
     kernel = nullspace(F, [row[::-1] for row in C.gen], n)
     rows = tuple(tuple(v[::-1]) for v in reversed(kernel))
     D = LinearCode(F, n, rows, tuple(row.index(1) for row in rows),
@@ -858,36 +873,21 @@ def _words_by_enumeration(C: LinearCode, w: int, tables: _FieldArrays):
         yield V[0][:, keep].T
 
 
-def _subsets_through(n: int, w: int, through: list[int]):
-    """The w-subsets of range(n) that meet the ascending list through, each
-    once, as an ascending tuple: for each u of through, u with the
-    (w - 1)-subsets of the coordinates off through and those of through
-    above u, so u is the subset's least member of through."""
-    off = sorted(set(range(n)).difference(through))
-    for i, u in enumerate(through):
-        rest = sorted(off + through[i + 1:])
-        for T in combinations(rest, w - 1):
-            j = bisect_left(T, u)
-            yield T[:j] + (u,) + T[j:]
-
-
-def _deficient_blocks(C: LinearCode, w: int, tables: _FieldArrays,
-                      through: list[int] | None = None):
-    """The w-subsets S of coordinates, in lexicographic order, that hold the
-    support of some nonzero codeword: the columns of the parity check H on
-    S are dependent.  The w-subsets of a block are ranked together by
+def _deficient_blocks(H: np.ndarray, w: int, tables: _FieldArrays, u: int):
+    """The w-subsets S of the columns of the parity check H whose least
+    member is below u, in lexicographic order, that hold the support of
+    some nonzero codeword: the columns of H on S are dependent.  Those
+    subsets are the prefix of combinations(range(n), w) that meets the
+    first u columns.  The w-subsets of a block are ranked together by
     _batch_rank, and each block with a rank-deficient subset yields
     (S, K, nullity) for those subsets only, in order.  S[i] is the subset;
     K[i] is H[:, S[i]], whose kernel is the dependency space on S, and
-    nullity[i] is the dimension of that kernel.  Given the ascending list
-    through, only the w-subsets meeting it are scanned, in the order of
-    _subsets_through."""
-    n, H = C.n, dual(C).gen_array
+    nullity[i] is the dimension of that kernel."""
     # the stacks and the words on S of a block stay within _BLOCK_CELLS
     per_subset = max(1, len(H) * w, w * w)
     block = max(1, min(_SCAN_BLOCK, _BLOCK_CELLS // per_subset))
-    subsets = combinations(range(n), w) if through is None else \
-        _subsets_through(n, w, through)
+    subsets = takewhile(lambda S: S[0] < u,
+                        combinations(range(H.shape[1]), w))
     while chunk := list(islice(subsets, block)):
         S = np.array(chunk, dtype=np.intp).reshape(len(chunk), w)
         A = H[:, S].transpose(1, 0, 2)  # (subsets, n - k, w)
@@ -899,16 +899,16 @@ def _deficient_blocks(C: LinearCode, w: int, tables: _FieldArrays,
             yield S[hit], H[:, S[hit]].transpose(1, 0, 2), nullity[hit]
 
 
-def _words_by_kernels(C: LinearCode, w: int, budget: int,
-                      tables: _FieldArrays, through: list[int] | None = None):
+def _words_by_kernels(H: np.ndarray, w: int, budget: int,
+                      tables: _FieldArrays, u: int):
     """The support scan with table-driven numpy: the kernel bases of all
     rank-deficient subsets of a block come from one _batch_kernel pass, and
     the words on S are the classes of their spans with no zero entry.
-    Yields blocks of words of length n, each scaled to lead with 1; given
-    through, only the words whose support meets it."""
-    q, n = C.field.q, C.n
+    Yields blocks of the words of the code with parity check H whose least
+    support member is below u, each scaled to lead with 1."""
+    q, n = len(tables.inv), H.shape[1]
     spent = 0
-    for S, K, nullity in _deficient_blocks(C, w, tables, through):
+    for S, K, nullity in _deficient_blocks(H, w, tables, u):
         values, counts = np.unique(nullity, return_counts=True)
         spent += w * sum(c * ((q ** nu - 1) // (q - 1)) for nu, c in
                          zip(values.tolist(), counts.tolist()))
@@ -986,24 +986,24 @@ def _join_sorted(lkey, lpos, rkey, rpos):
             ri[order[is_right]])
 
 
-def _words_by_join(C: LinearCode, w: int, budget: int, tables: _FieldArrays,
-                   through: list[int] | None = None):
-    """The weight-w words of C by a collision of half-support syndromes
-    against the parity check H = dual(C).gen_array.  A word with support
-    S, scaled to lead with 1, splits into its first a = ceil(w/2)
-    coordinates T1, with coefficients leading with 1, and its last
-    b = floor(w/2), T2, with coefficients mu times a vector leading with 1:
-    H c = 0 says the two halves' syndromes s1, s2 agree up to scale,
-    s1 + mu s2 = 0.  So the half syndromes are keyed by their scaled form
-    and joined where max(T1) < min(T2); mu = -lambda1 / lambda2 for their
-    scales, and a pair of zero syndromes gives q - 1 words, one per mu
-    (one, when b = 0).  The left halves are taken in blocks; given
-    through, a left half meeting it joins every right half, and one
-    missing it only the right halves meeting it.  Each block's matched
-    words are charged w each against the budget before they are made.
-    Yields blocks of words of length n, each leading with 1."""
-    q, n = C.field.q, C.n
-    Ht = np.ascontiguousarray(dual(C).gen_array.T)  # column h_j is Ht[j]
+def _words_by_join(H: np.ndarray, w: int, budget: int, tables: _FieldArrays,
+                   u: int):
+    """The weight-w words of the code with parity check H whose least
+    support member is below u, by a collision of half-support syndromes.
+    A word with support S, scaled to lead with 1, splits into its first
+    a = ceil(w/2) coordinates T1, with coefficients leading with 1, and its
+    last b = floor(w/2), T2, with coefficients mu times a vector leading
+    with 1: H c = 0 says the two halves' syndromes s1, s2 agree up to
+    scale, s1 + mu s2 = 0.  So the half syndromes are keyed by their scaled
+    form and joined where max(T1) < min(T2); mu = -lambda1 / lambda2 for
+    their scales, and a pair of zero syndromes gives q - 1 words, one per
+    mu (one, when b = 0).  The least member of S is the least of T1, so
+    only the left halves that start below u are keyed, in blocks, each
+    joined with every right half.  Each block's matched words are charged
+    w each against the budget before they are made.  Yields blocks of
+    words, each leading with 1."""
+    q, n = len(tables.inv), H.shape[1]
+    Ht = np.ascontiguousarray(H.T)  # column h_j is Ht[j]
     a, b = (w + 1) // 2, w // 2
 
     def coefficients(size):  # every vector leading with 1, no zero entry
@@ -1011,87 +1011,84 @@ def _words_by_join(C: LinearCode, w: int, budget: int, tables: _FieldArrays,
                 for c in product(range(1, q), repeat=max(0, size - 1))]
         return np.array(rows, dtype=np.int32).reshape(len(rows), size)
 
-    def records(S, cf):  # key, scale, position and meets-through per record
-        key, scale = _syndrome_keys(tables, Ht, S, cf)
-        meets = np.zeros(len(S), dtype=bool) if through is None else \
-            np.isin(S, through).any(axis=1)
-        return key, scale, np.repeat(meets, len(cf))
-
     right_cf = coefficients(b)
     right_S = np.array(list(combinations(range(n), b)), dtype=np.intp
                        ).reshape(math.comb(n, b), b)
-    rkey, rscale, rmeets = records(right_S, right_cf)
+    rkey, rscale = _syndrome_keys(tables, Ht, right_S, right_cf)
     rpos = np.repeat(right_S[:, 0] if b else n, len(right_cf))  # min(T2)
-    rall = np.arange(len(rkey))
     left_cf = right_cf if a == b else coefficients(a)
     many = q - 1 if b else 1  # words of a pair of zero syndromes
     spent = 0
     block = max(1, _BLOCK_CELLS // max(1, len(left_cf) * Ht.shape[1]))
-    subsets = combinations(range(n), a)
+    subsets = takewhile(lambda T: T[0] < u, combinations(range(n), a))
     while chunk := list(islice(subsets, block)):
         left_S = np.array(chunk, dtype=np.intp).reshape(len(chunk), a)
-        lkey, lscale, lmeets = records(left_S, left_cf)
+        lkey, lscale = _syndrome_keys(tables, Ht, left_S, left_cf)
         lpos = np.repeat(left_S[:, -1], len(left_cf))  # max(T1)
-        joins = [(np.arange(len(lkey)), rall)] if through is None else \
-            [(np.nonzero(lmeets)[0], rall),
-             (np.nonzero(~lmeets)[0], np.nonzero(rmeets)[0])]
-        for lidx, ridx in joins:
-            lefts, lo, hi, rights = _join_sorted(lkey[lidx], lpos[lidx],
-                                                 rkey[ridx], rpos[ridx])
-            lefts, rights = lidx[lefts], ridx[rights]
-            counts = hi - lo
-            per_pair = np.where(lscale[lefts] == 0, many, 1)
-            spent += w * int((counts * per_pair).sum())
-            if spent > budget:
-                raise SearchTooLarge("syndrome join exceeded search cap")
-            # the pairs: left record li with right record ri
-            li = np.repeat(lefts, counts)
-            first = np.repeat(np.cumsum(counts) - counts, counts)
-            ri = rights[np.repeat(lo, counts) + np.arange(len(li)) - first]
-            mu = _vmul(tables, tables.neg[lscale[li]],
-                       tables.inv[rscale[ri]])
-            zero = mu == 0  # a pair of zero syndromes: one word per mu
-            li = np.r_[li[~zero], np.repeat(li[zero], many)]
-            ri = np.r_[ri[~zero], np.repeat(ri[zero], many)]
-            mu = np.r_[mu[~zero], np.tile(np.arange(1, many + 1),
-                                          np.count_nonzero(zero))]
-            rows = np.arange(len(li))[:, None]
-            W = np.zeros((len(li), n), dtype=np.int32)
-            W[rows, left_S[li // len(left_cf)]] = left_cf[li % len(left_cf)]
-            W[rows, right_S[ri // len(right_cf)]] = _vmul(
-                tables, mu[:, None], right_cf[ri % len(right_cf)])
-            yield W
+        lefts, lo, hi, rights = _join_sorted(lkey, lpos, rkey, rpos)
+        counts = hi - lo
+        per_pair = np.where(lscale[lefts] == 0, many, 1)
+        spent += w * int((counts * per_pair).sum())
+        if spent > budget:
+            raise SearchTooLarge("syndrome join exceeded search cap")
+        # the pairs: left record li with right record ri
+        li = np.repeat(lefts, counts)
+        first = np.repeat(np.cumsum(counts) - counts, counts)
+        ri = rights[np.repeat(lo, counts) + np.arange(len(li)) - first]
+        mu = _vmul(tables, tables.neg[lscale[li]], tables.inv[rscale[ri]])
+        zero = mu == 0  # a pair of zero syndromes: one word per mu
+        li = np.r_[li[~zero], np.repeat(li[zero], many)]
+        ri = np.r_[ri[~zero], np.repeat(ri[zero], many)]
+        mu = np.r_[mu[~zero], np.tile(np.arange(1, many + 1),
+                                      np.count_nonzero(zero))]
+        rows = np.arange(len(li))[:, None]
+        W = np.zeros((len(li), n), dtype=np.int32)
+        W[rows, left_S[li // len(left_cf)]] = left_cf[li % len(left_cf)]
+        W[rows, right_S[ri // len(right_cf)]] = _vmul(
+            tables, mu[:, None], right_cf[ri % len(right_cf)])
+        yield W
 
 
 def exact_weight_words(C: LinearCode, w: int, caps: Caps | None = None,
                        through: list[int] | None = None) -> np.ndarray:
     """All weight-w codewords of C, one per projective class, as one int32
-    array of shape (m, n), (0, n) when there are none; given the ascending
-    list through, only those whose support meets it.  Each row is scaled
-    to lead with 1 and has exactly w nonzero entries, so word_supports
-    reads the supports off it.  The rows are sorted by support, then by
-    word: two words on one support differ only on it, so every route
-    returns the same array.  The route is plan's "words" route: an
-    enumeration of C, the rank scan of the w-subsets of the columns of the
-    parity check, or the syndrome join, priced at (C(n, a)
-    (q-1)^(a-1) a + C(n, b) (q-1)^(b-1) b) (n - k) for the halves
-    a = ceil(w/2), b = floor(w/2).  The route and its price are those of
-    the full search, through or not."""
+    array of shape (m, n), (0, n) when there are none; given through, a
+    list of coordinates checked as puncture checks its coordinates, only
+    those whose support meets it.  Each row is scaled to lead with 1 and
+    has exactly w nonzero entries, so word_supports reads the supports off
+    it.  The rows are sorted by support, then by word: two words on one
+    support differ only on it, so every route returns the same array.  The
+    route is plan's "words" route: an enumeration of C, the rank scan of
+    the w-subsets of the columns of the parity check, or the syndrome
+    join, priced at (C(n, a) (q-1)^(a-1) a + C(n, b) (q-1)^(b-1) b) (n - k)
+    for the halves a = ceil(w/2), b = floor(w/2).  The route and its price
+    are those of the full search, through or not.  An enumeration filters
+    its words by through; a scan gets the parity check with the u
+    coordinates of through moved to the front, where the supports that
+    meet them are those whose least member is below u, and its words are
+    moved back and scaled to lead with 1 again."""
     caps = _caps(caps)
     n, k = C.n, C.k
+    if through is not None:
+        through = _check_coords(C, through)
+    W = np.zeros((0, n), dtype=np.int32)
     if k == 0 or w == 0 or w > n:
-        return np.zeros((0, n), dtype=np.int32)
+        return W
     route = plan(n, k, C.field.q, "words", caps, w).route
     tables = _numpy_field_tables(C.field)
     if route == "enumerate":
-        blocks = _words_by_enumeration(C, w, tables)
-    elif route == "join":
-        blocks = _words_by_join(C, w, caps.search, tables, through)
+        W = np.concatenate([W, *_words_by_enumeration(C, w, tables)])
+        if through is not None:
+            W = W[W[:, through].any(axis=1)]
     else:
-        blocks = _words_by_kernels(C, w, caps.search, tables, through)
-    W = np.concatenate([np.zeros((0, n), dtype=np.int32), *blocks])
-    if through is not None and route == "enumerate":
-        W = W[W[:, through].any(axis=1)]
+        kernel = _words_by_join if route == "join" else _words_by_kernels
+        H, u = dual(C).gen_array, n
+        if through is not None:
+            order = np.argsort(~np.isin(np.arange(n), through), kind="stable")
+            H, u = H[:, order], len(through)
+        W = np.concatenate([W, *kernel(H, w, caps.search, tables, u)])
+        if through is not None:
+            W = _lead_with_one(tables, W[:, np.argsort(order)])
     S = word_supports(W, w)
     keys = np.hstack([S.astype(np.int32), np.take_along_axis(W, S, axis=1)])
     return W[np.lexsort(keys[:, ::-1].T)]
@@ -1101,7 +1098,8 @@ def _has_words_of_weight_at_most(C: LinearCode, w: int, caps: Caps) -> bool:
     """Existence test: some w columns of the parity check are dependent;
     raises SearchTooLarge when plan prices the scan beyond the cap."""
     plan(C.n, C.k, C.field.q, "exists", caps, w)
-    scan = _deficient_blocks(C, w, _numpy_field_tables(C.field))
+    scan = _deficient_blocks(dual(C).gen_array, w,
+                             _numpy_field_tables(C.field), C.n)
     return next(scan, None) is not None
 
 

@@ -377,6 +377,22 @@ def test_analyze_trivial_code_is_not_a_cap_skip(capsys):
 # ---------------------------------------------------------------------------
 # errors
 
+SEVENS = "7" * 5000
+# numbers beyond int's 4,300-digit limit, and a long non-number: the error
+# names the parameter instead of echoing the text
+OVERSIZED = [
+    (("analyze", "hamming", f"q={SEVENS}", "m=2"), "parameter 'q' has 5000"),
+    (("repair-sets", "hamming", "q=2", "m=3", "--coordinate", SEVENS),
+     "--coordinate has 5000"),
+    (("validate-oval", "q=8", f"f=monomial:{SEVENS}"),
+     "monomial exponent has 5000"),
+    (("analyze", "hamming", "q=2", "m=3", "--designs", f"{SEVENS}:3"),
+     "design strength t has 5000"),
+    (("analyze", "hamming", f"q=abc{SEVENS}", "m=2"),
+     "parameter 'q' must be an integer, got 'abc777"),
+]
+
+
 @pytest.mark.parametrize("argv", [
     ("analyze", "nonsense"),
     ("analyze", "hamming", "q=3"),            # missing m
@@ -406,11 +422,19 @@ def test_analyze_trivial_code_is_not_a_cap_skip(capsys):
     ("table", "3"),
     ("analyze",),
     ("repair-sets", "hamming", "q=2", "m=3", "--coordinate", "x"),
+    *(argv for argv, _ in OVERSIZED),
 ])
 def test_error_paths_exit_1(capsys, argv):
     rc, out, err = run(capsys, *argv)
     assert (rc, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) <= 200
+
+
+@pytest.mark.parametrize("argv, name", OVERSIZED)
+def test_oversized_numbers_name_their_parameter(capsys, argv, name):
+    rc, _, err = run(capsys, *argv)
+    assert rc == 1 and err.startswith(f"error: {name}")
 
 
 @pytest.mark.parametrize("params, message", [
@@ -424,6 +448,11 @@ def test_error_paths_exit_1(capsys, argv):
     (("hamming", "q=2", "m=99999"), "length 2^64 or more exceeds 65536"),
     (("grm-punctured", "q=2", "ell=1", "m=5000"),
      "length 2^64 or more exceeds 65536"),
+    # duals whose generator, written out, would take gigabytes
+    (("hamming", "q=2", "m=14"),
+     "dual generator 16369 x 16383 exceeds 67108864 entries"),
+    (("ovoid-elliptic", "q=128", "--dual"),
+     "dual generator 16381 x 16385 exceeds 67108864 entries"),
 ])
 def test_oversize_parameters_are_refused_before_arithmetic(capsys, params,
                                                            message):

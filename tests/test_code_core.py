@@ -38,6 +38,7 @@ from locality_lab.code_core import (
 )
 from locality_lab.errors import (
     BadCoordinate,
+    CapExceeded,
     EnumerationTooLarge,
     InconsistentInput,
     NonIntegerOutput,
@@ -170,6 +171,22 @@ def test_dual_eliminates_only_the_generator(monkeypatch):
     D = dual(ovoid_code(elliptic_quadric(32)))
     assert (D.n, D.k) == (1025, 1021)
     assert rows and set(rows) == {4}
+
+
+def test_dual_too_large_to_store_is_refused_before_it_is_built(monkeypatch):
+    # the dual of the [4, 1] repetition code has a 3 x 4 generator
+    C = from_generator(F2, [[1, 1, 1, 1]])
+    eliminations = []
+    monkeypatch.setattr(code_core, "rref",
+                        lambda *args: eliminations.append(args))
+    monkeypatch.setattr(code_core, "_DUAL_CELLS", 11)
+    with pytest.raises(CapExceeded,
+                       match=r"^dual generator 3 x 4 exceeds 11 entries$"):
+        dual(C)
+    assert not eliminations and C._dual is None
+    monkeypatch.undo()
+    monkeypatch.setattr(code_core, "_DUAL_CELLS", 12)
+    assert (dual(C).n, dual(C).k) == (4, 3)
 
 
 def test_in_dual_makes_no_elimination(monkeypatch):

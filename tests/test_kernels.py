@@ -3,7 +3,7 @@ its scalar reference in scalar_reference.py."""
 
 import math
 import random
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 import pytest
@@ -33,8 +33,8 @@ from locality_lab.code_core import (
     weight_distribution,
     zero_code,
 )
-from locality_lab.errors import (FieldTooLarge, LocalityInvariantBroken,
-                                 SearchTooLarge)
+from locality_lab.errors import (BadCoordinate, FieldTooLarge,
+                                 LocalityInvariantBroken, SearchTooLarge)
 from locality_lab.constructions import grm
 from locality_lab.gf import field_new, quadratic_extension
 
@@ -260,9 +260,9 @@ def record_kernel_scans(monkeypatch):
             nus.append(nu)
             yield nu, idx, basis
 
-    def recording_scan(C, w, budget, tables, through=None):
+    def recording_scan(H, w, budget, tables, u):
         nus.clear()
-        for words in scan(C, w, budget, tables, through):
+        for words in scan(H, w, budget, tables, u):
             if len(words):
                 reached.add("words")
             yield words
@@ -299,14 +299,24 @@ def test_numpy_paths_match_scalar_reference(monkeypatch):
 @pytest.mark.parametrize("n, w, through", [
     (1, 1, [0]), (5, 1, [2, 4]), (5, 5, [0]), (5, 5, [0, 1, 2, 3, 4]),
     (6, 3, [0]), (6, 3, [5]), (6, 3, [1, 2, 3, 4, 5]), (7, 4, [0, 3, 6]),
-    (7, 2, []), (8, 4, [1, 2, 5, 6, 7]), (9, 8, [3, 4]),
+    (7, 2, []), (8, 4, [1, 2, 5, 6, 7]), (9, 8, [3, 4]), (9, 4, [7, 2, 7]),
 ])
-def test_subsets_through_meet_through_once(n, w, through):
-    got = list(code_core._subsets_through(n, w, through))
-    assert all(S == tuple(sorted(set(S))) for S in got)  # ascending tuples
-    assert len(got) == len(set(got))
-    assert set(got) == {S for S in combinations(range(n), w)
-                        if set(S) & set(through)}
+def test_rank_scan_ranks_only_the_subsets_through(monkeypatch, n, w, through):
+    """The rank scan ranks each w-subset meeting through once and no
+    other: C(n, w) - C(n - u, w) of them for the u distinct coordinates of
+    through."""
+    ranked = []
+    rank = code_core._batch_rank
+
+    def counting_rank(tables, A):
+        ranked.append(len(A))
+        return rank(tables, A)
+
+    monkeypatch.setattr(code_core, "_batch_rank", counting_rank)
+    C = random_code(random.Random(n * w), 3, n, max(1, n - 3))
+    words_by("parity-check", C, w, through)
+    u = len(set(through))
+    assert sum(ranked) == math.comb(n, w) - math.comb(n - u, w)
 
 
 def through_sets(rng, n):
@@ -318,9 +328,13 @@ def through_sets(rng, n):
 
 def test_restricted_scan_matches_filtered_full_scan():
     """The words through U are the rows of the full scan whose support
-    meets U, on every route, as in the scalar reference filtered alike."""
+    meets U, on every route, as in the scalar reference filtered alike;
+    U unsorted and with a repeated coordinate gives the same array.  Some
+    word of each scan leads, in the order of C, at a coordinate outside U
+    with an entry the scan, which led with 1 on U, has to rescale."""
     rng = random.Random(14)
     narrowed = set()  # routes on which some U dropped some but not all words
+    rescaled = set()
     for C in code_roster():
         for w in range(1, C.n + 1):
             full = exact_weight_words(C, w)
@@ -330,9 +344,30 @@ def test_restricted_scan_matches_filtered_full_scan():
                 assert np.array_equal(got, full[full[:, U].any(axis=1)])
                 assert np.array_equal(got, slow[slow[:, U].any(axis=1)]), \
                     (C, w, U)
+                shuffled = rng.sample(U, len(U)) + [U[-1]]
+                assert np.array_equal(
+                    exact_weight_words(C, w, through=shuffled), got)
                 if 0 < len(got) < len(full):
                     narrowed.add(route(C, w))
+                first_on_U = (got[:, U] != 0).argmax(axis=1)  # U is ascending
+                if (got[np.arange(len(got)), np.array(U)[first_on_U]]
+                        != 1).any():
+                    rescaled.add(route(C, w))
     assert narrowed == {"enumerate", "parity-check", "join"}
+    assert {"parity-check", "join"} <= rescaled
+
+
+@pytest.mark.parametrize("kernel", ["enumerate", "parity-check", "join"])
+def test_through_is_checked_on_every_route(kernel):
+    """A coordinate outside [0, n) is refused, on every route, and a
+    repeated one counts once."""
+    C = random_code(random.Random(23), 4, 7, 4)
+    for bad in ([C.n], [-1], [0, C.n]):
+        with pytest.raises(BadCoordinate):
+            words_by(kernel, C, 3, bad)
+    once, _ = words_by(kernel, C, 3, [0])
+    assert len(once)
+    assert np.array_equal(words_by(kernel, C, 3, [0, 0])[0], once)
 
 
 @pytest.mark.parametrize("numpy_kernel", [True, False])
@@ -567,7 +602,8 @@ def all_words(C, tables):
     out = []
     for w in range(1, C.n + 1):
         for blocks in (_words_by_enumeration(C, w, tables),
-                       _words_by_kernels(C, w, 1 << 24, tables)):
+                       _words_by_kernels(dual(C).gen_array, w, 1 << 24,
+                                         tables, C.n)):
             W = np.concatenate([np.zeros((0, C.n), dtype=np.int32), *blocks])
             out.append(sorted(W.tolist()))
     return out
