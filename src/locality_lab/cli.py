@@ -565,9 +565,7 @@ def _run_table_row(label, q, build, claimed, d_mark, k_mark, caps):
     try:
         # priced on the claimed parameters, so hopeless rows skip unbuilt
         plan(n_c, k_c, q, "distance", caps, w=d_c)
-        plan(n_c, n_c - k_c, q, "distance", caps, w=r_c + 1)
-        for w in range(1, r_c + 2):
-            plan(n_c, n_c - k_c, q, "words", caps, w)
+        plan(n_c, k_c, q, "locality", caps, w=r_c + 1)
         C = build()
         d = minimum_distance(C, caps)
         r = minimum_linear_locality(C, caps).r_min
@@ -690,15 +688,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _shortened(exc: Exception) -> str:
+    """exc's message with each run of more than 40 digits, such as a
+    parameter Python reads but no loop could use, cut to its first 20 and
+    its length."""
+    return re.sub(r"\d{41,}", lambda m: f"{m[0][:20]}... ({len(m[0])} digits)",
+                  str(exc))
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except CapExceeded as exc:
-        print(f"error (cap): {exc}", file=sys.stderr)
+        print(f"error (cap): {_shortened(exc)}", file=sys.stderr)
         return 2
     except LocalityLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_shortened(exc)}", file=sys.stderr)
         return 1
 
 

@@ -170,7 +170,14 @@ def plan(n: int, k: int, q: int, goal: str, caps: Caps, w: int = 0) -> Plan:
     the syndromes of the halves of size a = ceil(w/2) and b = floor(w/2),
     the field operations that build them, (C(n, a) (q-1)^(a-1) a + C(n, b)
     (q-1)^(b-1) b) per parity-check row; each only when strictly cheaper
-    than the routes before it."""
+    than the routes before it.
+    "locality" with locality w - 1 claimed: the dual's "distance" up to w,
+    then its "words" at each weight up to w, in that order; the costliest
+    of these plans."""
+    if goal == "locality":
+        return max([plan(n, n - k, q, "distance", caps, w)]
+                   + [plan(n, n - k, q, "words", caps, v)
+                      for v in range(1, w + 1)], key=lambda p: p.cost)
     if goal in ("distribution", "distance"):
         own, other = q ** k, q ** (n - k)
         if own <= min(other, caps.enumeration):

@@ -7,14 +7,15 @@ Each job has one implementation: code_core._projective_span walks the
 points of PG(m-1, q) as the classes of the span of the identity;
 _code_with_zeros builds BCH and punctured generalized Reed-Muller codes
 alike from their zero sets, one minimal polynomial per cyclotomic coset
-(MacWilliams and Sloane, ch. 7); _code_from_columns builds and checks
-every code whose generator columns are a point set.
+(MacWilliams and Sloane, ch. 7); _code_from_columns builds every code
+whose generator columns are a point set.
 
-Every constructor validates its own output: lengths and dimensions always,
-minimum distance whenever code_core.plan prices it within the caps.
-Lengths above MAX_LENGTH are refused before any loop.  Point-set
-builders (ovoids, arcs) return explicit point sets so the exhaustive
-geometric validators can be run separately.
+Every builder that claims parameters returns through _checked, which
+labels the code and checks its length, its dimension and, whenever
+code_core.plan prices it within the caps, its minimum distance.  Lengths
+above MAX_LENGTH are refused before any loop.  Point-set builders (ovoids,
+arcs) return explicit point sets so the exhaustive geometric validators
+can be run separately.
 """
 
 from __future__ import annotations
@@ -84,16 +85,25 @@ def _length_power(q: int, m: int) -> int:
     return q ** m
 
 
-def _assert_distance(C: LinearCode, d: int, error_cls) -> None:
-    """Verify the advertised minimum distance when plan prices it in caps."""
+def _checked(C: LinearCode, label: str, n: int, k: int, d: int | None,
+             error_cls) -> LinearCode:
+    """C, labelled label, refused with error_cls unless it is [n, k] with
+    minimum distance d; d is verified when plan prices it within the caps,
+    and never when it is None."""
+    C.label = label
+    if (C.n, C.k) != (n, k):
+        raise error_cls(f"{label} came out [{C.n}, {C.k}], "
+                        f"expected [{n}, {k}]")
+    if d is None:
+        return C
     try:
-        plan(C.n, C.k, C.field.q, "distance", Caps.from_env(), w=d)
+        plan(n, k, C.field.q, "distance", Caps.from_env(), w=d)
     except CapExceeded:
-        return
+        return C
     actual = minimum_distance(C)
     if actual != d:
-        raise error_cls(
-            f"{C!r} has minimum distance {actual}, expected {d}")
+        raise error_cls(f"{C!r} has minimum distance {actual}, expected {d}")
+    return C
 
 
 # ---------------------------------------------------------------------------
@@ -118,12 +128,9 @@ def hamming(q: int, m: int) -> LinearCode:
     n = (_length_power(q, m) - 1) // (q - 1)
     _check_length(n)
     pts = projective_point_list(field, m)
-    C = from_parity_check(field, list(zip(*pts)), label=f"hamming({q},{m})")
-    if (C.n, C.k) != (n, n - m):
-        raise ConstructionInvariantBroken(
-            "hamming constructor produced wrong parameters")
-    _assert_distance(C, 3, ConstructionInvariantBroken)
-    return C
+    label = f"hamming({q},{m})"  # also names the dual built beside it
+    return _checked(from_parity_check(field, list(zip(*pts)), label=label),
+                    label, n, n - m, 3, ConstructionInvariantBroken)
 
 
 def simplex(q: int, m: int) -> LinearCode:
@@ -203,13 +210,8 @@ def bch(q: int, n: int, delta: int, h: int) -> LinearCode:
 
 
 def ternary_golay() -> LinearCode:
-    C = bch(3, 11, 2, 1)
-    if (C.n, C.k) != (11, 6):
-        raise ConstructionInvariantBroken(
-            "ternary Golay constructor produced wrong parameters")
-    _assert_distance(C, 5, ConstructionInvariantBroken)
-    C.label = "ternary-golay"
-    return C
+    return _checked(bch(3, 11, 2, 1), "ternary-golay", 11, 6, 5,
+                    ConstructionInvariantBroken)
 
 
 # ---------------------------------------------------------------------------
@@ -259,22 +261,16 @@ def grm_punctured(q: int, ell: int, m: int) -> LinearCode:
     n = _length_power(q, m) - 1
     _check_length(n)
     bound = (q - 1) * m - ell
-    C = _code_with_zeros(field, n, [j for j in range(1, n)
-                                    if q_weight(j, q, m) < bound],
-                         f"grm-punctured({q},{ell},{m})")
-    if C.k != grm_dimension(q, ell, m):
-        raise ConstructionInvariantBroken(
-            "punctured code dimension disagrees with the closed form")
-    return C
+    zeros = [j for j in range(1, n) if q_weight(j, q, m) < bound]
+    label = f"grm-punctured({q},{ell},{m})"
+    return _checked(_code_with_zeros(field, n, zeros, label), label, n,
+                    grm_dimension(q, ell, m), None, ConstructionInvariantBroken)
 
 
 def grm(q: int, ell: int, m: int) -> LinearCode:
-    C = extend(grm_punctured(q, ell, m))
-    C.label = f"grm({q},{ell},{m})"
-    if C.k != grm_dimension(q, ell, m):
-        raise ConstructionInvariantBroken("dimension disagrees with the closed form")
-    _assert_distance(C, grm_distance(q, ell, m), ConstructionInvariantBroken)
-    return C
+    return _checked(extend(grm_punctured(q, ell, m)), f"grm({q},{ell},{m})",
+                    q ** m, grm_dimension(q, ell, m), grm_distance(q, ell, m),
+                    ConstructionInvariantBroken)
 
 
 # ---------------------------------------------------------------------------
@@ -366,14 +362,9 @@ def tits_ovoid(q: int) -> PointSet:
 
 def _code_from_columns(field: FieldSpec, cols, label: str, n: int, k: int,
                        d: int, error_cls) -> LinearCode:
-    """The code generated by the columns cols, refused with error_cls unless
-    it is [n, k] with minimum distance d (checked when plan prices it)."""
-    C = from_generator(field, list(zip(*cols)), label=label)
-    if (C.n, C.k) != (n, k):
-        raise error_cls(f"{label} came out [{C.n}, {C.k}], "
-                        f"expected [{n}, {k}]")
-    _assert_distance(C, d, error_cls)
-    return C
+    """The code generated by the columns cols, through _checked."""
+    return _checked(from_generator(field, list(zip(*cols))), label, n, k, d,
+                    error_cls)
 
 
 def is_ovoid(ps: PointSet, caps: Caps | None = None) -> bool:

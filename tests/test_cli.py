@@ -20,6 +20,7 @@ from locality_lab import cli, constructions
 from locality_lab.cli import SKIPPED, _bundle_exit, _dumps, main
 from locality_lab.code_core import CAPS_ENV_VAR, load_matrix
 from locality_lab.constructions import ternary_golay
+from locality_lab.errors import SearchTooLarge
 
 
 def run(capsys, *argv):
@@ -392,6 +393,28 @@ OVERSIZED = [
      "parameter 'q' must be an integer, got 'abc777"),
 ]
 
+SEVENS_READ = "7" * 4000
+# numbers Python reads, whose refusals echo them: each error line shows at
+# most 20 of their digits, as is done for every run of more than 40
+LONG_NUMBERS = [
+    ("repair-sets", "hamming", "q=2", "m=3", "--coordinate", SEVENS_READ),
+    ("analyze", "hamming", "q=2", "m=3", "--designs", f"{SEVENS_READ}:3"),
+    ("analyze", "hamming", "q=2", f"m=-{SEVENS_READ}"),
+    ("analyze", "simplex", "q=2", f"m=-{SEVENS_READ}"),
+    ("analyze", "bch", "q=2", "n=7", f"delta={SEVENS_READ}"),
+    ("analyze", "grm", "q=2", f"ell={SEVENS_READ}", "m=3"),
+    ("analyze", "oval-code-gf", f"q={SEVENS_READ}", "f=segre"),
+    ("analyze", "arc-denniston", "q=16", f"h={SEVENS_READ}"),
+    ("analyze", "cyclic", "q=2", "n=7", f"g=1,{SEVENS_READ}"),
+    ("validate-oval", "q=8", f"f=monomial:-{SEVENS_READ}"),
+    ("analyze", "ovoid-tits", f"q={SEVENS_READ}"),
+    ("analyze", "ovoid-elliptic", f"q=-{SEVENS_READ}"),
+    (f"{CAPS_ENV_VAR}=enum:{SEVENS_READ}x", "construct", "hamming", "q=2",
+     "m=3"),
+    (f"{CAPS_ENV_VAR}=enum:2^{SEVENS_READ}", "construct", "hamming", "q=2",
+     "m=3"),
+]
+
 
 @pytest.mark.parametrize("argv", [
     ("analyze", "nonsense"),
@@ -423,8 +446,12 @@ OVERSIZED = [
     ("analyze",),
     ("repair-sets", "hamming", "q=2", "m=3", "--coordinate", "x"),
     *(argv for argv, _ in OVERSIZED),
+    *LONG_NUMBERS,
 ])
-def test_error_paths_exit_1(capsys, argv):
+def test_error_paths_exit_1(capsys, monkeypatch, argv):
+    if argv[0].startswith(f"{CAPS_ENV_VAR}="):  # an environment entry
+        monkeypatch.setenv(CAPS_ENV_VAR, argv[0].partition("=")[2])
+        argv = argv[1:]
     rc, out, err = run(capsys, *argv)
     assert (rc, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -435,6 +462,16 @@ def test_error_paths_exit_1(capsys, argv):
 def test_oversized_numbers_name_their_parameter(capsys, argv, name):
     rc, _, err = run(capsys, *argv)
     assert rc == 1 and err.startswith(f"error: {name}")
+
+
+def test_long_numbers_are_shortened_in_error_lines(capsys):
+    rc, out, err = run(capsys, *LONG_NUMBERS[0])
+    assert (rc, out) == (1, "")
+    assert err == ("error: coordinate 77777777777777777777... (4000 digits) "
+                   "outside [0, 7)\n")
+    # the rule is one for both error lines, and spares 40 digits
+    assert cli._shortened(SearchTooLarge(f"cost {'9' * 41} > {'8' * 40}")) \
+        == f"cost 99999999999999999999... (41 digits) > {'8' * 40}"
 
 
 @pytest.mark.parametrize("params, message", [
@@ -714,6 +751,8 @@ def test_table_two_flags_known_discrepancy(capsys, monkeypatch):
 
 @pytest.mark.parametrize("only", ["q=32", "s=5"])
 def test_table_skips_rows_before_building_them(capsys, monkeypatch, only):
+    # without the pre-flight, s=5 would build its [33, 27] code and scan
+    # weights 1 to 5 before the weight-6 price hit the cap
     def unbuildable(*args):
         raise RuntimeError("a row priced beyond the caps was built")
 

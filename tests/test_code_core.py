@@ -11,6 +11,7 @@ import scalar_reference as ref
 from hypothesis import given, settings, strategies as st
 
 from locality_lab import code_core
+from locality_lab.cli import _table_rows
 from locality_lab.code_core import (
     Caps,
     LinearCode,
@@ -563,6 +564,48 @@ def test_plan_prices_a_distance_scan_one_weight_at_a_time():
         plan(31, 26, 2, "distance", caps, w=3)
     with pytest.raises(SearchTooLarge):
         plan(31, 26, 2, "distance", Caps(enumeration=16, search=4649), w=2)
+
+
+def _priced(price):
+    """price(), or the type and message of the cap error it raises."""
+    try:
+        return price()
+    except CapExceeded as exc:
+        return type(exc), str(exc)
+
+
+def _dual_pricing_as_statements(n, k, q, caps, w):
+    """The "locality" goal written out as the statements it replaced in the
+    table pre-flight, returning the costliest plan they price."""
+    plans = [plan(n, n - k, q, "distance", caps, w=w)]
+    for v in range(1, w + 1):
+        plans.append(plan(n, n - k, q, "words", caps, v))
+    return max(plans, key=lambda p: p.cost)
+
+
+_LOCALITY_CAPS = [Caps(), Caps(enumeration=2 ** 10, search=2 ** 16),
+                  Caps(enumeration=2 ** 30, search=2 ** 36)]
+
+
+@pytest.mark.parametrize("caps", _LOCALITY_CAPS, ids=repr)
+def test_plan_locality_prices_every_table_claim_as_its_statements(caps):
+    claims = {(q, claimed) for which in (1, 2)
+              for _, q, _, claimed, _, _ in _table_rows(which)}
+    assert len(claims) == 31
+    for q, (n, k, _, r) in sorted(claims):
+        assert _priced(lambda: plan(n, k, q, "locality", caps, w=r + 1)) == \
+            _priced(lambda: _dual_pricing_as_statements(n, k, q, caps, r + 1))
+
+
+@pytest.mark.parametrize("caps", _LOCALITY_CAPS, ids=repr)
+def test_plan_locality_prices_random_codes_as_its_statements(caps):
+    rng = random.Random(2024)
+    for _ in range(400):
+        q = rng.choice((2, 3, 4, 5, 8, 9, 16, 32))
+        n = rng.randint(1, 80)
+        k, w = rng.randint(0, n), rng.randint(0, 12)
+        assert _priced(lambda: plan(n, k, q, "locality", caps, w=w)) == \
+            _priced(lambda: _dual_pricing_as_statements(n, k, q, caps, w))
 
 
 def test_plan_exists_at_the_search_cap():

@@ -50,6 +50,7 @@ from locality_lab.constructions import (
 )
 from locality_lab.errors import (
     BadParameters,
+    ConstructionInvariantBroken,
     FamilyUnavailableForParameters,
     FieldTooLarge,
     GcdNotOne,
@@ -439,6 +440,31 @@ def test_point_sets_of_the_wrong_rank_name_their_code():
     with pytest.raises(NotMaximalArc,
                        match=r"arc\(8,1\) came out \[1, 1\], expected \[1, 3\]"):
         arc_code(PointSet(F8, 2, ((0, 0, 1),)))
+
+
+@pytest.mark.parametrize("name, wrong, build, message", [
+    # one parity-check row too few
+    ("from_parity_check",
+     lambda real: lambda f, rows, label=None: real(f, rows[1:], label),
+     lambda: hamming(2, 3), "hamming(2,3) came out [7, 5], expected [7, 4]"),
+    # zeros beta and beta^2, in two cyclotomic cosets of size 5
+    ("bch", lambda real: lambda q, n, delta, h: real(q, n, 3, h),
+     ternary_golay, "ternary-golay came out [11, 1], expected [11, 6]"),
+    ("grm_dimension", lambda real: lambda q, ell, m: real(q, ell, m) + 1,
+     lambda: grm_punctured(2, 1, 3),
+     "grm-punctured(2,1,3) came out [7, 4], expected [7, 5]"),
+    # a punctured code of one order up, which passes its own check
+    ("grm_punctured", lambda real: lambda q, ell, m: real(q, ell + 1, m),
+     lambda: grm(2, 1, 3), "grm(2,1,3) came out [8, 7], expected [8, 4]"),
+], ids=["hamming", "ternary-golay", "grm-punctured", "grm"])
+def test_builders_refuse_a_wrong_dimension_by_name(monkeypatch, name, wrong,
+                                                   build, message):
+    # every builder's claim goes through one check with one message
+    monkeypatch.setattr(constructions, name,
+                        wrong(getattr(constructions, name)))
+    with pytest.raises(ConstructionInvariantBroken) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def test_arc_parameter_validation():

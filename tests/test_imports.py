@@ -1,4 +1,5 @@
-"""Every name a package module imports is used there or re-exported."""
+"""Every name a package module imports is used there or re-exported, and
+no package module has an assert statement."""
 
 import ast
 from pathlib import Path
@@ -49,3 +50,21 @@ def test_the_check_sees_an_unused_import():
     tree = ast.parse("from x import a, b\nimport c.d\n"
                      "def f(y: b) -> None:\n    return c.d\n")
     assert set(_imported(tree)) - _used(tree) == {"a"}
+
+
+def _asserts(tree: ast.Module) -> list[int]:
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # python -O strips them, and every invariant check must still run
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = _asserts(tree)
+    assert not lines, f"{path.name} has assert statements on lines {lines}"
+
+
+def test_the_check_sees_an_assert():
+    tree = ast.parse("def f(x):\n    if x:\n        assert x > 1, x\n")
+    assert _asserts(tree) == [3]
