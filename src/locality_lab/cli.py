@@ -93,57 +93,61 @@ def _key(k) -> str:
                     f"not {k.__class__.__name__}")
 
 
-def _dumps(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
+def _json_text(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for byte.
 
-    With ``indent`` set, ``json.dumps`` always runs its pure-Python encoder
-    (the C encoder writes single-line output only), one generator step per
-    token.  An ``analyze --json`` report repeats each repair support in the
-    option list of every coordinate it covers, so that encoder dominated
-    the run.  Here each container is one ``str.join``; a list whose
-    elements are all exactly ``int`` is one more join over ``int.__repr__``
-    and, as an element of a list, is rendered once per list object and
-    depth (``kept`` holds each memoised list, so its ``id`` stays valid).
-    Floats and unsupported values go to ``json.dumps`` without indent, so
-    their text and their ``TypeError`` are its own.  ``obj`` must be
-    acyclic.
+    With ``indent`` set, ``json.dumps`` runs its pure-Python encoder, one
+    generator step per token, and an ``analyze --json`` report repeats each
+    repair support in the option list of every coordinate it covers.  Here
+    every token goes to one list of pieces and one ``str.join`` builds the
+    text: no container's text exists beside its parent's, so a 20 MB report
+    is built once, not again at each level of nesting above it.  A list or
+    tuple of exactly ``int`` elements is one piece, rendered once per object
+    and depth (``kept`` holds each memoised object, so its ``id`` stays
+    valid).  Other scalars go to ``json.dumps`` without indent, so their
+    text and their ``TypeError`` are its own.  ``obj`` must be acyclic.
     """
-    memo = {}  # (id(list), indent) -> text, for int lists only
-    kept = []
+    parts, memo, kept = [], {}, []  # memo: (id, indent) -> int list text
+    add, get = parts.append, memo.get
 
     def enc(o, indent):
         if isinstance(o, str):
-            return _encode_str(o)
-        if o is None:
-            return "null"
-        if o is True:
-            return "true"
-        if o is False:
-            return "false"
-        if isinstance(o, int):
-            return int.__repr__(o)
-        if not isinstance(o, (list, tuple, dict)):
-            return json.dumps(o)
-        inner = indent + "  "
-        sep = ",\n" + inner
-        if isinstance(o, (list, tuple)):
-            if not o:
-                return "[]"
-            if set(map(type, o)) == {int}:
+            add(_encode_str(o))
+        elif isinstance(o, int) and type(o) is not bool:
+            add(int.__repr__(o))
+        elif not isinstance(o, (list, tuple, dict)):
+            add(json.dumps(o))
+        elif not o:
+            add("{}" if isinstance(o, dict) else "[]")
+        else:
+            inner = indent + "  "
+            sep = ",\n" + inner
+            if isinstance(o, dict):
+                add("{\n" + inner)
+                for k, v in sorted(o.items()):
+                    add(_encode_str(_key(k)) + ": ")
+                    enc(v, inner)
+                    add(sep)
+                parts[-1] = "\n" + indent + "}"
+            elif set(map(type, o)) == {int}:
                 text = f"[\n{inner}{sep.join(map(int.__repr__, o))}\n{indent}]"
                 memo[id(o), indent] = text
                 kept.append(o)
-                return text
-            get = memo.get
-            body = sep.join([get((id(v), inner)) or enc(v, inner) for v in o])
-            return f"[\n{inner}{body}\n{indent}]"
-        if not o:
-            return "{}"
-        body = sep.join([f"{_encode_str(_key(k))}: {enc(v, inner)}"
-                         for k, v in sorted(o.items())])
-        return f"{{\n{inner}{body}\n{indent}}}"
+                add(text)
+            else:
+                add("[\n" + inner)
+                for v in o:
+                    text = get((id(v), inner))
+                    if text is None:
+                        enc(v, inner)
+                    else:
+                        add(text)
+                    add(sep)
+                parts[-1] = "\n" + indent + "]"
 
-    return enc(obj, "")
+    enc(obj, "")
+    add("\n")
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +261,6 @@ def _resolve(args) -> LinearCode:
 # ---------------------------------------------------------------------------
 # analyze
 
-def _sparse_wd(wd) -> dict[str, int]:
-    return {str(w): c for w, c in enumerate(wd.counts) if c}
-
-
 def _design_args(requests: list[str]) -> list[tuple[int, int]]:
     out = []
     for item in requests:
@@ -285,7 +285,9 @@ def _analysis_bundle(C: LinearCode, identity: dict, caps: Caps | None,
     except CapExceeded:
         bundle["d"] = SKIPPED
     try:
-        bundle["weight_distribution"] = _sparse_wd(weight_distribution(C, caps))
+        wd = weight_distribution(C, caps)
+        bundle["weight_distribution"] = {str(w): c for w, c in
+                                         enumerate(wd.counts) if c}
     except CapExceeded:
         bundle["weight_distribution"] = SKIPPED
     try:
@@ -297,16 +299,12 @@ def _analysis_bundle(C: LinearCode, identity: dict, caps: Caps | None,
     except TrivialCode:
         trivial_note = "undefined: trivial code"
         bundle["locality"] = trivial_note
-    if d is not None and r is not None:
-        bundle["llrc"] = llrc_string(C.n, C.k, d, C.q(), r)
-    else:
-        bundle["llrc"] = trivial_note if d is not None and trivial_note else SKIPPED
+    known = d is not None and r is not None
+    missing = trivial_note if d is not None and trivial_note else SKIPPED
+    bundle["llrc"] = llrc_string(C.n, C.k, d, C.q(), r) if known else missing
     if want_bounds:
-        if d is not None and r is not None:
-            bundle["bounds"] = bounds_report(C, r, caps).to_json()
-        else:
-            bundle["bounds"] = (trivial_note
-                                if d is not None and trivial_note else SKIPPED)
+        bundle["bounds"] = (bounds_report(C, r, caps).to_json() if known
+                            else missing)
     designs = []
     for t, w in design_requests:
         try:
@@ -340,27 +338,23 @@ def _print_bundle(bundle, out) -> None:
     print(f"llrc: {bundle['llrc']}", file=out)
     loc = bundle["locality"]
     if isinstance(loc, dict):
-        print(f"locality: r_min={loc['r_min']} w_star={loc['w_star']} "
-              f"d_dual={loc['d_dual']} "
-              f"is_dperp_minus_1={loc['is_dperp_minus_1']}", file=out)
-    else:
-        print(f"locality: {loc}", file=out)
+        loc = (f"r_min={loc['r_min']} w_star={loc['w_star']} "
+               f"d_dual={loc['d_dual']} "
+               f"is_dperp_minus_1={loc['is_dperp_minus_1']}")
+    print(f"locality: {loc}", file=out)
     wd = bundle["weight_distribution"]
     if isinstance(wd, dict):
-        terms = " ".join(f"{w}:{c}" for w, c in
-                         sorted(wd.items(), key=lambda kv: int(kv[0])))
-        print(f"weight_distribution: {terms}", file=out)
-    else:
-        print(f"weight_distribution: {wd}", file=out)
+        wd = " ".join(f"{w}:{c}" for w, c in
+                      sorted(wd.items(), key=lambda kv: int(kv[0])))
+    print(f"weight_distribution: {wd}", file=out)
     bounds = bundle.get("bounds")
     if isinstance(bounds, dict):
-        print("bounds: "
-              f"singleton_like_rhs={bounds['singleton_like_rhs']} "
-              f"d_optimal={bounds['d_optimal']} "
-              f"almost_d_optimal={bounds['almost_d_optimal']} "
-              f"cm_rhs_ub={bounds['cm_rhs_ub']} "
-              f"k_optimal_certified={bounds['k_optimal_certified']}", file=out)
-    elif bounds is not None:
+        bounds = (f"singleton_like_rhs={bounds['singleton_like_rhs']} "
+                  f"d_optimal={bounds['d_optimal']} "
+                  f"almost_d_optimal={bounds['almost_d_optimal']} "
+                  f"cm_rhs_ub={bounds['cm_rhs_ub']} "
+                  f"k_optimal_certified={bounds['k_optimal_certified']}")
+    if bounds is not None:
         print(f"bounds: {bounds}", file=out)
     for entry in bundle.get("designs", ()):
         if "status" in entry:
@@ -382,7 +376,7 @@ def cmd_analyze(args) -> int:
                 "dual": bool(args.dual)}
     bundle = _analysis_bundle(C, identity, None, args.bounds, designs)
     if args.json:
-        print(_dumps(bundle))
+        sys.stdout.write(_json_text(bundle))
     else:
         _print_bundle(bundle, sys.stdout)
     return _bundle_exit(bundle)
@@ -422,7 +416,8 @@ def cmd_repair_sets(args) -> int:
         rows.append({"coordinate": i, "repair_set": list(support),
                      "coefficients": {str(j): u for j, u in sorted(coeffs.items())}})
     if args.json:
-        print(_dumps({"r_min": report.r_min, "repair_sets": rows}))
+        sys.stdout.write(_json_text({"r_min": report.r_min,
+                                     "repair_sets": rows}))
     else:
         print(f"r_min = {report.r_min}")
         for row in rows:
@@ -462,7 +457,7 @@ def cmd_validate_oval(args) -> int:
         exponents = [i for i, c in enumerate(candidate.coeffs) if c]
     result = {"q": q, "f": text, "exponents": exponents, "valid": valid}
     if args.json:
-        print(_dumps(result))
+        sys.stdout.write(_json_text(result))
     else:
         terms = " + ".join(f"x^{e}" for e in exponents)
         print(f"{terms} over GF({q}): "
@@ -596,7 +591,7 @@ def cmd_table(args) -> int:
             f"no row of table {args.which} matches --only {args.only!r}")
     rows = [_run_table_row(*row, caps) for row in table]
     if args.json:
-        print(_dumps(rows))
+        sys.stdout.write(_json_text(rows))
     else:
         fmt = "{:<36} {:>18} {:>18} {:>10} {:>10}  {}"
         print(fmt.format("row", "claimed(n,k,d;r)", "computed", "d_opt",

@@ -174,6 +174,10 @@ def plan(n: int, k: int, q: int, goal: str, caps: Caps, w: int = 0) -> Plan:
     "locality" with locality w - 1 claimed: the dual's "distance" up to w,
     then its "words" at each weight up to w, in that order; the costliest
     of these plans."""
+    goals = ("distribution", "distance", "exists", "words", "locality")
+    if goal not in goals:
+        raise InconsistentInput(f"unknown plan goal {goal!r}; choose from "
+                                f"{', '.join(goals)}")
     if goal == "locality":
         return max([plan(n, n - k, q, "distance", caps, w)]
                    + [plan(n, n - k, q, "words", caps, v)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from locality_lab import cli, constructions
-from locality_lab.cli import SKIPPED, _bundle_exit, _dumps, main
+from locality_lab.cli import SKIPPED, _bundle_exit, _json_text, main
 from locality_lab.code_core import CAPS_ENV_VAR, load_matrix
 from locality_lab.constructions import ternary_golay
 from locality_lab.errors import SearchTooLarge
@@ -34,6 +34,11 @@ def run(capsys, *argv):
 
 def _reference(obj):
     return json.dumps(obj, sort_keys=True, indent=2)
+
+
+def _text(obj):
+    """What the CLI writes for obj: _reference(obj) and one newline."""
+    return _reference(obj) + "\n"
 
 
 _strings = st.one_of(
@@ -58,7 +63,7 @@ _values = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(_values)
 def test_dumps_matches_json_dumps(obj):
-    assert _dumps(obj) == _reference(obj)
+    assert _json_text(obj) == _text(obj)
 
 
 @settings(max_examples=100, deadline=None)
@@ -66,7 +71,7 @@ def test_dumps_matches_json_dumps(obj):
 def test_dumps_renders_a_shared_object_at_each_depth(obj, shared):
     # one object at depths 1, 2 and 4, and twice at depth 3
     nested = [shared, [shared], {"a": [shared, shared], "b": [[shared]]}, obj]
-    assert _dumps(nested) == _reference(nested)
+    assert _json_text(nested) == _text(nested)
 
 
 @settings(max_examples=50, deadline=None)
@@ -75,7 +80,27 @@ def test_dumps_renders_a_shared_object_at_each_depth(obj, shared):
     st.dictionaries(st.floats(allow_nan=False), st.none(), max_size=4),
     st.dictionaries(st.booleans(), st.text(max_size=3), max_size=2)))
 def test_dumps_writes_non_string_keys_as_json_dumps(obj):
-    assert _dumps(obj) == _reference(obj)
+    assert _json_text(obj) == _text(obj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(
+    st.lists(st.integers(), min_size=1, max_size=4).map(tuple),
+    st.dictionaries(_strings, _values, max_size=3),
+    _strings), max_size=8))
+def test_json_text_mixes_memoised_int_tuples_with_other_elements(items):
+    # each int tuple is memoised; the dicts and strings beside it in the
+    # same list take the per-element path
+    shared = (3, -1, 2 ** 70)
+    obj = [shared, *items, shared, {"t": shared}]
+    assert _json_text(obj) == _text(obj)
+
+
+def test_json_text_renders_a_shared_int_tuple_at_two_depths():
+    t = (0, 5, 9)
+    obj = [t, [t, t], t, [[t], t], "x", t]
+    # depths 1, 2 and 3 of one list: one memo entry per depth
+    assert _json_text(obj) == _text(obj)
 
 
 @pytest.mark.parametrize("obj", [
@@ -84,7 +109,7 @@ def test_dumps_writes_non_string_keys_as_json_dumps(obj):
     {"b": 1, "a": [1, 2], "": None}, {None: 1}, 7, "x", 1.5, None, True,
 ])
 def test_dumps_edge_values(obj):
-    assert _dumps(obj) == _reference(obj)
+    assert _json_text(obj) == _text(obj)
 
 
 @pytest.mark.parametrize("obj", [
@@ -93,7 +118,7 @@ def test_dumps_edge_values(obj):
 ])
 def test_dumps_rejects_what_json_dumps_rejects(obj):
     with pytest.raises(TypeError) as ours:
-        _dumps(obj)
+        _json_text(obj)
     with pytest.raises(TypeError) as theirs:
         _reference(obj)
     assert str(ours.value) == str(theirs.value)
@@ -132,7 +157,7 @@ def test_cli_json_is_json_dumps_output(capsys, monkeypatch, argv, status,
     monkeypatch.delenv(CAPS_ENV_VAR, raising=False)
     rc, out, _ = run(capsys, *argv.split())
     assert rc == status
-    assert out == _reference(json.loads(out)) + "\n"
+    assert out == _text(json.loads(out))
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

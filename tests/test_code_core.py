@@ -655,6 +655,16 @@ def test_plan_words_tie_breaks():
         plan(4, 2, 5, "words", Caps(search=15), w=2)
 
 
+@pytest.mark.parametrize("goal", ["nonsense", "Words", ""])
+def test_plan_refuses_an_unknown_goal(goal):
+    with pytest.raises(InconsistentInput) as exc:
+        plan(13, 10, 3, goal, Caps(), 2)
+    message = str(exc.value)
+    assert repr(goal) in message
+    for known in ("distribution", "distance", "exists", "words", "locality"):
+        assert known in message
+
+
 # ---------------------------------------------------------------------------
 # minimum distance strategies
 
