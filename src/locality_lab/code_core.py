@@ -20,15 +20,18 @@ q - 1 words of one weight, give its weight distribution (or the dual's,
 followed by the MacWilliams transform), and its words of weight w when it
 is small.  minimum_distance reads d off a distribution or scans weights
 upward.  _eliminate eliminates a stack of matrices.  The support scan
-stacks the submatrices H[:, S] of the parity check of a block of w-subsets
-S and ranks them in one pass; a Gauss-Jordan pass over the rank-deficient
-ones reads a basis of each dependency space, whose classes with no zero
-entry on S are the words.  The syndrome join finds the words of one weight
-without ranking every w-subset: it keys the parity-check syndromes of the
-first and the last halves of each support and joins equal keys by one
-sort.  Both scans take the parity check and list only the words whose
-least support member is below a count u, a prefix of their subsets.  rref
-hands a single matrix to _eliminate from the measured crossover
+walks the w-subsets S of the columns of the parity check H depth first by
+their prefixes, each holding the residuals of the columns modulo the span
+of its own, so adding a column is one rank-1 update and a subset is
+dependent when the residual of its last column is zero or its prefix was;
+a Gauss-Jordan pass over the stacked H[:, S] of the dependent ones reads a
+basis of each dependency space, whose classes with no zero entry on S are
+the words.  The syndrome join finds the words of one weight without
+testing every w-subset: it keys the parity-check syndromes of the first
+and the last halves of each support and joins equal keys by one sort.
+Both scans take the parity check and list only the words whose least
+support member is below a count u, a prefix of their subsets.  rref hands
+a single matrix to _eliminate from the measured crossover
 _RREF_NUMPY_MIN on.
 
 The words of one weight w are one int32 array of shape (m, n), one row per
@@ -165,7 +168,8 @@ def plan(n: int, k: int, q: int, goal: str, caps: Caps, w: int = 0) -> Plan:
     side.  A distance that fits neither side will "scan" weight after
     weight, each priced as "exists"; the weights up to w are priced now.
     "exists", "words" at weight w: rank the w-subsets of the columns of the
-    "parity-check" matrix, C(n, w) * w per row; "words" may instead
+    "parity-check" matrix, C(n, w) * w per row (its prefix walk updates
+    about price * n / (n - w + 1) residual entries); "words" may instead
     "enumerate" the (q^k - 1)/(q - 1) projective classes, n each, or "join"
     the syndromes of the halves of size a = ceil(w/2) and b = floor(w/2),
     the field operations that build them, (C(n, a) (q-1)^(a-1) a + C(n, b)
@@ -222,8 +226,6 @@ _RREF_NUMPY_MIN = 1 << 13
 # every stack handed to the numpy kernels holds at most this many entries
 # (1 MB), or one matrix or vector per basis when those alone are larger
 _BLOCK_CELLS = 1 << 18
-# subsets per block of the support scan: an early hit ends an existence scan
-_SCAN_BLOCK = 4096
 
 
 def _lanes(w: int) -> int:
@@ -328,20 +330,17 @@ def _vadd(t: _FieldArrays, a, b) -> np.ndarray:
     return t.exp[log_a + t.zech[t.log[b] - log_a + t.zero]]
 
 
-def _eliminate(tables, A: np.ndarray, jordan: bool):
-    """Gaussian elimination of every matrix in the stack A of shape
+def _eliminate(tables, A: np.ndarray):
+    """Gauss-Jordan elimination of every matrix in the stack A of shape
     (B, rows, cols) at once (A may be overwritten).  Returns the eliminated
     rows, flattened so that row b * rows + i is row i of A[b], and the
     (B, cols) array holding the flat index of the pivot row of each column,
     -1 where a column has no pivot.  Each pivot row is swapped up to the
     first free row of its matrix, so the pivot rows of A[b] are its first
-    rows, in column order.
-
-    Without jordan only the rank is meaningful: a pivot clears its column
-    from the free rows.  With jordan each pivot row is scaled to lead
-    with 1 and clears its column from every other row, so a pivot row read
-    at the non-pivot columns is the row of the reduced echelon form there
-    (entries at the pivot columns are left stale)."""
+    rows, in column order.  Each pivot row is scaled to lead with 1 and
+    clears its column from every other row, so a pivot row read at the
+    non-pivot columns is the row of the reduced echelon form there (entries
+    at the pivot columns are left stale)."""
     nb, nrows, ncols = A.shape
     pivot = np.full((nb, ncols), -1, dtype=np.intp)
     flat = A.reshape(nb * nrows, ncols)
@@ -365,20 +364,15 @@ def _eliminate(tables, A: np.ndarray, jordan: bool):
         left -= hit.size
         top[hit] += 1
         pivot[hit, c] = dst
-        if jordan:
-            flat[dst, c:] = _vmul(tables, tables.inv[flat[dst, c]][:, None],
-                                  flat[dst, c:])
-            nonzero[dst] = False
-            rows = np.nonzero(nonzero)[0]
-            rows = rows[pivot[rows // nrows, c] >= 0]  # matrices with a pivot
-        else:
-            rows = np.nonzero(nonzero & free)[0]
+        flat[dst, c:] = _vmul(tables, tables.inv[flat[dst, c]][:, None],
+                              flat[dst, c:])
+        nonzero[dst] = False
+        rows = np.nonzero(nonzero)[0]
+        rows = rows[pivot[rows // nrows, c] >= 0]  # matrices with a pivot
         if rows.size:
             # columns up to c are done; only later columns are updated
             slot = np.searchsorted(hit, rows // nrows)  # the matrix's pivot
             f = tables.neg[flat[rows, c]]
-            if not jordan:
-                f = _vmul(tables, f, tables.inv[flat[dst[slot], c]])
             P = flat[dst, c + 1:]
             if hit.size > 1:  # else one pivot row, broadcast to every row
                 P = P[slot]
@@ -389,13 +383,6 @@ def _eliminate(tables, A: np.ndarray, jordan: bool):
     return flat, pivot
 
 
-def _batch_rank(tables, A: np.ndarray) -> np.ndarray:
-    """Rank of every matrix in the stack A of shape (B, rows, cols), by one
-    Gaussian elimination over the whole stack (A may be overwritten)."""
-    _, pivot = _eliminate(tables, A, jordan=False)
-    return np.count_nonzero(pivot >= 0, axis=1)
-
-
 def _batch_kernel(tables, A: np.ndarray):
     """Kernel bases {v : M v = 0} of every matrix M in the stack A of shape
     (B, rows, cols), read off one Gauss-Jordan pass over the stack (A may be
@@ -403,7 +390,7 @@ def _batch_kernel(tables, A: np.ndarray):
     A[idx] have nullity nu and basis[i] is the (nu, cols) basis of the
     kernel of A[idx[i]], the same basis as nullspace returns."""
     nb, _, ncols = A.shape
-    flat, pivot = _eliminate(tables, A, jordan=True)
+    flat, pivot = _eliminate(tables, A)
     is_pivot = pivot >= 0
     nullity = ncols - np.count_nonzero(is_pivot, axis=1)
     for nu in np.unique(nullity).tolist():
@@ -530,7 +517,7 @@ def rref(field: FieldSpec, rows: list[list[int]]) -> tuple[list[list[int]], list
     if (len(rows) * ncols * min(len(rows), ncols) >= _RREF_NUMPY_MIN
             and field.q <= DLOG_CAP):
         flat, pivot = _eliminate(_numpy_field_tables(field),
-                                 np.array(rows, dtype=np.int32)[None], True)
+                                 np.array(rows, dtype=np.int32)[None])
         pivots = np.nonzero(pivot[0] >= 0)[0]
         red = flat[:len(pivots)]  # the pivot rows, in column order
         red[:, pivots] = np.eye(len(pivots), dtype=np.int32)  # stale entries
@@ -889,25 +876,56 @@ def _deficient_blocks(H: np.ndarray, w: int, tables: _FieldArrays, u: int):
     member is below u, in lexicographic order, that hold the support of
     some nonzero codeword: the columns of H on S are dependent.  Those
     subsets are the prefix of combinations(range(n), w) that meets the
-    first u columns.  The w-subsets of a block are ranked together by
-    _batch_rank, and each block with a rank-deficient subset yields
-    (S, K, nullity) for those subsets only, in order.  S[i] is the subset;
-    K[i] is H[:, S[i]], whose kernel is the dependency space on S, and
-    nullity[i] is the dimension of that kernel."""
-    # the stacks and the words on S of a block stay within _BLOCK_CELLS
-    per_subset = max(1, len(H) * w, w * w)
-    block = max(1, min(_SCAN_BLOCK, _BLOCK_CELLS // per_subset))
-    subsets = takewhile(lambda S: S[0] < u,
-                        combinations(range(H.shape[1]), w))
-    while chunk := list(islice(subsets, block)):
-        S = np.array(chunk, dtype=np.intp).reshape(len(chunk), w)
-        A = H[:, S].transpose(1, 0, 2)  # (subsets, n - k, w)
-        if A.shape[2] > A.shape[1]:
-            A = A.transpose(0, 2, 1)  # fewer columns, fewer kernel steps
-        nullity = w - _batch_rank(tables, A)
-        hit = np.nonzero(nullity)[0]
-        if hit.size:
-            yield S[hit], H[:, S[hit]].transpose(1, 0, 2), nullity[hit]
+    first u columns.  Yields (S, K, nullity) for those subsets only, a
+    block at a time: S[i] is the subset; K[i] is H[:, S[i]], whose kernel
+    is the dependency space on S, and nullity[i] is its dimension.
+
+    A depth-first walk over the prefixes P of the subsets, each holding its
+    nullity and the residuals R of the columns of H modulo span(H[:, P]),
+    zero at the pivot rows chosen so far, so zero exactly on the span.
+    Adding a column with residual v adds [v = 0] to the nullity and, below
+    the last level, subtracts R[:, p] v / v[p] from R, for the first
+    nonzero row p of v (nothing when v = 0, as inv[0] = 0).  Each stack of
+    children's residuals, and each K, holds at most a quarter of
+    _BLOCK_CELLS entries, or one parent's children when those are more."""
+    r, n = H.shape
+    cols = np.arange(n)
+
+    def walk(S, R, N):  # prefixes S (m, t), residuals R (m, n, r), nullities N
+        t = S.shape[1]
+        last = S[:, -1] if t else np.full(1, -1)
+        hi = n - w + t + 1 if t else min(u, n - w + 1)  # next column below hi
+        count = np.maximum(0, hi - 1 - last)  # children per parent
+        ends = np.cumsum(count)
+        room = _BLOCK_CELLS // 4 // (max(1, r, w) * w if t == w - 1
+                                     else max(1, n * r))
+        a = 0
+        while a < len(S):
+            b = max(a + 1, int(np.searchsorted(ends, ends[a] - count[a] + room,
+                                                side="right")))
+            p, j = np.nonzero((cols > last[a:b, None]) & (cols < hi))
+            p += a
+            a = b
+            v = R[p, j]  # the residuals of the columns added
+            children = np.column_stack([S[p], j])
+            nullity = N[p] + ~v.any(axis=1)
+            if t == w - 1:
+                hit = nullity > 0
+                if hit.any():
+                    D = children[hit]
+                    yield D, H[:, D].transpose(1, 0, 2), nullity[hit]
+                continue
+            Rc = R[p]
+            if r:  # a parity check with no rows leaves nothing to reduce
+                lead = (v != 0).argmax(axis=1)
+                v = _vmul(tables, tables.neg[v],
+                          tables.inv[v[np.arange(len(v)), lead]][:, None])
+                Rc = _vadd(tables, Rc, _vmul(tables, R[p, :, lead][:, :, None],
+                                             v[:, None, :]))
+            yield from walk(children, Rc, nullity)
+
+    yield from walk(np.zeros((1, 0), dtype=np.intp), H.T[None],
+                    np.zeros(1, dtype=np.intp))
 
 
 def _words_by_kernels(H: np.ndarray, w: int, budget: int,

@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from locality_lab import code_core
 from locality_lab.code_core import (
     _batch_kernel,
-    _batch_rank,
+    _deficient_blocks,
+    _eliminate,
     _enumerated_distribution,
     _lead_with_one,
     _numpy_field_tables,
@@ -63,7 +64,7 @@ def scalar_rank(F, matrix):
 
 
 # ---------------------------------------------------------------------------
-# batched rank against scalar rref
+# the pivot count of batched elimination against scalar rref
 
 @st.composite
 def stacks(draw):
@@ -93,7 +94,8 @@ def stacks(draw):
 def check_batch_rank(q, stack, shape):
     F = field(q)
     A = np.array(stack, dtype=np.int32).reshape(shape)
-    got = _batch_rank(_numpy_field_tables(F), A)
+    _, pivot = _eliminate(_numpy_field_tables(F), A)
+    got = np.count_nonzero(pivot >= 0, axis=1)
     assert got.tolist() == [scalar_rank(F, m) for m in stack]
 
 
@@ -302,21 +304,85 @@ def test_numpy_paths_match_scalar_reference(monkeypatch):
     (7, 2, []), (8, 4, [1, 2, 5, 6, 7]), (9, 8, [3, 4]), (9, 4, [7, 2, 7]),
 ])
 def test_rank_scan_ranks_only_the_subsets_through(monkeypatch, n, w, through):
-    """The rank scan ranks each w-subset meeting through once and no
+    """The rank scan tests each w-subset meeting through once and no
     other: C(n, w) - C(n - u, w) of them for the u distinct coordinates of
-    through."""
-    ranked = []
-    rank = code_core._batch_rank
+    through.  The walk the scan runs is rerun on a zero parity check of the
+    same shape, where every subset it tests at the last level is
+    deficient, so it yields exactly the subsets it tests."""
+    tested = []
+    walk = code_core._deficient_blocks
 
-    def counting_rank(tables, A):
-        ranked.append(len(A))
-        return rank(tables, A)
+    def counting_walk(H, w, tables, u):
+        for S, _, _ in walk(np.zeros_like(H), w, tables, u):
+            tested.extend(map(tuple, S.tolist()))
+        yield from walk(H, w, tables, u)
 
-    monkeypatch.setattr(code_core, "_batch_rank", counting_rank)
+    monkeypatch.setattr(code_core, "_deficient_blocks", counting_walk)
     C = random_code(random.Random(n * w), 3, n, max(1, n - 3))
     words_by("parity-check", C, w, through)
     u = len(set(through))
-    assert sum(ranked) == math.comb(n, w) - math.comb(n - u, w)
+    assert len(tested) == len(set(tested))
+    assert len(tested) == math.comb(n, w) - math.comb(n - u, w)
+    # through is moved to the front: its coordinates are the first u columns
+    assert all(S[0] < u for S in tested)
+
+
+@pytest.mark.parametrize("cells", [None, 1, 1 << 11])
+def test_walk_matches_scalar_deficient_subsets(monkeypatch, cells):
+    """_deficient_blocks against scalar_reference.deficient_subsets and a
+    scalar rank per subset, over every field, r = 0 to 5 parity-check rows,
+    u from 0 to n and w up to beyond r, at the default block budget, at
+    one that holds a single parent per chunk and at one that splits the
+    larger levels; no stack the walk makes exceeds a quarter of the budget,
+    or one parent's children when those alone are larger."""
+    if cells is not None:
+        monkeypatch.setattr(code_core, "_BLOCK_CELLS", cells)
+    sizes = []
+    vmul, vadd = code_core._vmul, code_core._vadd
+
+    def recording(op):
+        def recorded(*args):
+            out = op(*args)
+            sizes.append(np.size(out))
+            return out
+        return recorded
+
+    monkeypatch.setattr(code_core, "_vmul", recording(vmul))
+    monkeypatch.setattr(code_core, "_vadd", recording(vadd))
+    rng = random.Random(26)
+    reached = set()
+    for q in sorted(FIELDS):
+        F = field(q)
+        tables = _numpy_field_tables(F)
+        for r in range(6):
+            n = rng.randint(r + 1, max(r + 2, 7))
+            C = random_code(rng, q, n, n - r)
+            H = dual(C).gen_array
+            for w in range(1, n + 1):
+                want = list(ref.deficient_subsets(C, w))
+                for u in sorted({0, rng.randint(1, n), n}):
+                    sizes.clear()
+                    got, nullities = [], []
+                    for S, K, nullity in _deficient_blocks(H, w, tables, u):
+                        assert np.array_equal(K, H[:, S].transpose(1, 0, 2))
+                        sizes.append(K.size)
+                        got.extend(map(tuple, S.tolist()))
+                        nullities.extend(nullity.tolist())
+                    assert got == [S for S in want if S[0] < u], (q, r, w, u)
+                    assert nullities == [
+                        w - scalar_rank(F, [[row[j] for row in H.tolist()]
+                                            for j in S]) for S in got]
+                    # a residual stack below the last level, or a K at it,
+                    # per child; a parent has at most n - w + 1 children
+                    per_child = max(n * r if w > 1 else 0, max(1, r, w) * w)
+                    bound = max(code_core._BLOCK_CELLS // 4,
+                                (n - w + 1) * per_child)
+                    assert max(sizes, default=0) <= bound
+                    if got and w > r:
+                        reached.add("w > r")
+                    if max(nullities, default=0) > 1:
+                        reached.add("nullity > 1")
+    assert reached == {"w > r", "nullity > 1"}
 
 
 def through_sets(rng, n):
