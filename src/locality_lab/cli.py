@@ -21,6 +21,7 @@ import functools
 import json
 import re
 import sys
+import warnings
 
 from .code_core import (
     Caps,
@@ -692,15 +693,18 @@ def _shortened(exc: Exception) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
-    except CapExceeded as exc:
-        print(f"error (cap): {_shortened(exc)}", file=sys.stderr)
-        return 2
-    except LocalityLabError as exc:
-        print(f"error: {_shortened(exc)}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():  # each as one line, no path or source
+        warnings.showwarning = lambda message, *_: print(
+            f"warning: {message}", file=sys.stderr)
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        except CapExceeded as exc:
+            print(f"error (cap): {_shortened(exc)}", file=sys.stderr)
+            return 2
+        except LocalityLabError as exc:
+            print(f"error: {_shortened(exc)}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -9,30 +9,30 @@ each code as the other's dual; a code given by a parity check is the dual
 of the code the check generates, and a shortening is the dual of the
 dual's puncturing.
 
-One planner, plan, chooses every route and prices it in the units the caps
-count.  Work beyond a cap raises the cap's error before it starts; nothing
-is silently truncated.
+One planner, plan, chooses the route to each of its four goals and prices
+it in the units the caps count.  Work beyond a cap raises the cap's error
+before it starts; nothing is silently truncated.
 
 Each job has one numpy kernel, and every stack handed to one holds at most
 _BLOCK_CELLS entries.  _projective_span enumerates a span, one vector per
 projective class: the (q^k - 1)/(q - 1) classes of a code, each holding
 q - 1 words of one weight, give its weight distribution (or the dual's,
 followed by the MacWilliams transform), and its words of weight w when it
-is small.  minimum_distance reads d off a distribution or scans weights
-upward.  _eliminate eliminates a stack of matrices.  The support scan
-walks the w-subsets S of the columns of the parity check H depth first by
-their prefixes, each holding the residuals of the columns modulo the span
-of its own, so adding a column is one rank-1 update and a subset is
-dependent when the residual of its last column is zero or its prefix was;
-a Gauss-Jordan pass over the stacked H[:, S] of the dependent ones reads a
-basis of each dependency space, whose classes with no zero entry on S are
-the words.  The syndrome join finds the words of one weight without
-testing every w-subset: it keys the parity-check syndromes of the first
-and the last halves of each support and joins equal keys by one sort.
-Both scans take the parity check and list only the words whose least
-support member is below a count u, a prefix of their subsets.  rref hands
-a single matrix to _eliminate from the measured crossover
-_RREF_NUMPY_MIN on.
+is small.  minimum_distance reads d off a distribution or asks
+exact_weight_words for the words of each weight upward.  _eliminate
+eliminates a stack of matrices.  The support scan walks the w-subsets S of
+the columns of the parity check H depth first by their prefixes, each
+holding the residuals of the columns modulo the span of its own, so adding
+a column is one rank-1 update and a subset is dependent when the residual
+of its last column is zero or its prefix was; a Gauss-Jordan pass over the
+stacked H[:, S] of the dependent ones reads a basis of each dependency
+space, whose classes with no zero entry on S are the words.  The syndrome
+join finds the words of one weight without testing every w-subset: it keys
+the parity-check syndromes of the first and the last halves of each support
+and joins equal keys by one sort.  Both scans take the parity check and
+list only the words whose least support member is below a count u, a prefix
+of their subsets.  rref hands a single matrix to _eliminate from the
+measured crossover _RREF_NUMPY_MIN on.
 
 The words of one weight w are one int32 array of shape (m, n), one row per
 projective class, scaled to lead with 1 and sorted by support, then by
@@ -120,6 +120,9 @@ class Caps:
             name = name.strip()
             if name not in ("enum", "search") or not expr:
                 raise InconsistentInput(f"bad {CAPS_ENV_VAR} entry: {part!r}")
+            if name in values:
+                raise InconsistentInput(
+                    f"bad {CAPS_ENV_VAR} entry {part!r}: {name} given twice")
             values[name] = _parse_cap(part, expr)
         return Caps(enumeration=values.get("enum", Caps.enumeration),
                     search=values.get("search", Caps.search))
@@ -166,19 +169,19 @@ def plan(n: int, k: int, q: int, goal: str, caps: Caps, w: int = 0) -> Plan:
     of the "dual" plus MacWilliams, the smaller side first, the code's own
     on ties; the transform is no search, so only the enum cap holds either
     side.  A distance that fits neither side will "scan" weight after
-    weight, each priced as "exists"; the weights up to w are priced now.
-    "exists", "words" at weight w: rank the w-subsets of the columns of the
+    weight, each priced as its "words"; the weights up to w are priced now.
+    "words" at weight w: rank the w-subsets of the columns of the
     "parity-check" matrix, C(n, w) * w per row (its prefix walk updates
-    about price * n / (n - w + 1) residual entries); "words" may instead
-    "enumerate" the (q^k - 1)/(q - 1) projective classes, n each, or "join"
-    the syndromes of the halves of size a = ceil(w/2) and b = floor(w/2),
-    the field operations that build them, (C(n, a) (q-1)^(a-1) a + C(n, b)
+    about price * n / (n - w + 1) residual entries), or "enumerate" the
+    (q^k - 1)/(q - 1) projective classes, n each, or "join" the syndromes
+    of the halves of size a = ceil(w/2) and b = floor(w/2), the field
+    operations that build them, (C(n, a) (q-1)^(a-1) a + C(n, b)
     (q-1)^(b-1) b) per parity-check row; each only when strictly cheaper
     than the routes before it.
     "locality" with locality w - 1 claimed: the dual's "distance" up to w,
     then its "words" at each weight up to w, in that order; the costliest
     of these plans."""
-    goals = ("distribution", "distance", "exists", "words", "locality")
+    goals = ("distribution", "distance", "words", "locality")
     if goal not in goals:
         raise InconsistentInput(f"unknown plan goal {goal!r}; choose from "
                                 f"{', '.join(goals)}")
@@ -198,19 +201,16 @@ def plan(n: int, k: int, q: int, goal: str, caps: Caps, w: int = 0) -> Plan:
             raise EnumerationTooLarge(
                 f"neither side fits the enum cap {caps.enumeration}: "
                 f"q^k = {q}^{k}, q^(n-k) = {q}^{n - k}")
-        return Plan("scan", max((plan(n, k, q, "exists", caps, v).cost
+        return Plan("scan", max((plan(n, k, q, "words", caps, v).cost
                                  for v in range(1, w + 1)), default=0))
-    best = Plan("parity-check", math.comb(n, w) * max(1, w) * max(1, n - k))
-    if goal == "words":
-        enum = (q ** k - 1) // (q - 1) * n
-        if enum < best.cost:
-            best = Plan("enumerate", enum)
-        halves = sum(math.comb(n, h) * (q - 1) ** max(0, h - 1) * h
-                     for h in ((w + 1) // 2, w // 2))
-        if halves * max(1, n - k) < best.cost:
-            best = Plan("join", halves * max(1, n - k))
+    rows = max(1, n - k)
+    halves = sum(math.comb(n, h) * (q - 1) ** max(0, h - 1) * h
+                 for h in ((w + 1) // 2, w // 2))
+    best = min([Plan("parity-check", math.comb(n, w) * max(1, w) * rows),
+                Plan("enumerate", (q ** k - 1) // (q - 1) * n),
+                Plan("join", halves * rows)], key=lambda p: p.cost)
     if best.cost > caps.search:
-        raise SearchTooLarge(f"weight-{w} {goal} scan cost {best.cost} "
+        raise SearchTooLarge(f"weight-{w} words scan cost {best.cost} "
                              f"exceeds cap {caps.search}")
     return best
 
@@ -858,9 +858,11 @@ def word_supports(W: np.ndarray, w: int) -> np.ndarray:
 
 
 def distinct_supports(W: np.ndarray, w: int) -> list[tuple[int, ...]]:
-    """The distinct supports of the weight-w rows of W, ascending, as
-    tuples of ints: the form reports hand on to JSON."""
-    return list(map(tuple, np.unique(word_supports(W, w), axis=0).tolist()))
+    """The distinct supports of the rows of W, words of weight w sorted by
+    support, in order, as tuples of ints: the form reports hand on to JSON."""
+    S = word_supports(W, w)
+    first = np.r_[True, (S[1:] != S[:-1]).any(axis=1)][:len(S)]
+    return list(map(tuple, S[first].tolist()))
 
 
 def _words_by_enumeration(C: LinearCode, w: int, tables: _FieldArrays):
@@ -1087,15 +1089,14 @@ def exact_weight_words(C: LinearCode, w: int, caps: Caps | None = None,
     has exactly w nonzero entries, so word_supports reads the supports off
     it.  The rows are sorted by support, then by word: two words on one
     support differ only on it, so every route returns the same array.  The
-    route is plan's "words" route: an enumeration of C, the rank scan of
-    the w-subsets of the columns of the parity check, or the syndrome
-    join, priced at (C(n, a) (q-1)^(a-1) a + C(n, b) (q-1)^(b-1) b) (n - k)
-    for the halves a = ceil(w/2), b = floor(w/2).  The route and its price
-    are those of the full search, through or not.  An enumeration filters
-    its words by through; a scan gets the parity check with the u
-    coordinates of through moved to the front, where the supports that
-    meet them are those whose least member is below u, and its words are
-    moved back and scaled to lead with 1 again."""
+    route is plan's "words" route, priced there: an enumeration of C, the
+    rank scan of the w-subsets of the columns of the parity check, or the
+    syndrome join.  The route and its price are those of the full search,
+    through or not.  An enumeration filters its words by through; a scan
+    gets the parity check with the u coordinates of through moved to the
+    front, where the supports that meet them are those whose least member
+    is below u, and its words are moved back and scaled to lead with 1
+    again."""
     caps = _caps(caps)
     n, k = C.n, C.k
     if through is not None:
@@ -1123,16 +1124,8 @@ def exact_weight_words(C: LinearCode, w: int, caps: Caps | None = None,
     return W[np.lexsort(keys[:, ::-1].T)]
 
 
-def _has_words_of_weight_at_most(C: LinearCode, w: int, caps: Caps) -> bool:
-    """Existence test: some w columns of the parity check are dependent;
-    raises SearchTooLarge when plan prices the scan beyond the cap."""
-    plan(C.n, C.k, C.field.q, "exists", caps, w)
-    scan = _deficient_blocks(dual(C).gen_array, w,
-                             _numpy_field_tables(C.field), C.n)
-    return next(scan, None) is not None
-
-
 def minimum_distance(C: LinearCode, caps: Caps | None = None) -> int:
+    """d of C, off a distribution or the first w with words; cached."""
     if C.k == 0:
         raise ZeroCode("zero code has no minimum distance")
     if C._mind is not None:
@@ -1140,7 +1133,7 @@ def minimum_distance(C: LinearCode, caps: Caps | None = None) -> int:
     caps = _caps(caps)
     if plan(C.n, C.k, C.field.q, "distance", caps).route == "scan":
         d = next((w for w in range(1, C.n + 1)
-                  if _has_words_of_weight_at_most(C, w, caps)), None)
+                  if len(exact_weight_words(C, w, caps))), None)
     else:
         d = weight_distribution(C, caps).min_distance()
     if d is None:

@@ -165,6 +165,8 @@ def hamming_weight_distribution_formula(q: int, m: int) -> WeightDistribution:
 # cyclic and BCH codes
 
 def cyclic_code(q: int, n: int, g: Poly, label: str | None = None) -> LinearCode:
+    if n < 1:
+        raise BadParameters(f"cyclic code length {n} is below 1")
     _check_length(n)
     field = field_for_q(q)
     if g.field != field:

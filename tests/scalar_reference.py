@@ -249,6 +249,8 @@ def exact_weight_words(C, w, caps=None):
 
 
 def has_words_of_weight_at_most(C, w, caps):
-    """code_core._has_words_of_weight_at_most with the scalar scan."""
-    plan(C.n, C.k, C.field.q, "exists", caps, w)
+    """Whether C has a nonzero word of weight at most w, by the scalar scan
+    for some w dependent columns of the parity check; refused as
+    exact_weight_words refuses weight w."""
+    plan(C.n, C.k, C.field.q, "words", caps, w)
     return next(deficient_subsets(C, w), None) is not None

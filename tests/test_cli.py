@@ -216,6 +216,21 @@ def test_construct_reads_d_off_a_2_24_word_dual(capsys, monkeypatch):
     assert err == ""
 
 
+# the generator of a [63, 36, 6] binary cyclic code, ascending coefficients
+G63 = "1,0,1,1,1,0,0,0,0,0,1,0,0,1,0,1,0,0,0,1,0,1,0,1,1,0,1,1"
+
+
+def test_construct_scans_d_through_the_syndrome_join(capsys, monkeypatch):
+    # neither 2^36 words nor the dual's 2^27 fit the enum cap, so d is
+    # scanned weight by weight; the rank scan at weight 4 would cost
+    # C(63, 4) * 4 * 27 = 64,331,820, but the join of weight 6 costs
+    # 6,433,182, within the search cap
+    monkeypatch.delenv(CAPS_ENV_VAR, raising=False)
+    rc, out, err = run(capsys, "construct", "cyclic", "q=2", "n=63",
+                       f"g={G63}")
+    assert (rc, out, err) == (0, "[63, 36, 6] over GF(2)\n", "")
+
+
 def test_analyze_d_is_the_least_weight_of_its_distribution(capsys,
                                                            monkeypatch):
     monkeypatch.delenv(CAPS_ENV_VAR, raising=False)
@@ -254,7 +269,7 @@ def test_failed_self_check_exits_1(capsys, monkeypatch):
 
 def test_construct_skips_a_self_check_beyond_the_caps(capsys, monkeypatch):
     # neither the 2^26 words nor the dual's 2^5 fit the enum cap, and the
-    # weight-2 scan costs 4650: hamming() skips its distance check instead
+    # weight-3 join costs 4805: hamming() skips its distance check instead
     # of failing, and construct reports the skip
     monkeypatch.setenv(CAPS_ENV_VAR, "enum:16,search:1000")
     rc, out, err = run(capsys, "construct", "hamming", "q=2", "m=5")
@@ -348,17 +363,19 @@ def test_analyze_cap_skip_sets_exit_code(capsys, monkeypatch):
 
 def test_analyze_reports_locality_when_distance_is_skipped(capsys,
                                                           monkeypatch):
-    # the [31, 5, 16] simplex code: neither side fits the enum cap, so both
-    # distances are scanned.  The dual's d = 3 costs C(31, 3) * 3 * 5 =
-    # 67425 at weight 3, within the cap; the code's weight-4 scan costs
-    # 629300, beyond it.  The locality needs only the dual's weight-3 words
-    monkeypatch.setenv(CAPS_ENV_VAR, "enum:16,search:70000")
-    rc, out, _ = run(capsys, "analyze", "simplex", "q=2", "m=5", "--json")
+    # the [31, 26, 3] Hamming code: neither side fits the enum cap, so both
+    # distances are scanned, each weight at its "words" price.  The code's
+    # weight-3 join costs (C(31, 2) * 2 + 31) * 5 = 4805, beyond the cap.
+    # The locality needs the dual [31, 5, 16] simplex code's distance and
+    # its weight-16 words: weight 1 by the rank scan, 31 * 26 = 806, and
+    # every other weight by enumerating its 31 classes, 31 * 31 = 961
+    monkeypatch.setenv(CAPS_ENV_VAR, "enum:16,search:4000")
+    rc, out, _ = run(capsys, "analyze", "hamming", "q=2", "m=5", "--json")
     assert rc == 2
     bundle = json.loads(out)
     assert bundle["d"] == SKIPPED
     assert bundle["weight_distribution"] == SKIPPED
-    assert bundle["locality"]["r_min"] == 2
+    assert bundle["locality"]["r_min"] == 15
 
 
 def _bundle(**fields):
@@ -552,6 +569,8 @@ def test_help_exits_0(capsys, argv):
     ("enum:-5", "must be positive"),
     ("search:0", "must be positive"),
     ("enum:2^65", "exponent outside"),
+    # a repeated name is refused, not overridden by the later entry
+    ("enum:2^26,enum:3", "'enum:3': enum given twice"),
 ])
 def test_malformed_caps_exit_1(capsys, monkeypatch, caps, reason):
     monkeypatch.setenv(CAPS_ENV_VAR, caps)
@@ -596,6 +615,27 @@ def test_other_os_errors_are_not_reported_as_user_errors(monkeypatch):
     monkeypatch.setattr(cli, "_resolve", broken)
     with pytest.raises(BrokenPipeError):
         main(["analyze", "hamming", "q=2", "m=3"])
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_cyclic_length_below_1_is_refused_first(capsys, n):
+    # before the gcd and degree checks, whose messages would mislead
+    rc, out, err = run(capsys, "analyze", "cyclic", "q=2", f"n={n}", "g=1")
+    assert (rc, out) == (1, "")
+    assert err == f"error: cyclic code length {n} is below 1\n"
+
+
+@pytest.mark.parametrize("argv, order, bound", [
+    (("construct", "grm-punctured", "q=3", "ell=3", "m=2"), 3, 3),
+    (("analyze", "grm", "q=4", "ell=4", "m=2"), 4, 4),
+])
+def test_warnings_are_one_cli_line(capsys, argv, order, bound):
+    # no path or source line, wherever the warning is raised
+    rc, _, err = run(capsys, *argv)
+    assert rc == 0
+    assert err == (f"warning: order {order} is at or above q(m-1) = {bound}; "
+                   f"the closed-form dimension and distance are still "
+                   f"asserted\n")
 
 
 def test_module_entry_point_runs_without_warning():

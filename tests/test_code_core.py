@@ -35,7 +35,6 @@ from locality_lab.code_core import (
     weight_distribution,
     word_supports,
     zero_code,
-    _has_words_of_weight_at_most,
 )
 from locality_lab.errors import (
     BadCoordinate,
@@ -554,16 +553,26 @@ def test_plan_distance_takes_the_distribution_route(enum_cap):
 
 
 def test_plan_prices_a_distance_scan_one_weight_at_a_time():
-    # [31, 26] over GF(2) with its 32-word dual out of reach: weight 1
-    # costs 31 * 5 = 155, weight 2 costs 465 * 5 * 2 = 4650, and the cap
-    # holds each weight, not their sum 4805
-    caps = Caps(enumeration=16, search=4650)
+    # [31, 26] over GF(2) with its 32-word dual out of reach: each weight
+    # is priced as its "words".  Weight 1 costs 31 * 5 = 155 by the rank
+    # scan; weight 2 costs (31 + 31) * 5 = 310 by the join, below the rank
+    # scan's 465 * 2 * 5 = 4650; weight 3 costs (465 * 2 + 31) * 5 = 4805
+    # by the join.  The cap holds each weight, not their sum 465
+    caps = Caps(enumeration=16, search=310)
     assert plan(31, 26, 2, "distance", caps) == Plan("scan", 0)
-    assert plan(31, 26, 2, "distance", caps, w=2) == Plan("scan", 4650)
+    assert plan(31, 26, 2, "distance", caps, w=1) == Plan("scan", 155)
+    assert plan(31, 26, 2, "distance", caps, w=2) == Plan("scan", 310)
     with pytest.raises(SearchTooLarge):
         plan(31, 26, 2, "distance", caps, w=3)
     with pytest.raises(SearchTooLarge):
-        plan(31, 26, 2, "distance", Caps(enumeration=16, search=4649), w=2)
+        plan(31, 26, 2, "distance", Caps(enumeration=16, search=309), w=2)
+    assert plan(31, 26, 2, "distance", Caps(enumeration=16, search=4805),
+                w=3) == Plan("scan", 4805)
+    # the price of the scan up to w is the dearest "words" price up to w
+    caps = Caps(enumeration=16, search=2 ** 40)
+    for w in range(1, 8):
+        assert plan(31, 26, 2, "distance", caps, w=w).cost == max(
+            plan(31, 26, 2, "words", caps, v).cost for v in range(1, w + 1))
 
 
 def _priced(price):
@@ -608,29 +617,38 @@ def test_plan_locality_prices_random_codes_as_its_statements(caps):
             _priced(lambda: _dual_pricing_as_statements(n, k, q, caps, w))
 
 
-def test_plan_exists_at_the_search_cap():
-    # C(6, 2) * 2 * (n - k): 60 for the [6, 4] code, 120 for the [6, 2] one
-    assert plan(6, 4, 3, "exists", Caps(search=60), w=2) == \
-        Plan("parity-check", 60)
-    assert plan(6, 2, 3, "exists", Caps(search=120), w=2) == \
-        Plan("parity-check", 120)
-    with pytest.raises(SearchTooLarge):
-        plan(6, 4, 3, "exists", Caps(search=59), w=2)
-    with pytest.raises(SearchTooLarge):
-        plan(6, 2, 3, "exists", Caps(search=60), w=2)
+def test_plan_words_at_the_search_cap():
+    # each route fits a cap equal to its price and no cap below it: the
+    # join of the [6, 4] code over GF(3) at w = 2, (6 + 6) * 2 = 24; the
+    # enumeration of the [6, 2] one, 4 classes * 6 = 24; the rank scan of
+    # the [4, 2] code over GF(5) at w = 3, C(4, 3) * 3 * 2 = 24
+    for n, k, q, w, route in ((6, 4, 3, 2, "join"), (6, 2, 3, 2, "enumerate"),
+                              (4, 2, 5, 3, "parity-check")):
+        assert plan(n, k, q, "words", Caps(search=24), w=w) == \
+            Plan(route, 24)
+        with pytest.raises(SearchTooLarge):
+            plan(n, k, q, "words", Caps(search=23), w=w)
 
 
 def test_plan_prices_the_parity_check_rows_of_long_low_rate_codes():
     # the [16385, 4] ovoid code over GF(128) at w = 1: 16385 * 16381 is
-    # above 2^24, however few generator rows the code has
+    # above 2^24, however few generator rows the code has, and the join
+    # only ties it
     with pytest.raises(SearchTooLarge):
-        plan(16385, 4, 128, "exists", Caps(), 1)
+        plan(16385, 4, 128, "words", Caps(), 1)
+    with pytest.raises(SearchTooLarge):
+        plan(16385, 4, 128, "distance", Caps(), 1)
     # the [1540, 3] Denniston arc code over GF(512): 1540 * 1537 at w = 1,
-    # C(1540, 2) * 2 * 1537 at w = 2
-    assert plan(1540, 3, 512, "exists", Caps(), 1) == \
+    # (1540 + 1540) * 1537 by the join at w = 2, and at w = 3 even the
+    # enumeration, 262657 classes * 1540, is above 2^24
+    assert plan(1540, 3, 512, "words", Caps(), 1) == \
         Plan("parity-check", 1540 * 1537)
+    assert plan(1540, 3, 512, "words", Caps(), 2) == \
+        Plan("join", 2 * 1540 * 1537)
     with pytest.raises(SearchTooLarge):
-        plan(1540, 3, 512, "exists", Caps(), 2)
+        plan(1540, 3, 512, "words", Caps(), 3)
+    with pytest.raises(SearchTooLarge):
+        plan(1540, 3, 512, "distance", Caps(), 3)
 
 
 def test_plan_words_tie_breaks():
@@ -644,7 +662,9 @@ def test_plan_words_tie_breaks():
     # w = 2: the join, (4 + 4) per parity-check row, undercuts both
     assert plan(4, 2, 5, "words", Caps(), w=2) == Plan("join", 16)
     assert plan(4, 3, 5, "words", Caps(), w=2) == Plan("join", 8)
-    assert plan(4, 2, 5, "exists", Caps(), w=2) == Plan("parity-check", 24)
+    # a cap below the rank scan's C(4, 2) * 2 * 2 = 24 holds only the
+    # route taken
+    assert plan(4, 2, 5, "words", Caps(search=23), w=2) == Plan("join", 16)
     # a join that ties loses: [4, 2] over GF(3), w = 2, where it ties
     # enumeration at 16, and [4, 3] over GF(5), w = 1, where it ties the
     # parity-check scan at 4
@@ -661,8 +681,8 @@ def test_plan_refuses_an_unknown_goal(goal):
         plan(13, 10, 3, goal, Caps(), 2)
     message = str(exc.value)
     assert repr(goal) in message
-    for known in ("distribution", "distance", "exists", "words", "locality"):
-        assert known in message
+    assert message.endswith(
+        "choose from distribution, distance, words, locality")
 
 
 # ---------------------------------------------------------------------------
@@ -685,15 +705,24 @@ def test_minimum_distance_via_dual_side():
 
 
 def test_existence_scan_agrees_with_enumeration():
+    # the first weight with words, through exact_weight_words and through
+    # the distance scan on a fresh copy of the code, so that the scan
+    # answers and not the d cached by weight_distribution
     rng = random.Random(73)
+    caps = Caps(enumeration=1)
+    scanned = 0
     for field in (F2, F3, F4):
         for _ in range(8):
             C = random_code(rng, field, n_max=10)
             d = weight_distribution(C).min_distance()
-            caps = Caps()
             first = next(w for w in range(1, C.n + 1)
-                         if _has_words_of_weight_at_most(C, w, caps))
+                         if len(exact_weight_words(C, w)))
             assert first == d
+            if plan(C.n, C.k, field.q, "distance", caps).route == "scan":
+                assert minimum_distance(from_generator(field, C.gen),
+                                        caps) == d
+                scanned += 1
+    assert scanned >= 20
 
 
 def test_search_cap_raises():

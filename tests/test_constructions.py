@@ -13,11 +13,11 @@ from locality_lab import constructions
 from locality_lab.code_core import (
     Caps,
     dual,
+    exact_weight_words,
     is_cyclic,
     macwilliams,
     minimum_distance,
     weight_distribution,
-    _has_words_of_weight_at_most,
 )
 from locality_lab.constructions import (
     OVAL_FAMILIES,
@@ -189,9 +189,8 @@ def test_bch_q32_dimensions_and_designed_distance():
     C = bch(32, 33, 4, 1)
     assert (C.n, C.k) == (33, 27)
     # BCH bound: no nonzero word lighter than the designed distance
-    caps = Caps()
     for w in range(1, 4):
-        assert not _has_words_of_weight_at_most(C, w, caps)
+        assert exact_weight_words(C, w, Caps()).shape == (0, 33)
 
 
 def test_bch_bound_on_small_instances():

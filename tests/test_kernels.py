@@ -22,6 +22,7 @@ from locality_lab.code_core import (
     _projective_span,
     _words_by_enumeration,
     _words_by_kernels,
+    distinct_supports,
     dual,
     exact_weight_words,
     from_generator,
@@ -32,6 +33,7 @@ from locality_lab.code_core import (
     rref,
     shorten,
     weight_distribution,
+    word_supports,
     zero_code,
 )
 from locality_lab.errors import (BadCoordinate, FieldTooLarge,
@@ -275,6 +277,20 @@ def record_kernel_scans(monkeypatch):
     return reached
 
 
+def test_distinct_supports_match_np_unique():
+    # distinct_supports keeps the first word of each run of equal supports
+    # in the sorted array; np.unique sorts the supports afresh
+    runs = empty = 0
+    for C in code_roster():
+        for w in range(1, C.n + 1):
+            W = exact_weight_words(C, w)
+            expected = np.unique(word_supports(W, w), axis=0).tolist()
+            assert distinct_supports(W, w) == list(map(tuple, expected))
+            runs += len(expected) < len(W)
+            empty += not len(W)
+    assert runs and empty  # supports with several words, and no words
+
+
 def test_numpy_paths_match_scalar_reference(monkeypatch):
     roster = code_roster()
     reached = record_kernel_scans(monkeypatch)
@@ -285,9 +301,9 @@ def test_numpy_paths_match_scalar_reference(monkeypatch):
         for w in range(1, C.n + 1):
             fast = exact_weight_words(C, w)
             assert np.array_equal(fast, ref.exact_weight_words(C, w)), (C, w)
-            assert code_core._has_words_of_weight_at_most(C, w, caps) == \
-                ref.has_words_of_weight_at_most(C, w, caps), (C, w)
             words.append(fast)
+            assert any(map(len, words)) == \
+                ref.has_words_of_weight_at_most(C, w, caps), (C, w)
         assert list(weight_distribution(C).counts) == ref.enumerate_counts(C)
         bad = corrupted(np.concatenate(words))
         verdicts.append(in_dual(dual(C), bad))
@@ -596,9 +612,12 @@ def test_large_fields_match_mds_formula(p, m):
         assert list(weight_distribution(C).counts) == [
             1] + [mds_count(4, C.k, q, w) for w in range(1, 5)]
     assert exact_weight_words(C3, 4).tolist() == [list(C3.gen[0])]
-    assert code_core._has_words_of_weight_at_most(C1, 2, code_core.Caps())
-    assert not code_core._has_words_of_weight_at_most(
-        C1, 1, code_core.Caps())
+    # C1 has words of weight 2 and none of weight 1: d = 2, by the scan
+    assert len(exact_weight_words(C1, 2)) and \
+        not len(exact_weight_words(C1, 1))
+    fresh = from_parity_check(F, [[1] + x[:3]])
+    assert code_core.minimum_distance(
+        fresh, code_core.Caps(enumeration=1)) == 2
 
 
 def test_fields_above_the_cap_are_refused():
