@@ -219,8 +219,9 @@ def plan(n: int, k: int, q: int, goal: str, caps: Caps, w: int = 0) -> Plan:
 # matrices
 
 # a full elimination pass costs about rows * cols * rank field operations;
-# on dense matrices over GF(3) to GF(16) the numpy kernel on a stack of one
-# overtakes the scalar loop between 3,500 and 5,500 (measured on 2 cores)
+# on dense random matrices the numpy kernel on a stack of one overtakes the
+# scalar loop from about 1,500 over GF(9) to GF(32), 3,000 over GF(3) and
+# 5,200 over GF(2) (min of 7 runs, 2 cores); the cut sits above all three
 _RREF_NUMPY_MIN = 1 << 13
 
 # every stack handed to the numpy kernels holds at most this many entries
@@ -335,12 +336,12 @@ def _eliminate(tables, A: np.ndarray):
     (B, rows, cols) at once (A may be overwritten).  Returns the eliminated
     rows, flattened so that row b * rows + i is row i of A[b], and the
     (B, cols) array holding the flat index of the pivot row of each column,
-    -1 where a column has no pivot.  Each pivot row is swapped up to the
-    first free row of its matrix, so the pivot rows of A[b] are its first
-    rows, in column order.  Each pivot row is scaled to lead with 1 and
-    clears its column from every other row, so a pivot row read at the
-    non-pivot columns is the row of the reduced echelon form there (entries
-    at the pivot columns are left stale)."""
+    -1 where a column has no pivot.  No row moves: the pivot row of a column
+    is the first free row of its matrix with a nonzero there, and is marked
+    not free.  Each pivot row is scaled to lead with 1 and clears its column
+    from every other row, so a pivot row read at the non-pivot columns is
+    the row of the reduced echelon form there (entries at the pivot columns
+    are left stale)."""
     nb, nrows, ncols = A.shape
     pivot = np.full((nb, ncols), -1, dtype=np.intp)
     flat = A.reshape(nb * nrows, ncols)
@@ -348,32 +349,26 @@ def _eliminate(tables, A: np.ndarray):
         return flat, pivot
     free = np.ones(nb * nrows, dtype=bool)  # rows not yet used as a pivot
     left = nb * nrows  # free rows in the whole stack
-    top = np.arange(nb) * nrows  # the first free row of each matrix
     for c in range(ncols):
         nonzero = flat[:, c] != 0
         by_matrix = (nonzero & free).reshape(nb, nrows)
         hit = np.nonzero(by_matrix.any(axis=1))[0]
         if hit.size == 0:
             continue
-        # swap each pivot row up to the first free row of its matrix
-        src = hit * nrows + by_matrix[hit].argmax(axis=1)
-        dst = top[hit]
-        swap, back = np.r_[src, dst], np.r_[dst, src]
-        flat[swap], nonzero[swap] = flat[back], nonzero[back]
-        free[dst] = False
+        prow = hit * nrows + by_matrix[hit].argmax(axis=1)
+        free[prow] = False
         left -= hit.size
-        top[hit] += 1
-        pivot[hit, c] = dst
-        flat[dst, c:] = _vmul(tables, tables.inv[flat[dst, c]][:, None],
-                              flat[dst, c:])
-        nonzero[dst] = False
+        pivot[hit, c] = prow
+        flat[prow, c:] = _vmul(tables, tables.inv[flat[prow, c]][:, None],
+                               flat[prow, c:])
+        nonzero[prow] = False
         rows = np.nonzero(nonzero)[0]
         rows = rows[pivot[rows // nrows, c] >= 0]  # matrices with a pivot
         if rows.size:
             # columns up to c are done; only later columns are updated
             slot = np.searchsorted(hit, rows // nrows)  # the matrix's pivot
             f = tables.neg[flat[rows, c]]
-            P = flat[dst, c + 1:]
+            P = flat[prow, c + 1:]
             if hit.size > 1:  # else one pivot row, broadcast to every row
                 P = P[slot]
             flat[rows, c + 1:] = _vadd(tables, flat[rows, c + 1:],
@@ -519,7 +514,7 @@ def rref(field: FieldSpec, rows: list[list[int]]) -> tuple[list[list[int]], list
         flat, pivot = _eliminate(_numpy_field_tables(field),
                                  np.array(rows, dtype=np.int32)[None])
         pivots = np.nonzero(pivot[0] >= 0)[0]
-        red = flat[:len(pivots)]  # the pivot rows, in column order
+        red = flat[pivot[0, pivots]]  # the pivot rows, in column order
         red[:, pivots] = np.eye(len(pivots), dtype=np.int32)  # stale entries
         return red.tolist(), pivots.tolist()
     pivots = []

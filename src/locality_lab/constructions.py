@@ -174,7 +174,9 @@ def cyclic_code(q: int, n: int, g: Poly, label: str | None = None) -> LinearCode
                              f"expected GF({q})")
     if math.gcd(n, q) != 1:
         raise GcdNotOne(f"gcd({n}, {q}) != 1")
-    if g.is_zero() or g.degree >= n:
+    if g.is_zero():
+        raise NotADivisor(f"the zero polynomial does not divide x^{n} - 1")
+    if g.degree >= n:
         raise NotADivisor(f"degree {g.degree} generator for length {n}")
     _, rem = poly_divmod(poly_x_pow_n_minus_1(field, n), g)
     if not rem.is_zero():
@@ -315,9 +317,6 @@ class PointSet:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def to_json(self) -> list[list[int]]:
-        return [list(p) for p in self.points]
 
 
 # ---------------------------------------------------------------------------

@@ -3,19 +3,23 @@
 Blocks are the distinct supports of the weight-w codewords of a code (a
 "simple" design: scalar multiples collapse to one block).  Verification is
 exhaustive: a t-design must cover every t-subset of coordinates the same
-number of times, and that count is established by direct enumeration.
+number of times, and that count is established by direct enumeration.  A
+count up to t_max walks the C(w, t) t-subsets of each of the b blocks for
+every t <= t_max, so b * sum C(w, t) is charged against the search cap
+before it starts, and SearchTooLarge is raised beyond it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import chain, combinations
 
-from .code_core import (Caps, LinearCode, distinct_supports, dual,
+from .code_core import (Caps, LinearCode, _caps, distinct_supports, dual,
                         exact_weight_words, minimum_distance)
 from .errors import (BadParameters, DesignInvariantBroken,
-                     LocalityInvariantBroken)
+                     LocalityInvariantBroken, SearchTooLarge)
 from .locality import minimum_linear_locality
 
 __all__ = ["DesignReport", "support_blocks", "verify_t_design",
@@ -53,15 +57,13 @@ def support_blocks(C: LinearCode, w: int,
                         t_lambda={}, is_steiner=False)
 
 
-def _coverage_counts(report: DesignReport, t: int) -> dict[tuple[int, ...], int]:
-    counts: dict[tuple[int, ...], int] = {}
-    for block in report.blocks:
-        for sub in combinations(block, t):
-            counts[sub] = counts.get(sub, 0) + 1
-    return counts
+def _coverage_counts(report: DesignReport, t: int) -> Counter:
+    return Counter(chain.from_iterable(
+        combinations(b, t) for b in report.blocks))
 
 
-def verify_t_design(report: DesignReport, t: int) -> int | None:
+def verify_t_design(report: DesignReport, t: int,
+                    caps: Caps | None = None) -> int | None:
     """The constant λ if every t-subset of points lies in the same number
     of blocks (and that number is positive); None otherwise."""
     if not 1 <= t <= report.block_size:
@@ -69,15 +71,22 @@ def verify_t_design(report: DesignReport, t: int) -> int | None:
             f"need 1 <= t <= block size {report.block_size}, got {t}")
     if not report.blocks:
         return None
-    return _design_lambdas(report, t).get(t)
+    return _design_lambdas(report, t, caps).get(t)
 
 
-def _design_lambdas(report: DesignReport, t_max: int) -> dict[int, int]:
+def _design_lambdas(report: DesignReport, t_max: int,
+                    caps: Caps | None) -> dict[int, int]:
     """λ_t for each t <= t_max at which the blocks form a t-design, each
     level counted once and checked against the levels below it."""
-    if t_max > report.block_size:
-        raise BadParameters(
-            f"need 1 <= t <= block size {report.block_size}, got {t_max}")
+    w = report.block_size
+    if t_max > w:
+        raise BadParameters(f"need 1 <= t <= block size {w}, got {t_max}")
+    cost = len(report.blocks) * sum(math.comb(w, t)
+                                    for t in range(1, t_max + 1))
+    caps = _caps(caps)
+    if cost > caps.search:
+        raise SearchTooLarge(f"design count up to t = {t_max} costs {cost} "
+                             f"t-subsets, exceeds cap {caps.search}")
     lambdas = {}
     for t in range(1, t_max + 1):
         counts = _coverage_counts(report, t)
@@ -113,7 +122,7 @@ def analyze_design(C: LinearCode, w: int, t_max: int | None = None,
         return report
     if t_max is None:
         t_max = min(report.block_size, 4)
-    t_lambda = _design_lambdas(report, t_max)
+    t_lambda = _design_lambdas(report, t_max, caps)
     steiner = any(t >= 2 and lam == 1 for t, lam in t_lambda.items())
     return replace(report, t_lambda=t_lambda, is_steiner=steiner)
 
@@ -125,7 +134,7 @@ def one_design_locality_link(C: LinearCode,
     D = dual(C)
     d_dual = minimum_distance(D, caps)
     report = support_blocks(D, d_dual, caps)
-    lam = verify_t_design(report, 1) if report.blocks else None
+    lam = verify_t_design(report, 1, caps) if report.blocks else None
     if lam is None:
         return False
     locality = minimum_linear_locality(C, caps)

@@ -250,10 +250,6 @@ class CMBound:
     rhs: int
     components: tuple[CMTerm, ...]
 
-    def to_json(self) -> dict:
-        return {"rhs": self.rhs,
-                "components": [c.to_json() for c in self.components]}
-
 
 def cm_bound_upper(n: int, d: int, q: int, r: int) -> CMBound:
     """Dimension bound min over t >= 1 of t*r + k_opt(n - t(r+1), d),

@@ -350,6 +350,18 @@ def test_analyze_design_that_is_not_one(capsys):
     assert entry["lambda"] is None
 
 
+def test_design_count_beyond_the_search_cap_is_skipped(capsys):
+    # 254 blocks of 64 hold 172,496,480 t-subsets up to t = 4, over 2^24
+    argv = ("analyze", "grm", "q=2", "ell=1", "m=7", "--designs", "4:64")
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 2
+    assert out.splitlines()[-1] == "design w=64 t=4: skipped: cap"
+    rc, out, _ = run(capsys, *argv, "--json")
+    assert rc == 2
+    assert json.loads(out)["designs"] == [
+        {"w": 64, "t_requested": 4, "status": SKIPPED}]
+
+
 def test_analyze_cap_skip_sets_exit_code(capsys, monkeypatch):
     monkeypatch.setenv(CAPS_ENV_VAR, "enum:2^4,search:2^6")
     rc, out, _ = run(capsys, "analyze", "hamming", "q=3", "m=3", "--json")
@@ -468,6 +480,7 @@ LONG_NUMBERS = [
     ("repair-sets", "cyclic", "q=2", "n=3", "g=1"),  # trivial code
     ("analyze", "hamming", "q=2", "m=3", "--designs", "x:y"),
     ("analyze", "cyclic", "q=2", "n=7", "g=1,a"),  # malformed coefficient
+    ("analyze", "cyclic", "q=2", "n=7", "g=0"),  # the zero polynomial
     ("analyze", "oval-code-gf", "q=8", "f=translation:z"),
     ("validate-oval", "q=8", "f=monomial:x"),
     ("validate-oval", "q=8", "f=monomial:-1"),  # x^-1 would be the constant 1

@@ -134,6 +134,8 @@ def test_cyclic_code_validation():
         cyclic_code(3, 6, poly(F3, [2, 1]))
     with pytest.raises(WrongFieldForm):
         cyclic_code(2, 4, poly(F3, [2, 1]))
+    with pytest.raises(NotADivisor, match="the zero polynomial"):
+        cyclic_code(3, 4, poly(F3, [0]))
 
 
 def test_cyclic_lengths_above_max_length_are_refused(monkeypatch):

@@ -5,11 +5,12 @@ import math
 import pytest
 
 from locality_lab import designs
-from locality_lab.code_core import dual
+from locality_lab.code_core import Caps, dual
 from locality_lab.constructions import (
     bch,
     code_gf,
     elliptic_quadric,
+    grm,
     hamming,
     oval_poly,
     ovoid_code,
@@ -22,7 +23,7 @@ from locality_lab.designs import (
     support_blocks,
     verify_t_design,
 )
-from locality_lab.errors import BadParameters
+from locality_lab.errors import BadParameters, SearchTooLarge
 
 
 def test_support_blocks_golay():
@@ -93,6 +94,20 @@ def test_verify_t_design_non_design():
         verify_t_design(rep, 0)
     with pytest.raises(BadParameters):
         verify_t_design(rep, 4)
+
+
+def test_design_count_is_charged_against_the_search_cap():
+    # RM(1, 5): its 62 words of weight 16 cost 2,016 to list, and their
+    # blocks hold 62 * (16 + 120 + 560) t-subsets up to t = 3
+    C = grm(2, 1, 5)
+    price = 62 * sum(math.comb(16, t) for t in range(1, 4))
+    with pytest.raises(SearchTooLarge, match=f"costs {price} t-subsets"):
+        analyze_design(C, 16, t_max=3, caps=Caps(search=price - 1))
+    rep = analyze_design(C, 16, t_max=3, caps=Caps(search=price))
+    assert rep.t_lambda == {1: 31, 2: 15, 3: 7}
+    with pytest.raises(SearchTooLarge, match=f"costs {price} t-subsets"):
+        verify_t_design(rep, 3, Caps(search=price - 1))
+    assert verify_t_design(rep, 3, Caps(search=price)) == 7
 
 
 def test_design_report_json():

@@ -94,11 +94,25 @@ def stacks(draw):
 
 
 def check_batch_rank(q, stack, shape):
+    """The pivots of each matrix, and its pivot rows read through pivot at
+    the non-pivot columns, against the scalar reduced echelon form."""
     F = field(q)
     A = np.array(stack, dtype=np.int32).reshape(shape)
-    _, pivot = _eliminate(_numpy_field_tables(F), A)
-    got = np.count_nonzero(pivot >= 0, axis=1)
-    assert got.tolist() == [scalar_rank(F, m) for m in stack]
+    flat, pivot = _eliminate(_numpy_field_tables(F), A)
+    for b, m in enumerate(stack):
+        red, pivots = ref.rref(F, m)
+        assert np.nonzero(pivot[b] >= 0)[0].tolist() == pivots
+        rest = [c for c in range(shape[2]) if c not in pivots]
+        got = flat[pivot[b, pivots]][:, rest].tolist()
+        assert got == [[row[c] for c in rest] for row in red]
+
+
+def test_eliminate_leaves_rows_in_place():
+    # column 0's pivot is row 1, read through pivot where it stands
+    A = np.array([[[0, 1], [1, 0]]], dtype=np.int32)
+    flat, pivot = _eliminate(_numpy_field_tables(field(2)), A)
+    assert pivot.tolist() == [[1, 0]]
+    assert flat.tolist() == [[0, 1], [1, 0]]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
