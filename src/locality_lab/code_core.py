@@ -31,14 +31,16 @@ join finds the words of one weight without testing every w-subset: it keys
 the parity-check syndromes of the first and the last halves of each support
 and joins equal keys by one sort.  Both scans take the parity check and
 list only the words whose least support member is below a count u, a prefix
-of their subsets.  rref hands a single matrix to _eliminate from the
-measured crossover _RREF_NUMPY_MIN on.
+of their subsets.  rref eliminates a single matrix by a scalar loop of
+list lookups through the field's exp/log tables, and hands it to
+_eliminate from the measured crossover _RREF_NUMPY_MIN on.
 
 The words of one weight w are one int32 array of shape (m, n), one row per
 projective class, scaled to lead with 1 and sorted by support, then by
 word; word_supports reads their (m, w) supports off it, and in_dual, the
-one membership check, tests it against the stored form of the smaller of
-the code and its dual.
+one membership check, tests it on the side with less work: the code's
+generator columns on the support of each word, or the stored form of the
+dual.
 
 The kernels do their field arithmetic through O(q) int32 arrays: products
 as exp[log a + log b], sums as xor in characteristic 2 and through Zech
@@ -70,6 +72,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice, product, takewhile
@@ -218,11 +221,17 @@ def plan(n: int, k: int, q: int, goal: str, caps: Caps, w: int = 0) -> Plan:
 # ---------------------------------------------------------------------------
 # matrices
 
-# a full elimination pass costs about rows * cols * rank field operations;
-# on dense random matrices the numpy kernel on a stack of one overtakes the
-# scalar loop from about 1,500 over GF(9) to GF(32), 3,000 over GF(3) and
-# 5,200 over GF(2) (min of 7 runs, 2 cores); the cut sits above all three
-_RREF_NUMPY_MIN = 1 << 13
+# a full elimination pass costs about rows * cols * min(rows, cols) field
+# operations.  On dense random matrices of k rows and k, 2k or 4k columns
+# (k = 8 to 64, min of 7 runs of each route, 2 cores, Python 3.11), the
+# numpy kernel on a stack of one overtakes the scalar loop's list lookups
+# from about 30,000 over GF(2) and 32,000 over GF(3), 16,000-20,000 over
+# GF(9) and 10,000-13,000 over GF(16) and GF(32).  The cut sits at the
+# binary and ternary crossover: over GF(9) to GF(32) the loop is up to 1.7
+# times slower just below it, but no larger field eliminates a matrix
+# above 3,042 in the benchmark workloads, and their largest matrix, 30,976
+# over GF(2), stays on the loop
+_RREF_NUMPY_MIN = 1 << 15
 
 # every stack handed to the numpy kernels holds at most this many entries
 # (1 MB), or one matrix or vector per basis when those alone are larger
@@ -502,9 +511,68 @@ def _lead_with_one(tables: _FieldArrays, V: np.ndarray) -> np.ndarray:
     return _vmul(tables, tables.inv[first][:, None], V)
 
 
+class _RowOps(NamedTuple):
+    """The row operations of rref's scalar loop over one field: scale(row,
+    a) is a * row, logs(row) the pivot row as clear reads it, clear(row, f,
+    logs(pivot)) is row - f * pivot, and neg(a) is -a."""
+
+    scale: Callable[[list[int], int], list[int]]
+    logs: Callable[[list[int]], list[int]]
+    clear: Callable[[list[int], int, list[int]], list[int]]
+    neg: Callable[[int], int]
+
+
+@lru_cache(maxsize=None)
+def _row_ops(field: FieldSpec) -> _RowOps:
+    """The _RowOps of a field, built once per field.  Up to DLOG_CAP they
+    read the _FieldArrays as lists, with no method call per entry: a
+    product is exp[log a + log b], the sentinel log of 0 landing in exp's
+    zero tail, and a sum is an xor in characteristic 2 and a lookup in the
+    field's q x q addition table otherwise.  Above DLOG_CAP, and for the
+    sums of odd fields above gf.ADD_TABLE_CAP, they call the FieldSpec
+    methods."""
+    if field.q > DLOG_CAP:
+        mul, sub = field.mul, field.sub
+        return _RowOps(
+            lambda row, a: [mul(a, x) for x in row],
+            lambda row: row,
+            lambda row, f, P: [sub(x, mul(f, y)) for x, y in zip(row, P)],
+            field.neg)
+    t = _numpy_field_tables(field)
+    exp, log, neg = t.exp.tolist(), t.log.tolist(), t.neg.tolist()
+
+    def scale(row, a):
+        la = log[a]
+        return [exp[la + log[x]] for x in row]
+
+    def logs(row):
+        return [log[y] for y in row]
+
+    if field.p == 2:
+        def clear(row, f, R):
+            lf = log[f]
+            return [x ^ exp[lf + ly] for x, ly in zip(row, R)]
+    elif field._add is not None:
+        add = field._add
+
+        def clear(row, f, R):
+            lf = log[neg[f]]
+            return [add[x][exp[lf + ly]] for x, ly in zip(row, R)]
+    else:
+        add = field.add
+
+        def clear(row, f, R):
+            lf = log[neg[f]]
+            return [add(x, exp[lf + ly]) for x, ly in zip(row, R)]
+
+    return _RowOps(scale, logs, clear, neg.__getitem__)
+
+
 def rref(field: FieldSpec, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form in place semantics; returns (rows, pivot columns).
-    Zero rows are dropped."""
+    Zero rows are dropped.  Below _RREF_NUMPY_MIN a scalar Gauss-Jordan
+    loop over Python lists, its row operations the field's _RowOps; from
+    there on one _eliminate of a stack of one."""
     rows = [list(r) for r in rows]
     if not rows:
         return [], []
@@ -517,6 +585,7 @@ def rref(field: FieldSpec, rows: list[list[int]]) -> tuple[list[list[int]], list
         red = flat[pivot[0, pivots]]  # the pivot rows, in column order
         red[:, pivots] = np.eye(len(pivots), dtype=np.int32)  # stale entries
         return red.tolist(), pivots.tolist()
+    ops = _row_ops(field)
     pivots = []
     r = 0
     for c in range(ncols):
@@ -524,14 +593,12 @@ def rref(field: FieldSpec, rows: list[list[int]]) -> tuple[list[list[int]], list
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = field.inv(rows[r][c])
-        if inv != 1:
-            rows[r] = [field.mul(x, inv) for x in rows[r]]
+        if rows[r][c] != 1:
+            rows[r] = ops.scale(rows[r], field.inv(rows[r][c]))
+        R = ops.logs(rows[r])
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [field.sub(x, field.mul(f, y))
-                           for x, y in zip(rows[i], rows[r])]
+                rows[i] = ops.clear(rows[i], rows[i][c], R)
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -542,13 +609,14 @@ def rref(field: FieldSpec, rows: list[list[int]]) -> tuple[list[list[int]], list
 def nullspace(field: FieldSpec, rows: list[list[int]], ncols: int) -> list[list[int]]:
     """Basis of {v : M v = 0} for the matrix with the given rows."""
     red, pivots = rref(field, rows)
+    neg = _row_ops(field).neg
     free = sorted(set(range(ncols)).difference(pivots))
     basis = []
     for f in free:
         v = [0] * ncols
         v[f] = 1
         for i, pc in enumerate(pivots):
-            v[pc] = field.neg(red[i][f])
+            v[pc] = neg(red[i][f])
         basis.append(v)
     return basis
 
@@ -721,27 +789,49 @@ def extend(C: LinearCode) -> LinearCode:
     return out
 
 
+def _gather_support(V: np.ndarray, weight: np.ndarray):
+    """The nonzero entries of each row of V, in column order, and their
+    columns, for the row weights weight: two (m, w) arrays, w the largest
+    weight, each shorter row padded with zero entries at column 0."""
+    rows, cols = np.nonzero(V)
+    at = np.arange(len(rows)) - (np.cumsum(weight) - weight)[rows]
+    shape = (len(V), int(weight.max()))
+    vals, idx = np.zeros(shape, dtype=V.dtype), np.zeros(shape, dtype=np.intp)
+    vals[rows, at], idx[rows, at] = V[rows, cols], cols
+    return vals, idx
+
+
 def in_dual(C: LinearCode, W) -> bool:
     """True iff every row w of the (m, n) array W, such as the words
-    exact_weight_words returns, lies in dual(C), checked on the smaller side
-    per block of rows: the syndrome against C's generator when k <= n - k,
-    else w = w[P] H, for the stored reduced generator H of dual(C) and its
-    pivots P."""
-    n = C.n
+    exact_weight_words returns, lies in dual(C).  Each block of rows is
+    checked on the side with less work, for wt its largest row weight: the
+    syndrome, the sum of w_j G[:, j] over the support of w for C's
+    generator G, at wt * k products per row, or w = w[P] H, for the stored
+    reduced generator H of dual(C) and its pivots P, at (n - k) * n.  Rows
+    may differ in weight; a short one is padded with zero entries."""
+    n, k = C.n, C.k
     tables = _numpy_field_tables(C.field)
     W = np.asarray(W, dtype=np.int32).reshape(len(W), n)
-    syndrome = C.k <= n - C.k
-    if syndrome:
-        cols, M = range(n), C.gen_array.T
-    else:
-        cols, M = dual(C).pivots, dual(C).gen_array
     step = max(1, _BLOCK_CELLS // max(1, n))
     for V in (W[i:i + step] for i in range(0, len(W), step)):
-        acc = np.zeros((len(V), M.shape[1]), dtype=np.int32)
-        for t, j in enumerate(cols):
-            acc = _vadd(tables, acc, _vmul(tables, V[:, j, None], M[None, t]))
-        if (acc != (0 if syndrome else V)).any():
-            return False
+        weight = np.count_nonzero(V, axis=1)
+        if weight.max() * k <= (n - k) * n:
+            vals, idx = _gather_support(V, weight)
+            G = C.gen_array.T  # (n, k)
+            acc = np.zeros((len(V), k), dtype=np.int32)
+            for t in range(idx.shape[1]):
+                acc = _vadd(tables, acc,
+                            _vmul(tables, vals[:, t, None], G[idx[:, t]]))
+            if acc.any():
+                return False
+        else:
+            D = dual(C)
+            acc = np.zeros_like(V)
+            for t, j in enumerate(D.pivots):
+                acc = _vadd(tables, acc, _vmul(tables, V[:, j, None],
+                                               D.gen_array[None, t]))
+            if (acc != V).any():
+                return False
     return True
 
 

@@ -310,11 +310,14 @@ class FieldSpec:
 _CONSTRUCT_TOKEN = object()
 
 
+@lru_cache(maxsize=None)
 def _has_order(F: FieldSpec, a: int, n: int) -> bool:
     """a^n = 1 and a^(n/l) != 1 for every prime l | n, by raw arithmetic.
 
     The tables and pow's reduction of exponents mod q - 1 both assume a
     field; a candidate modulus may be reducible, so it is tested without.
+    Each (F, a, n) is tested once: minimal_polynomial checks its root for
+    every cyclotomic coset of one code.
     """
     return (F._raw_pow(a, n) == 1
             and all(F._raw_pow(a, n // ell) != 1 for ell in factorize(n)))

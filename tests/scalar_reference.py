@@ -5,9 +5,11 @@ through the FieldSpec methods, on the route code_core.plan gives the kernel
 it checks and with the same budget accounting; the syndrome join, which
 charges per word listed, is checked against the parity-check scan.  rref
 and nullspace are the scalar loops of code_core.rref and
-code_core.nullspace, kept here at every size: code_core hands matrices
-from _RREF_NUMPY_MIN on to its numpy kernel.  dual and shorten are the nullspace constructions that
-code_core.dual and code_core.shorten replaced.  tests/test_kernels.py
+code_core.nullspace with every entry an arithmetic method call, at every
+size: code_core's loop reads the field's exp/log tables as lists instead,
+and hands matrices from _RREF_NUMPY_MIN on to its numpy kernel.  dual and
+shorten are the nullspace constructions that code_core.dual and
+code_core.shorten replaced.  tests/test_kernels.py
 compares the two.  field_product is the schoolbook product that gf's
 multiply-by-x step replaced; tests/test_gf.py compares them.
 projective_point_list is the loop over all q^m encodings that the span

@@ -261,6 +261,30 @@ def test_minimal_polynomial_basics():
         gf.minimal_polynomial(ext, ext.generator, 1, 10, base, emb)
 
 
+def test_minimal_polynomial_checks_each_root_once(monkeypatch):
+    # a code asks for the minimal polynomial of every cyclotomic coset of
+    # one root: its order is tested in raw arithmetic once, not per coset
+    base = gf.field_new(2, 1)
+    ext, emb, beta = gf.splitting_field(base, 63)
+    powers = []
+    raw_pow = gf.FieldSpec._raw_pow
+
+    def counting(self, a, e):
+        powers.append(e)
+        return raw_pow(self, a, e)
+
+    monkeypatch.setattr(gf.FieldSpec, "_raw_pow", counting)
+    cosets = {gf.cyclotomic_coset(s, 63, 2) for s in range(63)}
+    for coset in cosets:
+        mp = gf.minimal_polynomial(ext, beta, coset[0], 63, base, emb)
+        assert mp.degree == len(coset)
+    assert len(cosets) == 13
+    assert len(powers) <= 1 + len(gf.factorize(63))
+    for _ in range(2):  # the second verdict is the cached one
+        with pytest.raises(errors.NotRootOfUnity):
+            gf.minimal_polynomial(ext, ext.pow(beta, 3), 1, 63, base, emb)
+
+
 @pytest.mark.parametrize("p,m,n", [(3, 2, 10), (2, 3, 9), (2, 4, 17),
                                    (2, 5, 33), (3, 1, 11), (3, 1, 8),
                                    (2, 1, 7), (2, 2, 63), (2, 2, 5)])

@@ -29,6 +29,7 @@ from locality_lab.code_core import (
     from_parity_check,
     in_dual,
     is_cyclic,
+    nullspace,
     plan,
     rref,
     shorten,
@@ -39,7 +40,8 @@ from locality_lab.code_core import (
 from locality_lab.errors import (BadCoordinate, FieldTooLarge,
                                  LocalityInvariantBroken, SearchTooLarge)
 from locality_lab.constructions import grm
-from locality_lab.gf import field_new, quadratic_extension
+from locality_lab.gf import (ADD_TABLE_CAP, DLOG_CAP, FieldSpec, field_new,
+                             quadratic_extension)
 
 FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 9: (3, 2), 16: (2, 4)}
 
@@ -642,8 +644,8 @@ def test_fields_above_the_cap_are_refused():
     with pytest.raises(FieldTooLarge):
         exact_weight_words(C, 3)
     rng = random.Random(17)
-    M = [[rng.randrange(F.q) for _ in range(32)] for _ in range(16)]
-    assert rref_cost(16, 32) >= code_core._RREF_NUMPY_MIN
+    M = [[rng.randrange(F.q) for _ in range(64)] for _ in range(24)]
+    assert rref_cost(24, 64) >= code_core._RREF_NUMPY_MIN
     assert rref(F, M) == ref.rref(F, M)  # at every size
 
 
@@ -690,6 +692,57 @@ def test_rref_numpy_matches_scalar(q, nrows, ncols, rank_cap):
     assert (red, pivots) == ref.rref(F, M)
     if rank_cap is not None:
         assert len(pivots) <= rank_cap < min(nrows, ncols)
+
+
+# the scalar loop's field classes: GF(2), GF(2^e) and GF(p) read the field
+# as lists, GF(3^6), odd above gf.ADD_TABLE_CAP, adds through FieldSpec.add,
+# and GF(2^17), above gf.DLOG_CAP, calls the FieldSpec methods at every size
+SCALAR_FIELDS = [(2, 1), (2, 4), (5, 1), (3, 6), (2, 17)]
+
+# (rows, cols, rank bound or None), full rank and rank deficient, on both
+# sides of _RREF_NUMPY_MIN
+SCALAR_SHAPES = [(7, 40, None), (12, 20, 4), (24, 64, None), (36, 36, 8)]
+
+
+@pytest.mark.parametrize("p, m", SCALAR_FIELDS)
+def test_rref_loop_matches_scalar_reference(monkeypatch, p, m):
+    """rref and nullspace against the method-driven reference on every
+    field class, and, where the field has its tables as lists, with no
+    FieldSpec arithmetic method called per entry."""
+    for deficient in (False, True):
+        costs = [rref_cost(r, c) for r, c, cap in SCALAR_SHAPES
+                 if (cap is not None) == deficient]
+        assert min(costs) < code_core._RREF_NUMPY_MIN <= max(costs)
+    F = field_new(p, m)
+    rng = random.Random(100 * p + m)
+    cases = []
+    for nrows, ncols, cap in SCALAR_SHAPES:
+        if cap is None:
+            M = [[rng.randrange(F.q) for _ in range(ncols)]
+                 for _ in range(nrows)]
+        else:
+            L = [[rng.randrange(F.q) for _ in range(cap)]
+                 for _ in range(nrows)]
+            R = [[rng.randrange(F.q) for _ in range(ncols)]
+                 for _ in range(cap)]
+            M = matmul(F, L, R, cap)
+        cases.append((M, cap, ref.rref(F, M), ref.nullspace(F, M, ncols)))
+    if F.q <= DLOG_CAP:
+        _numpy_field_tables(F)  # built once per field, through the methods
+    # the row operations rebuilt per call, so that they bind the counters
+    monkeypatch.setattr(code_core, "_row_ops", code_core._row_ops.__wrapped__)
+    calls = []
+    for name in ("add", "sub", "mul", "neg"):
+        method = getattr(FieldSpec, name)
+        monkeypatch.setattr(FieldSpec, name, lambda self, *a, method=method:
+                            calls.append(method) or method(self, *a))
+    for M, cap, red, kernel in cases:
+        assert rref(F, M) == red
+        assert nullspace(F, M, len(M[0])) == kernel
+        if cap is not None:
+            assert len(red[1]) <= cap < min(len(M), len(M[0]))
+    by_lists = F.q <= DLOG_CAP and (p == 2 or F.q <= ADD_TABLE_CAP)
+    assert by_lists == (not calls)
 
 
 # ---------------------------------------------------------------------------
@@ -772,6 +825,58 @@ def test_in_dual_matches_scalar_reference_on_both_sides():
     assert {(True, False, False), (False, False, False),
             (False, True, False), (True, False, True),
             (False, True, True)} <= seen
+
+
+def test_in_dual_multiplies_only_the_support(monkeypatch):
+    """The syndrome side gathers each word's support: m words of weight w
+    cost m * w * k products, not m * n * k; the pivot side, chosen when
+    w * k exceeds (n - k) * n, costs m * (n - k) * n."""
+    C = grm(2, 1, 5)  # RM(1, 5): [32, 6], its dual RM(3, 5) [32, 26]
+    D = dual(C)
+    low = exact_weight_words(D, 4)
+    high = exact_weight_words(C, 16)
+    count = [0]  # entries of every product _vmul returns
+    vmul = code_core._vmul
+
+    def counting(tables, a, b):
+        out = vmul(tables, a, b)
+        count[0] += out.size
+        return out
+
+    monkeypatch.setattr(code_core, "_vmul", counting)
+    assert in_dual(C, low)  # 4 * 6 <= 6 * 32: the syndrome side
+    assert count[0] == len(low) * 4 * C.k
+    count[0] = 0
+    assert in_dual(D, high)  # 16 * 26 > 6 * 32: the pivot side
+    assert count[0] == len(high) * (D.n - D.k) * D.n
+    # k > n - k, but words of weight 2 still cost less on the syndrome side
+    _, _, E = case_code(3, 12, 7, seed=1)
+    pairs = exact_weight_words(dual(E), 2)
+    count[0] = 0
+    assert len(pairs) and in_dual(E, pairs)  # 2 * 7 <= 5 * 12
+    assert count[0] == len(pairs) * 2 * E.k
+
+
+@pytest.mark.parametrize("cells", [16, 1 << 18])
+def test_in_dual_on_rows_of_mixed_weight(monkeypatch, cells):
+    """Rows of different weights, zero rows among them, as is_cyclic
+    passes a generator, against the scalar syndrome, in blocks of one or
+    two rows and in one block, on both sides."""
+    monkeypatch.setattr(code_core, "_BLOCK_CELLS", cells)
+    rng = random.Random(cells)
+    for C in code_roster():
+        for A in (C, dual(C)):
+            D = dual(A)
+            words = [D.encode([rng.randrange(A.field.q) for _ in range(D.k)])
+                     for _ in range(5)]
+            W = np.array(words + [[0] * A.n] + list(D.gen), dtype=np.int32)
+            if D.k:
+                assert len({int(np.count_nonzero(r)) for r in W}) > 1
+            assert in_dual(A, W) and ref.in_dual(A, W.tolist())
+            bad = corrupted(W[np.any(W, axis=1)])
+            assert in_dual(A, bad) == ref.in_dual(A, bad.tolist()), A
+            assert is_cyclic(A) == ref.in_dual(
+                D, np.roll(A.gen_array, 1, axis=1).tolist())
 
 
 def test_a_dropped_block_breaks_the_distribution(monkeypatch):
