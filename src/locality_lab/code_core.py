@@ -63,9 +63,11 @@ classes that lead at that row.  Every other class is a class of the
 leading rows, which the walker takes from itself, added to the whole
 table, several of them to a block in one reused buffer.  Its blocks are
 coordinate-major, (m, cells, t), with the class axis innermost, so the
-xor, popcount and weight count of a block each run along long rows; the
-consumers reduce along the coordinate axis and transpose only the
-vectors they keep.
+xor and popcount of a block each run along long rows; the consumers
+reduce along the coordinate axis and transpose only the vectors they
+keep.  The distribution holds the weights of its blocks until a quarter
+block of them has piled up and counts them two to a np.bincount index,
+in a grid of weight pairs whose row and column sums are the counts.
 """
 
 from __future__ import annotations
@@ -273,13 +275,18 @@ _popcount = getattr(np, "bitwise_count", _popcount_by_table)
 
 def _packed_weights(V: np.ndarray, bits: int) -> np.ndarray:
     """Hamming weight of each packed vector V[:, i] (shape
-    (bits * lanes, t))."""
+    (bits * lanes, t)), pad bits included, in a fresh array: uint8 for one
+    lane, uint16 for several (uint32 from 1,024 lanes, whose 65,536 bits
+    overflow it)."""
     planes = V.reshape(bits, -1, V.shape[1])
     occupied = planes[0]
     for b in range(1, bits):
         occupied = occupied | planes[b]
     ones = _popcount(occupied)
-    return ones[0] if len(ones) == 1 else ones.sum(axis=0, dtype=np.intp)
+    if len(ones) == 1:
+        return ones[0]
+    dtype = np.uint16 if len(ones) < 1024 else np.uint32
+    return ones.sum(axis=0, dtype=dtype)
 
 
 class _FieldArrays(NamedTuple):
@@ -870,16 +877,59 @@ def _enumerated_distribution(C: LinearCode) -> WeightDistribution:
     walked in numpy blocks: the q - 1 nonzero multiples of a class share
     its weight.  In characteristic 2 the classes are walked packed, 64
     coordinates per lane; a pad bit set by mistake shows as a weight
-    above n, which fails the count check."""
+    above n, which fails the count check.
+
+    The weights are counted in pairs: they are held until at least
+    _BLOCK_CELLS // 4 have piled up, and the first half of them is paired
+    with the second as a * base + b, in uint16, so one np.bincount counts
+    two weights per index into a base x base grid.  Every weight is below
+    base, pad bits included, and the class counts are the grid's row sums
+    plus its column sums, less the phantom 0 that pads an odd chunk.  When
+    base^2 exceeds 2^16, or the span holds fewer classes than one chunk,
+    whose grid and fold would cost more than the pairing saves, the
+    weights are counted one per index."""
     n, q = C.n, C.field.q
     tables = _numpy_field_tables(C.field)
     packed = C.field.p == 2
     bits = (q - 1).bit_length()
-    classes = np.zeros((64 * _lanes(n) if packed else n) + 1, dtype=np.int64)
+    base = (64 * _lanes(n) if packed else n) + 1
+    pairs = base * base <= 1 << 16 and \
+        (q ** C.k - 1) // (q - 1) >= _BLOCK_CELLS // 4
+    counted = np.zeros(base * base if pairs else base, dtype=np.int64)
+    held: list[np.ndarray] = []
+    phantoms = 0
+
+    def count():
+        nonlocal phantoms
+        weights = held[0] if len(held) == 1 else np.concatenate(held)
+        held.clear()
+        index = weights
+        if pairs:
+            half, odd = divmod(len(weights), 2)
+            index = np.multiply(weights[:half + odd], base, dtype=np.uint16,
+                                casting="unsafe")
+            np.add(index[:half], weights[half + odd:], out=index[:half],
+                   casting="unsafe")
+            phantoms += odd
+        tally = np.bincount(index)
+        counted[:len(tally)] += tally
+
+    size = 0
     for V in _projective_span(tables, C.gen_array[None], packed):
-        weights = _packed_weights(V[0], bits) if packed else \
-            np.count_nonzero(V[0], axis=0)
-        classes += np.bincount(weights, minlength=len(classes))
+        # fresh arrays, safe from the walker's reuse of its buffer
+        held.append(_packed_weights(V[0], bits) if packed else
+                    np.count_nonzero(V[0], axis=0))
+        size += len(held[-1])
+        if size >= _BLOCK_CELLS // 4:
+            count()
+            size = 0
+    if held:
+        count()
+    classes = counted
+    if pairs:
+        grid = counted.reshape(base, base)
+        classes = grid.sum(axis=1) + grid.sum(axis=0)
+        classes[0] -= phantoms
     # a weight above n is left out of the sum
     counts = [x * (q - 1) for x in classes[:n + 1].tolist()]
     counts[0] += 1

@@ -29,7 +29,6 @@ import numpy as np
 from .code_core import (
     Caps,
     LinearCode,
-    WeightDistribution,
     _numpy_field_tables,
     _projective_span,
     dual,
@@ -134,31 +133,11 @@ def hamming(q: int, m: int) -> LinearCode:
 
 
 def simplex(q: int, m: int) -> LinearCode:
+    if m < 2:
+        raise BadParameters(f"simplex needs m >= 2, got {m}")
     D = dual(hamming(q, m))
     D.label = f"simplex({q},{m})"
     return D
-
-
-def hamming_weight_distribution_formula(q: int, m: int) -> WeightDistribution:
-    """Closed-form weight distribution of the [(q^m-1)/(q-1), n-m, 3] code,
-    evaluated in exact integer arithmetic."""
-    n1 = (q ** (m - 1) - 1) // (q - 1)
-    big = q ** (m - 1)
-    n = (q ** m - 1) // (q - 1)
-    qm = q ** m
-    counts = []
-    for k in range(n + 1):
-        acc = 0
-        for i in range(0, min(k, n1) + 1):
-            j = k - i
-            if j > big:
-                continue
-            acc += (math.comb(n1, i) * math.comb(big, j)
-                    * ((q - 1) ** k + (-1) ** j * (q - 1) ** i * (qm - 1)))
-        if acc % qm:
-            raise ConstructionInvariantBroken("closed form is not integral")
-        counts.append(acc // qm)
-    return WeightDistribution(tuple(counts))
 
 
 # ---------------------------------------------------------------------------

@@ -15,16 +15,19 @@ multiply-by-x step replaced; tests/test_gf.py compares them.
 projective_point_list is the loop over all q^m encodings that the span
 walk of locality_lab.constructions replaced, and generator_with_zeros the
 coset loop that bch and grm_punctured each ran before _code_with_zeros;
-tests/test_constructions.py compares them.  Not a test module: pytest does
-not collect it.
+tests/test_constructions.py compares them.  hamming_weight_distribution_formula
+is a closed form for the distribution of the Hamming code, an oracle for
+the enumeration and the MacWilliams transform.  Not a test module: pytest
+does not collect it.
 """
 
+import math
 from itertools import combinations, product
 
 import numpy as np
 
-from locality_lab.code_core import Caps, plan
-from locality_lab.errors import SearchTooLarge
+from locality_lab.code_core import Caps, WeightDistribution, plan
+from locality_lab.errors import ConstructionInvariantBroken, SearchTooLarge
 from locality_lab.gf import (cyclotomic_coset, minimal_polynomial, poly,
                              poly_mul, splitting_field)
 
@@ -256,3 +259,25 @@ def has_words_of_weight_at_most(C, w, caps):
     exact_weight_words refuses weight w."""
     plan(C.n, C.k, C.field.q, "words", caps, w)
     return next(deficient_subsets(C, w), None) is not None
+
+
+def hamming_weight_distribution_formula(q: int, m: int) -> WeightDistribution:
+    """Closed-form weight distribution of the [(q^m-1)/(q-1), n-m, 3] code,
+    evaluated in exact integer arithmetic."""
+    n1 = (q ** (m - 1) - 1) // (q - 1)
+    big = q ** (m - 1)
+    n = (q ** m - 1) // (q - 1)
+    qm = q ** m
+    counts = []
+    for k in range(n + 1):
+        acc = 0
+        for i in range(0, min(k, n1) + 1):
+            j = k - i
+            if j > big:
+                continue
+            acc += (math.comb(n1, i) * math.comb(big, j)
+                    * ((q - 1) ** k + (-1) ** j * (q - 1) ** i * (qm - 1)))
+        if acc % qm:
+            raise ConstructionInvariantBroken("closed form is not integral")
+        counts.append(acc // qm)
+    return WeightDistribution(tuple(counts))

@@ -8,6 +8,8 @@ being weakened to pass.
 
 import random
 
+from scalar_reference import hamming_weight_distribution_formula
+
 from locality_lab.code_core import (
     dual,
     extend,
@@ -31,7 +33,6 @@ from locality_lab.constructions import (
     grm,
     grm_punctured,
     hamming,
-    hamming_weight_distribution_formula,
     is_maximal_arc,
     oval_poly,
     ovoid_code,

@@ -469,6 +469,13 @@ LONG_NUMBERS = [
      "m=3"),
 ]
 
+# a family refuses its parameters under its own name, also where it is
+# built from another family
+NAMED_REFUSALS = [
+    (("construct", "hamming", "q=2", "m=1"), "hamming needs m >= 2, got 1"),
+    (("construct", "simplex", "q=2", "m=1"), "simplex needs m >= 2, got 1"),
+]
+
 
 @pytest.mark.parametrize("argv", [
     ("analyze", "nonsense"),
@@ -502,6 +509,7 @@ LONG_NUMBERS = [
     ("repair-sets", "hamming", "q=2", "m=3", "--coordinate", "x"),
     *(argv for argv, _ in OVERSIZED),
     *LONG_NUMBERS,
+    *(argv for argv, _ in NAMED_REFUSALS),
 ])
 def test_error_paths_exit_1(capsys, monkeypatch, argv):
     if argv[0].startswith(f"{CAPS_ENV_VAR}="):  # an environment entry
@@ -517,6 +525,12 @@ def test_error_paths_exit_1(capsys, monkeypatch, argv):
 def test_oversized_numbers_name_their_parameter(capsys, argv, name):
     rc, _, err = run(capsys, *argv)
     assert rc == 1 and err.startswith(f"error: {name}")
+
+
+@pytest.mark.parametrize("argv, message", NAMED_REFUSALS)
+def test_refusals_name_their_family(capsys, argv, message):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_long_numbers_are_shortened_in_error_lines(capsys):

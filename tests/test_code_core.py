@@ -8,6 +8,7 @@ from itertools import product
 import numpy as np
 import pytest
 import scalar_reference as ref
+from scalar_reference import hamming_weight_distribution_formula
 from hypothesis import given, settings, strategies as st
 
 from locality_lab import code_core
@@ -48,7 +49,6 @@ from locality_lab.errors import (
     ZeroCode,
 )
 from locality_lab.constructions import (bch, elliptic_quadric, hamming,
-                                        hamming_weight_distribution_formula,
                                         ovoid_code, ternary_golay)
 from locality_lab.gf import field_new, quadratic_extension
 

@@ -8,6 +8,7 @@ from itertools import combinations
 
 import pytest
 import scalar_reference as ref
+from scalar_reference import hamming_weight_distribution_formula
 
 from locality_lab import constructions
 from locality_lab.code_core import (
@@ -36,7 +37,6 @@ from locality_lab.constructions import (
     grm_distance,
     grm_punctured,
     hamming,
-    hamming_weight_distribution_formula,
     is_maximal_arc,
     is_oval_polynomial,
     is_ovoid,
@@ -92,6 +92,13 @@ def test_hamming_parameters():
     assert (H2.n, H2.k, minimum_distance(H2)) == (7, 4, 3)
     with pytest.raises(BadParameters):
         hamming(3, 1)
+
+
+def test_simplex_refuses_under_its_own_name():
+    for m in (1, 0, -1):
+        with pytest.raises(BadParameters,
+                           match=f"^simplex needs m >= 2, got {m}$"):
+            simplex(2, m)
 
 
 def test_simplex_is_one_weight():

@@ -3,7 +3,7 @@ its scalar reference in scalar_reference.py."""
 
 import math
 import random
-from itertools import product
+from itertools import cycle, product
 
 import numpy as np
 import pytest
@@ -39,7 +39,7 @@ from locality_lab.code_core import (
 )
 from locality_lab.errors import (BadCoordinate, FieldTooLarge,
                                  LocalityInvariantBroken, SearchTooLarge)
-from locality_lab.constructions import grm
+from locality_lab.constructions import elliptic_quadric, grm, ovoid_code
 from locality_lab.gf import (ADD_TABLE_CAP, DLOG_CAP, FieldSpec, field_new,
                              quadratic_extension)
 
@@ -987,6 +987,153 @@ def test_odd_characteristic_keeps_the_int32_path(monkeypatch):
             got = list(_enumerated_distribution(C).counts)
             assert {dtype for dtype, _ in blocks} == {np.dtype(np.int32)}, C
             assert got == int32_counts(C) == ref.enumerate_counts(C), C
+
+
+# ---------------------------------------------------------------------------
+# the weight count of _enumerated_distribution: two weights per index
+
+def record_bincounts(monkeypatch):
+    """Patch np.bincount to record (input length, output length) of every
+    call, and np.zeros the cells of every int64 array it makes."""
+    calls, grids = [], []
+    bincount, zeros = np.bincount, np.zeros
+
+    def recording_bincount(x, *args, **kwargs):
+        out = bincount(x, *args, **kwargs)
+        calls.append((len(x), len(out)))
+        return out
+
+    def recording_zeros(shape, dtype=float, *args, **kwargs):
+        out = zeros(shape, dtype, *args, **kwargs)
+        if out.dtype == np.int64:
+            grids.append(out.size)
+        return out
+
+    monkeypatch.setattr(np, "bincount", recording_bincount)
+    monkeypatch.setattr(np, "zeros", recording_zeros)
+    return calls, grids
+
+
+def counted(monkeypatch, C):
+    """The distribution of C, with the np.bincount calls and int64 arrays
+    the count made; the oracles are computed unpatched."""
+    with monkeypatch.context() as mp:
+        calls, grids = record_bincounts(mp)
+        got = list(_enumerated_distribution(C).counts)
+    return got, calls, grids
+
+
+def regroup(monkeypatch, sizes):
+    """Patch the enumerator to yield its classes in blocks of the given
+    sizes, cycled."""
+    span = code_core._projective_span
+
+    def regrouped_span(tables, B, *packed):
+        V = np.concatenate([V.copy() for V in span(tables, B, *packed)],
+                           axis=2)
+        at = 0
+        for size in cycle(sizes):
+            if at >= V.shape[2]:
+                return
+            yield V[:, :, at:at + size]
+            at += size
+
+    monkeypatch.setattr(code_core, "_projective_span", regrouped_span)
+
+
+def pair_base(C):
+    """One more than the largest weight the count can see."""
+    return (64 * -(-C.n // 64) if C.field.p == 2 else C.n) + 1
+
+
+def classes_of(C):
+    return (C.field.q ** C.k - 1) // (C.field.q - 1)
+
+
+def check_pair_count(monkeypatch, C):
+    """The distribution of C against both oracles; whether it was counted
+    in pairs, which a span of at least one chunk of classes is."""
+    got, calls, grids = counted(monkeypatch, C)
+    assert got == int32_counts(C) == ref.enumerate_counts(C), C
+    paired = classes_of(C) >= code_core._BLOCK_CELLS // 4
+    assert grids == [pair_base(C) ** (2 if paired else 1)], C
+    # two weights per index, less one phantom per odd chunk
+    assert sum(x for x, _ in calls) <= (
+        classes_of(C) // 2 + len(calls) if paired else classes_of(C)), C
+    return paired
+
+
+# each block counted alone (_BLOCK_CELLS // 4 = 1) in chunks of one class,
+# of two and of three; blocks of one class held four at a time; and blocks
+# of five and seven held in odd and even chunks of at least 16
+@pytest.mark.parametrize("cells, sizes", [(4, (1, 2, 3)), (16, (1,)),
+                                          (64, (5, 7))])
+def test_pair_count_over_odd_and_even_chunks(monkeypatch, cells, sizes):
+    monkeypatch.setattr(code_core, "_BLOCK_CELLS", cells)
+    regroup(monkeypatch, sizes)
+    rng = random.Random(66)
+    # 1, 7, 4, 6, 21, 9 and 63 classes; one, two and three lanes packed
+    for F, n, k in ((field(2), 5, 1), (field(2), 5, 3), (field(3), 4, 2),
+                    (field(5), 6, 2), (field(4), 65, 3), (GF8, 129, 2),
+                    (field(2), 64, 6)):
+        C = code_over(F, n, k, rng)
+        check_pair_count(monkeypatch, C)
+
+
+# the buffer flushed in mid-walk, over one, two and three lanes (the
+# packed roster) and over GF(3) and GF(5)
+@pytest.mark.parametrize("cells", [16, 64])
+def test_pair_count_matches_int32_and_scalar(monkeypatch, cells):
+    monkeypatch.setattr(code_core, "_BLOCK_CELLS", cells)
+    rng = random.Random(67)
+    paired = set()
+    for C in packed_roster() + [code_over(field(q), n, min(n, 4), rng)
+                                for q in (3, 5) for n in (1, 2, 64, 65)]:
+        if check_pair_count(monkeypatch, C):
+            paired.add(pair_base(C) if C.field.p == 2 else C.field.q)
+    assert paired == {65, 129, 193, 3, 5}
+
+
+def test_large_codes_count_one_weight_per_index(monkeypatch):
+    rng = random.Random(68)
+    short = code_over(field(2), 300, 11, rng)
+    ovoid = ovoid_code(elliptic_quadric(32))  # [1025, 4] over GF(32)
+    q = 32
+    # the q^3 + q secant planes leave q^2 - q points, the q^2 + 1 tangent
+    # planes q^2, each plane q - 1 words
+    ovoid_counts = {0: 1, q * q - q: (q - 1) * (q ** 3 + q),
+                    q * q: (q - 1) * (q * q + 1)}
+    # budgets under which each span holds a chunk of classes or more
+    for C, cells, want in ((short, 1 << 12, ref.enumerate_counts(short)),
+                           (ovoid, 1 << 16, None)):
+        monkeypatch.setattr(code_core, "_BLOCK_CELLS", cells)
+        assert classes_of(C) >= cells // 4
+        assert pair_base(C) ** 2 > 1 << 16
+        got, calls, grids = counted(monkeypatch, C)
+        assert got == int32_counts(C), C
+        assert want is None or got == want, C
+        assert sum(x for x, _ in calls) == classes_of(C)
+        assert max(y for _, y in calls) <= pair_base(C)
+        assert grids == [pair_base(C)], C
+    assert {w: c for w, c in enumerate(got) if c} == ovoid_counts
+
+
+def test_weights_of_1024_lanes_do_not_wrap():
+    # 65,536 coordinates fill 1,024 lanes: the full weight is one past uint16
+    n = 1 << 16
+    C = from_generator(field(2), [[1] * n, [1] * (n // 2) + [0] * (n // 2)])
+    got = _enumerated_distribution(C).counts
+    assert {w: c for w, c in enumerate(got) if c} == {0: 1, n // 2: 2, n: 1}
+
+
+def test_rm_2_6_counts_a_quarter_block_per_bincount(monkeypatch):
+    C = grm(2, 2, 6)  # RM(2, 6): 2^22 - 1 classes of 64 coordinates
+    got, calls, _ = counted(monkeypatch, C)
+    assert {w: c for w, c in enumerate(got) if c} == {
+        0: 1, 16: 2604, 24: 291648, 28: 888832, 32: 1828134, 36: 888832,
+        40: 291648, 48: 2604, 64: 1}
+    quarter = code_core._BLOCK_CELLS // 4
+    assert len(calls) <= -(-(2 ** 22 - 1) // quarter) + 1
 
 
 # the default budget, and one under which the span of a few rows is
