@@ -35,12 +35,12 @@ of their subsets.  rref eliminates a single matrix by a scalar loop of
 list lookups through the field's exp/log tables, and hands it to
 _eliminate from the measured crossover _RREF_NUMPY_MIN on.
 
-The words of one weight w are one int32 array of shape (m, n), one row per
-projective class, scaled to lead with 1 and sorted by support, then by
-word; word_supports reads their (m, w) supports off it, and in_dual, the
-one membership check, tests it on the side with less work: the code's
-generator columns on the support of each word, or the stored form of the
-dual.
+The words of one weight w are one Words: two (m, w) arrays, one row per
+projective class, the support of each word ascending and its values there
+scaled to lead with 1, sorted by support, then by word.  No route writes a
+word out in n entries.  in_dual, the one membership check, tests words on
+the side with less work: the code's generator columns on each support, or
+the stored form of the dual.
 
 The kernels do their field arithmetic through O(q) int32 arrays: products
 as exp[log a + log b], sums as xor in characteristic 2 and through Zech
@@ -513,9 +513,8 @@ def _projective_span(tables: _FieldArrays, B: np.ndarray,
 
 
 def _lead_with_one(tables: _FieldArrays, V: np.ndarray) -> np.ndarray:
-    """The nonzero rows of V, each scaled so its first nonzero entry is 1."""
-    first = V[np.arange(len(V)), (V != 0).argmax(axis=1)]
-    return _vmul(tables, tables.inv[first][:, None], V)
+    """The rows of V, which hold no zero, each scaled to lead with 1."""
+    return _vmul(tables, tables.inv[V[:, :1]], V)
 
 
 class _RowOps(NamedTuple):
@@ -796,56 +795,60 @@ def extend(C: LinearCode) -> LinearCode:
     return out
 
 
-def _gather_support(V: np.ndarray, weight: np.ndarray):
-    """The nonzero entries of each row of V, in column order, and their
-    columns, for the row weights weight: two (m, w) arrays, w the largest
-    weight, each shorter row padded with zero entries at column 0."""
-    rows, cols = np.nonzero(V)
-    at = np.arange(len(rows)) - (np.cumsum(weight) - weight)[rows]
-    shape = (len(V), int(weight.max()))
-    vals, idx = np.zeros(shape, dtype=V.dtype), np.zeros(shape, dtype=np.intp)
-    vals[rows, at], idx[rows, at] = V[rows, cols], cols
-    return vals, idx
+@dataclass(frozen=True, eq=False)
+class Words:
+    """Words of one weight w, one per row: row i of support, shape (m, w),
+    holds the coordinates of word i in ascending order, and row i of values
+    its entries there.  The words of exact_weight_words lead with 1 and
+    hold no zero value; in_dual takes any."""
+
+    support: np.ndarray
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.support)
 
 
-def in_dual(C: LinearCode, W) -> bool:
-    """True iff every row w of the (m, n) array W, such as the words
-    exact_weight_words returns, lies in dual(C).  Each block of rows is
-    checked on the side with less work, for wt its largest row weight: the
-    syndrome, the sum of w_j G[:, j] over the support of w for C's
-    generator G, at wt * k products per row, or w = w[P] H, for the stored
-    reduced generator H of dual(C) and its pivots P, at (n - k) * n.  Rows
-    may differ in weight; a short one is padded with zero entries."""
-    n, k = C.n, C.k
+def in_dual(C: LinearCode, words: Words) -> bool:
+    """True iff every word of words, zero off its support, lies in
+    dual(C); a value on a support may be zero.  For w = support.shape[1],
+    the words are checked on the side with less work: the syndrome, the
+    sum of v_t G[:, s_t] over the support for C's generator G, at w * k
+    products per word, or x = x[P] H, for the stored reduced generator H
+    of dual(C) and its pivots P, at (n - k) * n, each block of words
+    scattered into n entries per word."""
+    n, k, w = C.n, C.k, words.support.shape[1]
     tables = _numpy_field_tables(C.field)
-    W = np.asarray(W, dtype=np.int32).reshape(len(W), n)
-    step = max(1, _BLOCK_CELLS // max(1, n))
-    for V in (W[i:i + step] for i in range(0, len(W), step)):
-        weight = np.count_nonzero(V, axis=1)
-        if weight.max() * k <= (n - k) * n:
-            vals, idx = _gather_support(V, weight)
-            G = C.gen_array.T  # (n, k)
-            acc = np.zeros((len(V), k), dtype=np.int32)
-            for t in range(idx.shape[1]):
-                acc = _vadd(tables, acc,
-                            _vmul(tables, vals[:, t, None], G[idx[:, t]]))
+    syndrome = w * k <= (n - k) * n
+    step = max(1, _BLOCK_CELLS // max(1, k if syndrome else n))
+    for lo in range(0, len(words), step):
+        S, V = words.support[lo:lo + step], words.values[lo:lo + step]
+        if syndrome:
+            acc = np.zeros((len(S), k), dtype=np.int32)
+            for t in range(w):  # C.gen_array.T is (n, k)
+                acc = _vadd(tables, acc, _vmul(tables, V[:, t, None],
+                                               C.gen_array.T[S[:, t]]))
             if acc.any():
                 return False
-        else:
-            D = dual(C)
-            acc = np.zeros_like(V)
-            for t, j in enumerate(D.pivots):
-                acc = _vadd(tables, acc, _vmul(tables, V[:, j, None],
-                                               D.gen_array[None, t]))
-            if (acc != V).any():
-                return False
+            continue
+        D = dual(C)
+        X = np.zeros((len(S), n), dtype=np.int32)
+        X[np.arange(len(S))[:, None], S] = V
+        acc = np.zeros_like(X)
+        for t, j in enumerate(D.pivots):
+            acc = _vadd(tables, acc, _vmul(tables, X[:, j, None],
+                                           D.gen_array[None, t]))
+        if (acc != X).any():
+            return False
     return True
 
 
 def is_cyclic(C: LinearCode) -> bool:
     """True iff the cyclic shift maps C onto itself: the shifted generator
     rows lie in C, the dual of dual(C)."""
-    return in_dual(dual(C), np.roll(C.gen_array, 1, axis=1))
+    G = C.gen_array
+    return in_dual(dual(C), Words(np.broadcast_to(np.arange(C.n), G.shape),
+                                  np.roll(G, 1, axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -876,8 +879,8 @@ def _enumerated_distribution(C: LinearCode) -> WeightDistribution:
     """The distribution of C from its (q^k - 1)/(q - 1) projective classes,
     walked in numpy blocks: the q - 1 nonzero multiples of a class share
     its weight.  In characteristic 2 the classes are walked packed, 64
-    coordinates per lane; a pad bit set by mistake shows as a weight
-    above n, which fails the count check.
+    coordinates per lane; one AND per block tests the pad bits past n in
+    each plane's last lane, and a pad bit set by mistake raises.
 
     The weights are counted in pairs: they are held until at least
     _BLOCK_CELLS // 4 have piled up, and the first half of them is paired
@@ -896,6 +899,7 @@ def _enumerated_distribution(C: LinearCode) -> WeightDistribution:
     pairs = base * base <= 1 << 16 and \
         (q ** C.k - 1) // (q - 1) >= _BLOCK_CELLS // 4
     counted = np.zeros(base * base if pairs else base, dtype=np.int64)
+    pad = np.uint64((1 << 64) - (1 << n % 64)) if packed and n % 64 else 0
     held: list[np.ndarray] = []
     phantoms = 0
 
@@ -916,6 +920,9 @@ def _enumerated_distribution(C: LinearCode) -> WeightDistribution:
 
     size = 0
     for V in _projective_span(tables, C.gen_array[None], packed):
+        if pad and np.bitwise_and(V[0][_lanes(n) - 1::_lanes(n)], pad).any():
+            raise LocalityInvariantBroken(
+                "enumeration kernel miscounted: a pad bit is set")
         # fresh arrays, safe from the walker's reuse of its buffer
         held.append(_packed_weights(V[0], bits) if packed else
                     np.count_nonzero(V[0], axis=0))
@@ -930,7 +937,7 @@ def _enumerated_distribution(C: LinearCode) -> WeightDistribution:
         grid = counted.reshape(base, base)
         classes = grid.sum(axis=1) + grid.sum(axis=0)
         classes[0] -= phantoms
-    # a weight above n is left out of the sum
+    # no weight lies above n: the pad bits are clean
     counts = [x * (q - 1) for x in classes[:n + 1].tolist()]
     counts[0] += 1
     if counts[0] != 1 or sum(counts) != q ** C.k:
@@ -986,26 +993,22 @@ def macwilliams(wd, n: int, k: int, q: int) -> WeightDistribution:
 # ---------------------------------------------------------------------------
 # low-weight search
 
-def word_supports(W: np.ndarray, w: int) -> np.ndarray:
-    """The supports of the rows of W, words of weight w each: shape (m, w),
-    each row ascending."""
-    return np.nonzero(W)[1].reshape(len(W), w)
-
-
-def distinct_supports(W: np.ndarray, w: int) -> list[tuple[int, ...]]:
-    """The distinct supports of the rows of W, words of weight w sorted by
-    support, in order, as tuples of ints: the form reports hand on to JSON."""
-    S = word_supports(W, w)
+def distinct_supports(words: Words) -> list[tuple[int, ...]]:
+    """The distinct supports of words sorted by support, in order, as
+    tuples of ints: the form reports hand on to JSON."""
+    S = words.support
     first = np.r_[True, (S[1:] != S[:-1]).any(axis=1)][:len(S)]
     return list(map(tuple, S[first].tolist()))
 
 
 def _words_by_enumeration(C: LinearCode, w: int, tables: _FieldArrays):
-    """Blocks of the weight-w words of C, one per projective class of the
-    code; each leads with the 1 at the pivot of its leading generator row."""
+    """Blocks (S, V) of the weight-w words of C, one per projective class
+    of the code, each block's words read off as it is filtered; each
+    leads with the 1 at the pivot of its leading generator row."""
     for V in _projective_span(tables, C.gen_array[None]):
-        keep = np.count_nonzero(V[0], axis=0) == w
-        yield V[0][:, keep].T
+        kept = V[0][:, np.count_nonzero(V[0], axis=0) == w].T
+        S = np.nonzero(kept)[1].reshape(len(kept), w)
+        yield S, np.take_along_axis(kept, S, axis=1)
 
 
 def _deficient_blocks(H: np.ndarray, w: int, tables: _FieldArrays, u: int):
@@ -1070,9 +1073,9 @@ def _words_by_kernels(H: np.ndarray, w: int, budget: int,
     """The support scan with table-driven numpy: the kernel bases of all
     rank-deficient subsets of a block come from one _batch_kernel pass, and
     the words on S are the classes of their spans with no zero entry.
-    Yields blocks of the words of the code with parity check H whose least
-    support member is below u, each scaled to lead with 1."""
-    q, n = len(tables.inv), H.shape[1]
+    Yields blocks (S, V) of the words of the code with parity check H
+    whose least support member is below u, each scaled to lead with 1."""
+    q = len(tables.inv)
     spent = 0
     for S, K, nullity in _deficient_blocks(H, w, tables, u):
         values, counts = np.unique(nullity, return_counts=True)
@@ -1084,10 +1087,7 @@ def _words_by_kernels(H: np.ndarray, w: int, budget: int,
             S_nu = S[idx]
             for V in _projective_span(tables, basis):
                 i, t = np.nonzero((V != 0).all(axis=1))
-                full = np.zeros((len(i), n), dtype=np.int32)
-                full[np.arange(len(i))[:, None], S_nu[i]] = _lead_with_one(
-                    tables, V[i, :, t])
-                yield full
+                yield S_nu[i], _lead_with_one(tables, V[i, :, t])
 
 
 def _syndrome_keys(tables: _FieldArrays, Ht: np.ndarray, S: np.ndarray,
@@ -1166,8 +1166,8 @@ def _words_by_join(H: np.ndarray, w: int, budget: int, tables: _FieldArrays,
     mu (one, when b = 0).  The least member of S is the least of T1, so
     only the left halves that start below u are keyed, in blocks, each
     joined with every right half.  Each block's matched words are charged
-    w each against the budget before they are made.  Yields blocks of
-    words, each leading with 1."""
+    w each against the budget before they are made.  Yields blocks (S, V)
+    of words, each leading with 1."""
     q, n = len(tables.inv), H.shape[1]
     Ht = np.ascontiguousarray(H.T)  # column h_j is Ht[j]
     a, b = (w + 1) // 2, w // 2
@@ -1207,56 +1207,58 @@ def _words_by_join(H: np.ndarray, w: int, budget: int, tables: _FieldArrays,
         ri = np.r_[ri[~zero], np.repeat(ri[zero], many)]
         mu = np.r_[mu[~zero], np.tile(np.arange(1, many + 1),
                                       np.count_nonzero(zero))]
-        rows = np.arange(len(li))[:, None]
-        W = np.zeros((len(li), n), dtype=np.int32)
-        W[rows, left_S[li // len(left_cf)]] = left_cf[li % len(left_cf)]
-        W[rows, right_S[ri // len(right_cf)]] = _vmul(
-            tables, mu[:, None], right_cf[ri % len(right_cf)])
-        yield W
+        # max(T1) < min(T2): the halves side by side are the support
+        yield (np.hstack([left_S[li // len(left_cf)],
+                          right_S[ri // len(right_cf)]]),
+               np.hstack([left_cf[li % len(left_cf)],
+                          _vmul(tables, mu[:, None],
+                                right_cf[ri % len(right_cf)])]))
 
 
 def exact_weight_words(C: LinearCode, w: int, caps: Caps | None = None,
-                       through: list[int] | None = None) -> np.ndarray:
-    """All weight-w codewords of C, one per projective class, as one int32
-    array of shape (m, n), (0, n) when there are none; given through, a
-    list of coordinates checked as puncture checks its coordinates, only
-    those whose support meets it.  Each row is scaled to lead with 1 and
-    has exactly w nonzero entries, so word_supports reads the supports off
-    it.  The rows are sorted by support, then by word: two words on one
-    support differ only on it, so every route returns the same array.  The
-    route is plan's "words" route, priced there: an enumeration of C, the
-    rank scan of the w-subsets of the columns of the parity check, or the
-    syndrome join.  The route and its price are those of the full search,
-    through or not.  An enumeration filters its words by through; a scan
-    gets the parity check with the u coordinates of through moved to the
-    front, where the supports that meet them are those whose least member
-    is below u, and its words are moved back and scaled to lead with 1
-    again."""
+                       through: list[int] | None = None) -> Words:
+    """All weight-w codewords of C, one per projective class, as a Words of
+    m rows (m = 0 when there are none), support intp and values int32,
+    each row's support ascending and its values leading with 1; given
+    through, a list of coordinates checked as puncture checks its
+    coordinates, only those whose support meets it.  The rows are sorted
+    by support, then by values: two words on one support differ only on
+    it, so every route returns the same arrays.  The route is plan's
+    "words" route, priced there: an enumeration of C, the rank scan of the
+    w-subsets of the columns of the parity check, or the syndrome join.
+    The route and its price are those of the full search, through or not.
+    An enumeration filters its words by through; a scan gets the parity
+    check with the u coordinates of through moved to the front, where the
+    supports that meet them are those whose least member is below u, and
+    maps its supports back, each sorted with its values, led with 1 again."""
     caps = _caps(caps)
     n, k = C.n, C.k
     if through is not None:
         through = _check_coords(C, through)
-    W = np.zeros((0, n), dtype=np.int32)
+    S, V = np.zeros((0, w), dtype=np.intp), np.zeros((0, w), dtype=np.int32)
     if k == 0 or w == 0 or w > n:
-        return W
+        return Words(S, V)
     route = plan(n, k, C.field.q, "words", caps, w).route
     tables = _numpy_field_tables(C.field)
     if route == "enumerate":
-        W = np.concatenate([W, *_words_by_enumeration(C, w, tables)])
-        if through is not None:
-            W = W[W[:, through].any(axis=1)]
+        blocks = _words_by_enumeration(C, w, tables)
     else:
         kernel = _words_by_join if route == "join" else _words_by_kernels
         H, u = dual(C).gen_array, n
         if through is not None:
             order = np.argsort(~np.isin(np.arange(n), through), kind="stable")
             H, u = H[:, order], len(through)
-        W = np.concatenate([W, *kernel(H, w, caps.search, tables, u)])
-        if through is not None:
-            W = _lead_with_one(tables, W[:, np.argsort(order)])
-    S = word_supports(W, w)
-    keys = np.hstack([S.astype(np.int32), np.take_along_axis(W, S, axis=1)])
-    return W[np.lexsort(keys[:, ::-1].T)]
+        blocks = kernel(H, w, caps.search, tables, u)
+    S, V = (np.concatenate(parts) for parts in zip((S, V), *blocks))
+    if through is not None and route == "enumerate":
+        meets = np.isin(S, through).any(axis=1)
+        S, V = S[meets], V[meets]
+    elif through is not None:  # C's columns, each sorted with its values
+        by = np.argsort(order[S], axis=1)
+        S, V = (np.take_along_axis(X, by, axis=1) for X in (order[S], V))
+        V = _lead_with_one(tables, V)
+    by = np.lexsort([*V.T[::-1], *S.T[::-1]])
+    return Words(S[by], V[by])
 
 
 def minimum_distance(C: LinearCode, caps: Caps | None = None) -> int:

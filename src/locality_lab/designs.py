@@ -52,7 +52,7 @@ def support_blocks(C: LinearCode, w: int,
                    caps: Caps | None = None) -> DesignReport:
     """Distinct supports of the weight-w codewords, as a design skeleton
     (no t-design verification yet)."""
-    blocks = tuple(distinct_supports(exact_weight_words(C, w, caps), w))
+    blocks = tuple(distinct_supports(exact_weight_words(C, w, caps)))
     return DesignReport(n=C.n, block_size=w, blocks=blocks,
                         t_lambda={}, is_steiner=False)
 

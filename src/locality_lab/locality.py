@@ -15,9 +15,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .code_core import (
     Caps,
     LinearCode,
+    Words,
     distinct_supports,
     dual,
     exact_weight_words,
@@ -25,7 +28,6 @@ from .code_core import (
     is_cyclic,
     minimum_distance,
     nullspace,
-    word_supports,
 )
 from .errors import (
     BadLocality,
@@ -121,7 +123,7 @@ def minimum_linear_locality(C: LinearCode,
         if not in_dual(C, words):
             raise LocalityInvariantBroken(
                 f"weight-{w} search produced a word outside the dual")
-        supports = distinct_supports(words, w)
+        supports = distinct_supports(words)
         # the coordinates first covered at weight w, and their options
         fresh = {j: [] for j in
                  sorted({j for s in supports for j in s} - covered)}
@@ -170,15 +172,13 @@ def repair_coefficients(C: LinearCode, i: int,
         raise NotARepairSet(
             f"no dual codeword on {{{i}}} + {repair} is nonzero at {i}")
     scale = F.neg(F.inv(h[pos]))
-    rule = [0] * n  # -1 at i, u_j at each j of the repair set
-    for t, j in enumerate(cols):
-        rule[j] = F.mul(scale, h[t])
+    rule = [F.mul(scale, x) for x in h]  # -1 at i, u_j at each j of repair
     # c_i = sum u_j c_j on every codeword iff the rule is a dual word
-    if not in_dual(C, [rule]):
+    if not in_dual(C, Words(np.array([cols]), np.array([rule], np.int32))):
         raise LocalityInvariantBroken(
             f"repair coefficients for coordinate {i} failed on a basis "
             "vector")
-    return {j: rule[j] for j in repair}
+    return {j: u for j, u in zip(cols, rule) if j != i}
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +380,11 @@ def nmds_support_pairing(C: LinearCode, caps: Caps | None = None
     if d + d_dual != C.n:
         raise PairingFailed(f"weights {d} and {d_dual} do not partition "
                             f"the {C.n} coordinates")
-    partners = Counter(map(tuple, word_supports(dual_words, d_dual).tolist()))
+    partners = Counter(map(tuple, dual_words.support.tolist()))
     pairs = []
     used: set[tuple[int, ...]] = set()
-    # the complement of a support is where the word is zero
-    for s, rest in zip(map(tuple, word_supports(words, d).tolist()),
-                       map(tuple, word_supports(words == 0, d_dual).tolist())):
+    for s in map(tuple, words.support.tolist()):
+        rest = tuple(sorted(set(range(C.n)).difference(s)))
         if partners[rest] != 1 or rest in used:
             raise PairingFailed(
                 f"word with support {s} has {partners[rest]} partners")

@@ -17,7 +17,10 @@ walk of locality_lab.constructions replaced, and generator_with_zeros the
 coset loop that bch and grm_punctured each ran before _code_with_zeros;
 tests/test_constructions.py compares them.  hamming_weight_distribution_formula
 is a closed form for the distribution of the Hamming code, an oracle for
-the enumeration and the MacWilliams transform.  Not a test module: pytest
+the enumeration and the MacWilliams transform.  The words here are dense
+rows of n entries, the form code_core.exact_weight_words returned before
+its Words; same_words compares a Words with them, and words_of and
+rows_as_words turn dense rows into a Words.  Not a test module: pytest
 does not collect it.
 """
 
@@ -26,7 +29,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from locality_lab.code_core import Caps, WeightDistribution, plan
+from locality_lab.code_core import Caps, WeightDistribution, Words, plan
 from locality_lab.errors import ConstructionInvariantBroken, SearchTooLarge
 from locality_lab.gf import (cyclotomic_coset, minimal_polynomial, poly,
                              poly_mul, splitting_field)
@@ -155,6 +158,42 @@ def projective_reps(field, basis):
                     vec = [field.add(v, field.mul(c, b))
                            for v, b in zip(vec, brow)]
             yield vec
+
+
+def same_words(words, W) -> bool:
+    """True iff words holds the rows of the dense array W, in order: each
+    row's support its nonzero columns and its values the entries there."""
+    W = np.asarray(W)
+    m, w = words.support.shape
+    if len(W) != m or words.values.shape != (m, w):
+        return False
+    if (np.count_nonzero(W, axis=1) != w).any():
+        return False
+    rows, cols = np.nonzero(W)
+    return (np.array_equal(cols.reshape(m, w), words.support)
+            and np.array_equal(W[rows, cols].reshape(m, w), words.values))
+
+
+def words_of(W):
+    """The rows of the dense array W, all of one weight, as a Words."""
+    W = np.asarray(W, dtype=np.int32)
+    S = np.nonzero(W)[1].reshape(len(W), -1 if len(W) else 0)
+    return Words(S, np.take_along_axis(W, S, axis=1))
+
+
+def rows_as_words(W):
+    """The rows of the dense array W, of any weights, as a Words whose
+    support is the full column range, zero values included: the form
+    code_core.is_cyclic passes to in_dual."""
+    W = np.asarray(W, dtype=np.int32)
+    return Words(np.broadcast_to(np.arange(W.shape[1]), W.shape), W)
+
+
+def dense(words, n):
+    """The words of a Words as dense rows of n entries."""
+    W = np.zeros((len(words), n), dtype=np.int32)
+    W[np.arange(len(words))[:, None], words.support] = words.values
+    return W
 
 
 def in_dual(C, vectors) -> bool:

@@ -34,7 +34,6 @@ from locality_lab.code_core import (
     save_matrix,
     shorten,
     weight_distribution,
-    word_supports,
     zero_code,
 )
 from locality_lab.errors import (
@@ -202,11 +201,13 @@ def test_in_dual_makes_no_elimination(monkeypatch):
 
     monkeypatch.setattr(code_core, "rref", recording_rref)
     for j in range(17):  # the dual of a cyclic code is cyclic
-        assert code_core.in_dual(C, np.roll(D.gen_array, j, axis=1))
-        assert code_core.in_dual(D, np.roll(C.gen_array, j, axis=1))
+        assert code_core.in_dual(
+            C, ref.rows_as_words(np.roll(D.gen_array, j, axis=1)))
+        assert code_core.in_dual(
+            D, ref.rows_as_words(np.roll(C.gen_array, j, axis=1)))
     bad = D.gen_array[:1].copy()
     bad[0, 0] ^= 1
-    assert not code_core.in_dual(C, bad)
+    assert not code_core.in_dual(C, ref.rows_as_words(bad))
     assert rows == []
 
 
@@ -739,7 +740,8 @@ def test_low_weight_below_distance_is_empty():
     ham = from_parity_check(
         F2, [[0, 0, 0, 1, 1, 1, 1], [0, 1, 1, 0, 0, 1, 1], [1, 0, 1, 0, 1, 0, 1]])
     for w in (1, 2):
-        assert exact_weight_words(ham, w).shape == (0, 7)
+        words = exact_weight_words(ham, w)
+        assert len(words) == 0 and words.support.shape == (0, w)
 
 
 def test_low_weight_matches_weight_distribution():
@@ -759,13 +761,15 @@ def test_low_weight_words_are_codewords_with_exact_support():
         C = random_code(rng, field, n_max=9)
         for w in range(1, C.n + 1):
             W = exact_weight_words(C, w)
-            assert W.dtype == np.int32 and W.shape[1:] == (C.n,)
-            assert (np.count_nonzero(W, axis=1) == w).all()
-            for word, support in zip(W.tolist(), word_supports(W, w).tolist()):
+            assert W.values.dtype == np.int32 and W.values.shape[1:] == (w,)
+            assert W.support.shape == W.values.shape
+            assert W.values.all()  # exactly w nonzero entries
+            assert (np.diff(W.support, axis=1) > 0).all()
+            assert ((W.support >= 0) & (W.support < C.n)).all()
+            for word in ref.dense(W, C.n).tolist():
                 assert ref.in_dual(dual(C), [word])
-                assert [j for j, x in enumerate(word) if x] == support
-                # canonical projective representative
-                assert word[support[0]] == 1
+            # canonical projective representatives
+            assert (W.values[:, :1] == 1).all()
 
 
 def test_exact_weight_words_deterministic():
@@ -773,8 +777,9 @@ def test_exact_weight_words_deterministic():
         F2, [[0, 0, 0, 1, 1, 1, 1], [0, 1, 1, 0, 0, 1, 1], [1, 0, 1, 0, 1, 0, 1]])
     a = exact_weight_words(ham, 3)
     b = exact_weight_words(ham, 3)
-    assert np.array_equal(a, b)
-    supports = word_supports(a, 3).tolist()
+    assert np.array_equal(a.support, b.support)
+    assert np.array_equal(a.values, b.values)
+    supports = a.support.tolist()
     assert supports == sorted(supports)
     assert len(a) == 7
 
@@ -784,7 +789,7 @@ def test_low_weight_supports_cover_check():
     # plane; they cover every coordinate
     ham = from_parity_check(
         F2, [[0, 0, 0, 1, 1, 1, 1], [0, 1, 1, 0, 0, 1, 1], [1, 0, 1, 0, 1, 0, 1]])
-    covered = set(word_supports(exact_weight_words(ham, 3), 3).ravel().tolist())
+    covered = set(exact_weight_words(ham, 3).support.ravel().tolist())
     assert covered == set(range(7))
 
 

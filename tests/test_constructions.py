@@ -199,7 +199,7 @@ def test_bch_q32_dimensions_and_designed_distance():
     assert (C.n, C.k) == (33, 27)
     # BCH bound: no nonzero word lighter than the designed distance
     for w in range(1, 4):
-        assert exact_weight_words(C, w, Caps()).shape == (0, 33)
+        assert len(exact_weight_words(C, w, Caps())) == 0
 
 
 def test_bch_bound_on_small_instances():

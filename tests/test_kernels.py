@@ -34,12 +34,12 @@ from locality_lab.code_core import (
     rref,
     shorten,
     weight_distribution,
-    word_supports,
     zero_code,
 )
 from locality_lab.errors import (BadCoordinate, FieldTooLarge,
                                  LocalityInvariantBroken, SearchTooLarge)
-from locality_lab.constructions import elliptic_quadric, grm, ovoid_code
+from locality_lab.constructions import (elliptic_quadric, grm, ovoid_code,
+                                        simplex)
 from locality_lab.gf import (ADD_TABLE_CAP, DLOG_CAP, FieldSpec, field_new,
                              quadratic_extension)
 
@@ -254,9 +254,23 @@ def test_word_counts_match_weight_distribution():
             words = exact_weight_words(C, w)
             routes.add(route(C, w))
             assert len(words) * (q - 1) == wd[w], (C, w)
-            assert words.shape[1] == C.n and words.dtype == np.int32
+            assert words.support.shape == words.values.shape == (len(words), w)
+            assert words.support.dtype == np.intp
+            assert words.values.dtype == np.int32
             assert in_dual(dual(C), words)
     assert routes == {"enumerate", "parity-check", "join"}
+
+
+def same(a, b):
+    """True iff two Words hold equal arrays."""
+    return (np.array_equal(a.support, b.support)
+            and np.array_equal(a.values, b.values))
+
+
+def meeting(words, U):
+    """The rows of words whose support meets the coordinates U."""
+    meets = np.isin(words.support, U).any(axis=1)
+    return code_core.Words(words.support[meets], words.values[meets])
 
 
 def corrupted(W):
@@ -300,14 +314,17 @@ def test_distinct_supports_match_np_unique():
     for C in code_roster():
         for w in range(1, C.n + 1):
             W = exact_weight_words(C, w)
-            expected = np.unique(word_supports(W, w), axis=0).tolist()
-            assert distinct_supports(W, w) == list(map(tuple, expected))
+            expected = np.unique(W.support, axis=0).tolist()
+            assert distinct_supports(W) == list(map(tuple, expected))
             runs += len(expected) < len(W)
             empty += not len(W)
     assert runs and empty  # supports with several words, and no words
 
 
 def test_numpy_paths_match_scalar_reference(monkeypatch):
+    """Each Words row against the dense reference: its support the
+    reference's nonzero columns, its values the entries there.  Words hold
+    12 bytes per entry of a support."""
     roster = code_roster()
     reached = record_kernel_scans(monkeypatch)
     caps = code_core.Caps()
@@ -315,19 +332,24 @@ def test_numpy_paths_match_scalar_reference(monkeypatch):
     for C in roster:
         words = []
         for w in range(1, C.n + 1):
-            fast = exact_weight_words(C, w)
-            assert np.array_equal(fast, ref.exact_weight_words(C, w)), (C, w)
-            words.append(fast)
+            fast, slow = exact_weight_words(C, w), ref.exact_weight_words(C, w)
+            assert ref.same_words(fast, slow), (C, w)
+            words.append(slow)
             assert any(map(len, words)) == \
                 ref.has_words_of_weight_at_most(C, w, caps), (C, w)
         assert list(weight_distribution(C).counts) == ref.enumerate_counts(C)
         bad = corrupted(np.concatenate(words))
-        verdicts.append(in_dual(dual(C), bad))
+        verdicts.append(in_dual(dual(C), ref.rows_as_words(bad)))
         assert verdicts[-1] == ref.in_dual(dual(C), bad.tolist())
     assert False in verdicts  # some corrupted word left the dual
     # dependency spaces of nullity 2 and 3 (the k = n code among them),
     # and words found by the scan
     assert {2, 3, "words"} <= reached
+    # w entries per word, 8 bytes of support and 4 of value each: the
+    # weight-3 words of the [255, 247] Hamming code, not 255 entries each
+    words = exact_weight_words(dual(simplex(2, 8)), 3)
+    assert len(words) == 255 * 254 // 6
+    assert words.support.nbytes + words.values.nbytes <= 12 * len(words) * 3
 
 
 @pytest.mark.parametrize("n, w, through", [
@@ -426,10 +448,11 @@ def through_sets(rng, n):
 
 def test_restricted_scan_matches_filtered_full_scan():
     """The words through U are the rows of the full scan whose support
-    meets U, on every route, as in the scalar reference filtered alike;
-    U unsorted and with a repeated coordinate gives the same array.  Some
-    word of each scan leads, in the order of C, at a coordinate outside U
-    with an entry the scan, which led with 1 on U, has to rescale."""
+    meets U, on every route, as in the dense scalar reference filtered
+    alike; U unsorted and with a repeated coordinate gives the same
+    arrays.  Some word of each scan leads, in the order of C, at a
+    coordinate outside U with an entry the scan, which led with 1 on U,
+    has to rescale."""
     rng = random.Random(14)
     narrowed = set()  # routes on which some U dropped some but not all words
     rescaled = set()
@@ -439,17 +462,16 @@ def test_restricted_scan_matches_filtered_full_scan():
             slow = ref.exact_weight_words(C, w)
             for U in through_sets(rng, C.n):
                 got = exact_weight_words(C, w, through=U)
-                assert np.array_equal(got, full[full[:, U].any(axis=1)])
-                assert np.array_equal(got, slow[slow[:, U].any(axis=1)]), \
+                assert same(got, meeting(full, U))
+                assert ref.same_words(got, slow[slow[:, U].any(axis=1)]), \
                     (C, w, U)
                 shuffled = rng.sample(U, len(U)) + [U[-1]]
-                assert np.array_equal(
-                    exact_weight_words(C, w, through=shuffled), got)
+                assert same(exact_weight_words(C, w, through=shuffled), got)
                 if 0 < len(got) < len(full):
                     narrowed.add(route(C, w))
-                first_on_U = (got[:, U] != 0).argmax(axis=1)  # U is ascending
-                if (got[np.arange(len(got)), np.array(U)[first_on_U]]
-                        != 1).any():
+                # supports ascend: the first member in U is the least
+                first_on_U = np.isin(got.support, U).argmax(axis=1)
+                if (got.values[np.arange(len(got)), first_on_U] != 1).any():
                     rescaled.add(route(C, w))
     assert narrowed == {"enumerate", "parity-check", "join"}
     assert {"parity-check", "join"} <= rescaled
@@ -465,7 +487,7 @@ def test_through_is_checked_on_every_route(kernel):
             words_by(kernel, C, 3, bad)
     once, _ = words_by(kernel, C, 3, [0])
     assert len(once)
-    assert np.array_equal(words_by(kernel, C, 3, [0, 0])[0], once)
+    assert same(words_by(kernel, C, 3, [0, 0])[0], once)
 
 
 @pytest.mark.parametrize("numpy_kernel", [True, False])
@@ -559,21 +581,19 @@ def test_join_matches_rank_scan_and_scalar_reference(monkeypatch):
         for w in range(1, top + 1):
             join, slow = words_by("join", C, w)
             scan, _ = words_by("parity-check", C, w)
-            assert np.array_equal(join, scan), (C, w)
-            assert np.array_equal(join, slow), (C, w)
-            if w == 4 and join.size and (join[:, :2] == [1, 2]).all(
-                    axis=1).any():
+            assert same(join, scan), (C, w)
+            assert ref.same_words(join, slow), (C, w)
+            if w == 4 and (slow[:, :2] == [1, 2]).all(axis=1).any():
                 degenerate.add("zero halves")
             for U in ([rng.randrange(n)], sorted(rng.sample(range(n), 2)),
                       list(range(n))):
                 got, _ = words_by("join", C, w, U)
-                assert np.array_equal(got, join[join[:, U].any(axis=1)]), \
-                    (C, w, U)
+                assert same(got, meeting(join, U)), (C, w, U)
         with monkeypatch.context() as mp:
             mp.setattr(code_core, "_BLOCK_CELLS", 8)
             for w in range(1, top + 1):
-                assert np.array_equal(words_by("join", C, w)[0],
-                                      words_by("parity-check", C, w)[0])
+                assert same(words_by("join", C, w)[0],
+                            words_by("parity-check", C, w)[0])
     assert degenerate == {"no rows", "zero column", "zero halves"}
 
 
@@ -622,12 +642,12 @@ def test_large_fields_match_mds_formula(p, m):
             routes.add(route(C, w))
             assert len(words) * (q - 1) == mds_count(4, C.k, q, w), (C, w)
             assert in_dual(dual(C), words)
-            assert np.array_equal(words, ref.exact_weight_words(C, w)), (C, w)
+            assert ref.same_words(words, ref.exact_weight_words(C, w)), (C, w)
     assert routes == {"enumerate", "parity-check", "join"}
     for C in (C2, C3):
         assert list(weight_distribution(C).counts) == [
             1] + [mds_count(4, C.k, q, w) for w in range(1, 5)]
-    assert exact_weight_words(C3, 4).tolist() == [list(C3.gen[0])]
+    assert ref.same_words(exact_weight_words(C3, 4), [C3.gen[0]])
     # C1 has words of weight 2 and none of weight 1: d = 2, by the scan
     assert len(exact_weight_words(C1, 2)) and \
         not len(exact_weight_words(C1, 1))
@@ -750,14 +770,14 @@ def test_rref_loop_matches_scalar_reference(monkeypatch, p, m):
 
 def all_words(C, tables):
     """Every weight's words on the enumeration route and on the rank scan,
-    as sorted lists."""
+    as sorted lists of (support, values) rows."""
     out = []
     for w in range(1, C.n + 1):
         for blocks in (_words_by_enumeration(C, w, tables),
                        _words_by_kernels(dual(C).gen_array, w, 1 << 24,
                                          tables, C.n)):
-            W = np.concatenate([np.zeros((0, C.n), dtype=np.int32), *blocks])
-            out.append(sorted(W.tolist()))
+            out.append(sorted((s, v) for S, V in blocks
+                              for s, v in zip(S.tolist(), V.tolist())))
     return out
 
 
@@ -774,28 +794,36 @@ def test_block_budget_does_not_change_results(monkeypatch, cells):
 
 
 def test_in_dual_checks_every_block(monkeypatch):
-    """Blocks of one or two words: a word corrupted in any block is found,
-    as the scalar reference finds it."""
-    monkeypatch.setattr(code_core, "_BLOCK_CELLS", 16)
-    found = 0
+    """Blocks of one word: a word corrupted in any block, a later one
+    among them, is found, as the scalar reference finds it, on both
+    sides."""
+    monkeypatch.setattr(code_core, "_BLOCK_CELLS", 8)
+    found = set()
     for C in code_roster()[4:8]:  # [n, n - 2] and [n, n - 3] codes
-        W = np.concatenate([exact_weight_words(dual(C), w)
-                            for w in range(1, C.n + 1)])
-        assert len(W) > 2 and in_dual(C, W)
-        for r in range(len(W)):
-            bad = W.copy()
-            bad[r, np.flatnonzero(bad[r])[0]] = 0
-            verdict = in_dual(C, bad)
-            assert verdict == ref.in_dual(C, bad.tolist()), (C, r)
-            found += not verdict
-    assert found
+        for w in range(1, C.n + 1):
+            W = exact_weight_words(dual(C), w)
+            assert in_dual(C, W)
+            syndrome = w * C.k <= (C.n - C.k) * C.n
+            for r in range(len(W)):
+                values = W.values.copy()
+                values[r, 0] = 0
+                bad = code_core.Words(W.support, values)
+                verdict = in_dual(C, bad)
+                assert verdict == ref.in_dual(C, ref.dense(bad, C.n).tolist()), \
+                    (C, r)
+                if not verdict and r:
+                    found.add(syndrome)
+    assert found == {True, False}
 
 
 def test_in_dual_matches_scalar_reference_on_both_sides():
     """in_dual against the scalar syndrome, on both sides of its choice:
     codes with 2k below, at and above n, the zero code, the whole space and
     a code given by rows outside echelon form, each checked with words of
-    its dual, corrupted words and random vectors."""
+    its dual, corrupted words and random vectors, all on the full column
+    range with their zero values, as is_cyclic passes them.  Then the
+    minimum-weight words of each dual, with one value on a support
+    corrupted, are refused on the syndrome side and on the pivot side."""
     rng = random.Random(18)
     codes = [code_roster()[-1]]  # given by rows outside echelon form
     for q in (2, 3, 4, 9, 16):
@@ -804,27 +832,41 @@ def test_in_dual_matches_scalar_reference_on_both_sides():
         codes.extend(random_code(rng, q, n, k)
                      for k in (1, rng.randint(2, n // 2 - 1), n // 2,
                                n - 1, n))
-    seen, verdicts = set(), []
+    seen, verdicts, refused, zeros_held = set(), [], set(), False
     for C in codes:
         for A in (C, dual(C)):
             q, D = A.field.q, dual(A)
             words = np.array([D.encode([rng.randrange(q) for _ in range(D.k)])
                               for _ in range(6)], dtype=np.int32)
             words = words[words.any(axis=1)]
-            assert in_dual(A, words) and ref.in_dual(A, words.tolist())
+            assert in_dual(A, ref.rows_as_words(words))
+            assert ref.in_dual(A, words.tolist())
+            zeros_held = zeros_held or not words.all()
             outside = [corrupted(words)] if len(words) else []
             outside.append(np.array([[rng.randrange(q) for _ in range(A.n)]
                                      for _ in range(3)], dtype=np.int32))
             for bad in outside:
-                verdicts.append(in_dual(A, bad))
+                verdicts.append(in_dual(A, ref.rows_as_words(bad)))
                 assert verdicts[-1] == ref.in_dual(A, bad.tolist()), (A, bad)
             seen.add((2 * A.k < A.n, 2 * A.k > A.n, A.k in (0, A.n)))
-    assert False in verdicts
+            if D.k:
+                w = code_core.minimum_distance(D)
+                W = exact_weight_words(D, w)
+                values = W.values.copy()
+                values[-1, -1] = (values[-1, -1] + 1) % q  # 0 when q = 2
+                bad = code_core.Words(W.support, values)
+                verdict = in_dual(A, bad)
+                assert verdict == ref.in_dual(
+                    A, ref.dense(bad, A.n).tolist()), (A, w)
+                if not verdict:
+                    refused.add(w * A.k <= (A.n - A.k) * A.n)
+    assert zeros_held and False in verdicts
     # the syndrome (2k <= n) and the re-encoding (2k > n), with k = 0 and
     # k = n among them
     assert {(True, False, False), (False, False, False),
             (False, True, False), (True, False, True),
             (False, True, True)} <= seen
+    assert refused == {True, False}  # the syndrome side, the pivot side
 
 
 def test_in_dual_multiplies_only_the_support(monkeypatch):
@@ -859,8 +901,8 @@ def test_in_dual_multiplies_only_the_support(monkeypatch):
 
 @pytest.mark.parametrize("cells", [16, 1 << 18])
 def test_in_dual_on_rows_of_mixed_weight(monkeypatch, cells):
-    """Rows of different weights, zero rows among them, as is_cyclic
-    passes a generator, against the scalar syndrome, in blocks of one or
+    """Rows of different weights, zero rows among them, on the full column
+    range as is_cyclic passes a generator, against the scalar syndrome, in blocks of one or
     two rows and in one block, on both sides."""
     monkeypatch.setattr(code_core, "_BLOCK_CELLS", cells)
     rng = random.Random(cells)
@@ -872,9 +914,11 @@ def test_in_dual_on_rows_of_mixed_weight(monkeypatch, cells):
             W = np.array(words + [[0] * A.n] + list(D.gen), dtype=np.int32)
             if D.k:
                 assert len({int(np.count_nonzero(r)) for r in W}) > 1
-            assert in_dual(A, W) and ref.in_dual(A, W.tolist())
+            assert in_dual(A, ref.rows_as_words(W))
+            assert ref.in_dual(A, W.tolist())
             bad = corrupted(W[np.any(W, axis=1)])
-            assert in_dual(A, bad) == ref.in_dual(A, bad.tolist()), A
+            assert in_dual(A, ref.rows_as_words(bad)) == \
+                ref.in_dual(A, bad.tolist()), A
             assert is_cyclic(A) == ref.in_dual(
                 D, np.roll(A.gen_array, 1, axis=1).tolist())
 
@@ -1177,8 +1221,10 @@ def test_a_dirty_pad_bit_breaks_the_distribution(monkeypatch):
         return out
 
     monkeypatch.setattr(code_core, "_pack_planes", dirty)
-    for n in (1, 63, 65, 127):
-        C = from_generator(field(2), [[1] * n])  # one class, of weight n
+    # one class, of weight n; and [1, 1, 0], of weight 2, which the pad
+    # bit would lift to a weight of n = 3
+    for rows in ([[1]], [[1] * 63], [[1] * 65], [[1] * 127], [[1, 1, 0]]):
+        C = from_generator(field(2), rows)
         with pytest.raises(LocalityInvariantBroken, match="miscounted"):
             _enumerated_distribution(C)
 

@@ -14,6 +14,7 @@ import locality_lab.locality as locality_module
 
 from locality_lab.code_core import (
     LinearCode,
+    Words,
     distinct_supports,
     dual,
     exact_weight_words,
@@ -213,10 +214,11 @@ def test_every_searched_word_is_checked(monkeypatch):
     search = locality_module.exact_weight_words
 
     def corrupt_last(D, w, caps=None, through=None):
-        words = search(D, w, caps, through).copy()
+        words = search(D, w, caps, through)
+        values = words.values.copy()
         if len(words):  # zero the last entry of the last word's support
-            words[-1, np.flatnonzero(words[-1])[-1]] = 0
-        return words
+            values[-1, -1] = 0
+        return Words(words.support, values)
 
     monkeypatch.setattr(locality_module, "exact_weight_words", corrupt_last)
     with pytest.raises(LocalityInvariantBroken, match="outside the dual"):
@@ -224,7 +226,7 @@ def test_every_searched_word_is_checked(monkeypatch):
 
     monkeypatch.setattr(locality_module, "exact_weight_words",
                         lambda D, w, caps=None, through=None:
-                        np.zeros((0, D.n), np.int32))
+                        ref.words_of(np.zeros((0, D.n), np.int32)))
     with pytest.raises(LocalityInvariantBroken, match="uncovered"):
         minimum_linear_locality(hamming(2, 3))
 
@@ -335,7 +337,7 @@ from types import SimpleNamespace
 import numpy as np
 import locality_lab.designs as designs
 import locality_lab.locality as locality
-from locality_lab.code_core import from_generator
+from locality_lab.code_core import Words, from_generator
 from locality_lab.constructions import hamming
 from locality_lab.errors import (DesignInvariantBroken,
                                  LocalityInvariantBroken, PairingFailed)
@@ -356,8 +358,8 @@ expect("repair_coefficients", LocalityInvariantBroken,
 
 locality.is_nmds = lambda C, caps=None: True
 locality.minimum_distance = lambda C, caps=None: 1
-locality.exact_weight_words = lambda D, w, caps=None: np.array(
-    [[1, 0, 0]] if D is C else [[0, 1, 0]], dtype=np.int32)
+locality.exact_weight_words = lambda D, w, caps=None: Words(
+    np.array([[0]] if D is C else [[1]]), np.ones((1, 1), dtype=np.int32))
 expect("nmds_support_pairing", PairingFailed,
        lambda: locality.nmds_support_pairing(C))
 
@@ -525,7 +527,7 @@ def test_nmds_support_pairing():
     assert len(pairs) == 66  # 132 words over GF(3), two per support
     assert weight_distribution(G).counts[5] == 132
     # each partner is the one dual support disjoint from the word's
-    dual_supports = distinct_supports(exact_weight_words(dual(G), 6), 6)
+    dual_supports = distinct_supports(exact_weight_words(dual(G), 6))
     for c, h in pairs:
         assert [t for t in dual_supports if set(c).isdisjoint(t)] == [h]
         assert len(c) + len(h) == G.n
@@ -554,7 +556,7 @@ def test_nmds_support_pairing_failures(monkeypatch, dists, words, dual_words,
                         lambda D, caps=None: dists[D is not C])
     monkeypatch.setattr(
         locality_module, "exact_weight_words", lambda D, w, caps=None:
-        np.array(words if D is C else dual_words, dtype=np.int32))
+        ref.words_of(words if D is C else dual_words))
     with pytest.raises(PairingFailed, match=error):
         nmds_support_pairing(C)
 
