@@ -94,10 +94,10 @@ from .errors import (
     RaggedRows,
     SearchTooLarge,
     UnusablePath,
+    WrongFieldForm,
     ZeroCode,
 )
-from .gf import (DLOG_CAP, FIELD_CAP, FieldSpec, canonical_isomorphism,
-                 factorize, field_new)
+from .gf import DLOG_CAP, FIELD_CAP, FieldSpec, factorize, field_new
 
 CAPS_ENV_VAR = "LOCALITY_LAB_CAPS"
 _CONSTRUCT_TOKEN = object()  # LinearCode's: passed only by _build and dual
@@ -190,6 +190,8 @@ def plan(n: int, k: int, q: int, goal: str, caps: Caps, w: int = 0) -> Plan:
     if goal not in goals:
         raise InconsistentInput(f"unknown plan goal {goal!r}; choose from "
                                 f"{', '.join(goals)}")
+    if w < 0:
+        raise InconsistentInput(f"weight {w} is negative")
     if goal == "locality":
         return max([plan(n, n - k, q, "distance", caps, w)]
                    + [plan(n, n - k, q, "words", caps, v)
@@ -1231,6 +1233,8 @@ def exact_weight_words(C: LinearCode, w: int, caps: Caps | None = None,
     check with the u coordinates of through moved to the front, where the
     supports that meet them are those whose least member is below u, and
     maps its supports back, each sorted with its values, led with 1 again."""
+    if w < 0:
+        raise InconsistentInput(f"weight {w} is negative")
     caps = _caps(caps)
     n, k = C.n, C.k
     if through is not None:
@@ -1294,17 +1298,15 @@ def field_for_q(q: int) -> FieldSpec:
 
 
 def save_matrix(path, C: LinearCode) -> None:
-    """Matrix files carry only q, so encodings are written in the canonical
-    field_new representation; tower-built codes are translated through a
-    field isomorphism (an isomorphic code with identical invariants)."""
-    canon = field_for_q(C.field.q)
-    if C.field == canon:
-        rows = C.gen
-    else:
-        iso = canonical_isomorphism(C.field)
-        rows = [[iso(x) for x in row] for row in C.gen]
+    """Write C as a matrix file.  The file records only q, and load_matrix
+    reads it over field_for_q(q), so a code over any other encoding of
+    GF(q), such as a quadratic tower, is refused with WrongFieldForm before
+    the file is opened."""
+    if C.field != field_for_q(C.field.q):
+        raise WrongFieldForm(f"matrix files hold codes over field_for_q("
+                             f"{C.field.q}), not over {C.field!r}")
     lines = [f"{C.field.q} {C.n} {C.k}"]
-    for row in rows:
+    for row in C.gen:
         lines.append(" ".join(str(x) for x in row))
     try:
         with open(path, "w", encoding="ascii") as fh:

@@ -8,14 +8,15 @@ points of PG(m-1, q) as the classes of the span of the identity;
 _code_with_zeros builds BCH and punctured generalized Reed-Muller codes
 alike from their zero sets, one minimal polynomial per cyclotomic coset
 (MacWilliams and Sloane, ch. 7); _code_from_columns builds every code
-whose generator columns are a point set.
+whose generator columns are a point set: the simplex code from the points
+of PG(m-1, q), ovoid, arc and oval codes from theirs.
 
 Every builder that claims parameters returns through _checked, which
 labels the code and checks its length, its dimension and, whenever
 code_core.plan prices it within the caps, its minimum distance.  Lengths
 above MAX_LENGTH are refused before any loop.  Point-set builders (ovoids,
-arcs) return explicit point sets so the exhaustive geometric validators
-can be run separately.
+arcs) return explicit point sets; the exhaustive geometric validators of
+those sets live with the tests, as oracles, since no command runs them.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .code_core import (
     LinearCode,
     _numpy_field_tables,
     _projective_span,
-    dual,
     extend,
     field_for_q,
     from_generator,
@@ -105,6 +105,13 @@ def _checked(C: LinearCode, label: str, n: int, k: int, d: int | None,
     return C
 
 
+def _code_from_columns(field: FieldSpec, cols, label: str, n: int, k: int,
+                       d: int, error_cls) -> LinearCode:
+    """The code generated by the columns cols, through _checked."""
+    return _checked(from_generator(field, list(zip(*cols))), label, n, k, d,
+                    error_cls)
+
+
 # ---------------------------------------------------------------------------
 # Hamming and simplex codes
 
@@ -120,24 +127,32 @@ def projective_point_list(field: FieldSpec, m: int) -> list[tuple[int, ...]]:
     return list(map(tuple, P[np.lexsort(P.T)].tolist()))
 
 
-def hamming(q: int, m: int) -> LinearCode:
+def _pg_columns(family: str, q: int, m: int):
+    """(field, n, the n points of PG(m-1, q)), refused for m < 2 and for
+    n above MAX_LENGTH before the points are listed."""
     if m < 2:
-        raise BadParameters(f"hamming needs m >= 2, got {m}")
+        raise BadParameters(f"{family} needs m >= 2, got {m}")
     field = field_for_q(q)
     n = (_length_power(q, m) - 1) // (q - 1)
     _check_length(n)
-    pts = projective_point_list(field, m)
+    return field, n, projective_point_list(field, m)
+
+
+def hamming(q: int, m: int) -> LinearCode:
+    """The [n, n - m, 3] code with the points of PG(m-1, q) as its
+    parity-check columns."""
+    field, n, pts = _pg_columns("hamming", q, m)
     label = f"hamming({q},{m})"  # also names the dual built beside it
     return _checked(from_parity_check(field, list(zip(*pts)), label=label),
                     label, n, n - m, 3, ConstructionInvariantBroken)
 
 
 def simplex(q: int, m: int) -> LinearCode:
-    if m < 2:
-        raise BadParameters(f"simplex needs m >= 2, got {m}")
-    D = dual(hamming(q, m))
-    D.label = f"simplex({q},{m})"
-    return D
+    """The [n, m, q^(m-1)] code with the points of PG(m-1, q) as its
+    generator columns: the dual of hamming(q, m)."""
+    field, n, pts = _pg_columns("simplex", q, m)
+    return _code_from_columns(field, pts, f"simplex({q},{m})", n, m,
+                              q ** (m - 1), ConstructionInvariantBroken)
 
 
 # ---------------------------------------------------------------------------
@@ -340,23 +355,6 @@ def tits_ovoid(q: int) -> PointSet:
         add(pw(x, sigma), field.mul(x, y)), pw(y, sigma + 2)))
 
 
-def _code_from_columns(field: FieldSpec, cols, label: str, n: int, k: int,
-                       d: int, error_cls) -> LinearCode:
-    """The code generated by the columns cols, through _checked."""
-    return _checked(from_generator(field, list(zip(*cols))), label, n, k, d,
-                    error_cls)
-
-
-def is_ovoid(ps: PointSet, caps: Caps | None = None) -> bool:
-    """q^2 + 1 points of PG(3, q), no three on a common line: the code with
-    the points as parity-check columns has no word of weight <= 3."""
-    field = ps.field
-    if ps.dim != 3 or len(ps) != field.q ** 2 + 1:
-        return False
-    H = from_parity_check(field, list(zip(*ps.points)))
-    return minimum_distance(H, caps) >= 4
-
-
 def ovoid_code(ps: PointSet) -> LinearCode:
     q = ps.field.q
     return _code_from_columns(ps.field, ps.points, f"ovoid({q})",
@@ -391,25 +389,6 @@ def denniston_arc(q: int, h: int) -> PointSet:
         raise ConstructionInvariantBroken(
             f"arc has {len(pts)} points, expected {n}")
     return PointSet(field, 2, tuple(pts))
-
-
-def is_maximal_arc(ps: PointSet, h: int) -> bool:
-    """Exhaustive check: every line of PG(2, q) meets the set in 0 or h
-    points."""
-    field, pts = ps.field, ps.points
-    if ps.dim != 2:
-        return False
-    for line in projective_point_list(field, 3):
-        a, b, c = line
-        hits = 0
-        for (x, y, z) in pts:
-            s = field.add(field.add(field.mul(a, x), field.mul(b, y)),
-                          field.mul(c, z))
-            if s == 0:
-                hits += 1
-        if hits not in (0, h):
-            return False
-    return True
 
 
 def arc_code(ps: PointSet) -> LinearCode:

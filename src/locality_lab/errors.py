@@ -51,10 +51,6 @@ class FieldInvariantBroken(LocalityLabError):
     invariant."""
 
 
-class NotTowerField(LocalityLabError):
-    pass
-
-
 class DivisionByZeroPolynomial(LocalityLabError, ZeroDivisionError):
     pass
 

@@ -5,7 +5,9 @@ over its prime subfield, the base-p digits of the encoding are the
 polynomial-basis coefficients.  For a quadratic tower over GF(q0), the two
 base-q0 digits are the coefficients over the base field.  In both cases the
 additive structure is digitwise mod p on the base-p digits of the encoding,
-which is what the enumeration kernels in code_core rely on.
+which is what the enumeration kernels in code_core rely on.  splitting_field
+builds quadratic towers for the roots of unity of cyclic codes; the code
+families and the matrix files use field_new fields only.
 
 A field over its prime subfield rests on one primitive, multiplication
 by x: shift the base-p digits up one place and subtract the overflow digit
@@ -39,7 +41,6 @@ from .errors import (
     GcdNotOne,
     NotPrime,
     NotRootOfUnity,
-    NotTowerField,
 )
 
 FIELD_CAP = 1 << 20      # largest supported cardinality
@@ -497,41 +498,6 @@ def _embedding_by_root(base: FieldSpec, ext: FieldSpec) -> Embedding:
     return Embedding(base, ext, tuple(fwd))
 
 
-def canonical_isomorphism(field: FieldSpec):
-    """Encoding map from a FieldSpec onto field_new(p, m) of the same order.
-
-    The identity for fields built by field_new; for a quadratic tower the
-    base embeds by a root of its modulus and the tower variable goes to a
-    root of the mapped quadratic.  The map is spot-checked for additivity
-    and multiplicativity before being returned.
-    """
-    canon = field_new(field.p, field.m)
-    if field == canon:
-        return lambda a: a
-    base = field.tower_base
-    if base is None or base != field_new(base.p, base.m):
-        raise NotTowerField(f"no canonical encoding map for {field!r}")
-    phi0 = _embedding_by_root(base, canon)
-    f = poly(canon, [phi0.map(c) for c in field.modulus])
-    rho = next((z for z in range(canon.q) if poly_eval(f, z) == 0), None)
-    if rho is None:
-        raise FieldInvariantBroken("tower modulus has no root in the canonical field")
-    q0 = base.q
-
-    def iso(a: int) -> int:
-        hi, lo = divmod(a, q0)
-        return canon.add(canon.mul(phi0.map(hi), rho), phi0.map(lo))
-
-    step = max(1, field.q // 32)
-    for a in range(0, field.q, step):
-        for b in range(1, field.q, step):
-            if iso(field.add(a, b)) != canon.add(iso(a), iso(b)):
-                raise FieldInvariantBroken("canonical map is not additive")
-            if iso(field.mul(a, b)) != canon.mul(iso(a), iso(b)):
-                raise FieldInvariantBroken("canonical map is not multiplicative")
-    return iso
-
-
 def splitting_field(base: FieldSpec, n: int) -> tuple[FieldSpec, Embedding, int]:
     """Smallest extension of base containing the n-th roots of unity.
 
@@ -683,13 +649,10 @@ def poly_eval(f: Poly, x: int) -> int:
 
 
 def minimal_polynomial(ext: FieldSpec, beta: int, s: int, n: int,
-                       base: FieldSpec,
-                       embedding: Embedding | None = None) -> Poly:
+                       base: FieldSpec, embedding: Embedding) -> Poly:
     """Minimal polynomial over base of beta^s, for beta a primitive n-th
-    root of unity in ext: the product of (x - beta^i) over the cyclotomic
-    coset of s."""
-    if embedding is None:
-        embedding = Embedding(base, ext)
+    root of unity in ext, with base embedded in ext by embedding: the
+    product of (x - beta^i) over the cyclotomic coset of s."""
     if embedding.base != base or embedding.ext != ext:
         raise FieldMismatch("embedding does not connect the given fields")
     if not _has_order(ext, beta, n):

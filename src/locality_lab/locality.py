@@ -45,7 +45,7 @@ __all__ = [
     "is_nontrivial", "minimum_linear_locality", "repair_coefficients",
     "singleton_like", "classify_d_optimality", "k_opt_upper",
     "cm_bound_upper", "classify_k_optimality", "bounds_report",
-    "is_amds", "is_nmds", "nmds_locality_check", "nmds_support_pairing",
+    "is_nmds", "nmds_locality_check", "nmds_support_pairing",
     "llrc_string",
 ]
 
@@ -330,13 +330,6 @@ def classify_k_optimality(C: LinearCode, r: int,
 
 # ---------------------------------------------------------------------------
 # near-MDS codes
-
-def is_amds(C: LinearCode, caps: Caps | None = None) -> bool:
-    """Almost MDS: d = n - k (Singleton defect exactly one)."""
-    if C.k == 0 or C.k == C.n:
-        raise TrivialCode("defect is undefined for the zero and full codes")
-    return minimum_distance(C, caps) == C.n - C.k
-
 
 def is_nmds(C: LinearCode, caps: Caps | None = None) -> bool:
     """Near MDS: both C and its dual are almost MDS, i.e. d + d_dual = n."""

@@ -17,7 +17,9 @@ walk of locality_lab.constructions replaced, and generator_with_zeros the
 coset loop that bch and grm_punctured each ran before _code_with_zeros;
 tests/test_constructions.py compares them.  hamming_weight_distribution_formula
 is a closed form for the distribution of the Hamming code, an oracle for
-the enumeration and the MacWilliams transform.  The words here are dense
+the enumeration and the MacWilliams transform.  is_ovoid, is_maximal_arc
+and is_amds are the exhaustive validators of point sets and of almost-MDS
+codes, oracles that no command of the package runs.  The words here are dense
 rows of n entries, the form code_core.exact_weight_words returned before
 its Words; same_words compares a Words with them, and words_of and
 rows_as_words turn dense rows into a Words.  Not a test module: pytest
@@ -29,8 +31,10 @@ from itertools import combinations, product
 
 import numpy as np
 
-from locality_lab.code_core import Caps, WeightDistribution, Words, plan
-from locality_lab.errors import ConstructionInvariantBroken, SearchTooLarge
+from locality_lab.code_core import (Caps, WeightDistribution, Words,
+                                   from_parity_check, minimum_distance, plan)
+from locality_lab.errors import (ConstructionInvariantBroken, SearchTooLarge,
+                                 TrivialCode)
 from locality_lab.gf import (cyclotomic_coset, minimal_polynomial, poly,
                              poly_mul, splitting_field)
 
@@ -320,3 +324,33 @@ def hamming_weight_distribution_formula(q: int, m: int) -> WeightDistribution:
             raise ConstructionInvariantBroken("closed form is not integral")
         counts.append(acc // qm)
     return WeightDistribution(tuple(counts))
+
+
+def is_ovoid(ps, caps=None):
+    """q^2 + 1 points of PG(3, q), no three on a common line: the code with
+    the points as parity-check columns has no word of weight <= 3."""
+    field = ps.field
+    if ps.dim != 3 or len(ps) != field.q ** 2 + 1:
+        return False
+    H = from_parity_check(field, list(zip(*ps.points)))
+    return minimum_distance(H, caps) >= 4
+
+
+def is_maximal_arc(ps, h):
+    """Every line of PG(2, q) meets the point set in 0 or h points."""
+    field = ps.field
+    if ps.dim != 2:
+        return False
+    for a, b, c in projective_point_list(field, 3):
+        hits = sum(field.add(field.add(field.mul(a, x), field.mul(b, y)),
+                             field.mul(c, z)) == 0 for x, y, z in ps.points)
+        if hits not in (0, h):
+            return False
+    return True
+
+
+def is_amds(C, caps=None):
+    """Almost MDS: d = n - k, a Singleton defect of exactly one."""
+    if C.k == 0 or C.k == C.n:
+        raise TrivialCode("defect is undefined for the zero and full codes")
+    return minimum_distance(C, caps) == C.n - C.k

@@ -8,7 +8,7 @@ being weakened to pass.
 
 import random
 
-from scalar_reference import hamming_weight_distribution_formula
+from scalar_reference import hamming_weight_distribution_formula, is_maximal_arc
 
 from locality_lab.code_core import (
     dual,
@@ -33,7 +33,6 @@ from locality_lab.constructions import (
     grm,
     grm_punctured,
     hamming,
-    is_maximal_arc,
     oval_poly,
     ovoid_code,
     simplex,

@@ -350,6 +350,18 @@ def test_analyze_design_that_is_not_one(capsys):
     assert entry["lambda"] is None
 
 
+@pytest.mark.parametrize("argv, line", [
+    (("hamming", "q=2", "m=3", "--designs", "2:3"),
+     "design w=3 t=2: 7 blocks, lambda=1, steiner=True"),
+    (("cyclic", "q=2", "n=7", "g=1,1,0,1", "--dual", "--designs", "2:7"),
+     "design w=7 t=2: 0 blocks, not a t-design, steiner=False"),
+])
+def test_analyze_prints_a_computed_design(capsys, argv, line):
+    rc, out, err = run(capsys, "analyze", *argv)
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[-1] == line
+
+
 def test_design_count_beyond_the_search_cap_is_skipped(capsys):
     # 254 blocks of 64 hold 172,496,480 t-subsets up to t = 4, over 2^24
     argv = ("analyze", "grm", "q=2", "ell=1", "m=7", "--designs", "4:64")
@@ -474,6 +486,13 @@ LONG_NUMBERS = [
 NAMED_REFUSALS = [
     (("construct", "hamming", "q=2", "m=1"), "hamming needs m >= 2, got 1"),
     (("construct", "simplex", "q=2", "m=1"), "simplex needs m >= 2, got 1"),
+    (("analyze", "hamming", "q=2", "q=3", "m=3"), "duplicate parameter 'q'"),
+    (("analyze", "cyclic", "q=2", "n=7"),
+     "cyclic needs g=c0,c1,... (ascending coefficients)"),
+    (("analyze", "oval-code-gf", "q=8"), "oval codes need f=family[:param]"),
+    (("analyze", "from-file"), "from-file needs path=..."),
+    (("validate-oval", "q=8"),
+     "validate-oval wants q=... f=family[:param] or f=monomial:e"),
 ]
 
 

@@ -45,6 +45,7 @@ from locality_lab.errors import (
     NotPrime,
     RaggedRows,
     SearchTooLarge,
+    WrongFieldForm,
     ZeroCode,
 )
 from locality_lab.constructions import (bch, elliptic_quadric, hamming,
@@ -235,9 +236,10 @@ def test_every_way_of_making_a_code_yields_its_reduced_form(tmp_path):
     for C in codes:
         T = [0, C.n - 1] if C.n > 2 else [0]
         made += [C, dual(C), puncture(C, T), shorten(C, T), extend(C)]
-        path = tmp_path / "code.txt"
-        save_matrix(path, C)
-        made.append(load_matrix(path))
+        if C.field == field_for_q(C.q()):  # a file holds no tower code
+            path = tmp_path / "code.txt"
+            save_matrix(path, C)
+            made.append(load_matrix(path))
     assert unreduced.gen != ((0, 2, 3, 1, 4, 4), (3, 1, 0, 2, 2, 1))
     for C in made:
         assert is_reduced(C), C
@@ -676,6 +678,14 @@ def test_plan_words_tie_breaks():
         plan(4, 2, 5, "words", Caps(search=15), w=2)
 
 
+@pytest.mark.parametrize("goal", ["distribution", "distance", "words",
+                                  "locality"])
+def test_plan_refuses_a_negative_weight(goal):
+    # the locality goal priced a weight of -1 as a locality of -2
+    with pytest.raises(InconsistentInput, match="^weight -1 is negative$"):
+        plan(7, 4, 2, goal, Caps(), -1)
+
+
 @pytest.mark.parametrize("goal", ["nonsense", "Words", ""])
 def test_plan_refuses_an_unknown_goal(goal):
     with pytest.raises(InconsistentInput) as exc:
@@ -772,6 +782,11 @@ def test_low_weight_words_are_codewords_with_exact_support():
             assert (W.values[:, :1] == 1).all()
 
 
+def test_exact_weight_words_refuses_a_negative_weight():
+    with pytest.raises(InconsistentInput, match="^weight -1 is negative$"):
+        exact_weight_words(hamming(2, 3), -1)
+
+
 def test_exact_weight_words_deterministic():
     ham = from_parity_check(
         F2, [[0, 0, 0, 1, 1, 1, 1], [0, 1, 1, 0, 0, 1, 1], [1, 0, 1, 0, 1, 0, 1]])
@@ -805,19 +820,18 @@ def test_matrix_file_round_trip(tmp_path):
         assert load_matrix(path) == C
 
 
-def test_matrix_file_tower_code_translates_to_canonical_field(tmp_path):
-    # files record only q, so tower-built codes are written through a field
-    # isomorphism; the reloaded code lives over field_new but shares all
-    # weight data
+def test_matrix_file_refuses_a_tower_code(tmp_path):
+    # a file records only q and is read back over field_for_q(q), so a code
+    # over another encoding of GF(q) is refused before the file is opened
     rng = random.Random(107)
-    tower = quadratic_extension(F3)
-    C = random_code(rng, tower, n_max=7, k_max=3)
+    C = random_code(rng, quadratic_extension(F3), n_max=7, k_max=3)
     path = tmp_path / "tower.txt"
-    save_matrix(path, C)
-    back = load_matrix(path)
-    assert back.field == field_new(3, 2)
-    assert (back.n, back.k) == (C.n, C.k)
-    assert weight_distribution(back).counts == weight_distribution(C).counts
+    with pytest.raises(WrongFieldForm, match=r"field_for_q\(9\)"):
+        save_matrix(path, C)
+    assert not path.exists()
+    same_rows = from_generator(field_for_q(9), C.gen)
+    save_matrix(path, same_rows)
+    assert load_matrix(path) == same_rows
 
 
 def test_matrix_file_validation(tmp_path):

@@ -8,7 +8,8 @@ from itertools import combinations
 
 import pytest
 import scalar_reference as ref
-from scalar_reference import hamming_weight_distribution_formula
+from scalar_reference import (hamming_weight_distribution_formula,
+                              is_maximal_arc, is_ovoid)
 
 from locality_lab import constructions
 from locality_lab.code_core import (
@@ -37,9 +38,7 @@ from locality_lab.constructions import (
     grm_distance,
     grm_punctured,
     hamming,
-    is_maximal_arc,
     is_oval_polynomial,
-    is_ovoid,
     oval_poly,
     ovoid_code,
     projective_point_list,
@@ -50,6 +49,7 @@ from locality_lab.constructions import (
 )
 from locality_lab.errors import (
     BadParameters,
+    CapExceeded,
     ConstructionInvariantBroken,
     FamilyUnavailableForParameters,
     FieldTooLarge,
@@ -61,6 +61,7 @@ from locality_lab.errors import (
     WrongFieldForm,
 )
 from locality_lab.gf import field_new, poly
+from locality_lab.locality import minimum_linear_locality
 
 F3 = field_new(3, 1)
 F8 = field_new(2, 3)
@@ -106,6 +107,16 @@ def test_simplex_is_one_weight():
     assert (S.n, S.k) == (13, 3)
     assert sparse(weight_distribution(S)) == {0: 1, 9: 26}
     assert dual(S) == hamming(3, 3)
+
+
+def test_simplex_is_built_from_its_columns():
+    # from its own 14 x 16,383 generator: the Hamming code's 16,369 x 16,383
+    # generator, which the dual would be, is refused as too large to store
+    S = simplex(2, 14)
+    assert (S.n, S.k, minimum_distance(S)) == (16383, 14, 8192)
+    assert S.label == "simplex(2,14)"
+    with pytest.raises(CapExceeded, match="^dual generator 16369 x 16383 "):
+        dual(S)
 
 
 def test_hamming_weight_formula_examples():
@@ -177,6 +188,9 @@ def test_point_set_lengths_above_max_length_are_refused(monkeypatch):
                                   if q_weight(j, 3, 2) < 3]),
     ("grm-punctured", (4, 1, 3), [j for j in range(1, 63)
                                   if q_weight(j, 4, 3) < 8]),
+    # n | q - 1: Reed-Solomon codes, whose splitting field is GF(q) itself
+    ("bch", (8, 7, 3, 1), range(1, 3)),
+    ("bch", (16, 15, 5, 1), range(1, 5)),
 ])
 def test_zero_set_codes_match_the_coset_loop(family, args, zeros):
     build = {"bch": bch, "grm-punctured": grm_punctured}[family]
@@ -185,6 +199,14 @@ def test_zero_set_codes_match_the_coset_loop(family, args, zeros):
     want = cyclic_code(q, n, ref.generator_with_zeros(field_for_q(q), n, zeros))
     assert C.gen == want.gen
     assert C.label == f"{family}({','.join(map(str, args))})"
+
+
+@pytest.mark.parametrize("args, nkd", [((8, 7, 3, 1), (7, 5, 3)),
+                                       ((16, 15, 5, 1), (15, 11, 5))])
+def test_reed_solomon_bch_codes_are_mds_with_locality_k(args, nkd):
+    C = bch(*args)
+    assert (C.n, C.k, minimum_distance(C)) == nkd
+    assert minimum_linear_locality(C).r_min == C.k
 
 
 def test_bch_small_nmds_instances():

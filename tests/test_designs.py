@@ -23,7 +23,7 @@ from locality_lab.designs import (
     support_blocks,
     verify_t_design,
 )
-from locality_lab.errors import BadParameters, SearchTooLarge
+from locality_lab.errors import BadParameters, InconsistentInput, SearchTooLarge
 
 
 def test_support_blocks_golay():
@@ -33,6 +33,12 @@ def test_support_blocks_golay():
     assert all(len(b) == 5 for b in rep.blocks)
     assert len(set(rep.blocks)) == 66
     assert support_blocks(G, 4).blocks == ()  # no weight-4 words
+
+
+@pytest.mark.parametrize("entry", [support_blocks, analyze_design])
+def test_negative_block_sizes_are_refused(entry):
+    with pytest.raises(InconsistentInput, match="^weight -1 is negative$"):
+        entry(hamming(2, 3), -1)
 
 
 def test_support_blocks_simplex():
