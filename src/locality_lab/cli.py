@@ -83,17 +83,6 @@ SKIPPED = "skipped: cap"
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _key(k) -> str:
-    """A dict key as ``json.dumps`` writes it: strings as they are; bools,
-    None, ints and floats as their JSON text; anything else a TypeError."""
-    if isinstance(k, str):
-        return k
-    if k is None or isinstance(k, (int, float)):
-        return json.dumps(k)
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {k.__class__.__name__}")
-
-
 def _json_text(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for byte.
 
@@ -106,7 +95,8 @@ def _json_text(obj) -> str:
     tuple of exactly ``int`` elements is one piece, rendered once per object
     and depth (``kept`` holds each memoised object, so its ``id`` stays
     valid).  Other scalars go to ``json.dumps`` without indent, so their
-    text and their ``TypeError`` are its own.  ``obj`` must be acyclic.
+    text and their ``TypeError`` are its own.  ``obj`` must be acyclic, and
+    every dict key a ``str``, as in every report.
     """
     parts, memo, kept = [], {}, []  # memo: (id, indent) -> int list text
     add, get = parts.append, memo.get
@@ -126,7 +116,7 @@ def _json_text(obj) -> str:
             if isinstance(o, dict):
                 add("{\n" + inner)
                 for k, v in sorted(o.items()):
-                    add(_encode_str(_key(k)) + ": ")
+                    add(_encode_str(k) + ": ")
                     enc(v, inner)
                     add(sep)
                 parts[-1] = "\n" + indent + "}"
@@ -470,7 +460,8 @@ def cmd_validate_oval(args) -> int:
 # tables
 
 def _table_rows(which: int):
-    """Desk-scale instances of every family row; cells are
+    """Desk-scale instances of every family row of table 1, else of
+    table 2 (the parser admits no other); cells are
     (label, q, builder, claimed (n, k, d, r), d-optimality mark,
     k-optimality mark).  A "?" mark is reported but not judged."""
     ham, spx = lambda: hamming(3, 3), lambda: simplex(3, 3)
@@ -504,53 +495,51 @@ def _table_rows(which: int):
              (16, 4, 11, 3), "?", "yes"),
             ("C(A) q=8 h=4", 8, arc, (28, 3, 24, 2), "?", "yes"),
         ]
-    if which == 2:
-        return [
-            ("H_(q,3) q=3", 3, ham, (13, 10, 3, 8), "yes", "yes"),
-            ("(H_(q,3))_t1 q=3", 3, lambda: shorten(ham(), {0}),
-             (12, 9, 3, 7), "yes", "yes"),
-            ("((S_(q,3))_t1)^perp q=3", 3, lambda: dual(shorten(spx(), {0})),
-             (12, 10, 2, 8), "yes", "yes"),
-            ("C_o^perp q=4", 4, lambda: dual(ovo()), (17, 13, 4, 11),
-             "yes", "yes"),
-            ("C_o^perp q=32", 32,
-             lambda: dual(ovoid_code(elliptic_quadric(32))),
-             (1025, 1021, 4, 991), "yes", "yes"),
-            ("(C_o^perp)_t1 q=4", 4, lambda: shorten(dual(ovo()), {0}),
-             (16, 12, 4, 10), "yes", "yes"),
-            ("(C_o^perp)^t1 q=4", 4, lambda: puncture(dual(ovo()), {0}),
-             (16, 13, 3, 11), "yes", "yes"),
-            ("C(A)^perp q=8 h=4", 8, lambda: dual(arc()), (28, 25, 3, 23),
-             "yes", "yes"),
-            ("C_(3^s,3^s+1,3,1) s=2", 9, lambda: bch(9, 10, 3, 1),
-             (10, 6, 4, 5), "yes", "yes"),
-            ("C_(3^s,3^s+1,3,1)^perp s=2", 9, lambda: dual(bch(9, 10, 3, 1)),
-             (10, 4, 6, 3), "yes", "yes"),
-            ("C_(2^s,2^s+1,3,1) s=4", 16, lambda: bch(16, 17, 3, 1),
-             (17, 13, 4, 12), "yes", "yes"),
-            ("C_(2^s,2^s+1,3,1)^perp s=4", 16,
-             lambda: dual(bch(16, 17, 3, 1)), (17, 4, 13, 3), "yes", "yes"),
-            ("C_(2^s,2^s+1,4,1) s=5", 32, lambda: bch(32, 33, 4, 1),
-             (33, 27, 6, 26), "yes", "yes"),
-            ("C_(2^s,2^s+1,4,1)^perp s=5", 32,
-             lambda: dual(bch(32, 33, 4, 1)), (33, 6, 27, 5), "yes", "yes"),
-            ("C_f^perp q=8 f=translation:1", 8, lambda: dual(code_gf(ovl())),
-             (9, 6, 3, 5), "yes", "yes"),
-            ("Cbar_f^perp q=8 f=translation:1", 8,
-             lambda: dual(code_gf_bar(ovl())), (10, 7, 3, 6), "yes", "yes"),
-            # catalogue's claim, kept as is; criterion 08 proves r = 8 instead
-            ("Bbar_f^perp q=8 f=translation:1", 8,
-             lambda: dual(code_bf_bar(ovl())), (11, 8, 3, 7), "yes", "yes"),
-            ("Bbar_f q=8 f=translation:1", 8, lambda: code_bf_bar(ovl()),
-             (11, 3, 8, 2), "yes", "yes"),
-            ("ext(C_(2^s,2^s+1,3,1))^perp s=4", 16,
-             lambda: dual(extend(bch(16, 17, 3, 1))), (18, 5, 13, 4),
-             "yes", "yes"),
-            ("ext(C_(3^s,3^s+1,3,1))^perp s=2", 9,
-             lambda: dual(extend(bch(9, 10, 3, 1))), (11, 5, 6, 4),
-             "yes", "yes"),
-        ]
-    raise BadParameters(f"no such table: {which}")
+    return [
+        ("H_(q,3) q=3", 3, ham, (13, 10, 3, 8), "yes", "yes"),
+        ("(H_(q,3))_t1 q=3", 3, lambda: shorten(ham(), {0}),
+         (12, 9, 3, 7), "yes", "yes"),
+        ("((S_(q,3))_t1)^perp q=3", 3, lambda: dual(shorten(spx(), {0})),
+         (12, 10, 2, 8), "yes", "yes"),
+        ("C_o^perp q=4", 4, lambda: dual(ovo()), (17, 13, 4, 11),
+         "yes", "yes"),
+        ("C_o^perp q=32", 32,
+         lambda: dual(ovoid_code(elliptic_quadric(32))),
+         (1025, 1021, 4, 991), "yes", "yes"),
+        ("(C_o^perp)_t1 q=4", 4, lambda: shorten(dual(ovo()), {0}),
+         (16, 12, 4, 10), "yes", "yes"),
+        ("(C_o^perp)^t1 q=4", 4, lambda: puncture(dual(ovo()), {0}),
+         (16, 13, 3, 11), "yes", "yes"),
+        ("C(A)^perp q=8 h=4", 8, lambda: dual(arc()), (28, 25, 3, 23),
+         "yes", "yes"),
+        ("C_(3^s,3^s+1,3,1) s=2", 9, lambda: bch(9, 10, 3, 1),
+         (10, 6, 4, 5), "yes", "yes"),
+        ("C_(3^s,3^s+1,3,1)^perp s=2", 9, lambda: dual(bch(9, 10, 3, 1)),
+         (10, 4, 6, 3), "yes", "yes"),
+        ("C_(2^s,2^s+1,3,1) s=4", 16, lambda: bch(16, 17, 3, 1),
+         (17, 13, 4, 12), "yes", "yes"),
+        ("C_(2^s,2^s+1,3,1)^perp s=4", 16,
+         lambda: dual(bch(16, 17, 3, 1)), (17, 4, 13, 3), "yes", "yes"),
+        ("C_(2^s,2^s+1,4,1) s=5", 32, lambda: bch(32, 33, 4, 1),
+         (33, 27, 6, 26), "yes", "yes"),
+        ("C_(2^s,2^s+1,4,1)^perp s=5", 32,
+         lambda: dual(bch(32, 33, 4, 1)), (33, 6, 27, 5), "yes", "yes"),
+        ("C_f^perp q=8 f=translation:1", 8, lambda: dual(code_gf(ovl())),
+         (9, 6, 3, 5), "yes", "yes"),
+        ("Cbar_f^perp q=8 f=translation:1", 8,
+         lambda: dual(code_gf_bar(ovl())), (10, 7, 3, 6), "yes", "yes"),
+        # catalogue's claim, kept as is; criterion 08 proves r = 8 instead
+        ("Bbar_f^perp q=8 f=translation:1", 8,
+         lambda: dual(code_bf_bar(ovl())), (11, 8, 3, 7), "yes", "yes"),
+        ("Bbar_f q=8 f=translation:1", 8, lambda: code_bf_bar(ovl()),
+         (11, 3, 8, 2), "yes", "yes"),
+        ("ext(C_(2^s,2^s+1,3,1))^perp s=4", 16,
+         lambda: dual(extend(bch(16, 17, 3, 1))), (18, 5, 13, 4),
+         "yes", "yes"),
+        ("ext(C_(3^s,3^s+1,3,1))^perp s=2", 9,
+         lambda: dual(extend(bch(9, 10, 3, 1))), (11, 5, 6, 4),
+         "yes", "yes"),
+    ]
 
 
 def _run_table_row(label, q, build, claimed, d_mark, k_mark, caps):
@@ -620,13 +609,12 @@ def cmd_table(args) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
-def _add_code_arguments(sub, with_dual=True):
+def _add_code_arguments(sub):
     sub.add_argument("family", help="code family name")
     sub.add_argument("params", nargs="*", default=[],
                      help="key=value parameters")
-    if with_dual:
-        sub.add_argument("--dual", action="store_true",
-                         help="analyze the dual of the constructed code")
+    sub.add_argument("--dual", action="store_true",
+                     help="analyze the dual of the constructed code")
 
 
 class _Parser(argparse.ArgumentParser):

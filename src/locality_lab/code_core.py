@@ -42,12 +42,15 @@ word out in n entries.  in_dual, the one membership check, tests words on
 the side with less work: the code's generator columns on each support, or
 the stored form of the dual.
 
-The kernels do their field arithmetic through O(q) int32 arrays: products
-as exp[log a + log b], sums as xor in characteristic 2 and through Zech
-logarithms otherwise, with a sentinel log of 0 so that zero operands need
-no special case.  They are built for every field up to gf.DLOG_CAP
-elements; larger fields are refused with FieldTooLarge, a cap.  The scalar
-references the kernels are tested against live with the tests.
+Every kernel reads the field's one set of lookup tables, gf.FieldTables:
+products as exp[log a + log b], with a sentinel log of 0 so that zero
+operands need no special case, and sums as xor in characteristic 2.  rref's
+scalar loop reads the lists themselves; the numpy kernels read them as
+O(q) int32 arrays, beside the Zech logarithms that give their sums in odd
+characteristic, the only table built here.  A field has its tables up to
+gf.DLOG_CAP elements, and a code over a larger field is refused with
+FieldTooLarge, a cap, when it is built.  The scalar references the kernels
+are tested against live with the tests.
 
 In characteristic 2 the distribution walks its classes packed: a vector
 over GF(2^e) is stored as e bit planes, bit b of the encodings of 64
@@ -74,7 +77,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice, product, takewhile
@@ -292,11 +294,10 @@ def _packed_weights(V: np.ndarray, bits: int) -> np.ndarray:
 
 
 class _FieldArrays(NamedTuple):
-    """O(q) int32 arrays for entrywise field arithmetic in numpy (_vmul,
-    _vadd).  exp[i] = g^(i mod (q-1)) for i < 2(q-1) and 0 beyond; log[0]
-    is the sentinel zero = 2(q-1), whose sums land in that zeroed tail.
-    zech, None in characteristic 2, holds log(1 + g^d) at d + zero.
-    inv[0] is 0."""
+    """The field's gf.FieldTables as int32 arrays, for entrywise field
+    arithmetic in numpy (_vmul, _vadd), in the same layout: exp is zero
+    from 2(q-1) on and log[0] is the sentinel zero = 2(q-1).  zech, None
+    in characteristic 2, holds log(1 + g^d) at d + zero."""
 
     exp: np.ndarray
     log: np.ndarray
@@ -308,18 +309,11 @@ class _FieldArrays(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _numpy_field_tables(field: FieldSpec) -> _FieldArrays:
-    """The _FieldArrays of a field, built once per field; fields above
-    DLOG_CAP are refused with FieldTooLarge."""
-    q = field.q
-    if q > DLOG_CAP:
-        raise FieldTooLarge(
-            f"numpy field arrays for q = {q} exceed the cap {DLOG_CAP}")
+    """The _FieldArrays of a field, built once per field from its tables."""
+    t, q = field.tables, field.q
     zero = 2 * (q - 1)
-    powers = [field.gen_pow(i) for i in range(q - 1)]
-    exp = np.zeros(2 * zero + 1, dtype=np.int32)
-    exp[:zero] = powers + powers
-    log = np.full(q, zero, dtype=np.int32)
-    log[powers] = np.arange(q - 1, dtype=np.int32)
+    exp = np.array(t.exp, dtype=np.int32)
+    log = np.array(t.log, dtype=np.int32)
     zech = None
     if field.p != 2:
         # d = log[b] - log[a] has |d| < q - 1 when a, b are nonzero.  Only
@@ -329,11 +323,10 @@ def _numpy_field_tables(field: FieldSpec) -> _FieldArrays:
         d = np.arange(-zero, zero + 1, dtype=np.int32)
         zech = np.where(d <= -q, d, 0).astype(np.int32)
         inner = np.abs(d) < q - 1
-        one_plus = log[[field.add(1, g) for g in powers]]
+        one_plus = log[[field.add(1, g) for g in t.exp[:q - 1]]]
         zech[inner] = one_plus[d[inner] % (q - 1)]
-    neg = np.array([field.neg(x) for x in range(q)], dtype=np.int32)
-    inv = np.array([0] + [field.inv(x) for x in range(1, q)], dtype=np.int32)
-    return _FieldArrays(exp, log, zech, neg, inv, zero)
+    return _FieldArrays(exp, log, zech, np.array(t.neg, dtype=np.int32),
+                        np.array(t.inv, dtype=np.int32), zero)
 
 
 def _vmul(t: _FieldArrays, a, b) -> np.ndarray:
@@ -519,81 +512,28 @@ def _lead_with_one(tables: _FieldArrays, V: np.ndarray) -> np.ndarray:
     return _vmul(tables, tables.inv[V[:, :1]], V)
 
 
-class _RowOps(NamedTuple):
-    """The row operations of rref's scalar loop over one field: scale(row,
-    a) is a * row, logs(row) the pivot row as clear reads it, clear(row, f,
-    logs(pivot)) is row - f * pivot, and neg(a) is -a."""
-
-    scale: Callable[[list[int], int], list[int]]
-    logs: Callable[[list[int]], list[int]]
-    clear: Callable[[list[int], int, list[int]], list[int]]
-    neg: Callable[[int], int]
-
-
-@lru_cache(maxsize=None)
-def _row_ops(field: FieldSpec) -> _RowOps:
-    """The _RowOps of a field, built once per field.  Up to DLOG_CAP they
-    read the _FieldArrays as lists, with no method call per entry: a
-    product is exp[log a + log b], the sentinel log of 0 landing in exp's
-    zero tail, and a sum is an xor in characteristic 2 and a lookup in the
-    field's q x q addition table otherwise.  Above DLOG_CAP, and for the
-    sums of odd fields above gf.ADD_TABLE_CAP, they call the FieldSpec
-    methods."""
-    if field.q > DLOG_CAP:
-        mul, sub = field.mul, field.sub
-        return _RowOps(
-            lambda row, a: [mul(a, x) for x in row],
-            lambda row: row,
-            lambda row, f, P: [sub(x, mul(f, y)) for x, y in zip(row, P)],
-            field.neg)
-    t = _numpy_field_tables(field)
-    exp, log, neg = t.exp.tolist(), t.log.tolist(), t.neg.tolist()
-
-    def scale(row, a):
-        la = log[a]
-        return [exp[la + log[x]] for x in row]
-
-    def logs(row):
-        return [log[y] for y in row]
-
-    if field.p == 2:
-        def clear(row, f, R):
-            lf = log[f]
-            return [x ^ exp[lf + ly] for x, ly in zip(row, R)]
-    elif field._add is not None:
-        add = field._add
-
-        def clear(row, f, R):
-            lf = log[neg[f]]
-            return [add[x][exp[lf + ly]] for x, ly in zip(row, R)]
-    else:
-        add = field.add
-
-        def clear(row, f, R):
-            lf = log[neg[f]]
-            return [add(x, exp[lf + ly]) for x, ly in zip(row, R)]
-
-    return _RowOps(scale, logs, clear, neg.__getitem__)
-
-
 def rref(field: FieldSpec, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form in place semantics; returns (rows, pivot columns).
     Zero rows are dropped.  Below _RREF_NUMPY_MIN a scalar Gauss-Jordan
-    loop over Python lists, its row operations the field's _RowOps; from
-    there on one _eliminate of a stack of one."""
+    loop over Python lists, which reads each row operation off the field's
+    tables with no method call per entry: a product is exp[log a + log b],
+    and a sum an xor in characteristic 2, a lookup in the addition table of
+    an odd field up to gf.ADD_TABLE_CAP, and FieldSpec.add above it.  From
+    _RREF_NUMPY_MIN on one _eliminate of a stack of one."""
     rows = [list(r) for r in rows]
     if not rows:
         return [], []
     ncols = len(rows[0])
-    if (len(rows) * ncols * min(len(rows), ncols) >= _RREF_NUMPY_MIN
-            and field.q <= DLOG_CAP):
+    if len(rows) * ncols * min(len(rows), ncols) >= _RREF_NUMPY_MIN:
         flat, pivot = _eliminate(_numpy_field_tables(field),
                                  np.array(rows, dtype=np.int32)[None])
         pivots = np.nonzero(pivot[0] >= 0)[0]
         red = flat[pivot[0, pivots]]  # the pivot rows, in column order
         red[:, pivots] = np.eye(len(pivots), dtype=np.int32)  # stale entries
         return red.tolist(), pivots.tolist()
-    ops = _row_ops(field)
+    t = field.tables
+    exp, log, neg, inv, table = t.exp, t.log, t.neg, t.inv, t.add
+    xor = field.p == 2
     pivots = []
     r = 0
     for c in range(ncols):
@@ -602,11 +542,19 @@ def rref(field: FieldSpec, rows: list[list[int]]) -> tuple[list[list[int]], list
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         if rows[r][c] != 1:
-            rows[r] = ops.scale(rows[r], field.inv(rows[r][c]))
-        R = ops.logs(rows[r])
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                rows[i] = ops.clear(rows[i], rows[i][c], R)
+            la = log[inv[rows[r][c]]]
+            rows[r] = [exp[la + log[x]] for x in rows[r]]
+        R = [log[y] for y in rows[r]]
+        for i, row in enumerate(rows):
+            if i == r or row[c] == 0:
+                continue
+            lf = log[neg[row[c]]]  # row - f * pivot = row + (-f) * pivot
+            if xor:
+                rows[i] = [x ^ exp[lf + ly] for x, ly in zip(row, R)]
+            elif table is not None:
+                rows[i] = [table[x][exp[lf + ly]] for x, ly in zip(row, R)]
+            else:
+                rows[i] = [field.add(x, exp[lf + ly]) for x, ly in zip(row, R)]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -617,14 +565,14 @@ def rref(field: FieldSpec, rows: list[list[int]]) -> tuple[list[list[int]], list
 def nullspace(field: FieldSpec, rows: list[list[int]], ncols: int) -> list[list[int]]:
     """Basis of {v : M v = 0} for the matrix with the given rows."""
     red, pivots = rref(field, rows)
-    neg = _row_ops(field).neg
+    neg = field.tables.neg
     free = sorted(set(range(ncols)).difference(pivots))
     basis = []
     for f in free:
         v = [0] * ncols
         v[f] = 1
         for i, pc in enumerate(pivots):
-            v[pc] = neg(red[i][f])
+            v[pc] = neg[red[i][f]]
         basis.append(v)
     return basis
 
@@ -678,19 +626,15 @@ class LinearCode:
             self._gen_array = G
         return self._gen_array
 
-    def encode(self, message: list[int]) -> tuple[int, ...]:
-        F = self.field
-        if len(message) != self.k:
-            raise RaggedRows(f"message length {len(message)} != k={self.k}")
-        out = [0] * self.n
-        for u, row in zip(message, self.gen):
-            if u:
-                out = [F.add(o, F.mul(u, g)) for o, g in zip(out, row)]
-        return tuple(out)
-
 
 def _build(field: FieldSpec, n: int, rows: list[list[int]],
            label: str | None) -> LinearCode:
+    """The code the rows generate.  Every code is built here, and dual
+    keeps the field, so this is the one check that a code's field has the
+    tables every kernel reads."""
+    if field.tables is None:
+        raise FieldTooLarge(f"a code over GF({field.q}) needs the field's "
+                            f"tables, built up to cap {DLOG_CAP}")
     red, pivots = rref(field, rows)
     return LinearCode(field, n, tuple(tuple(r) for r in red), tuple(pivots),
                       label, _CONSTRUCT_TOKEN)
@@ -863,9 +807,6 @@ class WeightDistribution:
     def __post_init__(self):
         if any(c < 0 for c in self.counts):
             raise InconsistentInput("negative weight count")
-
-    def total(self) -> int:
-        return sum(self.counts)
 
     def min_distance(self) -> int | None:
         for w in range(1, len(self.counts)):

@@ -185,14 +185,14 @@ def _code_with_zeros(field: FieldSpec, n: int, zeros, label: str) -> LinearCode:
     zeros, and their conjugates, for a primitive n-th root of unity beta in
     the splitting field: its generator multiplies one minimal polynomial per
     distinct cyclotomic coset of the zeros."""
-    ext, emb, beta = splitting_field(field, n)
+    _, emb, beta = splitting_field(field, n)
     g = poly(field, [1])
     seen = set()
     for j in zeros:
         coset = cyclotomic_coset(j % n, n, field.q)
         if coset not in seen:
             seen.add(coset)
-            g = poly_mul(g, minimal_polynomial(ext, beta, j % n, n, field, emb))
+            g = poly_mul(g, minimal_polynomial(beta, j % n, n, emb))
     return cyclic_code(field.q, n, g, label=label)
 
 

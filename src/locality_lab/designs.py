@@ -34,9 +34,6 @@ class DesignReport:
     t_lambda: dict[int, int]
     is_steiner: bool
 
-    def block_count(self) -> int:
-        return len(self.blocks)
-
     def to_json(self) -> dict:
         return {
             "n": self.n,

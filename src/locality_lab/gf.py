@@ -19,10 +19,16 @@ root of unity behind a minimal polynomial.  The discrete-log tables walk
 the powers of x with the step, and an untabulated product is Horner's
 rule over the digits of one factor, on packed digits for odd p.
 
-A FieldSpec owns its lookup tables (discrete logs for q up to 2^16, a full
-addition table for small odd characteristic) and exposes arithmetic as
-methods taking and returning bare ints.  Cross-field mixups are caught at
-the levels that carry a field tag: polynomials, codes, embeddings.
+A FieldSpec exposes arithmetic as methods taking and returning bare ints.
+Up to DLOG_CAP elements it holds its lookup tables in one FieldTables
+record of lists, built once when the field is made: exp and log with a
+sentinel log of 0 whose sums land in a zeroed tail of exp, neg, inv, and
+a full addition table for odd fields up to ADD_TABLE_CAP.  This is the one
+table layout: the methods read it, and so do the kernels of code_core,
+which need no other.  Larger fields, up to FIELD_CAP, serve as splitting
+fields only and keep their untabulated arithmetic.  Cross-field mixups are
+caught at the levels that carry a field tag: polynomials, codes,
+embeddings.
 """
 
 from __future__ import annotations
@@ -30,8 +36,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import (
+    BadParameters,
     CoefficientNotInBase,
     DivisionByZero,
     DivisionByZeroPolynomial,
@@ -98,7 +106,7 @@ class FieldSpec:
 
     __slots__ = (
         "p", "m", "q", "modulus", "tower_base", "generator", "_mod_low",
-        "_exp", "_log", "_add", "_neg", "_hash",
+        "tables", "_hash",
     )
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...],
@@ -114,10 +122,7 @@ class FieldSpec:
         # the modulus below x^m as an encoding; the multiply-by-x step of a
         # field over its prime subfield reduces with it
         self._mod_low = sum(c * p ** i for i, c in enumerate(modulus[:-1]))
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
-        self._add: list[list[int]] | None = None
-        self._neg: list[int] | None = None
+        self.tables: FieldTables | None = None  # set by _build_tables
         self._hash = hash((p, m, modulus, tower_base))
 
     # -- identity ----------------------------------------------------------
@@ -207,32 +212,34 @@ class FieldSpec:
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        if self._add is not None:
-            return self._add[a][b]
+        t = self.tables
+        if t is not None and t.add is not None:
+            return t.add[a][b]
         return self._digitwise(a, b, int.__add__)
 
     def neg(self, a: int) -> int:
+        t = self.tables
+        if t is not None:
+            return t.neg[a]
         if self.p == 2:
             return a
-        if self._neg is not None:
-            return self._neg[a]
         return self._digitwise(0, a, int.__sub__)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        if self._exp is not None:
-            return self._exp[self._log[a] + self._log[b]]
+        t = self.tables
+        if t is not None:
+            return t.exp[t.log[a] + t.log[b]]
         return self._raw_mul(a, b)
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero(f"inverse of 0 in {self!r}")
-        if self._exp is not None:
-            return self._exp[self.q - 1 - self._log[a]]
+        t = self.tables
+        if t is not None:
+            return t.inv[a]
         return self._raw_pow(a, self.q - 2)
 
     def _raw_pow(self, a: int, e: int) -> int:
@@ -252,24 +259,17 @@ class FieldSpec:
                 return 1
             raise DivisionByZero(f"0**{e} in {self!r}")
         e %= self.q - 1
-        if self._exp is not None:
-            return self._exp[self._log[a] * e % (self.q - 1)]
+        t = self.tables
+        if t is not None:
+            return t.exp[t.log[a] * e % (self.q - 1)]
         return self._raw_pow(a, e)
 
     def gen_pow(self, e: int) -> int:
         """generator**e; the fast path for enumerating the nonzero elements."""
-        if self._exp is not None:
-            return self._exp[e % (self.q - 1)]
+        t = self.tables
+        if t is not None:
+            return t.exp[e % (self.q - 1)]
         return self.pow(self.generator, e)
-
-    def element_order(self, a: int) -> int:
-        if a == 0:
-            raise DivisionByZero("0 has no multiplicative order")
-        e = self.q - 1
-        for ell in factorize(e):
-            while e % ell == 0 and self.pow(a, e // ell) == 1:
-                e //= ell
-        return e
 
     # -- table construction ---------------------------------------------------
 
@@ -284,28 +284,50 @@ class FieldSpec:
         return out
 
     def _build_tables(self) -> None:
+        """Set tables: the FieldTables up to DLOG_CAP, None above it."""
         q = self.q
-        if q <= DLOG_CAP and self.generator:
-            g = self.generator
-            # a field over its prime subfield is generated by x itself
-            step = (self._mul_x if self.tower_base is None
-                    else lambda v: self._raw_mul(v, g))
-            exp = [1] * (2 * (q - 1))
-            log = [-1] * q
-            v = 1
-            for i in range(q - 1):
-                exp[i] = v
-                exp[i + q - 1] = v
-                log[v] = i
-                v = step(v)
-            if v != 1:
-                raise FieldInvariantBroken(
-                    "generator order mismatch while building tables")
-            self._exp, self._log = exp, log
+        if q > DLOG_CAP:
+            return
+        g = self.generator
+        # a field over its prime subfield is generated by x itself
+        step = (self._mul_x if self.tower_base is None
+                else lambda v: self._raw_mul(v, g))
+        powers = [1] * (q - 1)
+        for i in range(1, q - 1):
+            powers[i] = step(powers[i - 1])
+        if step(powers[-1]) != 1:
+            raise FieldInvariantBroken(
+                "generator order mismatch while building tables")
+        zero = 2 * (q - 1)
+        exp = powers + powers + [0] * (zero + 1)
+        log = [zero] * q
+        for i, v in enumerate(powers):
+            log[v] = i
+        # -1 = g^((q - 1)/2) for odd p, and log 0 + (q - 1)/2 stays in
+        # exp's zero tail
+        neg = (list(range(q)) if self.p == 2
+               else [exp[v + (q - 1) // 2] for v in log])
+        inv = [0] + [exp[q - 1 - log[a]] for a in range(1, q)]
+        add = None
         if self.p != 2 and q <= ADD_TABLE_CAP:
-            self._add = [[self._digitwise(a, b, int.__add__) for b in range(q)]
-                         for a in range(q)]
-            self._neg = [self._digitwise(0, a, int.__sub__) for a in range(q)]
+            add = [[self._digitwise(a, b, int.__add__) for b in range(q)]
+                   for a in range(q)]
+        self.tables = FieldTables(exp, log, neg, inv, add)
+
+
+class FieldTables(NamedTuple):
+    """The lookup tables of a field with q <= DLOG_CAP, as lists, in the
+    layout every kernel reads.  exp[i] = g^(i mod (q-1)) for i < 2(q-1),
+    and 0 from there up to 4(q-1); log[0] is the sentinel 2(q-1), so
+    exp[log a + log b] is a*b with no zero test.  neg[a] = -a and inv[a] =
+    1/a, inv[0] = 0.  add is the q x q addition table of an odd field up to
+    ADD_TABLE_CAP, else None."""
+
+    exp: list[int]
+    log: list[int]
+    neg: list[int]
+    inv: list[int]
+    add: list[list[int]] | None
 
 
 _CONSTRUCT_TOKEN = object()
@@ -358,7 +380,7 @@ def field_new(p: int, m: int) -> FieldSpec:
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if m < 1:
-        raise FieldTooLarge("extension degree must be >= 1")
+        raise BadParameters(f"extension degree {m} must be >= 1")
     q = p ** m
     if q > FIELD_CAP:
         raise FieldTooLarge(f"p^m = {q} exceeds cap {FIELD_CAP}")
@@ -431,7 +453,7 @@ def cyclotomic_coset(s: int, n: int, q: int) -> tuple[int, ...]:
     if math.gcd(n, q) != 1:
         raise GcdNotOne(f"gcd({n}, {q}) != 1")
     if not 0 <= s < n:
-        raise GcdNotOne(f"representative {s} out of range [0, {n})")
+        raise BadParameters(f"representative {s} out of range [0, {n})")
     out = {s}
     v = s * q % n
     while v not in out:
@@ -461,9 +483,6 @@ class Embedding:
         self.fwd = fwd
         self._inv = None if fwd is None else {v: i for i, v in enumerate(fwd)}
 
-    def map(self, v: int) -> int:
-        return v if self.fwd is None else self.fwd[v]
-
     def unmap(self, v: int) -> int:
         if self.fwd is None:
             if v < self.base.q:
@@ -472,9 +491,6 @@ class Embedding:
             return self._inv[v]
         raise CoefficientNotInBase(
             f"{v} is not in the embedded image of {self.base!r} inside {self.ext!r}")
-
-    def in_base(self, v: int) -> bool:
-        return v < self.base.q if self.fwd is None else v in self._inv
 
 
 def _embedding_by_root(base: FieldSpec, ext: FieldSpec) -> Embedding:
@@ -648,13 +664,12 @@ def poly_eval(f: Poly, x: int) -> int:
     return acc
 
 
-def minimal_polynomial(ext: FieldSpec, beta: int, s: int, n: int,
-                       base: FieldSpec, embedding: Embedding) -> Poly:
-    """Minimal polynomial over base of beta^s, for beta a primitive n-th
-    root of unity in ext, with base embedded in ext by embedding: the
-    product of (x - beta^i) over the cyclotomic coset of s."""
-    if embedding.base != base or embedding.ext != ext:
-        raise FieldMismatch("embedding does not connect the given fields")
+def minimal_polynomial(beta: int, s: int, n: int,
+                       embedding: Embedding) -> Poly:
+    """Minimal polynomial over embedding.base of beta^s, for beta a
+    primitive n-th root of unity in embedding.ext: the product of
+    (x - beta^i) over the cyclotomic coset of s."""
+    base, ext = embedding.base, embedding.ext
     if not _has_order(ext, beta, n):
         raise NotRootOfUnity(f"beta is not a primitive {n}-th root of unity")
     coset = cyclotomic_coset(s, n, base.q)

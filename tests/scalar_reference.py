@@ -15,15 +15,16 @@ multiply-by-x step replaced; tests/test_gf.py compares them.
 projective_point_list is the loop over all q^m encodings that the span
 walk of locality_lab.constructions replaced, and generator_with_zeros the
 coset loop that bch and grm_punctured each ran before _code_with_zeros;
-tests/test_constructions.py compares them.  hamming_weight_distribution_formula
-is a closed form for the distribution of the Hamming code, an oracle for
-the enumeration and the MacWilliams transform.  is_ovoid, is_maximal_arc
-and is_amds are the exhaustive validators of point sets and of almost-MDS
-codes, oracles that no command of the package runs.  The words here are dense
-rows of n entries, the form code_core.exact_weight_words returned before
-its Words; same_words compares a Words with them, and words_of and
-rows_as_words turn dense rows into a Words.  Not a test module: pytest
-does not collect it.
+tests/test_constructions.py compares them.  encode multiplies a message
+by a code's generator, for the tests that need words of a code.
+hamming_weight_distribution_formula is a closed form for the distribution
+of the Hamming code, an oracle for the enumeration and the MacWilliams
+transform.  is_ovoid, is_maximal_arc and is_amds are the exhaustive
+validators of point sets and of almost-MDS codes, oracles that no command
+of the package runs.  The words here are dense rows of n entries, the
+form code_core.exact_weight_words returned before its Words; same_words
+compares a Words with them, and words_of and rows_as_words turn dense
+rows into a Words.  Not a test module: pytest does not collect it.
 """
 
 import math
@@ -57,6 +58,16 @@ def field_product(field, a, b):
     return sum(c % p * p ** i for i, c in enumerate(prod[:m]))
 
 
+def encode(C, message):
+    """The codeword message * G of C, as a tuple of n encodings."""
+    F = C.field
+    out = [0] * C.n
+    for u, row in zip(message, C.gen):
+        if u:
+            out = [F.add(o, F.mul(u, g)) for o, g in zip(out, row)]
+    return tuple(out)
+
+
 def projective_point_list(field, m):
     """One representative per projective point of PG(m-1, q): every nonzero
     encoding read as base-q digits and scaled so its first nonzero digit is
@@ -75,7 +86,7 @@ def generator_with_zeros(field, n, zeros):
     with the zeros beta^j, j in zeros: the product of the minimal
     polynomials of beta^j, one per cyclotomic coset, in order of first
     appearance."""
-    ext, emb, beta = splitting_field(field, n)
+    _, emb, beta = splitting_field(field, n)
     g = poly(field, [1])
     seen = set()
     for j in zeros:
@@ -83,7 +94,7 @@ def generator_with_zeros(field, n, zeros):
         if coset in seen:
             continue
         seen.add(coset)
-        g = poly_mul(g, minimal_polynomial(ext, beta, j % n, n, field, emb))
+        g = poly_mul(g, minimal_polynomial(beta, j % n, n, emb))
     return g
 
 

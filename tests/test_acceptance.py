@@ -8,7 +8,8 @@ being weakened to pass.
 
 import random
 
-from scalar_reference import hamming_weight_distribution_formula, is_maximal_arc
+from scalar_reference import (encode, hamming_weight_distribution_formula,
+                              is_maximal_arc)
 
 from locality_lab.code_core import (
     dual,
@@ -111,7 +112,7 @@ def test_criterion_04_ovoid_code_and_derivatives():
     assert _profile(dual(C)) == (17, 13, 4, 11, True, False, True)
 
     design = analyze_design(C, 12, t_max=3)
-    assert design.block_count() == 68
+    assert len(design.blocks) == 68
     assert design.t_lambda.get(3) == 22
 
     derived = [
@@ -151,7 +152,7 @@ def test_criterion_06_nmds_bch_codes():
     assert nmds_locality_check(C) == "dperp_minus_1"
 
     design = analyze_design(C, 4, t_max=3)
-    assert design.block_count() == 30
+    assert len(design.blocks) == 30
     assert design.t_lambda == {1: 12, 2: 4, 3: 1}  # Steiner S(3, 4, 10)
     assert design.is_steiner
 
@@ -165,7 +166,7 @@ def test_criterion_06_nmds_bch_codes():
     assert (C16.n, C16.k, minimum_distance(C16)) == (17, 13, 4)
     assert _sparse(dual(C16))[13] == 2040
     design16 = analyze_design(C16, 4, t_max=2)
-    assert design16.block_count() == 136
+    assert len(design16.blocks) == 136
     assert design16.t_lambda == {1: 32, 2: 6}
     _ok(6, "both codes NMDS with the stated enumerators, designs, pairing")
 
@@ -247,7 +248,7 @@ def _max_columns_on_a_line_missing(C, j: int) -> int:
     q = C.q()
     lines = ([(1, a, b) for a in range(q) for b in range(q)]
              + [(0, 1, b) for b in range(q)] + [(0, 0, 1)])
-    words = [C.encode(list(v)) for v in lines]
+    words = [encode(C, list(v)) for v in lines]
     return max(word.count(0) for word in words if word[j])
 
 

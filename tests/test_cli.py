@@ -78,9 +78,17 @@ def test_dumps_renders_a_shared_object_at_each_depth(obj, shared):
 @given(st.one_of(
     st.dictionaries(st.integers(), st.integers(), max_size=4),
     st.dictionaries(st.floats(allow_nan=False), st.none(), max_size=4),
-    st.dictionaries(st.booleans(), st.text(max_size=3), max_size=2)))
-def test_dumps_writes_non_string_keys_as_json_dumps(obj):
-    assert _json_text(obj) == _text(obj)
+    st.dictionaries(st.booleans(), st.text(max_size=3), max_size=2),
+    st.dictionaries(st.tuples(st.integers()), st.none(), max_size=2)))
+def test_dumps_refuses_non_string_keys(obj):
+    # every report key is a str; json.dumps would write these keys as text
+    if obj:
+        with pytest.raises(TypeError):
+            _json_text(obj)
+        with pytest.raises(TypeError):
+            _json_text({"a": [obj]})
+    else:
+        assert _json_text(obj) == _text(obj)
 
 
 @settings(max_examples=100, deadline=None)
@@ -106,14 +114,14 @@ def test_json_text_renders_a_shared_int_tuple_at_two_depths():
 @pytest.mark.parametrize("obj", [
     [], {}, (), [[]], {"a": {}}, [True, 1], [1, True], [1, False, 0],
     [None, -0.0, math.nan, math.inf, -math.inf], [1, 2.0], [-5, 2**100],
-    {"b": 1, "a": [1, 2], "": None}, {None: 1}, 7, "x", 1.5, None, True,
+    {"b": 1, "a": [1, 2], "": None}, {"null": 1}, 7, "x", 1.5, None, True,
 ])
 def test_dumps_edge_values(obj):
     assert _json_text(obj) == _text(obj)
 
 
 @pytest.mark.parametrize("obj", [
-    np.int64(3), [1, np.int64(3)], {1, 2}, {"a": [set()]}, {(1, 2): 0},
+    np.int64(3), [1, np.int64(3)], {1, 2}, {"a": [set()]}, {"a": b"x"},
     {1: 0, "1": 0}, object(),
 ])
 def test_dumps_rejects_what_json_dumps_rejects(obj):
@@ -493,6 +501,13 @@ NAMED_REFUSALS = [
     (("analyze", "from-file"), "from-file needs path=..."),
     (("validate-oval", "q=8"),
      "validate-oval wants q=... f=family[:param] or f=monomial:e"),
+    (("construct", "bch", "q=2", "n=4", "delta=2"), "gcd(4, 2) != 1"),
+    (("construct", "cyclic", "q=2", "n=3", "g=1,0,0,1"),
+     "degree 3 generator for length 3"),
+    (("analyze", "oval-code-gf", "q=16", "f=glynn1"), "glynn1 needs m odd"),
+    (("analyze", "oval-code-gf", "q=16", "f=cherowitzo"),
+     "cherowitzo needs m odd"),
+    (("analyze", "oval-code-gf", "q=16", "f=payne"), "payne needs m odd"),
 ]
 
 
@@ -550,6 +565,48 @@ def test_oversized_numbers_name_their_parameter(capsys, argv, name):
 def test_refusals_name_their_family(capsys, argv, message):
     rc, out, err = run(capsys, *argv)
     assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("construct", "bch", "q=2", "n=47", "delta=3"),
+     "splitting field GF(2^23) exceeds cap 1048576"),
+    (("validate-oval", "q=8192", "f=monomial:2"),
+     "exhaustive oval check at q=8192 is out of range"),
+    # a code over a field without tables is refused when it is built, not
+    # skipped computation by computation
+    (("construct", "cyclic", "q=65537", "n=2", "g=1,1"),
+     "a code over GF(65537) needs the field's tables, built up to cap 65536"),
+    (("analyze", "cyclic", "q=65537", "n=4", "g=1,1"),
+     "a code over GF(65537) needs the field's tables, built up to cap 65536"),
+])
+def test_cap_refusals_exit_2(capsys, argv, message):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (2, "", f"error (cap): {message}\n")
+
+
+def test_a_matrix_file_over_a_field_without_tables_is_refused(tmp_path,
+                                                               capsys):
+    path = tmp_path / "big.txt"
+    path.write_text("131072 2 1\n1 1\n")
+    rc, out, err = run(capsys, "analyze", "from-file", f"path={path}")
+    assert (rc, out) == (2, "")
+    assert err == ("error (cap): a code over GF(131072) needs the field's "
+                   "tables, built up to cap 65536\n")
+
+
+def test_validate_oval_reports_a_constant_monomial(capsys):
+    rc, out, err = run(capsys, "validate-oval", "q=8", "f=monomial:0")
+    assert (rc, out, err) == (0, "x^0 over GF(8): NOT an oval polynomial\n",
+                              "")
+
+
+def test_a_design_weight_above_the_length_has_no_blocks(capsys):
+    # exact_weight_words returns no word for w > n
+    rc, out, _ = run(capsys, "analyze", "hamming", "q=2", "m=3",
+                     "--designs", "1:8")
+    assert rc == 0
+    assert out.splitlines()[-1] == (
+        "design w=8 t=1: 0 blocks, not a t-design, steiner=False")
 
 
 def test_long_numbers_are_shortened_in_error_lines(capsys):
@@ -632,6 +689,7 @@ def test_malformed_caps_exit_1(capsys, monkeypatch, caps, reason):
     (b"2 -1 0\n", "n = -1, k = 0"),  # once a length -1 zero code
     (b"2 3 -1\n", "n = 3, k = -1"),
     (b"0 3 1\n1 1 1\n", "0 is not a prime power"),  # once an endless loop
+    (b"2 3\n", "matrix file too short"),
 ])
 def test_malformed_matrix_file_exits_1(tmp_path, capsys, content, reason):
     path = tmp_path / "bad.txt"

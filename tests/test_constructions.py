@@ -60,7 +60,7 @@ from locality_lab.errors import (
     NotMaximalArc,
     WrongFieldForm,
 )
-from locality_lab.gf import field_new, poly
+from locality_lab.gf import DLOG_CAP, field_new, poly, splitting_field
 from locality_lab.locality import minimum_linear_locality
 
 F3 = field_new(3, 1)
@@ -129,7 +129,7 @@ def test_hamming_weight_formula_matches_enumeration():
     for q, m in ((2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (5, 2)):
         formula = hamming_weight_distribution_formula(q, m)
         n = (q ** m - 1) // (q - 1)
-        assert formula.total() == q ** (n - m)
+        assert sum(formula.counts) == q ** (n - m)
         enumerated = macwilliams(weight_distribution(simplex(q, m)), n, m, q)
         assert formula.counts == enumerated.counts
 
@@ -191,6 +191,10 @@ def test_point_set_lengths_above_max_length_are_refused(monkeypatch):
     # n | q - 1: Reed-Solomon codes, whose splitting field is GF(q) itself
     ("bch", (8, 7, 3, 1), range(1, 3)),
     ("bch", (16, 15, 5, 1), range(1, 5)),
+    # splitting fields GF(2^20) and GF(3^11), above gf.DLOG_CAP: their
+    # minimal polynomials come from the untabulated arithmetic
+    ("bch", (2, 41, 3, 1), range(1, 3)),
+    ("bch", (3, 23, 2, 1), range(1, 2)),
 ])
 def test_zero_set_codes_match_the_coset_loop(family, args, zeros):
     build = {"bch": bch, "grm-punctured": grm_punctured}[family]
@@ -199,6 +203,17 @@ def test_zero_set_codes_match_the_coset_loop(family, args, zeros):
     want = cyclic_code(q, n, ref.generator_with_zeros(field_for_q(q), n, zeros))
     assert C.gen == want.gen
     assert C.label == f"{family}({','.join(map(str, args))})"
+
+
+@pytest.mark.parametrize("args, ext_q, nkd", [
+    ((2, 41, 3, 1), 2 ** 20, (41, 21, 9)),
+    ((3, 23, 2, 1), 3 ** 11, (23, 12, 8)),
+])
+def test_bch_codes_over_untabulated_splitting_fields(args, ext_q, nkd):
+    ext = splitting_field(field_for_q(args[0]), args[1])[0]
+    assert ext.q == ext_q > DLOG_CAP and ext.tables is None
+    C = bch(*args)
+    assert (C.n, C.k, minimum_distance(C)) == nkd
 
 
 @pytest.mark.parametrize("args, nkd", [((8, 7, 3, 1), (7, 5, 3)),

@@ -29,7 +29,7 @@ from locality_lab.errors import BadParameters, InconsistentInput, SearchTooLarge
 def test_support_blocks_golay():
     G = ternary_golay()
     rep = support_blocks(G, 5)
-    assert rep.block_count() == 66  # 132 words, collapsed by scalar
+    assert len(rep.blocks) == 66  # 132 words, collapsed by scalar
     assert all(len(b) == 5 for b in rep.blocks)
     assert len(set(rep.blocks)) == 66
     assert support_blocks(G, 4).blocks == ()  # no weight-4 words
@@ -43,12 +43,12 @@ def test_negative_block_sizes_are_refused(entry):
 
 def test_support_blocks_simplex():
     rep = support_blocks(simplex(3, 2), 3)
-    assert rep.n == 4 and rep.block_count() == 4
+    assert rep.n == 4 and len(rep.blocks) == 4
 
 
 def test_steiner_quadruple_system():
     rep = analyze_design(bch(9, 10, 3, 1), 4, t_max=3)
-    assert rep.block_count() == 30
+    assert len(rep.blocks) == 30
     assert rep.t_lambda[3] == 1
     assert rep.is_steiner
     # block-count identity for the Steiner system
@@ -57,7 +57,7 @@ def test_steiner_quadruple_system():
 
 def test_two_design_q16():
     rep = analyze_design(bch(16, 17, 3, 1), 4, t_max=3)
-    assert rep.block_count() == 136
+    assert len(rep.blocks) == 136
     assert rep.t_lambda[2] == 6
     assert 3 not in rep.t_lambda
     assert not rep.is_steiner
@@ -65,7 +65,7 @@ def test_two_design_q16():
 
 def test_ovoid_three_design():
     rep = analyze_design(ovoid_code(elliptic_quadric(4)), 12, t_max=3)
-    assert rep.block_count() == 68
+    assert len(rep.blocks) == 68
     assert rep.t_lambda[3] == 22  # (q-2)(q^2-q-1) at q = 4
     assert rep.t_lambda[2] == 33 and rep.t_lambda[1] == 48
 

@@ -26,6 +26,34 @@ def test_field_new_rejects_bad_input():
         gf.field_new(2, 21)
 
 
+def test_field_new_refuses_degree_zero_as_bad_parameters():
+    # an invalid degree, not a resource cap
+    with pytest.raises(errors.BadParameters, match="degree 0") as info:
+        gf.field_new(2, 0)
+    assert not isinstance(info.value, errors.CapExceeded)
+
+
+def test_field_tables_layout():
+    for F in _all_fields() + [gf.quadratic_extension(gf.field_new(3, 2)),
+                              gf.field_new(2, 16), gf.field_new(3, 6)]:
+        t, q = F.tables, F.q
+        assert len(t.exp) == 4 * (q - 1) + 1 and len(t.log) == q
+        assert t.exp[2 * (q - 1):] == [0] * (2 * (q - 1) + 1)
+        assert t.log[0] == 2 * (q - 1)
+        for i in range(q - 1):
+            assert t.exp[i] == t.exp[i + q - 1] == F.gen_pow(i)
+            assert t.log[t.exp[i]] == i
+        assert t.neg[0] == t.inv[0] == 0
+        assert (t.add is None) == (F.p == 2 or q > gf.ADD_TABLE_CAP)
+        for a in range(1, q, max(1, q // 500)):
+            # checked in the raw arithmetic the tables are built from
+            assert F._digitwise(a, t.neg[a], int.__add__) == 0
+            assert F._raw_mul(a, t.inv[a]) == 1
+            assert t.exp[t.log[a] + t.log[0]] == 0
+    assert gf.field_new(2, 17).tables is None
+    assert gf.field_new(65537, 1).tables is None
+
+
 def test_moduli_are_smallest_primitive():
     # frozen after exhaustive search; GF(9) has exactly three monic
     # irreducible quadratics and x^2+x+2 is the first primitive one
@@ -108,11 +136,13 @@ def test_field_axioms_exhaustive():
                     assert F.mul(F.add(a, b), c) == F.add(F.mul(a, c), F.mul(b, c))
 
 
-@pytest.mark.parametrize("p, m", [(3, 7), (5, 4), (7, 4), (521, 1)])
+@pytest.mark.parametrize("p, m", [(3, 7), (5, 4), (7, 4), (521, 1), (3, 11)])
 def test_untabulated_add_and_neg_are_digitwise(p, m):
-    # fields above ADD_TABLE_CAP add and negate base-p digit by digit
+    # fields above ADD_TABLE_CAP add base-p digit by digit, and so do they
+    # negate above DLOG_CAP; the tables' neg agrees with the digits
     F = gf.field_new(p, m)
-    assert F.q > gf.ADD_TABLE_CAP and F._add is None and F._neg is None
+    assert F.q > gf.ADD_TABLE_CAP
+    assert F.tables is None if F.q > gf.DLOG_CAP else F.tables.add is None
     rng = random.Random(F.q)
 
     def digits(v):
@@ -128,7 +158,7 @@ def test_untabulated_add_and_neg_are_digitwise(p, m):
 
 def test_raw_product_matches_the_tables():
     for F in _all_fields():
-        assert F._exp is not None
+        assert F.tables is not None
         for a in range(F.q):
             for b in range(F.q):
                 assert F._raw_mul(a, b) == F.mul(a, b) == ref.field_product(
@@ -138,7 +168,7 @@ def test_raw_product_matches_the_tables():
 @pytest.mark.parametrize("p, m", [(2, 17), (3, 11)])
 def test_untabulated_product_matches_schoolbook(p, m):
     F = gf.field_new(p, m)
-    assert F._exp is None
+    assert F.tables is None
     rng = random.Random(F.q)
     for _ in range(1000):
         a, b = rng.randrange(F.q), rng.randrange(F.q)
@@ -169,7 +199,7 @@ def test_pow_semantics():
 
 def test_generator_has_full_order():
     for F in _all_fields():
-        assert F.element_order(F.generator) == F.q - 1
+        assert gf._has_order(F, F.generator, F.q - 1)
 
 
 def test_quadratic_extension_examples():
@@ -178,10 +208,10 @@ def test_quadratic_extension_examples():
     for v in range(3):
         assert T9.pow(v, 3) == v
     T81 = gf.quadratic_extension(gf.field_new(3, 2))
-    assert T81.element_order(T81.generator) == 80
+    assert gf._has_order(T81, T81.generator, 80)
     T64 = gf.quadratic_extension(gf.field_new(2, 3))
     d9 = T64.pow(T64.generator, 9)
-    assert T64.element_order(d9) == 7
+    assert gf._has_order(T64, d9, 7)
     assert d9 < 8  # lies in the embedded GF(8)
 
 
@@ -235,6 +265,13 @@ def test_cyclotomic_cosets():
     assert gf.cyclotomic_coset(3, 7, 2) == (3, 5, 6)
     with pytest.raises(errors.GcdNotOne):
         gf.cyclotomic_coset(1, 10, 2)
+
+
+def test_cyclotomic_coset_refuses_a_representative_out_of_range():
+    with pytest.raises(errors.BadParameters, match="representative 7"):
+        gf.cyclotomic_coset(7, 5, 2)
+    with pytest.raises(errors.BadParameters, match="representative -1"):
+        gf.cyclotomic_coset(-1, 5, 2)
     # cosets partition Z_n
     n, q = 33, 32
     seen = set()
@@ -246,9 +283,9 @@ def test_cyclotomic_cosets():
 def test_minimal_polynomial_basics():
     base = gf.field_new(3, 2)
     ext, emb, beta = gf.splitting_field(base, 10)
-    m0 = gf.minimal_polynomial(ext, beta, 0, 10, base, emb)
+    m0 = gf.minimal_polynomial(beta, 0, 10, emb)
     assert m0 == gf.poly(base, [base.neg(1), 1])  # x - 1
-    m1 = gf.minimal_polynomial(ext, beta, 1, 10, base, emb)
+    m1 = gf.minimal_polynomial(beta, 1, 10, emb)
     assert m1.degree == 2
     # beta and beta^9 are the roots of m1 inside the tower
     for e in (1, 9):
@@ -258,7 +295,7 @@ def test_minimal_polynomial_basics():
             acc = ext.add(ext.mul(acc, r), c)
         assert acc == 0
     with pytest.raises(errors.NotRootOfUnity):
-        gf.minimal_polynomial(ext, ext.generator, 1, 10, base, emb)
+        gf.minimal_polynomial(ext.generator, 1, 10, emb)
 
 
 def test_minimal_polynomial_checks_each_root_once(monkeypatch):
@@ -276,13 +313,13 @@ def test_minimal_polynomial_checks_each_root_once(monkeypatch):
     monkeypatch.setattr(gf.FieldSpec, "_raw_pow", counting)
     cosets = {gf.cyclotomic_coset(s, 63, 2) for s in range(63)}
     for coset in cosets:
-        mp = gf.minimal_polynomial(ext, beta, coset[0], 63, base, emb)
+        mp = gf.minimal_polynomial(beta, coset[0], 63, emb)
         assert mp.degree == len(coset)
     assert len(cosets) == 13
     assert len(powers) <= 1 + len(gf.factorize(63))
     for _ in range(2):  # the second verdict is the cached one
         with pytest.raises(errors.NotRootOfUnity):
-            gf.minimal_polynomial(ext, ext.pow(beta, 3), 1, 63, base, emb)
+            gf.minimal_polynomial(ext.pow(beta, 3), 1, 63, emb)
 
 
 @pytest.mark.parametrize("p,m,n", [(3, 2, 10), (2, 3, 9), (2, 4, 17),
@@ -298,7 +335,7 @@ def test_minimal_polynomials_factor_xn_minus_1(p, m, n):
             continue
         coset = gf.cyclotomic_coset(s, n, base.q)
         seen.update(coset)
-        mp = gf.minimal_polynomial(ext, beta, s, n, base, emb)
+        mp = gf.minimal_polynomial(beta, s, n, emb)
         assert mp.degree == len(coset)
         assert mp.coeffs[-1] == 1
         polys.append(mp)
@@ -312,13 +349,14 @@ def test_embedding_is_a_field_homomorphism():
         assert ext.q == Q and emb.fwd is not None
         for a in range(base.q):
             for b in range(base.q):
-                assert emb.map(base.add(a, b)) == ext.add(emb.map(a), emb.map(b))
-                assert emb.map(base.mul(a, b)) == ext.mul(emb.map(a), emb.map(b))
+                fwd = emb.fwd
+                assert fwd[base.add(a, b)] == ext.add(fwd[a], fwd[b])
+                assert fwd[base.mul(a, b)] == ext.mul(fwd[a], fwd[b])
         # x goes to the least root of the base modulus in the whole extension
         f = gf.poly(ext, base.modulus)
-        assert emb.map(p) == min(z for z in range(Q) if gf.poly_eval(f, z) == 0)
+        assert emb.fwd[p] == min(z for z in range(Q) if gf.poly_eval(f, z) == 0)
         with pytest.raises(errors.CoefficientNotInBase):
-            bad = next(v for v in range(Q) if not emb.in_base(v))
+            bad = next(v for v in range(Q) if v not in emb.fwd)
             emb.unmap(bad)
 
 

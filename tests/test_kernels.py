@@ -657,16 +657,15 @@ def test_large_fields_match_mds_formula(p, m):
 
 
 def test_fields_above_the_cap_are_refused():
-    F = field_new(2, 17)
-    with pytest.raises(FieldTooLarge):
-        _numpy_field_tables(F)
-    C = from_generator(F, [[1, 2, 3]])  # eliminations stay scalar
-    with pytest.raises(FieldTooLarge):
-        exact_weight_words(C, 3)
-    rng = random.Random(17)
-    M = [[rng.randrange(F.q) for _ in range(64)] for _ in range(24)]
-    assert rref_cost(24, 64) >= code_core._RREF_NUMPY_MIN
-    assert rref(F, M) == ref.rref(F, M)  # at every size
+    # a code over a field without tables is refused when it is built, on
+    # every door in
+    for F in (field_new(2, 17), field_new(65537, 1)):
+        assert F.tables is None and F.q > DLOG_CAP
+        for build in (lambda: from_generator(F, [[1, 2, 3]]),
+                      lambda: from_parity_check(F, [[1, 1]]),
+                      lambda: zero_code(F, 3)):
+            with pytest.raises(FieldTooLarge, match=f"cap {DLOG_CAP}"):
+                build()
 
 
 # ---------------------------------------------------------------------------
@@ -715,9 +714,9 @@ def test_rref_numpy_matches_scalar(q, nrows, ncols, rank_cap):
 
 
 # the scalar loop's field classes: GF(2), GF(2^e) and GF(p) read the field
-# as lists, GF(3^6), odd above gf.ADD_TABLE_CAP, adds through FieldSpec.add,
-# and GF(2^17), above gf.DLOG_CAP, calls the FieldSpec methods at every size
-SCALAR_FIELDS = [(2, 1), (2, 4), (5, 1), (3, 6), (2, 17)]
+# tables alone, and GF(3^6), odd above gf.ADD_TABLE_CAP, adds through
+# FieldSpec.add
+SCALAR_FIELDS = [(2, 1), (2, 4), (5, 1), (3, 6)]
 
 # (rows, cols, rank bound or None), full rank and rank deficient, on both
 # sides of _RREF_NUMPY_MIN
@@ -727,8 +726,9 @@ SCALAR_SHAPES = [(7, 40, None), (12, 20, 4), (24, 64, None), (36, 36, 8)]
 @pytest.mark.parametrize("p, m", SCALAR_FIELDS)
 def test_rref_loop_matches_scalar_reference(monkeypatch, p, m):
     """rref and nullspace against the method-driven reference on every
-    field class, and, where the field has its tables as lists, with no
-    FieldSpec arithmetic method called per entry."""
+    field class, and, where the field has an addition table or
+    characteristic 2, with no FieldSpec arithmetic method called per
+    entry."""
     for deficient in (False, True):
         costs = [rref_cost(r, c) for r, c, cap in SCALAR_SHAPES
                  if (cap is not None) == deficient]
@@ -747,22 +747,20 @@ def test_rref_loop_matches_scalar_reference(monkeypatch, p, m):
                  for _ in range(cap)]
             M = matmul(F, L, R, cap)
         cases.append((M, cap, ref.rref(F, M), ref.nullspace(F, M, ncols)))
-    if F.q <= DLOG_CAP:
-        _numpy_field_tables(F)  # built once per field, through the methods
-    # the row operations rebuilt per call, so that they bind the counters
-    monkeypatch.setattr(code_core, "_row_ops", code_core._row_ops.__wrapped__)
+    _numpy_field_tables(F)  # built once per field; zech calls FieldSpec.add
     calls = []
     for name in ("add", "sub", "mul", "neg"):
         method = getattr(FieldSpec, name)
-        monkeypatch.setattr(FieldSpec, name, lambda self, *a, method=method:
-                            calls.append(method) or method(self, *a))
+        monkeypatch.setattr(FieldSpec, name, lambda self, *a, method=method,
+                            name=name: calls.append(name) or method(self, *a))
     for M, cap, red, kernel in cases:
         assert rref(F, M) == red
         assert nullspace(F, M, len(M[0])) == kernel
         if cap is not None:
             assert len(red[1]) <= cap < min(len(M), len(M[0]))
-    by_lists = F.q <= DLOG_CAP and (p == 2 or F.q <= ADD_TABLE_CAP)
+    by_lists = p == 2 or F.q <= ADD_TABLE_CAP
     assert by_lists == (not calls)
+    assert by_lists or set(calls) == {"add"}
 
 
 # ---------------------------------------------------------------------------
@@ -836,7 +834,7 @@ def test_in_dual_matches_scalar_reference_on_both_sides():
     for C in codes:
         for A in (C, dual(C)):
             q, D = A.field.q, dual(A)
-            words = np.array([D.encode([rng.randrange(q) for _ in range(D.k)])
+            words = np.array([ref.encode(D, [rng.randrange(q) for _ in range(D.k)])
                               for _ in range(6)], dtype=np.int32)
             words = words[words.any(axis=1)]
             assert in_dual(A, ref.rows_as_words(words))
@@ -909,7 +907,7 @@ def test_in_dual_on_rows_of_mixed_weight(monkeypatch, cells):
     for C in code_roster():
         for A in (C, dual(C)):
             D = dual(A)
-            words = [D.encode([rng.randrange(A.field.q) for _ in range(D.k)])
+            words = [ref.encode(D, [rng.randrange(A.field.q) for _ in range(D.k)])
                      for _ in range(5)]
             W = np.array(words + [[0] * A.n] + list(D.gen), dtype=np.int32)
             if D.k:
@@ -1338,7 +1336,7 @@ def test_shorten_matches_the_nullspace_reference(q, n, k):
 
 
 def codewords(C):
-    return {C.encode(list(m)) for m in product(range(C.field.q), repeat=C.k)}
+    return {ref.encode(C, list(m)) for m in product(range(C.field.q), repeat=C.k)}
 
 
 def test_shorten_by_brute_force():
