@@ -519,7 +519,11 @@ def rref(field: FieldSpec, rows: list[list[int]]) -> tuple[list[list[int]], list
     tables with no method call per entry: a product is exp[log a + log b],
     and a sum an xor in characteristic 2, a lookup in the addition table of
     an odd field up to gf.ADD_TABLE_CAP, and FieldSpec.add above it.  From
-    _RREF_NUMPY_MIN on one _eliminate of a stack of one."""
+    _RREF_NUMPY_MIN on one _eliminate of a stack of one.  A field without
+    tables is refused with FieldTooLarge."""
+    if field.tables is None:
+        raise FieldTooLarge(f"rref over GF({field.q}) needs the field's "
+                            f"tables, built up to cap {DLOG_CAP}")
     rows = [list(r) for r in rows]
     if not rows:
         return [], []

@@ -714,9 +714,9 @@ def test_rref_numpy_matches_scalar(q, nrows, ncols, rank_cap):
 
 
 # the scalar loop's field classes: GF(2), GF(2^e) and GF(p) read the field
-# tables alone, and GF(3^6), odd above gf.ADD_TABLE_CAP, adds through
-# FieldSpec.add
-SCALAR_FIELDS = [(2, 1), (2, 4), (5, 1), (3, 6)]
+# tables alone, GF(3^6), odd above gf.ADD_TABLE_CAP, adds through
+# FieldSpec.add, and GF(2^17), above gf.DLOG_CAP, has no tables and is refused
+SCALAR_FIELDS = [(2, 1), (2, 4), (5, 1), (3, 6), (2, 17)]
 
 # (rows, cols, rank bound or None), full rank and rank deficient, on both
 # sides of _RREF_NUMPY_MIN
@@ -728,13 +728,23 @@ def test_rref_loop_matches_scalar_reference(monkeypatch, p, m):
     """rref and nullspace against the method-driven reference on every
     field class, and, where the field has an addition table or
     characteristic 2, with no FieldSpec arithmetic method called per
-    entry."""
+    entry.  A field without tables is refused on both sides of
+    _RREF_NUMPY_MIN, with no method-driven fallback."""
     for deficient in (False, True):
         costs = [rref_cost(r, c) for r, c, cap in SCALAR_SHAPES
                  if (cap is not None) == deficient]
         assert min(costs) < code_core._RREF_NUMPY_MIN <= max(costs)
     F = field_new(p, m)
     rng = random.Random(100 * p + m)
+    if F.tables is None:
+        assert F.q > DLOG_CAP
+        for nrows, ncols, _ in SCALAR_SHAPES:
+            M = [[rng.randrange(F.q) for _ in range(ncols)]
+                 for _ in range(nrows)]
+            for run in (lambda: rref(F, M), lambda: nullspace(F, M, ncols)):
+                with pytest.raises(FieldTooLarge, match=f"cap {DLOG_CAP}"):
+                    run()
+        return
     cases = []
     for nrows, ncols, cap in SCALAR_SHAPES:
         if cap is None:
