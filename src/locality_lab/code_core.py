@@ -1162,6 +1162,44 @@ def _words_by_join(H: np.ndarray, w: int, budget: int, tables: _FieldArrays,
                                 right_cf[ri % len(right_cf)])]))
 
 
+def _word_blocks(C: LinearCode, w: int, caps: Caps,
+                 through: list[int] | None):
+    """Blocks (S, V) of the weight-w words of C, one per projective class,
+    each row's support ascending in C's coordinates and its values leading
+    with 1, yielded as the route's kernel makes them; given through (as
+    _check_coords returns it), only the words whose support meets it.
+    Nothing when k = 0, w = 0 or w > n.  The route is plan's "words"
+    route, priced there: an enumeration of C, the rank scan of the
+    w-subsets of the columns of the parity check, or the syndrome join;
+    the route and its price are those of the full search, through or not.
+    An enumeration filters its words by through; a scan gets the parity
+    check with the u coordinates of through moved to the front, where the
+    supports that meet them are those whose least member is below u, and
+    maps its supports back, each sorted with its values, led with 1 again."""
+    n, k = C.n, C.k
+    if k == 0 or w == 0 or w > n:
+        return
+    route = plan(n, k, C.field.q, "words", caps, w).route
+    tables = _numpy_field_tables(C.field)
+    if route == "enumerate":
+        for S, V in _words_by_enumeration(C, w, tables):
+            if through is not None:
+                meets = np.isin(S, through).any(axis=1)
+                S, V = S[meets], V[meets]
+            yield S, V
+        return
+    kernel = _words_by_join if route == "join" else _words_by_kernels
+    H = dual(C).gen_array
+    if through is None:
+        yield from kernel(H, w, caps.search, tables, n)
+        return
+    order = np.argsort(~np.isin(np.arange(n), through), kind="stable")
+    for S, V in kernel(H[:, order], w, caps.search, tables, len(through)):
+        by = np.argsort(order[S], axis=1)  # C's columns, sorted with values
+        S, V = (np.take_along_axis(X, by, axis=1) for X in (order[S], V))
+        yield S, _lead_with_one(tables, V)
+
+
 def exact_weight_words(C: LinearCode, w: int, caps: Caps | None = None,
                        through: list[int] | None = None) -> Words:
     """All weight-w codewords of C, one per projective class, as a Words of
@@ -1170,42 +1208,16 @@ def exact_weight_words(C: LinearCode, w: int, caps: Caps | None = None,
     through, a list of coordinates checked as puncture checks its
     coordinates, only those whose support meets it.  The rows are sorted
     by support, then by values: two words on one support differ only on
-    it, so every route returns the same arrays.  The route is plan's
-    "words" route, priced there: an enumeration of C, the rank scan of the
-    w-subsets of the columns of the parity check, or the syndrome join.
-    The route and its price are those of the full search, through or not.
-    An enumeration filters its words by through; a scan gets the parity
-    check with the u coordinates of through moved to the front, where the
-    supports that meet them are those whose least member is below u, and
-    maps its supports back, each sorted with its values, led with 1 again."""
+    it, so every route returns the same arrays.  The words are the blocks
+    of _word_blocks, which holds the route."""
     if w < 0:
         raise InconsistentInput(f"weight {w} is negative")
     caps = _caps(caps)
-    n, k = C.n, C.k
     if through is not None:
         through = _check_coords(C, through)
     S, V = np.zeros((0, w), dtype=np.intp), np.zeros((0, w), dtype=np.int32)
-    if k == 0 or w == 0 or w > n:
-        return Words(S, V)
-    route = plan(n, k, C.field.q, "words", caps, w).route
-    tables = _numpy_field_tables(C.field)
-    if route == "enumerate":
-        blocks = _words_by_enumeration(C, w, tables)
-    else:
-        kernel = _words_by_join if route == "join" else _words_by_kernels
-        H, u = dual(C).gen_array, n
-        if through is not None:
-            order = np.argsort(~np.isin(np.arange(n), through), kind="stable")
-            H, u = H[:, order], len(through)
-        blocks = kernel(H, w, caps.search, tables, u)
-    S, V = (np.concatenate(parts) for parts in zip((S, V), *blocks))
-    if through is not None and route == "enumerate":
-        meets = np.isin(S, through).any(axis=1)
-        S, V = S[meets], V[meets]
-    elif through is not None:  # C's columns, each sorted with its values
-        by = np.argsort(order[S], axis=1)
-        S, V = (np.take_along_axis(X, by, axis=1) for X in (order[S], V))
-        V = _lead_with_one(tables, V)
+    S, V = (np.concatenate(parts) for parts in
+            zip((S, V), *_word_blocks(C, w, caps, through)))
     by = np.lexsort([*V.T[::-1], *S.T[::-1]])
     return Words(S[by], V[by])
 

@@ -20,7 +20,7 @@ from .code_core import (Caps, LinearCode, _caps, distinct_supports, dual,
                         exact_weight_words, minimum_distance)
 from .errors import (BadParameters, DesignInvariantBroken,
                      LocalityInvariantBroken, SearchTooLarge)
-from .locality import minimum_linear_locality
+from .locality import certified_locality
 
 __all__ = ["DesignReport", "support_blocks", "verify_t_design",
            "analyze_design", "one_design_locality_link"]
@@ -134,9 +134,9 @@ def one_design_locality_link(C: LinearCode,
     lam = verify_t_design(report, 1, caps) if report.blocks else None
     if lam is None:
         return False
-    locality = minimum_linear_locality(C, caps)
-    if locality.r_min != d_dual - 1:
+    r_min = certified_locality(C, caps)
+    if r_min != d_dual - 1:
         raise LocalityInvariantBroken(
             f"uniform dual coverage must pin the locality at d(dual) - 1 = "
-            f"{d_dual - 1}, got {locality.r_min}")
+            f"{d_dual - 1}, got {r_min}")
     return True

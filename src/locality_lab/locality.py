@@ -21,6 +21,8 @@ from .code_core import (
     Caps,
     LinearCode,
     Words,
+    _caps,
+    _word_blocks,
     distinct_supports,
     dual,
     exact_weight_words,
@@ -42,7 +44,8 @@ from .errors import (
 
 __all__ = [
     "LocalityReport", "CMTerm", "CMBound", "BoundsReport",
-    "is_nontrivial", "minimum_linear_locality", "repair_coefficients",
+    "is_nontrivial", "minimum_linear_locality", "certified_locality",
+    "repair_coefficients",
     "singleton_like", "classify_d_optimality", "k_opt_upper",
     "cm_bound_upper", "classify_k_optimality", "bounds_report",
     "is_nmds", "nmds_locality_check", "nmds_support_pairing",
@@ -154,6 +157,49 @@ def minimum_linear_locality(C: LinearCode,
         coverage_by_weight=coverage,
         repair_options=tuple(tuple(options[i]) for i in range(n)),
     )
+
+
+def certified_locality(C: LinearCode, caps: Caps | None = None) -> int:
+    """The r_min of minimum_linear_locality, certified by first cover.
+
+    The same weight loop, from d(dual) up, each later weight scanning only
+    the supports through a coordinate still uncovered; but each block of
+    words is checked and marked as the kernel yields it, and the scan
+    stops at the first block that covers the last coordinate.  Every
+    weight below the stopping weight w was scanned in full, so some
+    coordinate lies on no dual word lighter than w, and at w every
+    coordinate is covered: r = w - 1, with no repair options listed.
+    """
+    if not is_nontrivial(C):
+        raise TrivialCode(
+            "locality is defined for codes with d >= 2 and dual distance >= 2")
+    caps = _caps(caps)
+    D = dual(C)
+    n = C.n
+    d_dual = minimum_distance(D, caps)
+    covered = np.zeros(n, dtype=bool)
+    w = d_dual
+    uncovered = None  # every coordinate, at the first weight
+    while True:
+        for S, V in _word_blocks(D, w, caps, uncovered):
+            if not in_dual(C, Words(S, V)):
+                raise LocalityInvariantBroken(
+                    f"weight-{w} search produced a word outside the dual")
+            covered[S.ravel()] = True
+            if covered.all():
+                break  # the first cover: no later block can change r
+        if covered.all():
+            break
+        if w >= n:
+            raise LocalityInvariantBroken(
+                "nontrivial dual left coordinates uncovered")
+        uncovered = np.flatnonzero(~covered).tolist()
+        w += 1
+    # transitive coordinate action forces coverage already at d(dual)
+    if w != d_dual and is_cyclic(C):
+        raise LocalityInvariantBroken(
+            f"cyclic code has locality {w - 1}, not d(dual) - 1 = {d_dual - 1}")
+    return w - 1
 
 
 def repair_coefficients(C: LinearCode, i: int,
@@ -344,14 +390,14 @@ def nmds_locality_check(C: LinearCode, caps: Caps | None = None) -> str:
     which one holds."""
     if not is_nmds(C, caps):
         raise HypothesisViolated("nmds_locality_check needs a near-MDS code")
-    report = minimum_linear_locality(C, caps)
-    if report.r_min == report.d_dual - 1:
+    r_min = certified_locality(C, caps)
+    d_dual = minimum_distance(dual(C), caps)  # cached by is_nmds
+    if r_min == d_dual - 1:
         return "dperp_minus_1"
-    if report.r_min == report.d_dual:
+    if r_min == d_dual:
         return "dperp"
     raise DichotomyViolated(
-        f"r_min = {report.r_min} outside "
-        f"{{{report.d_dual - 1}, {report.d_dual}}}")
+        f"r_min = {r_min} outside {{{d_dual - 1}, {d_dual}}}")
 
 
 def nmds_support_pairing(C: LinearCode, caps: Caps | None = None

@@ -1,7 +1,6 @@
 """Tests for the code-family constructors: parameters, closed-form weight
 enumerators, geometric validators, and the catalog of oval polynomials."""
 
-import math
 import random
 import warnings
 from itertools import combinations
@@ -259,7 +258,7 @@ def test_ternary_golay():
 def _golay_generator():
     # independent route: factor x^11 - 1 over GF(3) by scanning monic
     # degree-5 divisors, then pick the factor bch() uses (root beta^1)
-    from locality_lab.gf import poly_divmod, poly_x_pow_n_minus_1, splitting_field, poly_eval
+    from locality_lab.gf import poly_divmod, poly_x_pow_n_minus_1, splitting_field
     target = poly_x_pow_n_minus_1(F3, 11)
     ext, _, beta = splitting_field(F3, 11)
     divisors = []

@@ -1,5 +1,5 @@
-"""Every name a package module imports is used there or re-exported, no
-package module has an assert statement, and every public function, class
+"""Every name a package or test module imports is used there or
+re-exported, no package module has an assert statement, and every public function, class
 and method has a caller in the package or a reason on a list."""
 
 import ast
@@ -10,6 +10,7 @@ import pytest
 import locality_lab
 
 MODULES = sorted(Path(locality_lab.__file__).parent.glob("*.py"))
+TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -38,7 +39,8 @@ def _exported(tree: ast.Module) -> set[str]:
     return set()
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES,
+                         ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     kept = _used(tree) | _exported(tree)

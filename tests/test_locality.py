@@ -1,6 +1,7 @@
 """Tests for locality computation, repair sets, and the two optimality
 bounds."""
 
+import inspect
 import os
 import random
 import subprocess
@@ -10,10 +11,12 @@ import numpy as np
 import pytest
 import scalar_reference as ref
 
+import locality_lab.code_core as code_core
 import locality_lab.locality as locality_module
 
+from locality_lab.cli import SKIPPED, _run_table_row, _table_rows
 from locality_lab.code_core import (
-    LinearCode,
+    Caps,
     Words,
     distinct_supports,
     dual,
@@ -56,6 +59,7 @@ from locality_lab.gf import field_new
 from locality_lab.locality import (
     LocalityReport,
     bounds_report,
+    certified_locality,
     classify_d_optimality,
     classify_k_optimality,
     cm_bound_upper,
@@ -207,6 +211,8 @@ def test_wrong_cyclic_flag_is_caught(monkeypatch):
     monkeypatch.setattr(locality_module, "is_cyclic", lambda C: True)
     with pytest.raises(LocalityInvariantBroken, match="cyclic"):
         minimum_linear_locality(C)
+    with pytest.raises(LocalityInvariantBroken, match="cyclic"):
+        certified_locality(C)
 
 
 def test_every_searched_word_is_checked(monkeypatch):
@@ -332,7 +338,6 @@ def test_invariant_checks_survive_optimize():
 # each former assert of locality and designs, broken on purpose; the script
 # prints the name of every check that raised its bug-signal error
 BROKEN_INVARIANTS = """
-from types import SimpleNamespace
 import numpy as np
 import locality_lab.designs as designs
 import locality_lab.locality as locality
@@ -369,8 +374,7 @@ single = designs.DesignReport(4, 2, ((0, 1),), {}, False)
 expect("block count", DesignInvariantBroken,
        lambda: designs._check_downward_consistency(single, {1: 1}))
 
-designs.minimum_linear_locality = lambda C, caps=None: SimpleNamespace(
-    r_min=99)
+designs.certified_locality = lambda C, caps=None: 99
 expect("one_design_locality_link", LocalityInvariantBroken,
        lambda: designs.one_design_locality_link(hamming(2, 3)))
 """
@@ -384,6 +388,108 @@ def test_former_asserts_raise_under_optimize():
         "repair_coefficients", "nmds_support_pairing",
         "t-design is a t'-design", "block count",
         "one_design_locality_link"], proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# certified locality: r by first cover
+
+KERNELS = ("_words_by_enumeration", "_words_by_kernels", "_words_by_join")
+
+
+def test_certified_locality_matches_brute_force():
+    for C in differential_roster():
+        assert certified_locality(C) == brute_force_report(C).r_min, C.gen
+
+
+def test_certified_locality_matches_the_full_scan_on_the_tables():
+    # every row the table computes at the default caps reads r off the
+    # certificate; the full scan must give the same r on the same code
+    computed, past_d_dual = 0, []
+    for which in (1, 2):
+        for label, q, build, *rest in _table_rows(which):
+            row = _run_table_row(label, q, build, *rest, Caps())
+            if row["computed"] == SKIPPED:
+                continue
+            computed += 1
+            rep = minimum_linear_locality(build())
+            assert row["computed"]["r"] == rep.r_min, label
+            if rep.r_min == rep.d_dual:
+                past_d_dual.append(label)
+    assert computed == 31
+    # r = d(dual) (3, 3 and 8): the loop must go on past weight d(dual)
+    assert past_d_dual == ["C_f q=8 f=translation:1",
+                           "Cbar_f q=8 f=translation:1",
+                           "Bbar_f^perp q=8 f=translation:1"]
+
+
+def _corrupting(kernel):
+    """kernel, but with the last entry of the first word it yields zeroed:
+    a nontrivial code has no zero column, so that word leaves the dual."""
+    def corrupted(*args):
+        done = False
+        for S, V in kernel(*args):
+            if len(S) and not done:
+                V, done = V.copy(), True
+                V[0, -1] = 0
+            yield S, V
+    return corrupted
+
+
+@pytest.mark.parametrize("C", [hamming(3, 3), simplex(3, 3),
+                               code_gf(oval_poly("translation", 8, 1))],
+                         ids=["enumeration", "join", "kernels"])
+def test_certified_locality_checks_every_block(monkeypatch, C):
+    for name in KERNELS:
+        monkeypatch.setattr(code_core, name,
+                            _corrupting(getattr(code_core, name)))
+    with pytest.raises(LocalityInvariantBroken, match="outside the dual"):
+        certified_locality(C)
+
+
+def test_certified_locality_refuses_a_dual_that_covers_nothing(monkeypatch):
+    for name in KERNELS:
+        monkeypatch.setattr(code_core, name, lambda *args: iter(()))
+    with pytest.raises(LocalityInvariantBroken, match="uncovered"):
+        certified_locality(hamming(2, 3))
+
+
+def test_certified_locality_check_survives_optimize():
+    script = ("import locality_lab.code_core as code_core\n"
+              "from locality_lab.constructions import hamming\n"
+              "from locality_lab.errors import LocalityInvariantBroken\n"
+              "from locality_lab.locality import certified_locality\n"
+              + inspect.getsource(_corrupting) +
+              "code_core._words_by_enumeration = _corrupting(\n"
+              "    code_core._words_by_enumeration)\n"
+              "try:\n"
+              "    certified_locality(hamming(3, 3))\n"
+              "except LocalityInvariantBroken:\n"
+              "    print('raised')\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.strip() == "raised", proc.stderr
+
+
+def test_certified_locality_stops_at_the_first_cover(monkeypatch):
+    # the [18, 13] GF(16) rank scan of the s = 4 ext row covers every
+    # coordinate in its first block at weight 5; the full scan reads all
+    label = "ext(C_(2^s,2^s+1,3,1))^perp s=4"
+    build = next(row[2] for row in _table_rows(2) if row[0] == label)
+    kernel, blocks = code_core._words_by_kernels, []
+
+    def counted(*args):
+        for block in kernel(*args):
+            blocks.append(len(block[0]))
+            yield block
+
+    monkeypatch.setattr(code_core, "_words_by_kernels", counted)
+    C = build()
+    minimum_distance(dual(C))  # cached, so only the locality scans count
+    r = certified_locality(C)
+    certified = len(blocks)
+    assert minimum_linear_locality(C).r_min == r == 4
+    assert 0 < certified < len(blocks) - certified
 
 
 # ---------------------------------------------------------------------------
